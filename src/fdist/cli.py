@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import specfile
-from .distance import Strategy, distance, resolve_strategy
+from .distance import DEFAULT_SLICES, Normalised, Strategy, distance
 from .intervals import DEFAULT_TOLERANCE, as_fraction, format_fraction
 from .mass import (
     MassAssignment,
@@ -30,7 +30,7 @@ from .mass import (
     SlicedAssignment,
     centre_of_gravity,
     fuzzy_from_mass,
-    least_prejudiced,
+    least_prejudiced,  # unused here, but traced at this name by perfbench/spans.py
     mass_from_discrete,
     max_likelihood_interval,
     slice_shape,
@@ -39,7 +39,6 @@ from .restriction import linear_combination, reachable_type1
 from .specfile import SpecSet
 from .unification import unify_maximal, unify_product
 
-DEFAULT_SLICES = 100
 TOLERANCE_ENV = "FDIST_TOLERANCE"
 
 
@@ -64,34 +63,18 @@ def _resolve(sets: dict, name: str) -> SpecSet:
         raise ValueError(f"unknown set {name!r} (document defines: {known})") from None
 
 
-def _slice_count(s: SpecSet, flag: Optional[int]) -> int:
-    if flag is not None:
-        return flag
-    if s.slices is not None:
-        return s.slices
-    return DEFAULT_SLICES
-
-
-def _require_numeric(m: MassAssignment, name: str) -> MassAssignment:
-    if any(isinstance(f, frozenset) for f, _ in m.entries):
-        raise ValueError(f"set {name!r} has label focal elements; a numeric set is required")
-    return m
-
-
-def _numeric_mass(s: SpecSet, slices_flag: Optional[int] = None) -> MassAssignment:
+def _numeric(
+    s: SpecSet, slices: Optional[int] = None, need: str = "a numeric set is required"
+) -> Normalised:
+    """A points set sliced once (at --slices, else the set's own count,
+    else DEFAULT_SLICES), or a mass set with numeric focal elements as is."""
     if s.kind == "points":
-        return slice_shape(s.value, _slice_count(s, slices_flag)).to_mass()
-    if s.kind == "mass":
-        return _require_numeric(s.value, s.name)
-    raise ValueError(f"set {s.name!r} is discrete; a numeric set is required")
-
-
-def _distance_input(s: SpecSet, slices_flag: Optional[int]):
-    if s.kind == "points":
-        return slice_shape(s.value, _slice_count(s, slices_flag))
-    if s.kind == "mass":
-        return _require_numeric(s.value, s.name)
-    raise ValueError(f"set {s.name!r} is discrete; distance needs numeric sets")
+        return slice_shape(s.value, slices or s.slices or DEFAULT_SLICES)
+    if s.kind == "discrete":
+        raise ValueError(f"set {s.name!r} is discrete; {need}")
+    if any(isinstance(f, frozenset) for f, _ in s.value.entries):
+        raise ValueError(f"set {s.name!r} has label focal elements; a numeric set is required")
+    return s.value
 
 
 def _render(doc: dict) -> str:
@@ -114,7 +97,7 @@ def cmd_mass(args, sets: dict) -> str:
     if s.kind == "discrete":
         m = mass_from_discrete(s.value)
     else:
-        m = _numeric_mass(s, args.slices) if s.kind == "points" else s.value
+        m = _numeric(s, args.slices).to_mass() if s.kind == "points" else s.value
     doc = {
         "command": "mass",
         "set": s.name,
@@ -127,12 +110,9 @@ def cmd_mass(args, sets: dict) -> str:
 
 def cmd_distance(args, sets: dict) -> str:
     sa, sb = _resolve(sets, args.a), _resolve(sets, args.b)
-    a = _distance_input(sa, args.slices)
-    b = _distance_input(sb, args.slices)
-    chosen = Strategy[args.strategy.upper()] if args.strategy else None
-    ma = a.to_mass() if isinstance(a, SlicedAssignment) else a
-    mb = b.to_mass() if isinstance(b, SlicedAssignment) else b
-    strategy = resolve_strategy(ma, mb, chosen)
+    need = "distance needs numeric sets"
+    a, b = _numeric(sa, args.slices, need), _numeric(sb, args.slices, need)
+    strategy = Strategy(args.strategy) if args.strategy else None
     result = distance(a, b, directional=args.directional, strategy=strategy)
     if args.plot_step is not None:
         step = as_fraction(args.plot_step)
@@ -144,7 +124,7 @@ def cmd_distance(args, sets: dict) -> str:
         "a": sa.name,
         "b": sb.name,
         "directional": bool(args.directional),
-        "strategy": strategy.name.lower(),
+        "strategy": result.strategy.value,
         "mass": specfile.mass_to_doc(result.mass, name=f"D({sa.name},{sb.name})"),
         "fuzzy": specfile.fuzzy_to_doc(result.fuzzy),
     }
@@ -169,14 +149,15 @@ def cmd_unify(args, sets: dict) -> str:
 
 def cmd_defuzz(args, sets: dict) -> str:
     s = _resolve(sets, args.name)
-    m = _numeric_mass(s)
-    density = least_prejudiced(m)
+    m = _numeric(s)
+    if isinstance(m, SlicedAssignment):
+        m = m.to_mass()
     doc = {
         "command": "defuzz",
         "set": s.name,
         "max_likelihood": specfile.focal_to_doc(max_likelihood_interval(m)),
         "centre_of_gravity": format_fraction(centre_of_gravity(fuzzy_from_mass(m))),
-        "unassigned": format_fraction(density.unassigned),
+        "unassigned": format_fraction(m.empty_mass),
     }
     return _render(doc)
 

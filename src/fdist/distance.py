@@ -10,7 +10,11 @@ elements is a choice of joint distribution over cells:
 * ANTIDIAGONAL pairs the lowest slice of one with the highest of the
   other; for uniform slicings this is slice k against slice n+1-k.
 
-Diagonal pairings need a level ordering, so they slice their inputs;
+Each input is normalised once: a shape is sliced at n_slices, default
+DEFAULT_SLICES (the one default, for the library and the CLI alike), and
+mass or sliced assignments pass through. The strategy is resolved from
+those inputs and reported in the result. Diagonal pairings need a level
+ordering, so they stack a mass assignment's focal elements by size;
 distances between cells of the empty set stay on the empty set.
 """
 
@@ -33,6 +37,7 @@ DEFAULT_SLICES = 100
 
 CellOp = Callable[[IntervalUnion, IntervalUnion], IntervalUnion]
 DistanceInput = Union[PiecewiseShape, MassAssignment, SlicedAssignment]
+Normalised = Union[MassAssignment, SlicedAssignment]
 
 
 class Strategy(Enum):
@@ -73,14 +78,16 @@ def cell_nondirectional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """A distance mass assignment with its membership function."""
+    """A distance mass assignment with its membership function and the
+    pairing strategy that produced it."""
 
     mass: MassAssignment
     fuzzy: NumericFuzzySet
+    strategy: Strategy
 
     @classmethod
-    def from_mass(cls, m: MassAssignment) -> "DistanceResult":
-        return cls(m, fuzzy_from_mass(m))
+    def from_mass(cls, m: MassAssignment, strategy: Strategy) -> "DistanceResult":
+        return cls(m, fuzzy_from_mass(m), strategy)
 
 
 def assign_product(
@@ -91,16 +98,16 @@ def assign_product(
         for fa, ma in m_a.entries
         for fb, mb in m_b.entries
     ]
-    return DistanceResult.from_mass(MassAssignment(entries))
+    return DistanceResult.from_mass(MassAssignment(entries), Strategy.PRODUCT)
 
 
-def _paired(a: SlicedAssignment, b: SlicedAssignment, cell: CellOp) -> DistanceResult:
+def _paired(a: SlicedAssignment, b: SlicedAssignment, cell: CellOp) -> MassAssignment:
     if a.boundaries() != b.boundaries():
         raise ValueError("slice levels misaligned; align_levels both inputs first")
     entries = [
         (cell(sa.focal, sb.focal), sa.mass) for sa, sb in zip(a.slices, b.slices)
     ]
-    return DistanceResult.from_mass(MassAssignment(entries))
+    return MassAssignment(entries)
 
 
 def assign_diagonal(
@@ -108,7 +115,7 @@ def assign_diagonal(
 ) -> DistanceResult:
     """Pair equal level slices: bottom with bottom, top with top."""
     a2, b2 = align_levels(a, b)
-    return _paired(a2, b2, cell)
+    return DistanceResult.from_mass(_paired(a2, b2, cell), Strategy.DIAGONAL)
 
 
 def assign_antidiagonal(
@@ -119,31 +126,21 @@ def assign_antidiagonal(
     marginals exact for non-uniform level partitions and reduces to
     pairing slice k with slice n+1-k when all slices have equal height."""
     a2, b2 = align_levels(a, b.reversed_levels())
-    return _paired(a2, b2, cell)
+    return DistanceResult.from_mass(_paired(a2, b2, cell), Strategy.ANTIDIAGONAL)
 
 
-def _as_sliced(x: DistanceInput, n_slices: Optional[int]) -> SlicedAssignment:
+def _normalised(x: DistanceInput, n_slices: Optional[int]) -> Normalised:
+    """Slice a shape (n_slices, default DEFAULT_SLICES); pass mass and
+    sliced assignments through unchanged."""
     if isinstance(x, PiecewiseShape):
         return slice_shape(x, n_slices or DEFAULT_SLICES)
-    if isinstance(x, MassAssignment):
-        return SlicedAssignment.from_mass(x)
-    if isinstance(x, SlicedAssignment):
+    if isinstance(x, (MassAssignment, SlicedAssignment)):
         return x
-    raise TypeError(f"cannot take distances over {type(x).__name__}")
-
-
-def _as_mass(x: DistanceInput, n_slices: Optional[int]) -> MassAssignment:
-    if isinstance(x, PiecewiseShape):
-        return slice_shape(x, n_slices or DEFAULT_SLICES).to_mass()
-    if isinstance(x, MassAssignment):
-        return x
-    if isinstance(x, SlicedAssignment):
-        return x.to_mass()
     raise TypeError(f"cannot take distances over {type(x).__name__}")
 
 
 def resolve_strategy(
-    ma: MassAssignment, mb: MassAssignment, strategy: Optional[Strategy] = None
+    a: Normalised, b: Normalised, strategy: Optional[Strategy] = None
 ) -> Strategy:
     """The strategy actually used: the explicit choice, else DIAGONAL for
     normal inputs and PRODUCT when either carries empty-set mass, since
@@ -151,7 +148,7 @@ def resolve_strategy(
     independent routing keeps."""
     if strategy is not None:
         return strategy
-    return Strategy.DIAGONAL if ma.is_normal and mb.is_normal else Strategy.PRODUCT
+    return Strategy.DIAGONAL if a.is_normal and b.is_normal else Strategy.PRODUCT
 
 
 def distance(
@@ -164,13 +161,17 @@ def distance(
 ) -> DistanceResult:
     """Distance between two fuzzy sets given as shapes, mass assignments,
     or sliced assignments. Shapes are sliced first (n_slices, default
-    100)."""
-    ma, mb = _as_mass(a, n_slices), _as_mass(b, n_slices)
-    strategy = resolve_strategy(ma, mb, strategy)
+    DEFAULT_SLICES); the result's strategy field names the pairing used."""
+    a, b = _normalised(a, n_slices), _normalised(b, n_slices)
+    strategy = resolve_strategy(a, b, strategy)
     cell = cell_directional if directional else cell_nondirectional
     if strategy is Strategy.PRODUCT:
+        ma, mb = (x.to_mass() if isinstance(x, SlicedAssignment) else x for x in (a, b))
         return assign_product(ma, mb, cell)
-    sa, sb = _as_sliced(a, n_slices), _as_sliced(b, n_slices)
+    sa, sb = (
+        x if isinstance(x, SlicedAssignment) else SlicedAssignment.from_mass(x)
+        for x in (a, b)
+    )
     if strategy is Strategy.DIAGONAL:
         return assign_diagonal(sa, sb, cell)
     return assign_antidiagonal(sa, sb, cell)

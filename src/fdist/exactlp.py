@@ -10,8 +10,7 @@ no effort is spent on sparsity or scale.
 from fractions import Fraction
 from typing import Optional, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .intervals import ONE, ZERO
 
 
 class Infeasible(Exception):

@@ -16,23 +16,32 @@ Rational = Union[int, float, str, Fraction, Decimal]
 # Exact-fraction pipelines never need it.
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
 
 def as_fraction(value: Rational) -> Fraction:
-    """Convert to an exact Fraction. Accepts "1/16", "0.0625", floats, ints."""
+    """Convert to an exact Fraction. Accepts "1/16", "0.0625", floats, ints.
+    Infinities and NaNs, whether floats, Decimals or strings, raise
+    ValueError."""
     if isinstance(value, bool):
         raise TypeError("boolean is not a number")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, float, Decimal)):
-        return Fraction(value)
+    number = value
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             try:
-                return Fraction(Decimal(value))
+                number = Decimal(value)
             except InvalidOperation:
                 raise ValueError(f"not a number: {value!r}") from None
+    if isinstance(number, (int, float, Decimal)):
+        try:
+            return Fraction(number)
+        except (OverflowError, ValueError):
+            raise ValueError(f"not a finite number: {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a number")
 
 
@@ -113,17 +122,13 @@ class IntervalUnion:
     def from_pairs(cls, pairs: Iterable[Sequence[Rational]]) -> "IntervalUnion":
         return cls(tuple(Interval(lo, hi) for lo, hi in pairs))
 
-    @classmethod
-    def point(cls, x: Rational) -> "IntervalUnion":
-        return cls((Interval(x, x),))
-
     @property
     def is_empty(self) -> bool:
         return not self.parts
 
     @property
     def length(self) -> Fraction:
-        return sum((p.length for p in self.parts), Fraction(0))
+        return sum((p.length for p in self.parts), ZERO)
 
     @property
     def hull(self) -> Interval:

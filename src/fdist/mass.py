@@ -25,6 +25,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .intervals import (
     DEFAULT_TOLERANCE,
     EMPTY,
+    ONE,
+    ZERO,
     Interval,
     IntervalUnion,
     Rational,
@@ -33,9 +35,6 @@ from .intervals import (
 )
 
 Focal = Union[IntervalUnion, frozenset]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class DegenerateSupportError(ValueError):
@@ -391,6 +390,11 @@ class SlicedAssignment:
     @property
     def top(self) -> Fraction:
         return self.slices[-1].level_hi
+
+    @property
+    def is_normal(self) -> bool:
+        """No slice rests on the empty set, as for to_mass().is_normal."""
+        return not any(focal_is_empty(s.focal) for s in self.slices)
 
     def boundaries(self) -> tuple:
         return (ZERO,) + tuple(s.level_hi for s in self.slices)

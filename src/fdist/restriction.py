@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import exactlp
-from .intervals import IntervalUnion, as_fraction
+from .intervals import ONE, ZERO, IntervalUnion, as_fraction
 from .mass import (
     Focal,
     MassAssignment,
@@ -26,9 +26,6 @@ from .mass import (
     focal_union,
     format_focal,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class InvalidRestrictionError(ValueError):

@@ -13,6 +13,8 @@ The document is JSON: {"sets": [...]}, one object per set with a unique
 
 Numbers may be JSON numbers or strings; decimal literals parse exactly
 (0.1 means one tenth) and strings also accept fraction syntax ("1/16").
+Non-finite numbers (JSON Infinity and NaN, strings such as "inf") are
+rejected with a SpecError.
 A focal element is a list of [lo, hi] interval pairs, a list of string
 labels, or [] for the empty set. The optional "slices" field on a
 points set names its preferred slicing resolution.
@@ -23,7 +25,6 @@ documents re-parse to equal values (round-trip fidelity).
 
 import json
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -58,13 +59,6 @@ class SpecSet:
     kind: str
     value: SpecValue
     slices: Optional[int] = None
-
-
-def _parse_number(raw: str) -> Fraction:
-    try:
-        return Fraction(Decimal(raw))
-    except InvalidOperation:
-        return Fraction(raw)
 
 
 def _number(value, path: str) -> Fraction:
@@ -193,7 +187,7 @@ def parse_document(doc, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
 
 def parse_text(text: str, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
     try:
-        doc = json.loads(text, parse_float=_parse_number)
+        doc = json.loads(text, parse_float=as_fraction)
     except json.JSONDecodeError as exc:
         raise SpecError(f"$ (line {exc.lineno})", exc.msg) from None
     return parse_document(doc, tolerance=tolerance)

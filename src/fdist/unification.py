@@ -12,10 +12,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exactlp
-from .intervals import DEFAULT_TOLERANCE, as_fraction, format_fraction
+from .intervals import DEFAULT_TOLERANCE, ONE, ZERO, as_fraction, format_fraction
 from .mass import Focal, MassAssignment, focal_is_empty, focal_intersects, focal_issuperset
-
-ZERO = Fraction(0)
 
 
 class TruthLabel(Enum):
@@ -126,18 +124,18 @@ def unify_maximal(
     for i, (_, ma) in enumerate(a_entries):
         row = [ZERO] * nvars
         for j in range(ng):
-            row[i * ng + j] = Fraction(1)
+            row[i * ng + j] = ONE
         rows.append(row)
         rhs.append(ma)
     for j, (_, mg) in enumerate(g_entries):
         row = [ZERO] * nvars
         for i in range(na):
-            row[i * ng + j] = Fraction(1)
+            row[i * ng + j] = ONE
         rows.append(row)
         rhs.append(mg)
 
     objectives = [
-        [Fraction(1) if labels[v] == label else ZERO for v in range(nvars)]
+        [ONE if labels[v] == label else ZERO for v in range(nvars)]
         for label in order
     ]
     values, _ = exactlp.lex_maximize(objectives, rows, rhs)

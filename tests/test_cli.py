@@ -363,6 +363,30 @@ class TestErrorsAndEnvironment:
         assert code == 2
         assert "FDIST_TOLERANCE" in err
 
+    def test_json_infinity_endpoint_exits_two(self, capsys, tmp_path):
+        p = tmp_path / "inf.json"
+        p.write_text(
+            '{"sets": [{"name": "m", "kind": "mass",'
+            ' "entries": [{"focal": [[0, Infinity]], "mass": 1}]}]}'
+        )
+        code, out, err = run(capsys, "mass", str(p), "m")
+        assert (code, out) == (2, "")
+        assert err == "fdist: $.sets[0].entries[0].focal[0]: not a finite number: inf\n"
+
+    def test_infinite_string_grade_exits_two(self, capsys, tmp_path):
+        spec = write_doc(
+            tmp_path, {"sets": [{"name": "g", "kind": "discrete", "grades": {"a": "inf"}}]}
+        )
+        code, out, err = run(capsys, "mass", spec, "g")
+        assert (code, out) == (2, "")
+        assert err == "fdist: $.sets[0].grades.a: not a finite number: 'inf'\n"
+
+    def test_infinite_tolerance_env_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("FDIST_TOLERANCE", "inf")
+        code, out, err = run(capsys, "mass", DATA, "A")
+        assert (code, out) == (2, "")
+        assert err == "fdist: FDIST_TOLERANCE must be a number, got 'inf'\n"
+
     def test_output_is_deterministic(self, capsys):
         first = run(capsys, "distance", DATA, "A4", "B4", "--strategy", "product")
         second = run(capsys, "distance", DATA, "A4", "B4", "--strategy", "product")

@@ -1,4 +1,6 @@
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -379,6 +381,68 @@ class TestDistanceApi:
         )
         with pytest.raises(ValueError):
             _paired(a, b, cell_nondirectional)
+
+
+class TestSingleInputPass:
+    """distance() normalises each input once and resolves its strategy once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # the package's distance() function shadows this submodule's name
+        module = importlib.import_module("fdist.distance")
+        counts = {"slice_shape": 0, "resolve_strategy": 0}
+        for name in counts:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("strategy", [None, *Strategy])
+    def test_each_shape_sliced_once(self, calls, strategy):
+        distance(TRIANGLE_A, TRIANGLE_A, strategy=strategy, n_slices=3)
+        assert calls == {"slice_shape": 2, "resolve_strategy": 1}
+
+    def test_cli_distance_resolves_once(self, calls, capsys):
+        from fdist.cli import main
+
+        data = str(Path(__file__).resolve().parent.parent / "data" / "worked_sets.json")
+        assert main(["distance", data, "A", "subA"]) == 0
+        assert '"strategy": "product"' in capsys.readouterr().out
+        assert calls == {"slice_shape": 0, "resolve_strategy": 1}
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (MASS_A2, MASS_B2, Strategy.DIAGONAL),
+            (MASS_AN, MASS_DIR_B, Strategy.PRODUCT),
+            (MASS_DIR_B, MASS_AN, Strategy.PRODUCT),
+            (TRIANGLE_A, TRIANGLE_B, Strategy.DIAGONAL),
+            (slice_shape(TRIANGLE_A, 2), MASS_B2, Strategy.DIAGONAL),
+            (PiecewiseShape([(1, 0), (3, H), (5, 0)]), TRIANGLE_B, Strategy.PRODUCT),
+            (slice_shape(PiecewiseShape([(1, 0), (3, H), (5, 0)]), 2), MASS_B2, Strategy.PRODUCT),
+        ],
+    )
+    def test_default_result_reports_resolved_strategy(self, a, b, expected):
+        assert distance(a, b, n_slices=2).strategy is expected
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("a", [MASS_A2, MASS_AN, TRIANGLE_A])
+    def test_explicit_result_reports_its_strategy(self, a, strategy):
+        assert distance(a, MASS_DIR_B, strategy=strategy, n_slices=2).strategy is strategy
+
+    def test_assign_functions_set_their_strategy(self):
+        sa, sb = SlicedAssignment.from_mass(MASS_A2), SlicedAssignment.from_mass(MASS_B2)
+        assert assign_product(MASS_A2, MASS_B2).strategy is Strategy.PRODUCT
+        assert assign_diagonal(sa, sb).strategy is Strategy.DIAGONAL
+        assert assign_antidiagonal(sa, sb).strategy is Strategy.ANTIDIAGONAL
+
+    @given(nested_masses())
+    def test_sliced_normality_matches_its_mass(self, m):
+        assert SlicedAssignment.from_mass(m).is_normal == m.is_normal
 
 
 class TestProperties:

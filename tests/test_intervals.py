@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,16 @@ def test_as_fraction_syntaxes():
         as_fraction("three")
     with pytest.raises(TypeError):
         as_fraction(None)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("inf"), float("-inf"), float("nan"), Decimal("Infinity"), Decimal("NaN"),
+     Decimal("sNaN"), "inf", "-Infinity", "nan"],
+)
+def test_as_fraction_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="not a finite number"):
+        as_fraction(value)
 
 
 def test_format_fraction():

@@ -1,9 +1,11 @@
 """Input-document parsing: exact numbers, field-path errors, round-trips."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdist.intervals import IntervalUnion
 from fdist.mass import (
@@ -250,6 +252,52 @@ class TestErrors:
             parse_text(text)
         sets = parse_text(text, tolerance=F(1, 100))
         assert sets["m"].value.mass_of(iu((0, 1))) == F(999, 1000)
+
+
+# JSON scalars, floats including infinities and NaN (json.dumps writes them
+# as Infinity and NaN), and number-like strings with small exponents only.
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["0.5", "1/3", "-2.5e-3", "inf", "-Infinity", "nan", "1/0", "x", ""])
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+PAIRS = st.lists(SCALARS, min_size=2, max_size=2) | JSON_VALUES
+
+
+@st.composite
+def set_documents(draw):
+    """Documents near the accepted shape, so the numbers inside get parsed."""
+    kind = draw(st.sampled_from(["points", "discrete", "mass", "other"]))
+    obj = {"name": draw(st.sampled_from(["A", "", 3])), "kind": kind}
+    if kind == "points":
+        obj["vertices"] = draw(st.lists(PAIRS, max_size=4))
+    elif kind == "discrete":
+        obj["grades"] = draw(st.dictionaries(st.sampled_from("abc"), SCALARS, max_size=3))
+    else:
+        focal = st.lists(PAIRS, max_size=2) | st.lists(st.sampled_from("ab"), max_size=2)
+        obj["entries"] = draw(
+            st.lists(st.fixed_dictionaries({"focal": focal, "mass": SCALARS}), max_size=3)
+        )
+    if draw(st.booleans()):
+        obj["slices"] = draw(SCALARS)
+    return {"sets": [obj]}
+
+
+@given(set_documents() | JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_parse_text_returns_sets_or_raises_spec_error(doc):
+    try:
+        sets = parse_text(json.dumps(doc))
+    except SpecError:
+        return
+    assert isinstance(sets, dict)
 
 
 class TestSerialization:
