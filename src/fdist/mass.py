@@ -16,8 +16,16 @@ Conventions that matter and are easy to get wrong:
   shared by several focal elements the sums stack, so the step regions
   of the result are genuinely half-open in general; steps carry explicit
   open/closed boundary flags.
+* Membership and density come from one endpoint sweep. Each part of a
+  focal element adds its weight (the mass, or for density the mass over
+  the focal's length) to a start delta at part.lo and an end delta at
+  part.hi. Walking the sorted endpoints with a running sum, the value
+  at endpoint c is the sum after adding the starts at c, and the value
+  on the open gap after c is that minus the ends at c. Stacking at a
+  shared closed endpoint and single-point parts follow from this rule.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -404,7 +412,7 @@ class SlicedAssignment:
         cuts = sorted(set(as_fraction(b) for b in boundaries))
         out = []
         for s in self.slices:
-            inner = [b for b in cuts if s.level_lo < b < s.level_hi]
+            inner = cuts[bisect_right(cuts, s.level_lo):bisect_left(cuts, s.level_hi)]
             lo = s.level_lo
             for b in inner + [s.level_hi]:
                 out.append(Slice(lo, b, s.focal))
@@ -528,50 +536,54 @@ class NumericFuzzySet:
         return "{" + ", ".join(str(s) for s in self.steps) + "}"
 
 
-def fuzzy_from_mass(m: MassAssignment) -> NumericFuzzySet:
-    """Membership of x is the total mass of focal elements containing x."""
+def _numeric_focals(m: MassAssignment, use: str) -> list:
+    """The nonempty focal elements of m with their masses; label focal
+    elements raise TypeError naming the use."""
     focals = []
     for f, mass in m.entries:
         if isinstance(f, frozenset):
-            raise TypeError("membership reconstruction needs numeric focal elements")
+            raise TypeError(f"{use} needs numeric focal elements")
         if not f.is_empty:
             focals.append((f, mass))
-    if not focals:
-        return NumericFuzzySet(())
+    return focals
 
-    def mu_at(x: Fraction) -> Fraction:
-        return sum((mass for f, mass in focals if f.contains_point(x)), ZERO)
 
-    points = sorted(
-        {e for f, _ in focals for part in f.parts for e in (part.lo, part.hi)}
-    )
-    atoms = []  # (lo, hi, lo_open, hi_open, mu)
-    for i, c in enumerate(points):
-        atoms.append((c, c, False, False, mu_at(c)))
-        if i + 1 < len(points):
-            atoms.append((c, points[i + 1], True, True, mu_at((c + points[i + 1]) / 2)))
+def _sweep(weighted: list, points: bool) -> list:
+    """Maximal runs (lo, hi, value, lo_open, hi_open) of equal nonzero
+    total weight over (IntervalUnion, weight) pairs, from one pass over
+    the sorted part endpoints (see the module docstring). With points
+    False only the open gaps between endpoints are valued."""
+    starts: dict = {}
+    ends: dict = {}
+    for f, w in weighted:
+        for p in f.parts:
+            starts[p.lo] = starts.get(p.lo, ZERO) + w
+            ends[p.hi] = ends.get(p.hi, ZERO) + w
+    cs = sorted(starts.keys() | ends.keys())
+    atoms = []
+    total = ZERO
+    for c, after in zip(cs, cs[1:] + [None]):
+        total += starts.get(c, ZERO)
+        if points:
+            atoms.append((c, c, total, False, False))
+        total -= ends.get(c, ZERO)
+        if after is not None:
+            atoms.append((c, after, total, True, True))
+    runs = []  # consecutive atoms of one nonzero value join; zero breaks a run
+    last = ZERO
+    for lo, hi, value, lo_open, hi_open in atoms:
+        if value != 0 and value == last:
+            runs[-1] = (runs[-1][0], hi, value, runs[-1][3], hi_open)
+        elif value != 0:
+            runs.append((lo, hi, value, lo_open, hi_open))
+        last = value
+    return runs
 
-    def emit(run) -> Step:
-        lo, hi, lo_open, hi_open, mu = run
-        return Step(lo, hi, mu, lo_open, hi_open)
 
-    steps = []
-    run = None
-    for lo, hi, lo_open, hi_open, mu in atoms:
-        if mu == 0:
-            if run:
-                steps.append(emit(run))
-                run = None
-            continue
-        if run and run[4] == mu and run[1] == lo:
-            run = (run[0], hi, run[2], hi_open, mu)
-        else:
-            if run:
-                steps.append(emit(run))
-            run = (lo, hi, lo_open, hi_open, mu)
-    if run:
-        steps.append(emit(run))
-    return NumericFuzzySet(tuple(steps))
+def fuzzy_from_mass(m: MassAssignment) -> NumericFuzzySet:
+    """Membership of x is the total mass of focal elements containing x."""
+    focals = _numeric_focals(m, "membership reconstruction")
+    return NumericFuzzySet(tuple(Step(*run) for run in _sweep(focals, True)))
 
 
 # ---------------------------------------------------------------------------
@@ -601,44 +613,15 @@ class Density:
 def least_prejudiced(m: MassAssignment) -> Density:
     """Spread each focal element's mass uniformly over its length and add
     the densities. Mass on the empty set is reported separately."""
-    focals = []
-    for f, mass in m.entries:
-        if isinstance(f, frozenset):
-            raise TypeError("density needs numeric focal elements")
-        if f.is_empty:
-            continue
+    weighted = []
+    for f, mass in _numeric_focals(m, "density"):
         if f.length == 0:
             raise DegenerateSupportError(
                 f"cannot spread mass over zero-length focal element {f}"
             )
-        focals.append((f, mass))
-    if not focals:
-        return Density((), m.empty_mass)
-
-    points = sorted(
-        {e for f, _ in focals for part in f.parts for e in (part.lo, part.hi)}
-    )
-    pieces = []
-    run = None  # [lo, hi, density]
-    for lo, hi in zip(points, points[1:]):
-        mid = (lo + hi) / 2
-        d = sum(
-            (mass / f.length for f, mass in focals if f.contains_point(mid)), ZERO
-        )
-        if d == 0:
-            if run:
-                pieces.append((Interval(run[0], run[1]), run[2]))
-                run = None
-            continue
-        if run and run[2] == d and run[1] == lo:
-            run[1] = hi
-        else:
-            if run:
-                pieces.append((Interval(run[0], run[1]), run[2]))
-            run = [lo, hi, d]
-    if run:
-        pieces.append((Interval(run[0], run[1]), run[2]))
-    return Density(tuple(pieces), m.empty_mass)
+        weighted.append((f, mass / f.length))
+    pieces = tuple((Interval(lo, hi), d) for lo, hi, d, _, _ in _sweep(weighted, False))
+    return Density(pieces, m.empty_mass)
 
 
 def max_likelihood_interval(m: MassAssignment) -> IntervalUnion:

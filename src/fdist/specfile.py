@@ -24,6 +24,7 @@ documents re-parse to equal values (round-trip fidelity).
 """
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -190,6 +191,11 @@ def parse_text(text: str, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
         doc = json.loads(text, parse_float=as_fraction)
     except json.JSONDecodeError as exc:
         raise SpecError(f"$ (line {exc.lineno})", exc.msg) from None
+    except RecursionError:
+        raise SpecError("$", "document nested too deeply") from None
+    except ValueError:  # int() refuses literals past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SpecError("$", f"integer literal longer than {limit} digits") from None
     return parse_document(doc, tolerance=tolerance)
 
 

@@ -6,8 +6,15 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from fdist.intervals import EMPTY, IntervalUnion, iu
-from fdist.mass import MassAssignment, PiecewiseShape
+from fdist.intervals import EMPTY, ZERO, Interval, IntervalUnion, iu
+from fdist.mass import (
+    DegenerateSupportError,
+    Density,
+    MassAssignment,
+    NumericFuzzySet,
+    PiecewiseShape,
+    Step,
+)
 
 F = Fraction
 
@@ -122,3 +129,95 @@ def check_cell_against_grid(result: IntervalUnion, diffs, step: Fraction = GRID)
         assert inside, f"part {part} of {result} has no witness"
         assert min(inside) - part.lo <= step
         assert part.hi - max(inside) <= step
+
+
+# The quadratic reconstructions that fdist.mass replaced with one endpoint
+# sweep: every focal element is tested at every breakpoint (and midpoint).
+
+def oracle_fuzzy_from_mass(m: MassAssignment) -> NumericFuzzySet:
+    """Membership of x is the total mass of focal elements containing x."""
+    focals = []
+    for f, mass in m.entries:
+        if isinstance(f, frozenset):
+            raise TypeError("membership reconstruction needs numeric focal elements")
+        if not f.is_empty:
+            focals.append((f, mass))
+    if not focals:
+        return NumericFuzzySet(())
+
+    def mu_at(x: Fraction) -> Fraction:
+        return sum((mass for f, mass in focals if f.contains_point(x)), ZERO)
+
+    points = sorted(
+        {e for f, _ in focals for part in f.parts for e in (part.lo, part.hi)}
+    )
+    atoms = []  # (lo, hi, lo_open, hi_open, mu)
+    for i, c in enumerate(points):
+        atoms.append((c, c, False, False, mu_at(c)))
+        if i + 1 < len(points):
+            atoms.append((c, points[i + 1], True, True, mu_at((c + points[i + 1]) / 2)))
+
+    def emit(run) -> Step:
+        lo, hi, lo_open, hi_open, mu = run
+        return Step(lo, hi, mu, lo_open, hi_open)
+
+    steps = []
+    run = None
+    for lo, hi, lo_open, hi_open, mu in atoms:
+        if mu == 0:
+            if run:
+                steps.append(emit(run))
+                run = None
+            continue
+        if run and run[4] == mu and run[1] == lo:
+            run = (run[0], hi, run[2], hi_open, mu)
+        else:
+            if run:
+                steps.append(emit(run))
+            run = (lo, hi, lo_open, hi_open, mu)
+    if run:
+        steps.append(emit(run))
+    return NumericFuzzySet(tuple(steps))
+
+
+def oracle_least_prejudiced(m: MassAssignment) -> Density:
+    """Spread each focal element's mass uniformly over its length and add
+    the densities. Mass on the empty set is reported separately."""
+    focals = []
+    for f, mass in m.entries:
+        if isinstance(f, frozenset):
+            raise TypeError("density needs numeric focal elements")
+        if f.is_empty:
+            continue
+        if f.length == 0:
+            raise DegenerateSupportError(
+                f"cannot spread mass over zero-length focal element {f}"
+            )
+        focals.append((f, mass))
+    if not focals:
+        return Density((), m.empty_mass)
+
+    points = sorted(
+        {e for f, _ in focals for part in f.parts for e in (part.lo, part.hi)}
+    )
+    pieces = []
+    run = None  # [lo, hi, density]
+    for lo, hi in zip(points, points[1:]):
+        mid = (lo + hi) / 2
+        d = sum(
+            (mass / f.length for f, mass in focals if f.contains_point(mid)), ZERO
+        )
+        if d == 0:
+            if run:
+                pieces.append((Interval(run[0], run[1]), run[2]))
+                run = None
+            continue
+        if run and run[2] == d and run[1] == lo:
+            run[1] = hi
+        else:
+            if run:
+                pieces.append((Interval(run[0], run[1]), run[2]))
+            run = [lo, hi, d]
+    if run:
+        pieces.append((Interval(run[0], run[1]), run[2]))
+    return Density(tuple(pieces), m.empty_mass)

@@ -1,12 +1,17 @@
 """Command-line behavior: worked results, plots, determinism, errors."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdist.cli import main
 
@@ -387,6 +392,20 @@ class TestErrorsAndEnvironment:
         assert (code, out) == (2, "")
         assert err == "fdist: FDIST_TOLERANCE must be a number, got 'inf'\n"
 
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000)
+        code, out, err = run(capsys, "mass", str(p), "m")
+        assert (code, out) == (2, "")
+        assert err == "fdist: $: document nested too deeply\n"
+
+    def test_overlong_integer_literal_exits_two(self, capsys, tmp_path):
+        p = tmp_path / "long.json"
+        p.write_text('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1%s}}]}' % ("0" * 5000))
+        code, out, err = run(capsys, "mass", str(p), "g")
+        assert (code, out) == (2, "")
+        assert err.startswith("fdist: $: integer literal longer than")
+
     def test_output_is_deterministic(self, capsys):
         first = run(capsys, "distance", DATA, "A4", "B4", "--strategy", "product")
         second = run(capsys, "distance", DATA, "A4", "B4", "--strategy", "product")
@@ -413,3 +432,101 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["product"]["t"] == "0.67"
+
+
+# ---------------------------------------------------------------------------
+# never raises: every command on small generated documents exits 0 or 2
+
+KINDS = ["points", "discrete", "mass"]
+NEEDS = {  # the kinds each command accepts, drawn more often than the rest
+    "mass": KINDS,
+    "distance": ["points", "mass"],
+    "unify": ["discrete"],
+    "defuzz": ["points", "mass"],
+    "restrict-check": ["mass"],
+}
+COORDS = st.sampled_from([-2, -1, 0, 1, "1/2", "3/2", 2, "0.25"])
+GRADES = st.sampled_from([1, "1/4", "0.5", "2/3", 0, 1, "3/4", 1, "1/2", 1, 2])  # 2 is out of range
+
+
+@st.composite
+def small_sets(draw, name, kind):
+    """One set of the given kind, mostly valid: vertices sorted, masses
+    summing to 1 and grades within [0,1], each with a chance to break."""
+    if kind == "points":
+        xs = draw(st.lists(COORDS, min_size=1, max_size=4))
+        if draw(st.integers(0, 7)):
+            xs.sort(key=Fraction)
+        vertices = [[x, draw(GRADES)] for x in xs]
+        return {"name": name, "kind": kind, "vertices": vertices,
+                "slices": draw(st.integers(1, 8))}
+    if kind == "discrete":
+        grades = draw(st.dictionaries(st.sampled_from("abc"), GRADES, min_size=1))
+        return {"name": name, "kind": kind, "grades": grades}
+    focal = (
+        st.lists(st.sampled_from("ab"), max_size=2)
+        if draw(st.booleans())
+        else st.lists(
+            st.lists(COORDS, min_size=2, max_size=2).map(lambda p: sorted(p, key=Fraction)),
+            max_size=2,
+        )
+    )
+    focals = draw(st.lists(focal, min_size=1, max_size=3))
+    weights = [draw(st.integers(1, 4)) for _ in focals]
+    masses = [f"{w}/{sum(weights)}" for w in weights]
+    if draw(st.integers(0, 7)) == 0:
+        masses[0] = draw(GRADES)
+    entries = [{"focal": f, "mass": m} for f, m in zip(focals, masses)]
+    return {"name": name, "kind": kind, "entries": entries}
+
+
+@st.composite
+def cli_calls(draw):
+    """A document defining A, B and C, and the arguments of one command on
+    it; names are drawn from ABCD, so a lookup can miss."""
+    command = draw(st.sampled_from(sorted(NEEDS)))
+    kind = st.sampled_from(NEEDS[command] * 3 + KINDS)
+    doc = {"sets": [draw(small_sets(n, draw(kind))) for n in "ABC"]}
+    name = st.sampled_from("ABCD")
+    argv = [command]
+    if command == "mass":
+        argv += [draw(name)]
+        if draw(st.booleans()):
+            argv += ["--slices", str(draw(st.integers(1, 8)))]
+    elif command == "distance":
+        argv += [draw(name), draw(name)]
+        if draw(st.booleans()):
+            argv += ["--directional"]
+        strategy = draw(st.sampled_from([None, "product", "diagonal", "antidiagonal"]))
+        if strategy:
+            argv += ["--strategy", strategy]
+        if draw(st.booleans()):
+            argv += ["--slices", str(draw(st.integers(1, 8)))]
+        if draw(st.booleans()):
+            argv += ["--plot-step", draw(st.sampled_from(["0.5", "1/3", "0", "-1", "x"]))]
+    elif command == "unify":
+        argv += [draw(name), draw(name), "--routing",
+                 draw(st.sampled_from(["product", "maximal", "both"]))]
+    elif command == "defuzz":
+        argv += [draw(name)]
+    else:
+        argv += [draw(name), "--basis", ",".join(draw(st.lists(name, min_size=1, max_size=2)))]
+    return doc, argv
+
+
+@pytest.fixture(scope="module")
+def spec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("never_raises") / "sets.json"
+
+
+@given(cli_calls())
+@settings(max_examples=200, deadline=None)
+def test_cli_returns_zero_or_two_and_never_raises(spec_path, call):
+    doc, argv = call
+    spec_path.write_text(json.dumps(doc))
+    argv.insert(1, str(spec_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, doc)
+    assert (code == 0) == (err.getvalue() == ""), err.getvalue()

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdist.intervals import EMPTY, Interval, iu
@@ -23,7 +23,12 @@ from fdist.mass import (
     max_likelihood_interval,
     slice_shape,
 )
-from helpers import nested_masses, numeric_masses
+from helpers import (
+    nested_masses,
+    numeric_masses,
+    oracle_fuzzy_from_mass,
+    oracle_least_prejudiced,
+)
 
 F = Fraction
 H = F(1, 2)
@@ -412,6 +417,54 @@ class TestLeastPrejudiced:
             return
         d = least_prejudiced(m)
         assert d.integral + d.unassigned == m.total
+
+
+class TestSweepMatchesOracle:
+    """The endpoint sweep against the quadratic reconstructions it replaced."""
+
+    @given(numeric_masses(allow_empty=True))
+    @settings(max_examples=300)
+    def test_membership_equals_oracle(self, m):
+        assert fuzzy_from_mass(m).steps == oracle_fuzzy_from_mass(m).steps
+
+    @given(numeric_masses(allow_empty=True))
+    @settings(max_examples=300)
+    def test_density_equals_oracle(self, m):
+        try:
+            expected = oracle_least_prejudiced(m)
+        except DegenerateSupportError:
+            with pytest.raises(DegenerateSupportError):
+                least_prejudiced(m)
+            return
+        d = least_prejudiced(m)
+        assert d.pieces == expected.pieces
+        assert d.unassigned == expected.unassigned
+
+    def test_point_part_on_endpoint_and_multipart_focals(self):
+        q = F(1, 4)
+        m = MassAssignment(
+            [(iu((1, 4)), H), (iu((4, 4), (6, 8)), q), (iu((2, 3), (5, 7)), q)]
+        )
+        f = fuzzy_from_mass(m)
+        assert f.steps == oracle_fuzzy_from_mass(m).steps == (
+            Step(1, 2, H, False, True),
+            Step(2, 3, F(3, 4)),
+            Step(3, 4, H, True, True),
+            Step(4, 4, F(3, 4)),
+            Step(5, 6, q, False, True),
+            Step(6, 7, H),
+            Step(7, 8, q, True, False),
+        )
+        d = least_prejudiced(m)
+        assert d.pieces == oracle_least_prejudiced(m).pieces == (
+            (Interval(1, 2), F(1, 6)),
+            (Interval(2, 3), q),
+            (Interval(3, 4), F(1, 6)),
+            (Interval(5, 6), F(1, 12)),
+            (Interval(6, 7), F(5, 24)),
+            (Interval(7, 8), F(1, 8)),
+        )
+        assert d.integral == 1
 
 
 class TestDefuzz:

@@ -243,6 +243,19 @@ class TestErrors:
             parse_text('{"sets": [\n  {,}\n]}')
         assert info.value.path == "$ (line 2)"
 
+    def test_deeply_nested_json(self):
+        with pytest.raises(SpecError) as info:
+            parse_text("[" * 100_000)
+        assert info.value.path == "$"
+        assert str(info.value) == "$: document nested too deeply"
+
+    def test_overlong_integer_literal(self):
+        text = '{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1%s}}]}'
+        with pytest.raises(SpecError) as info:
+            parse_text(text % ("0" * 5000))
+        assert info.value.path == "$"
+        assert "integer literal longer than" in str(info.value)
+
     def test_tolerance_is_wired_through(self):
         text = (
             '{"sets": [{"name": "m", "kind": "mass",'
