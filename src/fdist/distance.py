@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
 
-from .intervals import EMPTY, Interval, IntervalUnion
+from .intervals import Interval, IntervalUnion
 from .mass import (
     MassAssignment,
     NumericFuzzySet,
@@ -46,33 +46,28 @@ class Strategy(Enum):
     ANTIDIAGONAL = "antidiagonal"
 
 
+def _differences(a: IntervalUnion, b: IntervalUnion):
+    """(lo, hi) bounds of {y - x} for each part x of a and part y of b;
+    none when either side is empty."""
+    return ((q.lo - p.hi, q.hi - p.lo) for p in a.parts for q in b.parts)
+
+
 def cell_directional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
     """{y - x : x in a, y in b}; empty if either side is empty."""
-    if a.is_empty or b.is_empty:
-        return EMPTY
-    return IntervalUnion(
-        tuple(
-            Interval(q.lo - p.hi, q.hi - p.lo)
-            for p in a.parts
-            for q in b.parts
-        )
-    )
+    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in _differences(a, b)))
 
 
 def cell_nondirectional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
-    """{|y - x| : x in a, y in b}; empty if either side is empty."""
-    if a.is_empty or b.is_empty:
-        return EMPTY
+    """{|y - x| : x in a, y in b}, each directional difference folded onto
+    the nonnegative axis; empty if either side is empty."""
     folded = []
-    for p in a.parts:
-        for q in b.parts:
-            lo, hi = q.lo - p.hi, q.hi - p.lo
-            if lo >= 0:
-                folded.append(Interval(lo, hi))
-            elif hi <= 0:
-                folded.append(Interval(-hi, -lo))
-            else:
-                folded.append(Interval(0, max(-lo, hi)))
+    for lo, hi in _differences(a, b):
+        if lo >= 0:
+            folded.append(Interval(lo, hi))
+        elif hi <= 0:
+            folded.append(Interval(-hi, -lo))
+        else:
+            folded.append(Interval(0, max(-lo, hi)))
     return IntervalUnion(tuple(folded))
 
 

@@ -1,10 +1,12 @@
 """Tiny exact simplex solver over Fractions.
 
 Solves  max c.x  subject to  A x = b, x >= 0  by the textbook two-phase
-dense-tableau method with Bland's rule (anti-cycling). Everything stays
-in exact rational arithmetic, so results on desk-scale problems are
-bit-stable. Dimensions here are a handful of variables and constraints;
-no effort is spent on sparsity or scale.
+dense-tableau method with Bland's rule (anti-cycling), in exact rational
+arithmetic, so results on desk-scale problems are bit-stable. Several
+objectives are optimized lexicographically on one tableau: after each
+optimum every column with a negative reduced cost is fixed at zero, which
+confines the later objectives to that optimum's face. No effort is spent
+on sparsity or scale.
 """
 
 from fractions import Fraction
@@ -31,8 +33,9 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _simplex(tableau, basis, cost, ncols):
-    """Maximize over the current tableau; cost is the full objective row."""
+def _simplex(tableau, basis, cost, ncols, fixed=frozenset()):
+    """Maximize over the current tableau, never entering a column in fixed;
+    cost is the full objective row. Returns (value, reduced-cost row)."""
     m = len(tableau)
     # reduced costs: z_j = c_j - c_B . column_j, objective value in obj[-1]
     obj = list(cost) + [ZERO]
@@ -41,9 +44,9 @@ def _simplex(tableau, basis, cost, ncols):
         if cb != 0:
             obj = [v - cb * w for v, w in zip(obj, tableau[r])]
     while True:
-        col = next((j for j in range(ncols) if obj[j] > 0), None)
+        col = next((j for j in range(ncols) if obj[j] > 0 and j not in fixed), None)
         if col is None:
-            return -obj[-1]
+            return -obj[-1], obj
         row = None
         best = None
         for r in range(m):
@@ -61,13 +64,16 @@ def _simplex(tableau, basis, cost, ncols):
             obj = [v - factor * w for v, w in zip(obj, tableau[row])]
 
 
-def maximize(
-    c: Sequence[Fraction],
+def lex_maximize(
+    objectives: Sequence[Sequence[Fraction]],
     A: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
 ) -> tuple:
-    """Return (optimal value, solution vector) or raise Infeasible/Unbounded."""
-    n = len(c)
+    """Lexicographic maximization of one or more objectives in order:
+    each later objective is maximized over the optimal face of the
+    earlier ones. Returns (list of optimal values, a solution attaining
+    them) or raises Infeasible/Unbounded."""
+    n = len(objectives[0])
     m = len(A)
     # phase 1 tableau: [A | I | b] with artificial basis, rows flipped so b >= 0
     tableau = []
@@ -81,7 +87,7 @@ def maximize(
         tableau.append(row + art + [rhs])
     basis = [n + i for i in range(m)]
     phase1_cost = [ZERO] * n + [-ONE] * m
-    value = _simplex(tableau, basis, phase1_cost, n + m)
+    value, _ = _simplex(tableau, basis, phase1_cost, n + m)
     if value < 0:
         raise Infeasible("no feasible point")
 
@@ -97,12 +103,26 @@ def maximize(
     tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
     basis = [basis[r] for r in keep]
 
-    phase2_cost = list(c)
-    value = _simplex(tableau, basis, phase2_cost, n)
+    values = []
+    fixed = set()
+    for c in objectives:
+        value, reduced = _simplex(tableau, basis, c, n, fixed)
+        values.append(value)
+        fixed.update(j for j in range(n) if reduced[j] < 0)
     x = [ZERO] * n
     for r, var in enumerate(basis):
         x[var] = tableau[r][-1]
-    return value, x
+    return values, x
+
+
+def maximize(
+    c: Sequence[Fraction],
+    A: Sequence[Sequence[Fraction]],
+    b: Sequence[Fraction],
+) -> tuple:
+    """Return (optimal value, solution vector) or raise Infeasible/Unbounded."""
+    values, x = lex_maximize([c], A, b)
+    return values[0], x
 
 
 def feasible(
@@ -119,21 +139,14 @@ def feasible(
     return x
 
 
-def lex_maximize(
-    objectives: Sequence[Sequence[Fraction]],
-    A: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
+def transportation(
+    cells: Sequence[tuple],
+    supply: Sequence[Fraction],
+    demand: Sequence[Fraction],
 ) -> tuple:
-    """Lexicographic maximization: optimize objectives in order, pinning
-    each optimum as an equality before moving to the next. Returns
-    (list of optimal values, a solution attaining them)."""
-    rows = [list(r) for r in A]
-    rhs = list(b)
-    values = []
-    x = None
-    for obj in objectives:
-        value, x = maximize(obj, rows, rhs)
-        values.append(value)
-        rows.append(list(obj))
-        rhs.append(value)
-    return values, x
+    """(A, b) of a transportation problem with one variable per (i, j)
+    cell: a row per supply i summing its cells' variables to supply[i],
+    then a row per demand j summing to demand[j]."""
+    rows = [[ONE if i == k else ZERO for i, _ in cells] for k in range(len(supply))]
+    rows += [[ONE if j == k else ZERO for _, j in cells] for k in range(len(demand))]
+    return rows, list(supply) + list(demand)

@@ -5,6 +5,7 @@ Floats convert by their binary value (which is exact for the dyadic data
 these operations are normally fed), strings by decimal or `p/q` syntax.
 """
 
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -23,7 +24,9 @@ ONE = Fraction(1)
 def as_fraction(value: Rational) -> Fraction:
     """Convert to an exact Fraction. Accepts "1/16", "0.0625", floats, ints.
     Infinities and NaNs, whether floats, Decimals or strings, raise
-    ValueError."""
+    ValueError, and so do decimal exponents past the interpreter's integer
+    digit limit (sys.get_int_max_str_digits()), which would expand to
+    unbounded integers."""
     if isinstance(value, bool):
         raise TypeError("boolean is not a number")
     if isinstance(value, Fraction):
@@ -31,12 +34,16 @@ def as_fraction(value: Rational) -> Fraction:
     number = value
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            number = Decimal(value)
+        except InvalidOperation:
             try:
-                number = Decimal(value)
-            except InvalidOperation:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
                 raise ValueError(f"not a number: {value!r}") from None
+    if isinstance(number, Decimal) and number.is_finite():
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(number.as_tuple().exponent) > limit:
+            raise ValueError(f"exponent out of range (over {limit} digits): {value!r}")
     if isinstance(number, (int, float, Decimal)):
         try:
             return Fraction(number)

@@ -28,6 +28,7 @@ Conventions that matter and are easy to get wrong:
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .intervals import (
@@ -506,8 +507,10 @@ class NumericFuzzySet:
     steps: tuple = ()
 
     def mu(self, x: Rational) -> Fraction:
+        # x lies in the last step starting at or before it, or the one before
         x = as_fraction(x)
-        for s in self.steps:
+        i = bisect_right(self.steps, x, key=attrgetter("lo"))
+        for s in self.steps[max(i - 2, 0) : i]:
             if s.contains(x):
                 return s.mu
         return ZERO

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import exactlp
-from .intervals import ONE, ZERO, IntervalUnion, as_fraction
+from .intervals import ONE, IntervalUnion, as_fraction
 from .mass import (
     Focal,
     MassAssignment,
@@ -126,22 +126,15 @@ def reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
     """Whether some sequence of type-1 moves turns src into dst. Mass
     may flow from a focal element only to its subsets (staying put is
     the trivial flow), so this is a transportation feasibility check."""
-    src_entries, dst_entries = src.entries, dst.entries
     edges = [
         (i, j)
-        for i, (fs, _) in enumerate(src_entries)
-        for j, (fd, _) in enumerate(dst_entries)
+        for i, (fs, _) in enumerate(src.entries)
+        for j, (fd, _) in enumerate(dst.entries)
         if focal_issuperset(fs, fd)
     ]
-    nrows, ncols = len(src_entries), len(dst_entries)
-    rows = []
-    rhs = []
-    for i in range(nrows):
-        rows.append([ONE if e[0] == i else ZERO for e in edges])
-        rhs.append(src_entries[i][1])
-    for j in range(ncols):
-        rows.append([ONE if e[1] == j else ZERO for e in edges])
-        rhs.append(dst_entries[j][1])
+    rows, rhs = exactlp.transportation(
+        edges, [m for _, m in src.entries], [m for _, m in dst.entries]
+    )
     return exactlp.feasible(rows, rhs, nvars=len(edges)) is not None
 
 

@@ -188,7 +188,9 @@ def parse_document(doc, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
 
 def parse_text(text: str, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
     try:
-        doc = json.loads(text, parse_float=as_fraction)
+        doc = json.loads(text, parse_float=lambda literal: _number(literal, "$"))
+    except SpecError:
+        raise
     except json.JSONDecodeError as exc:
         raise SpecError(f"$ (line {exc.lineno})", exc.msg) from None
     except RecursionError:

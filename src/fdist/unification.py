@@ -111,32 +111,11 @@ def unify_maximal(
         raise ValueError("order must list each truth label exactly once")
 
     # scale to exact marginals so the transportation problem is balanced
-    a_entries = [(f, m / m_a.total) for f, m in m_a.entries]
-    g_entries = [(f, m / m_g.total) for f, m in m_g.entries]
-    na, ng = len(a_entries), len(g_entries)
-    nvars = na * ng
-
-    labels = [
-        truth_cell(fa, fg) for fa, _ in a_entries for fg, _ in g_entries
-    ]
-    rows = []
-    rhs = []
-    for i, (_, ma) in enumerate(a_entries):
-        row = [ZERO] * nvars
-        for j in range(ng):
-            row[i * ng + j] = ONE
-        rows.append(row)
-        rhs.append(ma)
-    for j, (_, mg) in enumerate(g_entries):
-        row = [ZERO] * nvars
-        for i in range(na):
-            row[i * ng + j] = ONE
-        rows.append(row)
-        rhs.append(mg)
-
-    objectives = [
-        [ONE if labels[v] == label else ZERO for v in range(nvars)]
-        for label in order
-    ]
+    supply = [m / m_a.total for _, m in m_a.entries]
+    demand = [m / m_g.total for _, m in m_g.entries]
+    cells = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
+    labels = [truth_cell(fa, fg) for fa, _ in m_a.entries for fg, _ in m_g.entries]
+    rows, rhs = exactlp.transportation(cells, supply, demand)
+    objectives = [[ONE if l == label else ZERO for l in labels] for label in order]
     values, _ = exactlp.lex_maximize(objectives, rows, rhs)
     return TruthAssignment(dict(zip(order, values)))

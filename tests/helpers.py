@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from fdist.exactlp import maximize
 from fdist.intervals import EMPTY, ZERO, Interval, IntervalUnion, iu
 from fdist.mass import (
     DegenerateSupportError,
@@ -129,6 +130,30 @@ def check_cell_against_grid(result: IntervalUnion, diffs, step: Fraction = GRID)
         assert inside, f"part {part} of {result} has no witness"
         assert min(inside) - part.lo <= step
         assert part.hi - max(inside) <= step
+
+
+def oracle_mu(f: NumericFuzzySet, x: Fraction) -> Fraction:
+    """Membership by scanning every step, as NumericFuzzySet.mu did before
+    it bisected over the step starts."""
+    for s in f.steps:
+        if s.contains(x):
+            return s.mu
+    return ZERO
+
+
+def oracle_lex_maximize(objectives, A, b):
+    """Lexicographic maximization by pinning: solve each objective from
+    scratch with every earlier optimum appended as an equality row."""
+    rows = [list(r) for r in A]
+    rhs = list(b)
+    values = []
+    x = None
+    for obj in objectives:
+        value, x = maximize(obj, rows, rhs)
+        values.append(value)
+        rows.append(list(obj))
+        rhs.append(value)
+    return values, x
 
 
 # The quadratic reconstructions that fdist.mass replaced with one endpoint

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdist
 from fdist.cli import main
 
 DATA = str(Path(__file__).resolve().parent.parent / "data" / "worked_sets.json")
@@ -406,6 +408,13 @@ class TestErrorsAndEnvironment:
         assert (code, out) == (2, "")
         assert err.startswith("fdist: $: integer literal longer than")
 
+    def test_huge_decimal_exponent_exits_two(self, capsys, tmp_path):
+        p = tmp_path / "exp.json"
+        p.write_text('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1e999999999}}]}')
+        code, out, err = run(capsys, "mass", str(p), "g")
+        assert (code, out) == (2, "")
+        assert err.startswith("fdist: $: exponent out of range")
+
     def test_output_is_deterministic(self, capsys):
         first = run(capsys, "distance", DATA, "A4", "B4", "--strategy", "product")
         second = run(capsys, "distance", DATA, "A4", "B4", "--strategy", "product")
@@ -425,10 +434,13 @@ def test_console_script_runs():
 
 
 def test_module_entry_point_runs():
+    src = str(Path(fdist.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fdist.cli", "unify", DATA, "claim", "evidence"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["product"]["t"] == "0.67"

@@ -1,10 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fdist.exactlp import Infeasible, Unbounded, feasible, lex_maximize, maximize
+from fdist import exactlp
+from fdist.exactlp import (
+    Infeasible,
+    Unbounded,
+    feasible,
+    lex_maximize,
+    maximize,
+    transportation,
+)
+from helpers import oracle_lex_maximize
 
 F = Fraction
 
@@ -93,14 +102,7 @@ class TestFeasible:
         demand = [F(d, total_d) for d in demand]
         nr, nc = len(supply), len(demand)
         edges = [(i, j) for i in range(nr) for j in range(nc)]
-        rows = []
-        rhs = []
-        for i in range(nr):
-            rows.append([F(1) if e[0] == i else F(0) for e in edges])
-            rhs.append(supply[i])
-        for j in range(nc):
-            rows.append([F(1) if e[1] == j else F(0) for e in edges])
-            rhs.append(demand[j])
+        rows, rhs = transportation(edges, supply, demand)
         x = feasible(rows, rhs, nvars=len(edges))
         assert x is not None
         for i in range(nr):
@@ -143,3 +145,67 @@ class TestLexMaximize:
         values, x = lex_maximize(objectives, rows, rhs)
         assert values == [F(1), F(1)]
         assert x == [F(0), F(0), F(1)]
+
+    def test_one_phase_one_then_one_phase_two_per_objective(self, monkeypatch):
+        calls = []
+        original = exactlp._simplex
+
+        def counting(tableau, *args):
+            calls.append(len(tableau))
+            return original(tableau, *args)
+
+        monkeypatch.setattr(exactlp, "_simplex", counting)
+        cells = [(i, j) for i in range(2) for j in range(3)]
+        rows, rhs = transportation(cells, [F(1, 2), F(1, 2)], [F(1, 3)] * 3)
+        objectives = [[F(1) if k % 4 == label else F(0) for k in range(6)] for label in range(4)]
+        lex_maximize(objectives, rows, rhs)
+        assert len(calls) == len(objectives) + 1
+        assert max(calls) <= len(rows)  # no optimum is pinned as an extra row
+
+
+@st.composite
+def labelled_tables(draw):
+    """A balanced transportation problem over some cells of a small table,
+    each cell carrying one of four labels, with one 0/1 objective per
+    label in a random order. Dropped cells may make it infeasible."""
+    supply = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    demand = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    assume(sum(supply) and sum(demand))
+    supply = [F(s, sum(supply)) for s in supply]
+    demand = [F(d, sum(demand)) for d in demand]
+    table = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
+    dropped = draw(st.sets(st.sampled_from(table), max_size=2))
+    cells = [c for c in table if c not in dropped]
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells)))
+    order = draw(st.permutations(range(4)))
+    objectives = [[F(1) if l == label else F(0) for l in labels] for label in order]
+    return (objectives, *transportation(cells, supply, demand))
+
+
+class TestLexMatchesOracle:
+    """One tableau with fixed columns against pinning and re-solving."""
+
+    @given(labelled_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_values_equal_oracle(self, table):
+        objectives, rows, rhs = table
+        try:
+            expected, _ = oracle_lex_maximize(objectives, rows, rhs)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                lex_maximize(objectives, rows, rhs)
+            return
+        values, _ = lex_maximize(objectives, rows, rhs)
+        assert values == expected
+
+    @given(labelled_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_solution_is_feasible_and_attains_every_value(self, table):
+        objectives, rows, rhs = table
+        try:
+            values, x = lex_maximize(objectives, rows, rhs)
+        except Infeasible:
+            return
+        assert all(v >= 0 for v in x)
+        assert [sum(a * v for a, v in zip(row, x)) for row in rows] == rhs
+        assert [sum(c * v for c, v in zip(obj, x)) for obj in objectives] == values

@@ -1,3 +1,4 @@
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -108,6 +109,24 @@ def test_as_fraction_syntaxes():
 def test_as_fraction_rejects_non_finite(value):
     with pytest.raises(ValueError, match="not a finite number"):
         as_fraction(value)
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [f"1e{LIMIT + 1}", f"1e-{LIMIT + 1}", "1e999999999", "-2.5E-999999999",
+     Decimal("1e999999999")],
+)
+def test_as_fraction_bounds_decimal_exponents(value):
+    with pytest.raises(ValueError, match="exponent out of range"):
+        as_fraction(value)
+
+
+def test_as_fraction_accepts_exponents_at_the_limit():
+    assert as_fraction(f"1e{LIMIT}") == 10**LIMIT
+    assert as_fraction(Decimal(f"1e-{LIMIT}")) == Fraction(1, 10**LIMIT)
 
 
 def test_format_fraction():

@@ -28,6 +28,7 @@ from helpers import (
     numeric_masses,
     oracle_fuzzy_from_mass,
     oracle_least_prejudiced,
+    oracle_mu,
 )
 
 F = Fraction
@@ -285,6 +286,17 @@ class TestAlignLevels:
 
 
 class TestFuzzyFromMass:
+    @given(numeric_masses(allow_empty=True))
+    @settings(max_examples=300)
+    def test_mu_equals_step_scan(self, m):
+        f = fuzzy_from_mass(m)
+        ends = sorted({e for s in f.steps for e in (s.lo, s.hi)})
+        probes = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        if ends:
+            probes += [ends[0] - 1, ends[-1] + 1]
+        for x in probes:
+            assert f.mu(x) == oracle_mu(f, x)
+
     def test_nested_pair(self):
         f = fuzzy_from_mass(MassAssignment([(iu((1, 9)), H), (iu((3, 7)), H)]))
         assert f.steps == (

@@ -256,6 +256,17 @@ class TestErrors:
         assert info.value.path == "$"
         assert "integer literal longer than" in str(info.value)
 
+    def test_huge_decimal_exponent(self):
+        text = '{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": %s}}]}'
+        with pytest.raises(SpecError) as info:
+            parse_text(text % "1e999999999")
+        assert info.value.path == "$"
+        assert "exponent out of range" in str(info.value)
+        with pytest.raises(SpecError) as info:
+            parse_text(text % '"1e999999999"')
+        assert info.value.path == "$.sets[0].grades.a"
+        assert "exponent out of range" in str(info.value)
+
     def test_tolerance_is_wired_through(self):
         text = (
             '{"sets": [{"name": "m", "kind": "mass",'

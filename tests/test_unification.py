@@ -1,9 +1,12 @@
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdist import exactlp, unification
 from fdist.intervals import EMPTY, iu
 from fdist.mass import DiscreteFuzzySet, MassAssignment, mass_from_discrete
 from fdist.unification import (
@@ -14,6 +17,7 @@ from fdist.unification import (
     unify_maximal,
     unify_product,
 )
+from helpers import numeric_masses, oracle_lex_maximize
 
 F = Fraction
 
@@ -144,6 +148,25 @@ def test_unknown_mass_is_evidence_empty_share(ma, mg):
     # evidence column
     r = unify_product(ma, mg)
     assert r[TruthLabel.UNKNOWN] == mg.empty_mass * (ma.total - ma.empty_mass)
+
+
+@given(
+    st.one_of(
+        st.tuples(label_masses(), label_masses()),
+        st.tuples(numeric_masses(), numeric_masses()),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_maximal_matches_pinning_oracle(pair):
+    # swap the whole module unification sees: patching exactlp.lex_maximize
+    # alone would recurse, as the oracle's exactlp.maximize runs through it
+    pinning = SimpleNamespace(
+        transportation=exactlp.transportation, lex_maximize=oracle_lex_maximize
+    )
+    ma, mg = pair
+    with mock.patch.object(unification, "exactlp", pinning):
+        expected = unify_maximal(ma, mg)
+    assert unify_maximal(ma, mg) == expected
 
 
 @st.composite
