@@ -40,6 +40,8 @@ from .specfile import SpecSet
 from .unification import unify_maximal, unify_product
 
 TOLERANCE_ENV = "FDIST_TOLERANCE"
+MAX_SLICES = 1000  # work limits: at most 10^6 product cells
+MAX_PLOT_ROWS = 100000
 
 
 def _env_tolerance() -> Fraction:
@@ -69,7 +71,10 @@ def _numeric(
     """A points set sliced once (at --slices, else the set's own count,
     else DEFAULT_SLICES), or a mass set with numeric focal elements as is."""
     if s.kind == "points":
-        return slice_shape(s.value, slices or s.slices or DEFAULT_SLICES)
+        n = slices or s.slices or DEFAULT_SLICES
+        if n > MAX_SLICES:
+            raise ValueError(f"slice count {n} for set {s.name!r} exceeds the limit {MAX_SLICES}")
+        return slice_shape(s.value, n)
     if s.kind == "discrete":
         raise ValueError(f"set {s.name!r} is discrete; {need}")
     if any(isinstance(f, frozenset) for f, _ in s.value.entries):
@@ -85,6 +90,10 @@ def _plot(fuzzy: NumericFuzzySet, step: Fraction) -> str:
     lines = ["x,mu"]
     if not fuzzy.is_empty:
         hull = fuzzy.support_hull
+        if (hull.hi - hull.lo) // step >= MAX_PLOT_ROWS:
+            raise ValueError(
+                f"--plot-step {format_fraction(step)} gives more than {MAX_PLOT_ROWS} rows"
+            )
         x = hull.lo
         while x <= hull.hi:
             lines.append(f"{format_fraction(x)},{format_fraction(fuzzy.mu(x))}")

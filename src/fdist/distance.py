@@ -6,7 +6,7 @@ distance takes absolute values. Pairing the two mass assignments' focal
 elements is a choice of joint distribution over cells:
 
 * PRODUCT treats them as independent,
-* DIAGONAL pairs level slices bottom-up after aligning boundaries,
+* DIAGONAL pairs level slices bottom-up over their shared level ranges,
 * ANTIDIAGONAL pairs the lowest slice of one with the highest of the
   other; for uniform slicings this is slice k against slice n+1-k.
 
@@ -97,20 +97,14 @@ def assign_product(
 
 
 def _paired(a: SlicedAssignment, b: SlicedAssignment, cell: CellOp) -> MassAssignment:
-    if a.boundaries() != b.boundaries():
-        raise ValueError("slice levels misaligned; align_levels both inputs first")
-    entries = [
-        (cell(sa.focal, sb.focal), sa.mass) for sa, sb in zip(a.slices, b.slices)
-    ]
-    return MassAssignment(entries)
+    return MassAssignment((cell(fa, fb), h) for fa, fb, h in align_levels(a, b))
 
 
 def assign_diagonal(
     a: SlicedAssignment, b: SlicedAssignment, cell: CellOp = cell_nondirectional
 ) -> DistanceResult:
     """Pair equal level slices: bottom with bottom, top with top."""
-    a2, b2 = align_levels(a, b)
-    return DistanceResult.from_mass(_paired(a2, b2, cell), Strategy.DIAGONAL)
+    return DistanceResult.from_mass(_paired(a, b, cell), Strategy.DIAGONAL)
 
 
 def assign_antidiagonal(
@@ -120,8 +114,9 @@ def assign_antidiagonal(
     by reversing b's slice stack before aligning, which both keeps the
     marginals exact for non-uniform level partitions and reduces to
     pairing slice k with slice n+1-k when all slices have equal height."""
-    a2, b2 = align_levels(a, b.reversed_levels())
-    return DistanceResult.from_mass(_paired(a2, b2, cell), Strategy.ANTIDIAGONAL)
+    return DistanceResult.from_mass(
+        _paired(a, b.reversed_levels(), cell), Strategy.ANTIDIAGONAL
+    )
 
 
 def _normalised(x: DistanceInput, n_slices: Optional[int]) -> Normalised:

@@ -10,7 +10,8 @@ Conventions that matter and are easy to get wrong:
 * Slicing a piecewise-linear shape into n level slices takes slice k's
   focal element as the closure of the strict cut {x : mu(x) > level_lo}
   at the slice's lower boundary. For the triangle (1,0),(3,1),(5,0) and
-  n = 2 this yields [1,5]:0.5 and [2,4]:0.5.
+  n = 2 this yields [1,5]:0.5 and [2,4]:0.5. Each cut is one pass over
+  the edges; align_levels pairs two stacks in one merge walk over levels.
 * Membership reconstructed from masses is the sum over focal elements
   containing the point, with closed-set containment. At an endpoint
   shared by several focal elements the sums stack, so the step regions
@@ -25,7 +26,7 @@ Conventions that matter and are easy to get wrong:
   shared closed endpoint and single-point parts follow from this rule.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -301,15 +302,13 @@ class PiecewiseShape:
         return max(m for _, m in self.vertices)
 
     def level_cut(self, level: Rational) -> IntervalUnion:
-        """Closure of the strict cut {x : mu(x) > level}."""
+        """Closure of the strict cut {x : mu(x) > level}, in one pass over
+        the edges (a lone vertex is an edge to itself). A jump edge
+        (x1 == x2) yields its point by the crossing rule, as x2 - x1 is 0."""
         level = as_fraction(level)
+        vs = self.vertices
         pieces = []
-        for x, m in self.vertices:
-            if m > level:
-                pieces.append(Interval(x, x))
-        for (x1, m1), (x2, m2) in zip(self.vertices, self.vertices[1:]):
-            if x1 == x2:
-                continue  # jump, endpoints covered by the vertex pass
+        for (x1, m1), (x2, m2) in zip(vs, vs[1:] or vs):
             if m1 > level and m2 > level:
                 pieces.append(Interval(x1, x2))
             elif m1 > level or m2 > level:
@@ -357,7 +356,7 @@ class SlicedAssignment:
     elements stay as separate slices; conversion to a MassAssignment
     merges them. Slicing a fuzzy set produces focal elements that shrink
     as levels rise, but the type does not enforce that, since reversed
-    or refined slice sequences are legitimate intermediates."""
+    slice sequences are legitimate intermediates."""
 
     slices: tuple
 
@@ -385,6 +384,8 @@ class SlicedAssignment:
             if not focal_issuperset(f1, f2):
                 raise ValueError(
                     f"focal elements not nested: {format_focal(f1)} vs {format_focal(f2)}"
+                    "; diagonal and antidiagonal pairings need nested focal elements,"
+                    " the product strategy does not"
                 )
         slices = []
         level = ZERO
@@ -404,21 +405,6 @@ class SlicedAssignment:
     def is_normal(self) -> bool:
         """No slice rests on the empty set, as for to_mass().is_normal."""
         return not any(focal_is_empty(s.focal) for s in self.slices)
-
-    def boundaries(self) -> tuple:
-        return (ZERO,) + tuple(s.level_hi for s in self.slices)
-
-    def refined(self, boundaries: Iterable[Fraction]) -> "SlicedAssignment":
-        """Split slices at the given interior levels, keeping focals."""
-        cuts = sorted(set(as_fraction(b) for b in boundaries))
-        out = []
-        for s in self.slices:
-            inner = cuts[bisect_right(cuts, s.level_lo):bisect_left(cuts, s.level_hi)]
-            lo = s.level_lo
-            for b in inner + [s.level_hi]:
-                out.append(Slice(lo, b, s.focal))
-                lo = b
-        return SlicedAssignment(tuple(out))
 
     def reversed_levels(self) -> "SlicedAssignment":
         """Same slices stacked in the opposite order."""
@@ -453,12 +439,22 @@ def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
     return SlicedAssignment(tuple(slices))
 
 
-def align_levels(
-    a: SlicedAssignment, b: SlicedAssignment
-) -> tuple:
-    """Refine both assignments to the union of their level boundaries."""
-    bounds = sorted(set(a.boundaries()) | set(b.boundaries()))
-    return a.refined(bounds), b.refined(bounds)
+def align_levels(a: SlicedAssignment, b: SlicedAssignment) -> list:
+    """(focal_a, focal_b, height) for each level range shared by two stacks
+    ending at the same level, from one merge walk over their slice tops."""
+    if a.top != b.top:
+        raise ValueError(f"slice stacks end at different levels: {a.top} and {b.top}")
+    shared, lo, i, j = [], ZERO, 0, 0
+    while lo < a.top:
+        sa, sb = a.slices[i], b.slices[j]
+        hi = min(sa.level_hi, sb.level_hi)
+        shared.append((sa.focal, sb.focal, hi - lo))
+        lo = hi
+        if sa.level_hi == hi:
+            i += 1
+        if sb.level_hi == hi:
+            j += 1
+    return shared
 
 
 # ---------------------------------------------------------------------------

@@ -210,14 +210,10 @@ def load(path, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
 # ---------------------------------------------------------------------------
 # result serialization (documents that re-parse to equal values)
 
-def _fmt(q: Fraction) -> str:
-    return format_fraction(q)
-
-
 def focal_to_doc(f: Focal) -> list:
     if isinstance(f, frozenset):
         return sorted(f)
-    return [[_fmt(p.lo), _fmt(p.hi)] for p in f.parts]
+    return [[format_fraction(p.lo), format_fraction(p.hi)] for p in f.parts]
 
 
 def mass_to_doc(m: MassAssignment, name: str = "result") -> dict:
@@ -226,7 +222,7 @@ def mass_to_doc(m: MassAssignment, name: str = "result") -> dict:
         "name": name,
         "kind": "mass",
         "entries": [
-            {"focal": focal_to_doc(f), "mass": _fmt(mass)} for f, mass in m.entries
+            {"focal": focal_to_doc(f), "mass": format_fraction(mass)} for f, mass in m.entries
         ],
     }
 
@@ -234,9 +230,9 @@ def mass_to_doc(m: MassAssignment, name: str = "result") -> dict:
 def fuzzy_to_doc(f: NumericFuzzySet) -> list:
     return [
         {
-            "mu": _fmt(s.mu),
-            "lo": _fmt(s.lo),
-            "hi": _fmt(s.hi),
+            "mu": format_fraction(s.mu),
+            "lo": format_fraction(s.lo),
+            "hi": format_fraction(s.hi),
             "lo_open": s.lo_open,
             "hi_open": s.hi_open,
         }
@@ -245,4 +241,4 @@ def fuzzy_to_doc(f: NumericFuzzySet) -> list:
 
 
 def truth_to_doc(t: TruthAssignment) -> dict:
-    return {label.value: _fmt(t[label]) for label in TruthLabel}
+    return {label.value: format_fraction(t[label]) for label in TruthLabel}

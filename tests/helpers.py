@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from fdist.mass import (
     MassAssignment,
     NumericFuzzySet,
     PiecewiseShape,
+    Slice,
+    SlicedAssignment,
     Step,
 )
 
@@ -71,6 +74,16 @@ def nested_masses(draw, allow_empty=True):
     if empty_w:
         entries.append((EMPTY, F(empty_w, total)))
     return MassAssignment(entries)
+
+
+@st.composite
+def piecewise_shapes(draw, max_vertices=6):
+    """Shapes on a coarse grid, so that repeated x values (jumps), repeated
+    vertices and single-vertex shapes all turn up often."""
+    n = draw(st.integers(1, max_vertices))
+    xs = sorted(draw(st.lists(frac(-2, 2, 2), min_size=n, max_size=n)))
+    ms = draw(st.lists(frac(0, 1, 4), min_size=n, max_size=n))
+    return PiecewiseShape(zip(xs, ms))
 
 
 def random_triangle(rng: random.Random, left=0, right=40, isosceles=True):
@@ -154,6 +167,54 @@ def oracle_lex_maximize(objectives, A, b):
         rows.append(list(obj))
         rhs.append(value)
     return values, x
+
+
+# The two-pass cut and the refine-and-zip alignment that fdist.mass
+# replaced with one edge pass and one merge walk.
+
+def oracle_level_cut(shape: PiecewiseShape, level: Fraction) -> IntervalUnion:
+    """Closure of the strict cut {x : mu(x) > level}: a point for every
+    vertex above the level, then every non-jump edge above or crossing it."""
+    pieces = []
+    for x, m in shape.vertices:
+        if m > level:
+            pieces.append(Interval(x, x))
+    for (x1, m1), (x2, m2) in zip(shape.vertices, shape.vertices[1:]):
+        if x1 == x2:
+            continue  # jump, endpoints covered by the vertex pass
+        if m1 > level and m2 > level:
+            pieces.append(Interval(x1, x2))
+        elif m1 > level or m2 > level:
+            xc = x1 + (level - m1) * (x2 - x1) / (m2 - m1)
+            pieces.append(Interval(x1, xc) if m1 > level else Interval(xc, x2))
+    return IntervalUnion(tuple(pieces))
+
+
+def _boundaries(s: SlicedAssignment) -> tuple:
+    return (ZERO,) + tuple(sl.level_hi for sl in s.slices)
+
+
+def _refined(s: SlicedAssignment, boundaries) -> SlicedAssignment:
+    """Split slices at the given interior levels, keeping focals."""
+    cuts = sorted(set(boundaries))
+    out = []
+    for sl in s.slices:
+        inner = cuts[bisect_right(cuts, sl.level_lo):bisect_left(cuts, sl.level_hi)]
+        lo = sl.level_lo
+        for b in inner + [sl.level_hi]:
+            out.append(Slice(lo, b, sl.focal))
+            lo = b
+    return SlicedAssignment(tuple(out))
+
+
+def oracle_align_levels(a: SlicedAssignment, b: SlicedAssignment) -> list:
+    """Refine both stacks to the union of their level boundaries, then
+    zip the refined slices into (focal_a, focal_b, height) triples."""
+    bounds = sorted(set(_boundaries(a)) | set(_boundaries(b)))
+    a2, b2 = _refined(a, bounds), _refined(b, bounds)
+    if _boundaries(a2) != _boundaries(b2):
+        raise ValueError("slice levels misaligned")
+    return [(sa.focal, sb.focal, sa.mass) for sa, sb in zip(a2.slices, b2.slices)]
 
 
 # The quadratic reconstructions that fdist.mass replaced with one endpoint

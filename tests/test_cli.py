@@ -217,6 +217,11 @@ class TestPlots:
         assert code == 2
         assert "plot-step" in err
 
+    def test_plot_rows_limited(self, capsys):
+        code, out, err = run(capsys, "distance", DATA, "A", "B", "--plot-step", "0.0000001")
+        assert (code, out) == (2, "")
+        assert err == "fdist: --plot-step 0.0000001 gives more than 100000 rows\n"
+
 
 class TestUnifyCommand:
     def test_both_routings_by_default(self, capsys):
@@ -414,6 +419,29 @@ class TestErrorsAndEnvironment:
         code, out, err = run(capsys, "mass", str(p), "g")
         assert (code, out) == (2, "")
         assert err.startswith("fdist: $: exponent out of range")
+
+    def test_slice_count_limited(self, capsys, tmp_path):
+        doc = {"sets": [{"name": "S", "kind": "points", "vertices": [[0, 0], [1, 1], [2, 0]],
+                         "slices": 100_000_000}]}
+        code, out, err = run(capsys, "mass", write_doc(tmp_path, doc), "S")
+        assert (code, out) == (2, "")
+        assert err == "fdist: slice count 100000000 for set 'S' exceeds the limit 1000\n"
+        code, out, err = run(capsys, "distance", DATA, "A", "B", "--slices", "1001")
+        assert (code, out) == (2, "")
+        assert err == "fdist: slice count 1001 for set 'A' exceeds the limit 1000\n"
+
+    def test_scattered_masses_name_the_product_strategy(self, capsys, tmp_path):
+        def scattered(name, a, b):
+            return {"name": name, "kind": "mass", "entries": [
+                {"focal": [a], "mass": "1/2"}, {"focal": [b], "mass": "1/2"}]}
+
+        spec = write_doc(tmp_path, {"sets": [scattered("P", [0, 1], [5, 6]),
+                                             scattered("R", [2, 3], [8, 9])]})
+        code, out, err = run(capsys, "distance", spec, "P", "R")
+        assert (code, out) == (2, "")
+        assert err.startswith("fdist: focal elements not nested:")
+        assert err.endswith("the product strategy does not\n")
+        assert run(capsys, "distance", spec, "P", "R", "--strategy", "product")[0] == 0
 
     def test_output_is_deterministic(self, capsys):
         first = run(capsys, "distance", DATA, "A4", "B4", "--strategy", "product")

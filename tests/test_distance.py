@@ -372,15 +372,21 @@ class TestDistanceApi:
         with pytest.raises(ValueError):
             distance(scattered, MASS_B2, strategy=Strategy.DIAGONAL)
 
-    def test_misaligned_slices_rejected(self):
+    def test_stacks_ending_at_different_levels_rejected(self):
         from fdist.distance import _paired
+        from fdist.mass import Slice
 
         a = SlicedAssignment.from_mass(MASS_A2)
+        b = SlicedAssignment((Slice(0, F(3, 4), iu((6, 10))),))
+        with pytest.raises(ValueError, match="different levels"):
+            _paired(a, b, cell_nondirectional)
+        # stacks with different boundaries but the same top pair directly
         b = SlicedAssignment.from_mass(
             MassAssignment([(iu((6, 10)), F(3, 4)), (iu((7, 9)), Q)])
         )
-        with pytest.raises(ValueError):
-            _paired(a, b, cell_nondirectional)
+        assert _paired(a, b, cell_nondirectional) == MassAssignment(
+            [(iu((1, 9)), H), (iu((2, 8)), Q), (iu((3, 7)), Q)]
+        )
 
 
 class TestSingleInputPass:

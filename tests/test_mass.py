@@ -24,15 +24,20 @@ from fdist.mass import (
     slice_shape,
 )
 from helpers import (
+    frac,
     nested_masses,
     numeric_masses,
+    oracle_align_levels,
     oracle_fuzzy_from_mass,
     oracle_least_prejudiced,
+    oracle_level_cut,
     oracle_mu,
+    piecewise_shapes,
 )
 
 F = Fraction
 H = F(1, 2)
+Q = F(1, 4)
 
 TRIANGLE_A = PiecewiseShape([(1, 0), (3, 1), (5, 0)])
 TRIANGLE_B = PiecewiseShape([(6, 0), (8, 1), (10, 0)])
@@ -215,7 +220,11 @@ class TestSlicedAssignment:
             iu((1, 2), (4, 5)),
             iu((1, 2)),
         ]
-        assert s.boundaries() == (0, H, F(3, 4), 1)
+        assert [(sl.level_lo, sl.level_hi) for sl in s.slices] == [
+            (0, H),
+            (H, F(3, 4)),
+            (F(3, 4), 1),
+        ]
 
     def test_from_mass_puts_empty_on_top(self):
         m = MassAssignment([(iu((1, 4)), H), (EMPTY, H)])
@@ -225,14 +234,8 @@ class TestSlicedAssignment:
 
     def test_from_mass_rejects_unnested(self):
         m = MassAssignment([(iu((1, 4)), H), (iu((6, 9)), H)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the product strategy does not"):
             SlicedAssignment.from_mass(m)
-
-    def test_refined_keeps_mass(self):
-        s = SlicedAssignment.from_mass(MASS_DIR_B)
-        r = s.refined([F(1, 4), F(3, 4)])
-        assert len(r.slices) == 4
-        assert r.to_mass() == MASS_DIR_B
 
     def test_reversed_levels(self):
         s = SlicedAssignment.from_mass(
@@ -240,7 +243,7 @@ class TestSlicedAssignment:
         )
         r = s.reversed_levels()
         assert [sl.focal for sl in r.slices] == [iu((2, 4)), iu((1, 5))]
-        assert r.boundaries() == (0, F(1, 4), 1)
+        assert [(sl.level_lo, sl.level_hi) for sl in r.slices] == [(0, Q), (Q, 1)]
 
     def test_must_start_at_zero_and_be_contiguous(self):
         from fdist.mass import Slice
@@ -259,30 +262,47 @@ class TestAlignLevels:
             MassAssignment(
                 [
                     (iu((1, 5)), H),
-                    (iu((1, 2), (4, 5)), F(1, 4)),
-                    (iu((1, 2)), F(1, 4)),
+                    (iu((1, 2), (4, 5)), Q),
+                    (iu((1, 2)), Q),
                 ]
             )
         )
         b = SlicedAssignment.from_mass(MASS_DIR_B)
-        a2, b2 = align_levels(aen, b)
-        assert a2.boundaries() == b2.boundaries() == (0, H, F(3, 4), 1)
-        assert [sl.focal for sl in b2.slices] == [iu((6, 9)), iu((7, 8)), iu((7, 8))]
-        assert [sl.mass for sl in b2.slices] == [H, F(1, 4), F(1, 4)]
+        assert align_levels(aen, b) == [
+            (iu((1, 5)), iu((6, 9)), H),
+            (iu((1, 2), (4, 5)), iu((7, 8)), Q),
+            (iu((1, 2)), iu((7, 8)), Q),
+        ]
 
     def test_identical_unchanged(self):
         s = SlicedAssignment.from_mass(MASS_A2)
-        a2, b2 = align_levels(s, s)
-        assert a2 == s and b2 == s
+        assert align_levels(s, s) == [(sl.focal, sl.focal, sl.mass) for sl in s.slices]
 
     @given(nested_masses(), nested_masses())
     def test_alignment_preserves_mass(self, ma, mb):
-        sa = SlicedAssignment.from_mass(ma)
-        sb = SlicedAssignment.from_mass(mb)
-        ra, rb = align_levels(sa, sb)
-        assert ra.to_mass() == ma
-        assert rb.to_mass() == mb
-        assert ra.boundaries() == rb.boundaries()
+        shared = align_levels(SlicedAssignment.from_mass(ma), SlicedAssignment.from_mass(mb))
+        assert MassAssignment((fa, h) for fa, _, h in shared) == ma
+        assert MassAssignment((fb, h) for _, fb, h in shared) == mb
+        assert all(h > 0 for _, _, h in shared)
+
+    @given(nested_masses(), nested_masses(), st.booleans())
+    @settings(max_examples=300)
+    def test_merge_equals_refine_and_zip(self, ma, mb, reverse):
+        sa, sb = SlicedAssignment.from_mass(ma), SlicedAssignment.from_mass(mb)
+        if reverse:
+            sb = sb.reversed_levels()
+        assert align_levels(sa, sb) == oracle_align_levels(sa, sb)
+
+
+class TestLevelCutMatchesOracle:
+    """The one-pass edge cut equals the vertex-then-edge cut it replaced."""
+
+    @given(st.data(), piecewise_shapes())
+    @settings(max_examples=500)
+    def test_cut_equals_two_pass_cut(self, data, shape):
+        memberships = sorted({m for _, m in shape.vertices})
+        level = data.draw(st.sampled_from(memberships) | frac(0, 1, 8))
+        assert shape.level_cut(level) == oracle_level_cut(shape, level)
 
 
 class TestFuzzyFromMass:
