@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import specfile
-from .distance import DEFAULT_SLICES, Normalised, Strategy, distance
+from .distance import DEFAULT_SLICES, MAX_SLICES, Normalised, Strategy, distance
 from .intervals import DEFAULT_TOLERANCE, as_fraction, format_fraction
 from .mass import (
     MassAssignment,
@@ -40,7 +40,6 @@ from .specfile import SpecSet
 from .unification import unify_maximal, unify_product
 
 TOLERANCE_ENV = "FDIST_TOLERANCE"
-MAX_SLICES = 1000  # work limits: at most 10^6 product cells
 MAX_PLOT_ROWS = 100000
 
 

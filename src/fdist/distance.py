@@ -34,6 +34,8 @@ from .mass import (
 )
 
 DEFAULT_SLICES = 100
+MAX_SLICES = 1000  # work limits: a subnormal stack adds an empty slice
+MAX_PRODUCT_CELLS = (MAX_SLICES + 1) ** 2
 
 CellOp = Callable[[IntervalUnion, IntervalUnion], IntervalUnion]
 DistanceInput = Union[PiecewiseShape, MassAssignment, SlicedAssignment]
@@ -88,6 +90,9 @@ class DistanceResult:
 def assign_product(
     m_a: MassAssignment, m_b: MassAssignment, cell: CellOp = cell_nondirectional
 ) -> DistanceResult:
+    cells = len(m_a) * len(m_b)
+    if cells > MAX_PRODUCT_CELLS:
+        raise ValueError(f"product of {cells} cells exceeds the limit {MAX_PRODUCT_CELLS}")
     entries = [
         (cell(fa, fb), ma * mb)
         for fa, ma in m_a.entries

@@ -1,15 +1,20 @@
-"""Tiny exact simplex solver over Fractions.
+"""Exact solvers over Fractions.
 
-Solves  max c.x  subject to  A x = b, x >= 0  by the textbook two-phase
-dense-tableau method with Bland's rule (anti-cycling), in exact rational
-arithmetic, so results on desk-scale problems are bit-stable. Several
-objectives are optimized lexicographically on one tableau: after each
-optimum every column with a negative reduced cost is fixed at zero, which
-confines the later objectives to that optimum's face. No effort is spent
-on sparsity or scale.
+``maximize`` solves  max c.x  subject to  A x = b, x >= 0  by the textbook
+two-phase dense-tableau method with Bland's rule (anti-cycling); it serves
+``linear_combination``. ``min_cost_flow`` solves transportation problems
+over a sparse edge list by successive shortest paths (Busacker-Gowen),
+each found by Bellman-Ford with a queue. Edge costs are integer tuples
+compared lexicographically, so one flow optimizes several objectives in
+order; ties go to the path with the fewest edges (Edmonds-Karp), and empty
+costs give a plain maximum flow. All arithmetic is exact, so results are
+bit-stable.
 """
 
+from collections import deque
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Optional, Sequence
 
 from .intervals import ONE, ZERO
@@ -33,9 +38,9 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _simplex(tableau, basis, cost, ncols, fixed=frozenset()):
-    """Maximize over the current tableau, never entering a column in fixed;
-    cost is the full objective row. Returns (value, reduced-cost row)."""
+def _simplex(tableau, basis, cost, ncols):
+    """Maximize over the current tableau; cost is the full objective row.
+    Returns the optimal value."""
     m = len(tableau)
     # reduced costs: z_j = c_j - c_B . column_j, objective value in obj[-1]
     obj = list(cost) + [ZERO]
@@ -44,9 +49,9 @@ def _simplex(tableau, basis, cost, ncols, fixed=frozenset()):
         if cb != 0:
             obj = [v - cb * w for v, w in zip(obj, tableau[r])]
     while True:
-        col = next((j for j in range(ncols) if obj[j] > 0 and j not in fixed), None)
+        col = next((j for j in range(ncols) if obj[j] > 0), None)
         if col is None:
-            return -obj[-1], obj
+            return -obj[-1]
         row = None
         best = None
         for r in range(m):
@@ -64,16 +69,13 @@ def _simplex(tableau, basis, cost, ncols, fixed=frozenset()):
             obj = [v - factor * w for v, w in zip(obj, tableau[row])]
 
 
-def lex_maximize(
-    objectives: Sequence[Sequence[Fraction]],
+def maximize(
+    c: Sequence[Fraction],
     A: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
 ) -> tuple:
-    """Lexicographic maximization of one or more objectives in order:
-    each later objective is maximized over the optimal face of the
-    earlier ones. Returns (list of optimal values, a solution attaining
-    them) or raises Infeasible/Unbounded."""
-    n = len(objectives[0])
+    """Return (optimal value, solution vector) or raise Infeasible/Unbounded."""
+    n = len(c)
     m = len(A)
     # phase 1 tableau: [A | I | b] with artificial basis, rows flipped so b >= 0
     tableau = []
@@ -87,8 +89,7 @@ def lex_maximize(
         tableau.append(row + art + [rhs])
     basis = [n + i for i in range(m)]
     phase1_cost = [ZERO] * n + [-ONE] * m
-    value, _ = _simplex(tableau, basis, phase1_cost, n + m)
-    if value < 0:
+    if _simplex(tableau, basis, phase1_cost, n + m) < 0:
         raise Infeasible("no feasible point")
 
     # drive remaining artificials out of the basis, drop redundant rows
@@ -103,26 +104,11 @@ def lex_maximize(
     tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
     basis = [basis[r] for r in keep]
 
-    values = []
-    fixed = set()
-    for c in objectives:
-        value, reduced = _simplex(tableau, basis, c, n, fixed)
-        values.append(value)
-        fixed.update(j for j in range(n) if reduced[j] < 0)
+    value = _simplex(tableau, basis, c, n)
     x = [ZERO] * n
     for r, var in enumerate(basis):
         x[var] = tableau[r][-1]
-    return values, x
-
-
-def maximize(
-    c: Sequence[Fraction],
-    A: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-) -> tuple:
-    """Return (optimal value, solution vector) or raise Infeasible/Unbounded."""
-    values, x = lex_maximize([c], A, b)
-    return values[0], x
+    return value, x
 
 
 def feasible(
@@ -139,14 +125,59 @@ def feasible(
     return x
 
 
-def transportation(
-    cells: Sequence[tuple],
+def min_cost_flow(
     supply: Sequence[Fraction],
     demand: Sequence[Fraction],
-) -> tuple:
-    """(A, b) of a transportation problem with one variable per (i, j)
-    cell: a row per supply i summing its cells' variables to supply[i],
-    then a row per demand j summing to demand[j]."""
-    rows = [[ONE if i == k else ZERO for i, _ in cells] for k in range(len(supply))]
-    rows += [[ONE if j == k else ZERO for _, j in cells] for k in range(len(demand))]
-    return rows, list(supply) + list(demand)
+    edges: Sequence[tuple],
+    costs: Sequence[tuple],
+) -> list:
+    """Flow on each (i, j) edge from supply i to demand j: a maximum flow
+    (no supply or demand exceeded) whose summed cost tuple is
+    lexicographically least. The flow falls short of the total supply
+    exactly when no routing meets every supply and demand."""
+    source, sink = len(supply) + len(demand), len(supply) + len(demand) + 1
+    zero = (0,) * len(costs[0]) if costs else ()
+    # integer capacities over one common denominator keep every step exact
+    scale = lcm(*(x.denominator for x in (*supply, *demand)))
+    # residual arcs in pairs: arc k runs to head[k], arc k ^ 1 is its reverse
+    head, cap, cost, out = [], [], [], [[] for _ in range(sink + 1)]
+
+    def arc(u, v, capacity, c):
+        for a, b, room, w in ((u, v, capacity, c), (v, u, 0, tuple(-x for x in c))):
+            out[a].append(len(head))
+            head.append(b)
+            cap.append(room)
+            cost.append(w)
+
+    for i, s in enumerate(supply):
+        arc(source, i, int(s * scale), zero)
+    for j, d in enumerate(demand):
+        arc(len(supply) + j, sink, int(d * scale), zero)
+    total = int(sum(supply, ZERO) * scale)
+    first = len(head)
+    for (i, j), c in zip(edges, costs):
+        arc(i, len(supply) + j, total, c)
+
+    while True:
+        # shortest path by (cost, edge count); no residual cycle is negative
+        dist, via, queue = {source: (zero, 0)}, {}, deque([source])
+        while queue:
+            u = queue.popleft()
+            du, hops = dist[u]
+            for k in out[u]:
+                if cap[k]:
+                    v = head[k]
+                    d = (tuple(map(add, du, cost[k])), hops + 1)
+                    if v not in dist or d < dist[v]:
+                        dist[v], via[v] = d, k
+                        queue.append(v)
+        if sink not in dist:
+            return [Fraction(cap[k + 1], scale) for k in range(first, len(head), 2)]
+        path, v = [], sink
+        while v != source:
+            path.append(via[v])
+            v = head[via[v] ^ 1]
+        push = min(cap[k] for k in path)
+        for k in path:
+            cap[k] -= push
+            cap[k ^ 1] += push

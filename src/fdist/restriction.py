@@ -3,7 +3,7 @@
 A type-1 restriction moves mass from a focal element to one of its
 subsets; a type-2 restriction moves mass from two incomparable focal
 elements onto their union and intersection. Reachability under type-1
-moves alone is a transportation-feasibility question because containment
+moves alone is a maximum flow over the superset edges, because containment
 is transitive: any chain of moves flattens into a direct routing from
 the original donors to the final receivers.
 """
@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import exactlp
-from .intervals import ONE, IntervalUnion, as_fraction
+from .intervals import ONE, ZERO, IntervalUnion, as_fraction
 from .mass import (
     Focal,
     MassAssignment,
@@ -123,19 +123,21 @@ def linear_combination(
 
 
 def reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
-    """Whether some sequence of type-1 moves turns src into dst. Mass
-    may flow from a focal element only to its subsets (staying put is
-    the trivial flow), so this is a transportation feasibility check."""
+    """Whether some sequence of type-1 moves turns src into dst: mass may
+    flow from a focal element only to its subsets (staying put is the
+    trivial flow), so a maximum flow must move all of it onto dst."""
+    if src.total != dst.total:
+        return False
     edges = [
         (i, j)
         for i, (fs, _) in enumerate(src.entries)
         for j, (fd, _) in enumerate(dst.entries)
         if focal_issuperset(fs, fd)
     ]
-    rows, rhs = exactlp.transportation(
-        edges, [m for _, m in src.entries], [m for _, m in dst.entries]
+    flow = exactlp.min_cost_flow(
+        [m for _, m in src.entries], [m for _, m in dst.entries], edges, [()] * len(edges)
     )
-    return exactlp.feasible(rows, rhs, nvars=len(edges)) is not None
+    return sum(flow, ZERO) == src.total
 
 
 # ---------------------------------------------------------------------------

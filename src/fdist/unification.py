@@ -3,8 +3,8 @@
 Each pair of focal elements (one from the claim A, one from the evidence
 G) supports a truth label. Routing the two assignments' masses through
 the label table gives a truth assignment. Product routing treats the
-assignments as independent; maximal routing picks the joint distribution
-over the label table that is lexicographically most informative.
+assignments as independent; maximal routing finds, by one min-cost flow,
+the lexicographically most informative joint distribution over the table.
 """
 
 from enum import Enum
@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exactlp
-from .intervals import DEFAULT_TOLERANCE, ONE, ZERO, as_fraction, format_fraction
+from .intervals import DEFAULT_TOLERANCE, ZERO, as_fraction, format_fraction
 from .mass import Focal, MassAssignment, focal_is_empty, focal_intersects, focal_issuperset
 
 
@@ -115,7 +115,8 @@ def unify_maximal(
     demand = [m / m_g.total for _, m in m_g.entries]
     cells = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
     labels = [truth_cell(fa, fg) for fa, _ in m_a.entries for fg, _ in m_g.entries]
-    rows, rhs = exactlp.transportation(cells, supply, demand)
-    objectives = [[ONE if l == label else ZERO for l in labels] for label in order]
-    values, _ = exactlp.lex_maximize(objectives, rows, rhs)
-    return TruthAssignment(dict(zip(order, values)))
+    costs = [tuple(-(label == o) for o in order) for label in labels]
+    totals = dict.fromkeys(TruthLabel, ZERO)
+    for label, x in zip(labels, exactlp.min_cost_flow(supply, demand, cells, costs)):
+        totals[label] += x
+    return TruthAssignment(totals)

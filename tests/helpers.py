@@ -2,12 +2,14 @@
 
 import math
 import random
+import types
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
-from fdist.exactlp import maximize
+from fdist.exactlp import feasible, maximize
 from fdist.intervals import EMPTY, ZERO, Interval, IntervalUnion, iu
 from fdist.mass import (
     DegenerateSupportError,
@@ -18,7 +20,9 @@ from fdist.mass import (
     Slice,
     SlicedAssignment,
     Step,
+    focal_issuperset,
 )
+from fdist.unification import DEFAULT_ORDER, TruthAssignment, truth_cell
 
 F = Fraction
 
@@ -46,6 +50,19 @@ def numeric_masses(draw, max_focals=4, allow_empty=True, lo=-8, hi=8):
     k = draw(st.integers(1, max_focals))
     focals = [
         draw(interval_unions(max_parts=2, lo=lo, hi=hi, allow_empty=allow_empty))
+        for _ in range(k)
+    ]
+    weights = [draw(st.integers(1, 8)) for _ in range(k)]
+    total = sum(weights)
+    return MassAssignment((f, F(w, total)) for f, w in zip(focals, weights))
+
+
+@st.composite
+def label_masses(draw, allow_empty=True):
+    """Masses over one to three label sets drawn from {a, b, c}."""
+    k = draw(st.integers(1, 3))
+    focals = [
+        draw(st.frozensets(st.sampled_from("abc"), min_size=0 if allow_empty else 1))
         for _ in range(k)
     ]
     weights = [draw(st.integers(1, 8)) for _ in range(k)]
@@ -154,6 +171,28 @@ def oracle_mu(f: NumericFuzzySet, x: Fraction) -> Fraction:
     return ZERO
 
 
+def perfbench_module(name: str) -> types.ModuleType:
+    """A module of the benchmark harness (``perfbench/<name>.py``, not a
+    package), executed from its source without writing anything there;
+    tests use it read-only, as an independent witness."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+# The dense simplex formulation of both transportation problems, which
+# fdist replaced with one exact min-cost flow.
+
+def transportation(cells, supply, demand) -> tuple:
+    """(A, b) of a transportation problem with one variable per (i, j)
+    cell: a row per supply i summing its cells' variables to supply[i],
+    then a row per demand j summing to demand[j]."""
+    rows = [[F(i == k) for i, _ in cells] for k in range(len(supply))]
+    rows += [[F(j == k) for _, j in cells] for k in range(len(demand))]
+    return rows, list(supply) + list(demand)
+
+
 def oracle_lex_maximize(objectives, A, b):
     """Lexicographic maximization by pinning: solve each objective from
     scratch with every earlier optimum appended as an equality row."""
@@ -167,6 +206,33 @@ def oracle_lex_maximize(objectives, A, b):
         rows.append(list(obj))
         rhs.append(value)
     return values, x
+
+
+def oracle_unify_maximal(m_a, m_g, order=DEFAULT_ORDER) -> TruthAssignment:
+    """Maximal routing as a dense LP: the transportation rows of the full
+    label table and one 0/1 objective per label, maximized in order."""
+    supply = [m / m_a.total for _, m in m_a.entries]
+    demand = [m / m_g.total for _, m in m_g.entries]
+    cells = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
+    labels = [truth_cell(fa, fg) for fa, _ in m_a.entries for fg, _ in m_g.entries]
+    objectives = [[F(l == label) for l in labels] for label in order]
+    values, _ = oracle_lex_maximize(objectives, *transportation(cells, supply, demand))
+    return TruthAssignment(dict(zip(order, values)))
+
+
+def oracle_reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
+    """Type-1 reachability as LP feasibility over the transportation rows
+    of the superset edges."""
+    edges = [
+        (i, j)
+        for i, (fs, _) in enumerate(src.entries)
+        for j, (fd, _) in enumerate(dst.entries)
+        if focal_issuperset(fs, fd)
+    ]
+    rows, rhs = transportation(
+        edges, [m for _, m in src.entries], [m for _, m in dst.entries]
+    )
+    return feasible(rows, rhs, nvars=len(edges)) is not None
 
 
 # The two-pass cut and the refine-and-zip alignment that fdist.mass

@@ -430,6 +430,20 @@ class TestErrorsAndEnvironment:
         assert (code, out) == (2, "")
         assert err == "fdist: slice count 1001 for set 'A' exceeds the limit 1000\n"
 
+    def test_product_cells_limited_for_mass_sets(self, capsys, tmp_path):
+        # two 1002-focal mass sets: 1002^2 cells exceed (1000 + 1)^2, the
+        # most that two points sets at the slice limit can make
+        def wide(name):
+            return {"name": name, "kind": "mass", "entries": [
+                {"focal": [[-k, k]], "mass": "1/1002"} for k in range(1, 1003)]}
+
+        spec = write_doc(tmp_path, {"sets": [wide("P"), wide("R")]})
+        code, out, err = run(capsys, "distance", spec, "P", "R", "--strategy", "product")
+        assert (code, out) == (2, "")
+        assert err == "fdist: product of 1004004 cells exceeds the limit 1002001\n"
+        assert run(capsys, "defuzz", spec, "P")[0] == 0
+        assert run(capsys, "distance", spec, "P", "R", "--strategy", "diagonal")[0] == 0
+
     def test_scattered_masses_name_the_product_strategy(self, capsys, tmp_path):
         def scattered(name, a, b):
             return {"name": name, "kind": "mass", "entries": [

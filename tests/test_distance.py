@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdist.distance import (
+    MAX_PRODUCT_CELLS,
+    MAX_SLICES,
     DistanceResult,
     Strategy,
     assign_antidiagonal,
@@ -387,6 +389,26 @@ class TestDistanceApi:
         assert _paired(a, b, cell_nondirectional) == MassAssignment(
             [(iu((1, 9)), H), (iu((2, 8)), Q), (iu((3, 7)), Q)]
         )
+
+
+class TestProductLimit:
+    def test_product_refused_before_any_cell(self):
+        wide = MassAssignment([(iu((-k, k)), F(1, 1002)) for k in range(1, 1003)])
+
+        def no_cells(a, b):
+            raise AssertionError("a cell was built")
+
+        with pytest.raises(ValueError, match="product of 1004004 cells exceeds the limit 1002001"):
+            assign_product(wide, wide, no_cells)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            distance(wide, wide, strategy=Strategy.PRODUCT)
+
+    def test_limit_admits_every_sliced_shape(self):
+        # a subnormal shape at the slice limit stacks one empty slice more
+        subnormal = PiecewiseShape([(0, 0), (1, H), (2, 0)])
+        sliced = slice_shape(subnormal, MAX_SLICES).to_mass()
+        assert len(sliced) == MAX_SLICES + 1
+        assert len(sliced) ** 2 == MAX_PRODUCT_CELLS
 
 
 class TestSingleInputPass:

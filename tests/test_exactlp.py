@@ -4,16 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fdist import exactlp
-from fdist.exactlp import (
-    Infeasible,
-    Unbounded,
-    feasible,
-    lex_maximize,
-    maximize,
-    transportation,
-)
-from helpers import oracle_lex_maximize
+from fdist.exactlp import Infeasible, Unbounded, feasible, maximize, min_cost_flow
+from helpers import oracle_lex_maximize, transportation
 
 F = Fraction
 
@@ -111,63 +103,42 @@ class TestFeasible:
             assert sum(x[k] for k, e in enumerate(edges) if e[1] == j) == demand[j]
 
 
-class TestLexMaximize:
+class TestMinCostFlow:
     def test_sequential_pinning(self):
-        # 2x2 transportation square: maximize x11, then x22 under the pin
-        rows = [
-            [F(1), F(1), F(0), F(0)],
-            [F(0), F(0), F(1), F(1)],
-            [F(1), F(0), F(1), F(0)],
-            [F(0), F(1), F(0), F(1)],
-        ]
-        rhs = [F(1, 2), F(1, 2), F(1, 2), F(1, 2)]
-        objectives = [
-            [F(1), F(0), F(0), F(0)],
-            [F(0), F(0), F(0), F(1)],
-        ]
-        values, x = lex_maximize(objectives, rows, rhs)
-        assert values == [F(1, 2), F(1, 2)]
+        # 2x2 square of halves: maximize x11, then x22 under that optimum
+        cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        costs = [(-1, 0), (0, 0), (0, 0), (0, -1)]
+        x = min_cost_flow([F(1, 2)] * 2, [F(1, 2)] * 2, cells, costs)
         assert x == [F(1, 2), F(0), F(0), F(1, 2)]
 
     def test_earlier_objective_takes_priority(self):
-        # one unit split between x1 and x2; lexicographic order decides
-        rows = [[F(1), F(1)]]
-        rhs = [F(1)]
-        values, _ = lex_maximize([[F(1), F(0)], [F(0), F(1)]], rows, rhs)
-        assert values == [F(1), F(0)]
-        values, _ = lex_maximize([[F(0), F(1)], [F(1), F(0)]], rows, rhs)
-        assert values == [F(1), F(0)]
+        # one unit over two parallel edges; the first cost entry decides
+        one = [F(1)]
+        assert min_cost_flow(one, one, [(0, 0)] * 2, [(-1, 0), (0, -1)]) == [1, 0]
+        assert min_cost_flow(one, one, [(0, 0)] * 2, [(0, -1), (-1, 0)]) == [0, 1]
 
-    def test_solution_satisfies_all_pins(self):
-        rows = [[F(1), F(1), F(1)]]
-        rhs = [F(1)]
-        objectives = [[F(0), F(1), F(1)], [F(0), F(0), F(1)]]
-        values, x = lex_maximize(objectives, rows, rhs)
-        assert values == [F(1), F(1)]
+    def test_later_objective_breaks_ties(self):
+        # x2 and x3 tie on the first objective; the second picks x3
+        one = [F(1)]
+        x = min_cost_flow(one, one, [(0, 0)] * 3, [(0, 0), (-1, 0), (-1, -1)])
         assert x == [F(0), F(0), F(1)]
 
-    def test_one_phase_one_then_one_phase_two_per_objective(self, monkeypatch):
-        calls = []
-        original = exactlp._simplex
+    def test_empty_costs_give_a_maximum_flow(self):
+        # the second demand can only be fed from the first supply
+        x = min_cost_flow([F(1, 2)] * 2, [F(1, 2)] * 2, [(0, 0), (0, 1), (1, 0)], [()] * 3)
+        assert x == [F(0), F(1, 2), F(1, 2)]
+        short = min_cost_flow([F(1, 2)] * 2, [F(1, 2)] * 2, [(0, 0), (1, 0)], [()] * 2)
+        assert sum(short) == F(1, 2)
 
-        def counting(tableau, *args):
-            calls.append(len(tableau))
-            return original(tableau, *args)
-
-        monkeypatch.setattr(exactlp, "_simplex", counting)
-        cells = [(i, j) for i in range(2) for j in range(3)]
-        rows, rhs = transportation(cells, [F(1, 2), F(1, 2)], [F(1, 3)] * 3)
-        objectives = [[F(1) if k % 4 == label else F(0) for k in range(6)] for label in range(4)]
-        lex_maximize(objectives, rows, rhs)
-        assert len(calls) == len(objectives) + 1
-        assert max(calls) <= len(rows)  # no optimum is pinned as an extra row
+    def test_no_edges(self):
+        assert min_cost_flow([F(1)], [F(1)], [], []) == []
 
 
 @st.composite
 def labelled_tables(draw):
     """A balanced transportation problem over some cells of a small table,
-    each cell carrying one of four labels, with one 0/1 objective per
-    label in a random order. Dropped cells may make it infeasible."""
+    each cell carrying one of four labels, with the labels preferred in a
+    random order. Dropped cells may make it infeasible."""
     supply = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
     demand = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
     assume(sum(supply) and sum(demand))
@@ -178,34 +149,44 @@ def labelled_tables(draw):
     cells = [c for c in table if c not in dropped]
     labels = draw(st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells)))
     order = draw(st.permutations(range(4)))
-    objectives = [[F(1) if l == label else F(0) for l in labels] for label in order]
-    return (objectives, *transportation(cells, supply, demand))
+    return supply, demand, cells, labels, order
 
 
-class TestLexMatchesOracle:
-    """One tableau with fixed columns against pinning and re-solving."""
+def label_flow(table):
+    supply, demand, cells, labels, order = table
+    costs = [tuple(-(label == o) for o in order) for label in labels]
+    return min_cost_flow(supply, demand, cells, costs)
 
-    @given(labelled_tables())
-    @settings(max_examples=200, deadline=None)
-    def test_values_equal_oracle(self, table):
-        objectives, rows, rhs = table
-        try:
-            expected, _ = oracle_lex_maximize(objectives, rows, rhs)
-        except Infeasible:
-            with pytest.raises(Infeasible):
-                lex_maximize(objectives, rows, rhs)
-            return
-        values, _ = lex_maximize(objectives, rows, rhs)
-        assert values == expected
+
+class TestFlowMatchesOracle:
+    """One min-cost flow with tuple costs against the dense LP that pins
+    each label's optimum and re-solves."""
 
     @given(labelled_tables())
     @settings(max_examples=200, deadline=None)
-    def test_solution_is_feasible_and_attains_every_value(self, table):
-        objectives, rows, rhs = table
+    def test_label_totals_equal_oracle(self, table):
+        supply, demand, cells, labels, order = table
+        objectives = [[F(l == label) for l in labels] for label in order]
+        x = label_flow(table)
         try:
-            values, x = lex_maximize(objectives, rows, rhs)
+            expected, _ = oracle_lex_maximize(
+                objectives, *transportation(cells, supply, demand)
+            )
         except Infeasible:
+            assert sum(x) < 1
             return
+        assert sum(x) == 1
+        assert [sum(v for l, v in zip(labels, x) if l == label) for label in order] == expected
+
+    @given(labelled_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_flow_respects_the_marginals(self, table):
+        supply, demand, cells, _, _ = table
+        x = label_flow(table)
         assert all(v >= 0 for v in x)
-        assert [sum(a * v for a, v in zip(row, x)) for row in rows] == rhs
-        assert [sum(c * v for c, v in zip(obj, x)) for obj in objectives] == values
+        out = [sum(v for (i, _), v in zip(cells, x) if i == k) for k in range(len(supply))]
+        into = [sum(v for (_, j), v in zip(cells, x) if j == k) for k in range(len(demand))]
+        assert all(o <= s for o, s in zip(out, supply))
+        assert all(i <= d for i, d in zip(into, demand))
+        if sum(x) == 1:
+            assert (out, into) == (supply, demand)

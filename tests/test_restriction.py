@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fdist.cli import main
 from fdist.distance import (
     assign_antidiagonal,
     assign_diagonal,
@@ -26,8 +28,11 @@ from fdist.restriction import (
     theorem2_witness,
 )
 from helpers import (
+    label_masses,
     nested_masses,
     numeric_masses,
+    oracle_reachable_type1,
+    perfbench_module,
     random_triangle,
     scaled_triangle,
     shifted_shape,
@@ -36,6 +41,10 @@ from helpers import (
 F = Fraction
 H = F(1, 2)
 Q = F(1, 4)
+
+# the benchmark's closed-form chain test (prefix-sum majorisation), used
+# here only as an independent witness
+reaches = perfbench_module("oracle").reaches
 
 NESTED = MassAssignment([(iu((1, 9)), H), (iu((3, 7)), H)])
 PRODUCT_2 = MassAssignment([(iu((1, 9)), Q), (iu((2, 8)), H), (iu((3, 7)), Q)])
@@ -231,6 +240,25 @@ class TestLinearCombination:
         assert combine(list(zip(coeffs, (m1, m2, m3)))) == target
 
 
+@st.composite
+def chain_pairs(draw):
+    """One chain of nested intervals, widest first and sometimes ending in
+    the empty set, with two masses on it."""
+    depth = draw(st.integers(1, 6))
+    los = sorted(draw(st.lists(st.integers(0, 20), min_size=depth, max_size=depth, unique=True)))
+    his = sorted(draw(st.lists(st.integers(21, 40), min_size=depth, max_size=depth, unique=True)))
+    chain = [iu((lo, hi)) for lo, hi in zip(los, reversed(his))]
+    if draw(st.booleans()):
+        chain.append(EMPTY)
+
+    def masses():
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(chain), max_size=len(chain)))
+        assume(sum(weights))
+        return {f: F(w, sum(weights)) for f, w in zip(chain, weights) if w}
+
+    return chain, masses(), masses()
+
+
 class TestReachability:
     def test_neither_assignment_reaches_the_other(self):
         assert not reachable_type1(NESTED, PRODUCT_2)
@@ -272,6 +300,65 @@ class TestReachability:
         donor, held = donors[0]
         moved = apply_type1(m, donor, EMPTY, held * H)
         assert reachable_type1(m, moved)
+
+    def test_unequal_totals_never_reach(self):
+        # both sums pass the mass tolerance, but no routing meets both
+        over = MassAssignment([(iu((0, 4)), 1 + F(1, 10**10))])
+        one = MassAssignment([(iu((0, 4)), F(1))])
+        assert not reachable_type1(over, one)
+        assert not reachable_type1(one, over)
+
+    @given(
+        st.one_of(
+            st.tuples(numeric_masses(), numeric_masses()),
+            st.tuples(label_masses(), label_masses()),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_flow_equals_lp_feasibility(self, pair):
+        src, dst = pair
+        assert reachable_type1(src, dst) == oracle_reachable_type1(src, dst)
+
+    @given(chain_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_chains_match_prefix_sums(self, case):
+        chain, src, dst = case
+        got = reachable_type1(MassAssignment(src.items()), MassAssignment(dst.items()))
+        assert got == reaches(src, dst, chain)
+
+    def test_forty_focal_chain_restrict_check(self, capsys, tmp_path):
+        # a restrict-check on one 40-set chain, as the solve benchmark
+        # runs at 6-16; every reachability answer checked in closed form
+        rng = random.Random(40)
+        los = sorted(rng.sample(range(0, 60), 40))
+        his = sorted(rng.sample(range(61, 120), 40), reverse=True)
+        chain = [iu((lo, hi)) for lo, hi in zip(los, his)]
+        bases = []
+        for _ in range(2):
+            weights = [rng.randint(0, 5) for _ in chain]
+            bases.append({f: F(w, sum(weights)) for f, w in zip(chain, weights) if w})
+        bases.append({chain[0]: F(1)})  # reaches every mass on the chain
+        target = combine([(F(1, 3), MassAssignment(b.items())) for b in bases])
+        sets = {"T": dict(target.entries), "B0": bases[0], "B1": bases[1], "B2": bases[2]}
+        doc = {"sets": [
+            {"name": name, "kind": "mass", "entries": [
+                {"focal": [[str(f.parts[0].lo), str(f.parts[0].hi)]], "mass": str(m)}
+                for f, m in masses.items()
+            ]}
+            for name, masses in sets.items()
+        ]}
+        spec = tmp_path / "chain.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["restrict-check", str(spec), "T", "--basis", "B0,B1,B2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        coefficients = [F(c) for c in out["coefficients"]]
+        assert combine(list(zip(coefficients, (MassAssignment(b.items()) for b in bases)))) == target
+        for name in ("B0", "B1", "B2"):
+            assert out["reachability"][name] == {
+                "basis_to_target": reaches(sets[name], sets["T"], chain),
+                "target_to_basis": reaches(sets["T"], sets[name], chain),
+            }
+        assert out["reachability"]["B2"]["basis_to_target"]
 
 
 def focal_contains(a, b):

@@ -1,12 +1,9 @@
 from fractions import Fraction
-from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdist import exactlp, unification
 from fdist.intervals import EMPTY, iu
 from fdist.mass import DiscreteFuzzySet, MassAssignment, mass_from_discrete
 from fdist.unification import (
@@ -17,7 +14,7 @@ from fdist.unification import (
     unify_maximal,
     unify_product,
 )
-from helpers import numeric_masses, oracle_lex_maximize
+from helpers import label_masses, numeric_masses, oracle_unify_maximal
 
 F = Fraction
 
@@ -117,18 +114,6 @@ class TestUnifyMaximal:
 # ---------------------------------------------------------------------------
 # randomized properties
 
-@st.composite
-def label_masses(draw, allow_empty=True):
-    k = draw(st.integers(1, 3))
-    focals = [
-        draw(st.frozensets(st.sampled_from("abc"), min_size=0 if allow_empty else 1))
-        for _ in range(k)
-    ]
-    weights = [draw(st.integers(1, 8)) for _ in range(k)]
-    total = sum(weights)
-    return MassAssignment((f, F(w, total)) for f, w in zip(focals, weights))
-
-
 @given(label_masses(), label_masses())
 def test_outputs_sum_to_one(ma, mg):
     assert sum(unify_product(ma, mg).masses.values()) == 1
@@ -154,19 +139,29 @@ def test_unknown_mass_is_evidence_empty_share(ma, mg):
     st.one_of(
         st.tuples(label_masses(), label_masses()),
         st.tuples(numeric_masses(), numeric_masses()),
-    )
+    ),
+    st.permutations(list(TruthLabel)),
 )
 @settings(max_examples=150, deadline=None)
-def test_maximal_matches_pinning_oracle(pair):
-    # swap the whole module unification sees: patching exactlp.lex_maximize
-    # alone would recurse, as the oracle's exactlp.maximize runs through it
-    pinning = SimpleNamespace(
-        transportation=exactlp.transportation, lex_maximize=oracle_lex_maximize
-    )
+def test_maximal_matches_pinning_oracle(pair, order):
     ma, mg = pair
-    with mock.patch.object(unification, "exactlp", pinning):
-        expected = unify_maximal(ma, mg)
-    assert unify_maximal(ma, mg) == expected
+    assert unify_maximal(ma, mg, order) == oracle_unify_maximal(ma, mg, order)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83)
+
+
+def test_maximal_on_24_by_24_coprime_grades():
+    # 24 distinct grades per side over pairwise-coprime denominators (1
+    # and 1/p, or 1 and (p-1)/p): 576 cells, a dense LP took seconds
+    labels = [f"x{k:02d}" for k in range(24)]
+    claim = DiscreteFuzzySet(dict(zip(labels, (1, *(F(1, p) for p in PRIMES)))))
+    evidence = DiscreteFuzzySet(dict(zip(labels, (*(F(p - 1, p) for p in PRIMES), 1))))
+    ma, mg = mass_from_discrete(claim), mass_from_discrete(evidence)
+    assert (len(ma.entries), len(mg.entries)) == (24, 24)
+    r = unify_maximal(ma, mg)
+    assert sum(r.masses.values()) == 1
+    assert r.as_tuple() >= unify_product(ma, mg).as_tuple()
 
 
 @st.composite
