@@ -103,7 +103,9 @@ class TestFeasible:
             assert sum(x[k] for k, e in enumerate(edges) if e[1] == j) == demand[j]
 
 
-class TestMinCostFlow:
+class TestLexMaximize:
+    """Worked tables for the flow's lexicographic tuple costs."""
+
     def test_sequential_pinning(self):
         # 2x2 square of halves: maximize x11, then x22 under that optimum
         cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -117,12 +119,14 @@ class TestMinCostFlow:
         assert min_cost_flow(one, one, [(0, 0)] * 2, [(-1, 0), (0, -1)]) == [1, 0]
         assert min_cost_flow(one, one, [(0, 0)] * 2, [(0, -1), (-1, 0)]) == [0, 1]
 
-    def test_later_objective_breaks_ties(self):
+    def test_solution_satisfies_all_pins(self):
         # x2 and x3 tie on the first objective; the second picks x3
         one = [F(1)]
         x = min_cost_flow(one, one, [(0, 0)] * 3, [(0, 0), (-1, 0), (-1, -1)])
         assert x == [F(0), F(0), F(1)]
 
+
+class TestMinCostFlow:
     def test_empty_costs_give_a_maximum_flow(self):
         # the second demand can only be fed from the first supply
         x = min_cost_flow([F(1, 2)] * 2, [F(1, 2)] * 2, [(0, 0), (0, 1), (1, 0)], [()] * 3)
@@ -158,13 +162,13 @@ def label_flow(table):
     return min_cost_flow(supply, demand, cells, costs)
 
 
-class TestFlowMatchesOracle:
+class TestLexMatchesOracle:
     """One min-cost flow with tuple costs against the dense LP that pins
     each label's optimum and re-solves."""
 
     @given(labelled_tables())
     @settings(max_examples=200, deadline=None)
-    def test_label_totals_equal_oracle(self, table):
+    def test_values_equal_oracle(self, table):
         supply, demand, cells, labels, order = table
         objectives = [[F(l == label) for l in labels] for label in order]
         x = label_flow(table)
@@ -180,7 +184,7 @@ class TestFlowMatchesOracle:
 
     @given(labelled_tables())
     @settings(max_examples=200, deadline=None)
-    def test_flow_respects_the_marginals(self, table):
+    def test_solution_is_feasible_and_attains_every_value(self, table):
         supply, demand, cells, _, _ = table
         x = label_flow(table)
         assert all(v >= 0 for v in x)
