@@ -18,7 +18,6 @@ from fdist import (  # noqa: E402
     Strategy,
     centre_of_gravity,
     distance,
-    format_focal,
     fuzzy_from_mass,
     linear_combination,
     load,
@@ -33,7 +32,7 @@ DATA = Path(__file__).resolve().parent.parent / "data" / "worked_sets.json"
 
 
 def show_mass(label: str, m: MassAssignment):
-    rows = ", ".join(f"{format_focal(f)}:{mass}" for f, mass in m.entries)
+    rows = ", ".join(f"{f}:{mass}" for f, mass in m.entries)
     print(f"  {label}: {rows}")
 
 
@@ -96,7 +95,7 @@ def main() -> int:
     for name, m in (("narrowA", na), ("narrowB", nb), ("D(narrowA,narrowB)", fwd.mass)):
         ml = max_likelihood_interval(m)
         cog = centre_of_gravity(fuzzy_from_mass(m))
-        print(f"  {name}: max-likelihood {format_focal(ml)}, centre of gravity {cog}")
+        print(f"  {name}: max-likelihood {ml}, centre of gravity {cog}")
 
     print("\n== Slicing the wide triangle ==")
     for n in (2, 4):

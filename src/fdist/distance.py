@@ -126,12 +126,18 @@ def assign_antidiagonal(
 
 def _normalised(x: DistanceInput, n_slices: Optional[int]) -> Normalised:
     """Slice a shape (n_slices, default DEFAULT_SLICES); pass mass and
-    sliced assignments through unchanged."""
+    sliced assignments with numeric focal elements through unchanged."""
     if isinstance(x, PiecewiseShape):
         return slice_shape(x, n_slices or DEFAULT_SLICES)
-    if isinstance(x, (MassAssignment, SlicedAssignment)):
-        return x
-    raise TypeError(f"cannot take distances over {type(x).__name__}")
+    if isinstance(x, MassAssignment):
+        focals = x.focals()
+    elif isinstance(x, SlicedAssignment):
+        focals = [s.focal for s in x.slices]
+    else:
+        raise TypeError(f"cannot take distances over {type(x).__name__}")
+    if not all(isinstance(f, IntervalUnion) for f in focals):
+        raise TypeError("distance needs numeric focal elements")
+    return x
 
 
 def resolve_strategy(

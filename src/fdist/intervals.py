@@ -20,6 +20,8 @@ DEFAULT_TOLERANCE = Fraction(1, 10**9)
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+MIXED_KINDS = "cannot mix label-set and numeric focal elements"
+
 
 def as_fraction(value: Rational) -> Fraction:
     """Convert to an exact Fraction. Accepts "1/16", "0.0625", floats, ints.
@@ -150,28 +152,30 @@ class IntervalUnion:
     def __contains__(self, x) -> bool:
         return self.contains_point(x)
 
-    def issubset(self, other: "IntervalUnion") -> bool:
+    def issubset(self, other) -> bool:
         # A closed part cannot straddle a gap of the other union, so each
         # part must sit inside a single part of the other.
         return all(
-            any(q.lo <= p.lo and p.hi <= q.hi for q in other.parts)
+            any(q.lo <= p.lo and p.hi <= q.hi for q in _parts(other))
             for p in self.parts
         )
 
-    def issuperset(self, other: "IntervalUnion") -> bool:
+    def issuperset(self, other) -> bool:
         return other.issubset(self)
 
-    def intersects(self, other: "IntervalUnion") -> bool:
-        return any(p.intersects(q) for p in self.parts for q in other.parts)
+    def intersects(self, other) -> bool:
+        return any(p.intersects(q) for p in self.parts for q in _parts(other))
 
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(self.parts + other.parts)
+    def union(self, other):
+        if self.is_empty:
+            return other
+        return IntervalUnion(self.parts + _parts(other))
 
-    def intersection(self, other: "IntervalUnion") -> "IntervalUnion":
+    def intersection(self, other) -> "IntervalUnion":
         pieces = [
             Interval(max(p.lo, q.lo), min(p.hi, q.hi))
             for p in self.parts
-            for q in other.parts
+            for q in _parts(other)
             if p.intersects(q)
         ]
         return IntervalUnion(tuple(pieces))
@@ -181,12 +185,25 @@ class IntervalUnion:
         return IntervalUnion(tuple(Interval(-p.hi, -p.lo) for p in self.parts))
 
     def sort_key(self) -> tuple:
-        return tuple((p.lo, p.hi) for p in self.parts)
+        """Ordering key among focal elements: label sets (0, 0, ...) first,
+        then unions by position (0, 1, ...), the empty set (1,) last."""
+        if self.is_empty:
+            return (1,)
+        return (0, 1, tuple((p.lo, p.hi) for p in self.parts))
 
     def __str__(self) -> str:
         if self.is_empty:
             return "[]"
         return ",".join(str(p) for p in self.parts)
+
+
+def _parts(other) -> tuple:
+    """The parts of the other operand of a focal method. A label set there
+    raises, as labels and numbers do not mix; the methods ask only once they
+    hold a part of their own, so the empty union combines with either kind."""
+    if not isinstance(other, IntervalUnion):
+        raise TypeError(MIXED_KINDS)
+    return other.parts
 
 
 EMPTY = IntervalUnion()

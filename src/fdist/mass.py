@@ -1,9 +1,11 @@
 """Fuzzy sets as mass assignments over focal elements.
 
 A mass assignment distributes probability mass over focal elements, which
-here are either label sets (frozenset) or numeric IntervalUnions. A fuzzy
-set with maximum membership below 1 puts the deficit on the empty set, so
-masses always total 1.
+here are either label sets (LabelSet, a frozenset with IntervalUnion's
+focal methods) or numeric IntervalUnions; the empty focal element of
+either kind is EMPTY, and as_focal brings a plain frozenset to this form.
+A fuzzy set with maximum membership below 1 puts the deficit on the empty
+set, so masses always total 1.
 
 Conventions that matter and are easy to get wrong:
 
@@ -35,6 +37,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .intervals import (
     DEFAULT_TOLERANCE,
     EMPTY,
+    MIXED_KINDS,
     ONE,
     ZERO,
     Interval,
@@ -43,8 +46,6 @@ from .intervals import (
     as_fraction,
     format_fraction,
 )
-
-Focal = Union[IntervalUnion, frozenset]
 
 
 class DegenerateSupportError(ValueError):
@@ -56,77 +57,70 @@ class ZeroAreaError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# focal element helpers, polymorphic over label sets and interval unions
+# focal elements
 
-def focal_is_empty(f: Focal) -> bool:
-    if isinstance(f, IntervalUnion):
-        return f.is_empty
-    if isinstance(f, frozenset):
-        return len(f) == 0
-    raise TypeError(f"not a focal element: {type(f).__name__}")
+class LabelSet(frozenset):
+    """Label-set focal element: a frozenset of labels, equal to and hashing
+    like the plain frozenset, with IntervalUnion's focal interface. Its
+    methods take focal elements as as_focal returns them."""
+
+    __slots__ = ()
+
+    @property
+    def is_empty(self) -> bool:
+        return not self
+
+    def issubset(self, other) -> bool:
+        return self <= _labels(other)
+
+    def issuperset(self, other) -> bool:
+        return self >= _labels(other)
+
+    def intersects(self, other) -> bool:
+        return not self.isdisjoint(_labels(other))
+
+    def union(self, other) -> "Focal":
+        return as_focal(self | _labels(other))
+
+    def intersection(self, other) -> "Focal":
+        return as_focal(self & _labels(other))
+
+    def sort_key(self) -> tuple:
+        return (0, 0, tuple(sorted(self)))
+
+    def __str__(self) -> str:
+        return "{" + ",".join(sorted(self)) + "}"
+
+
+Focal = Union[IntervalUnion, LabelSet]
+
+
+def _labels(other) -> frozenset:
+    """The labels of the other operand of a label set's focal method: none
+    for the empty union; labels and numbers do not mix."""
+    if isinstance(other, IntervalUnion):
+        if other.is_empty:
+            return frozenset()
+        raise TypeError(MIXED_KINDS)
+    return other
+
+
+def as_focal(value) -> Focal:
+    """The canonical focal element for value: a frozenset of labels becomes
+    a LabelSet, and an empty focal element of either kind becomes EMPTY."""
+    if isinstance(value, IntervalUnion):
+        return EMPTY if value.is_empty else value
+    if isinstance(value, frozenset):
+        if not value:
+            return EMPTY
+        return value if isinstance(value, LabelSet) else LabelSet(value)
+    raise TypeError(f"not a focal element: {type(value).__name__}")
 
 
 def focal_issuperset(a: Focal, g: Focal) -> bool:
-    if focal_is_empty(g):
-        return True
-    if focal_is_empty(a):
-        return False
-    if isinstance(a, IntervalUnion) and isinstance(g, IntervalUnion):
-        return a.issuperset(g)
-    if isinstance(a, frozenset) and isinstance(g, frozenset):
-        return a.issuperset(g)
-    raise TypeError("cannot mix label-set and numeric focal elements")
-
-
-def focal_intersects(a: Focal, g: Focal) -> bool:
-    if focal_is_empty(a) or focal_is_empty(g):
-        return False
-    if isinstance(a, IntervalUnion) and isinstance(g, IntervalUnion):
-        return a.intersects(g)
-    if isinstance(a, frozenset) and isinstance(g, frozenset):
-        return bool(a & g)
-    raise TypeError("cannot mix label-set and numeric focal elements")
-
-
-def focal_union(a: Focal, b: Focal) -> Focal:
-    if focal_is_empty(a):
-        return b
-    if focal_is_empty(b):
-        return a
-    if isinstance(a, IntervalUnion) and isinstance(b, IntervalUnion):
-        return a.union(b)
-    if isinstance(a, frozenset) and isinstance(b, frozenset):
-        return a | b
-    raise TypeError("cannot mix label-set and numeric focal elements")
-
-
-def focal_intersection(a: Focal, b: Focal) -> Focal:
-    if focal_is_empty(a) or focal_is_empty(b):
-        return EMPTY
-    if isinstance(a, IntervalUnion) and isinstance(b, IntervalUnion):
-        return a.intersection(b)
-    if isinstance(a, frozenset) and isinstance(b, frozenset):
-        inter = a & b
-        return inter if inter else EMPTY
-    raise TypeError("cannot mix label-set and numeric focal elements")
-
-
-def focal_key(f: Focal) -> tuple:
-    """Deterministic ordering: numeric by position, labels lexicographic,
-    the empty set last."""
-    if focal_is_empty(f):
-        return (1,)
-    if isinstance(f, frozenset):
-        return (0, 0, tuple(sorted(f)))
-    return (0, 1, f.sort_key())
-
-
-def format_focal(f: Focal) -> str:
-    if focal_is_empty(f):
-        return "[]"
-    if isinstance(f, frozenset):
-        return "{" + ",".join(sorted(f)) + "}"
-    return str(f)
+    """a.issuperset(g), kept under this name because the benchmark's
+    reachability-edge counter (perfbench/spans.py) calls it."""
+    return a.issuperset(g)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +130,10 @@ class MassAssignment:
     """Canonical mass assignment: entries merged per focal element, zero
     masses dropped, every empty focal normalized to the one empty set,
     entries sorted deterministically, masses summing to 1 (within the
-    tolerance, for inputs that arrive as rounded decimals)."""
+    tolerance, for inputs that arrive as rounded decimals). total is that
+    exact sum."""
 
-    __slots__ = ("entries", "_by_focal")
+    __slots__ = ("entries", "total", "_by_focal")
 
     def __init__(
         self,
@@ -148,13 +143,11 @@ class MassAssignment:
     ):
         merged: dict = {}
         for focal, mass in entries:
-            mass = as_fraction(mass)
+            focal, mass = as_focal(focal), as_fraction(mass)
             if mass < 0:
-                raise ValueError(f"negative mass {mass} on {format_focal(focal)}")
+                raise ValueError(f"negative mass {mass} on {focal}")
             if mass == 0:
                 continue
-            if focal_is_empty(focal):
-                focal = EMPTY
             merged[focal] = merged.get(focal, ZERO) + mass
         total = sum(merged.values(), ZERO)
         if abs(total - 1) > tolerance:
@@ -162,24 +155,19 @@ class MassAssignment:
         object.__setattr__(
             self,
             "entries",
-            tuple(sorted(merged.items(), key=lambda e: focal_key(e[0]))),
+            tuple(sorted(merged.items(), key=lambda e: e[0].sort_key())),
         )
+        object.__setattr__(self, "total", total)
         object.__setattr__(self, "_by_focal", merged)
 
     def __setattr__(self, name, value):
         raise AttributeError("MassAssignment is immutable")
 
     def mass_of(self, focal: Focal) -> Fraction:
-        if focal_is_empty(focal):
-            focal = EMPTY
-        return self._by_focal.get(focal, ZERO)
+        return self._by_focal.get(as_focal(focal), ZERO)
 
     def focals(self) -> tuple:
         return tuple(f for f, _ in self.entries)
-
-    @property
-    def total(self) -> Fraction:
-        return sum((m for _, m in self.entries), ZERO)
 
     @property
     def empty_mass(self) -> Fraction:
@@ -211,7 +199,7 @@ class MassAssignment:
         return hash(self.entries)
 
     def __repr__(self):
-        body = ", ".join(f"{format_focal(f)}:{format_fraction(m)}" for f, m in self.entries)
+        body = ", ".join(f"{f}:{format_fraction(m)}" for f, m in self.entries)
         return f"MassAssignment({body})"
 
 
@@ -265,7 +253,7 @@ def mass_from_discrete(f: DiscreteFuzzySet) -> MassAssignment:
     entries = []
     for i, level in enumerate(levels):
         below = levels[i + 1] if i + 1 < len(levels) else ZERO
-        focal = frozenset(l for g, l in positive if g >= level)
+        focal = LabelSet(l for g, l in positive if g >= level)
         entries.append((focal, level - below))
     peak = levels[0] if levels else ZERO
     if peak < 1:
@@ -338,6 +326,7 @@ class Slice:
     def __post_init__(self):
         object.__setattr__(self, "level_lo", as_fraction(self.level_lo))
         object.__setattr__(self, "level_hi", as_fraction(self.level_hi))
+        object.__setattr__(self, "focal", as_focal(self.focal))
         if not (0 <= self.level_lo < self.level_hi <= 1):
             raise ValueError(
                 f"slice levels [{self.level_lo}, {self.level_hi}] not within [0,1]"
@@ -378,12 +367,12 @@ class SlicedAssignment:
         def size(f: Focal) -> Fraction:
             return f.length if isinstance(f, IntervalUnion) else Fraction(len(f))
 
-        nonempty = [(f, mass) for f, mass in m.entries if not focal_is_empty(f)]
-        nonempty.sort(key=lambda e: (-size(e[0]), focal_key(e[0])))
+        nonempty = [(f, mass) for f, mass in m.entries if not f.is_empty]
+        nonempty.sort(key=lambda e: (-size(e[0]), e[0].sort_key()))
         for (f1, _), (f2, _) in zip(nonempty, nonempty[1:]):
-            if not focal_issuperset(f1, f2):
+            if not f1.issuperset(f2):
                 raise ValueError(
-                    f"focal elements not nested: {format_focal(f1)} vs {format_focal(f2)}"
+                    f"focal elements not nested: {f1} vs {f2}"
                     "; diagonal and antidiagonal pairings need nested focal elements,"
                     " the product strategy does not"
                 )
@@ -404,7 +393,7 @@ class SlicedAssignment:
     @property
     def is_normal(self) -> bool:
         """No slice rests on the empty set, as for to_mass().is_normal."""
-        return not any(focal_is_empty(s.focal) for s in self.slices)
+        return not any(s.focal.is_empty for s in self.slices)
 
     def reversed_levels(self) -> "SlicedAssignment":
         """Same slices stacked in the opposite order."""

@@ -15,17 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from . import exactlp
 from .intervals import ONE, ZERO, IntervalUnion, as_fraction
-from .mass import (
-    Focal,
-    MassAssignment,
-    SlicedAssignment,
-    focal_intersection,
-    focal_intersects,
-    focal_issuperset,
-    focal_key,
-    focal_union,
-    format_focal,
-)
+from .mass import Focal, MassAssignment, SlicedAssignment, as_focal
 
 
 class InvalidRestrictionError(ValueError):
@@ -47,14 +37,12 @@ def apply_type1(
 ) -> MassAssignment:
     """Move mass x from donor to one of its subsets."""
     x = as_fraction(x)
+    donor, receiver = as_focal(donor), as_focal(receiver)
     held = m.mass_of(donor)
     _require(x > 0, "moved mass must be positive")
-    _require(held > 0, f"donor {format_focal(donor)} holds no mass")
-    _require(x <= held, f"donor {format_focal(donor)} holds only {held}")
-    _require(
-        focal_issuperset(donor, receiver),
-        f"{format_focal(donor)} does not contain {format_focal(receiver)}",
-    )
+    _require(held > 0, f"donor {donor} holds no mass")
+    _require(x <= held, f"donor {donor} holds only {held}")
+    _require(donor.issuperset(receiver), f"{donor} does not contain {receiver}")
     _require(donor != receiver, "donor and receiver must differ")
     entries = [(f, mass) for f, mass in m.entries if f != donor]
     if held != x:
@@ -67,17 +55,18 @@ def apply_type2(m: MassAssignment, k: Focal, n: Focal, x) -> MassAssignment:
     """Move mass x from each of two incomparable focal elements onto
     their union and their intersection (which may be empty)."""
     x = as_fraction(x)
+    k, n = as_focal(k), as_focal(n)
     _require(x > 0, "moved mass must be positive")
     _require(k != n, "the two donors must differ")
     held_k, held_n = m.mass_of(k), m.mass_of(n)
-    _require(held_k >= x, f"donor {format_focal(k)} holds only {held_k}")
-    _require(held_n >= x, f"donor {format_focal(n)} holds only {held_n}")
+    _require(held_k >= x, f"donor {k} holds only {held_k}")
+    _require(held_n >= x, f"donor {n} holds only {held_n}")
     _require(
-        not focal_issuperset(k, n) and not focal_issuperset(n, k),
+        not k.issuperset(n) and not n.issuperset(k),
         "donors must be incomparable (use a type-1 move for nested ones)",
     )
-    union = focal_union(k, n)
-    inter = focal_intersection(k, n)
+    union = k.union(n)
+    inter = k.intersection(n)
     entries = [(f, mass) for f, mass in m.entries if f not in (k, n)]
     if held_k != x:
         entries.append((k, held_k - x))
@@ -113,7 +102,7 @@ def linear_combination(
     focals = set(f for f, _ in target.entries)
     for m in basis:
         focals.update(f for f, _ in m.entries)
-    focals = sorted(focals, key=focal_key)
+    focals = sorted(focals, key=lambda f: f.sort_key())
     rows = [[m.mass_of(f) for m in basis] for f in focals]
     rhs = [target.mass_of(f) for f in focals]
     rows.append([ONE] * len(basis))
@@ -132,7 +121,7 @@ def reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
         (i, j)
         for i, (fs, _) in enumerate(src.entries)
         for j, (fd, _) in enumerate(dst.entries)
-        if focal_issuperset(fs, fd)
+        if fs.issuperset(fd)
     ]
     flow = exactlp.min_cost_flow(
         [m for _, m in src.entries], [m for _, m in dst.entries], edges, [()] * len(edges)
@@ -185,7 +174,7 @@ def theorem1_check(matrix: CellMatrix) -> bool:
     flat = list(matrix.flat())
     for idx, (_, x) in enumerate(flat):
         for _, y in flat[idx + 1 :]:
-            if not (focal_issuperset(x, y) or focal_issuperset(y, x)):
+            if not (x.issuperset(y) or y.issuperset(x)):
                 return False
     return True
 
@@ -196,10 +185,6 @@ def theorem2_witness(matrix: CellMatrix) -> Optional[tuple]:
     flat = list(matrix.flat())
     for idx, (pos_x, x) in enumerate(flat):
         for pos_y, y in flat[idx + 1 :]:
-            if (
-                focal_intersects(x, y)
-                and not focal_issuperset(x, y)
-                and not focal_issuperset(y, x)
-            ):
+            if x.intersects(y) and not x.issuperset(y) and not y.issuperset(x):
                 return (pos_x, pos_y)
     return None

@@ -36,6 +36,7 @@ from .mass import (
     MassAssignment,
     NumericFuzzySet,
     PiecewiseShape,
+    as_focal,
 )
 from .unification import TruthAssignment, TruthLabel
 
@@ -74,10 +75,8 @@ def _number(value, path: str) -> Fraction:
 def _focal(value, path: str) -> Focal:
     if not isinstance(value, list):
         raise SpecError(path, "focal element must be a list")
-    if not value:
-        return IntervalUnion()
-    if all(isinstance(v, str) for v in value):
-        return frozenset(value)
+    if all(isinstance(v, str) for v in value):  # [] too: the empty set
+        return as_focal(frozenset(value))
     parts = []
     for i, pair in enumerate(value):
         here = f"{path}[{i}]"

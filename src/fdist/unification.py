@@ -13,7 +13,7 @@ from typing import Sequence
 
 from . import exactlp
 from .intervals import DEFAULT_TOLERANCE, ZERO, as_fraction, format_fraction
-from .mass import Focal, MassAssignment, focal_is_empty, focal_intersects, focal_issuperset
+from .mass import Focal, MassAssignment, as_focal
 
 
 class TruthLabel(Enum):
@@ -36,13 +36,14 @@ def truth_cell(a: Focal, g: Focal) -> TruthLabel:
     and trivially confirms an empty one (TRUE). Otherwise: containment
     of the evidence proves the claim, disjointness refutes it, partial
     overlap leaves both possibilities open (BOTH)."""
-    if focal_is_empty(g):
-        return TruthLabel.TRUE if focal_is_empty(a) else TruthLabel.UNKNOWN
-    if focal_is_empty(a):
+    a, g = as_focal(a), as_focal(g)
+    if g.is_empty:
+        return TruthLabel.TRUE if a.is_empty else TruthLabel.UNKNOWN
+    if a.is_empty:
         return TruthLabel.BOTH
-    if focal_issuperset(a, g):
+    if a.issuperset(g):
         return TruthLabel.TRUE
-    if not focal_intersects(a, g):
+    if not a.intersects(g):
         return TruthLabel.FALSE
     return TruthLabel.BOTH
 

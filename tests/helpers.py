@@ -10,7 +10,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from fdist.exactlp import feasible, maximize
-from fdist.intervals import EMPTY, ZERO, Interval, IntervalUnion, iu
+from fdist.intervals import EMPTY, MIXED_KINDS, ZERO, Interval, IntervalUnion, iu
 from fdist.mass import (
     DegenerateSupportError,
     Density,
@@ -20,7 +20,6 @@ from fdist.mass import (
     Slice,
     SlicedAssignment,
     Step,
-    focal_issuperset,
 )
 from fdist.unification import DEFAULT_ORDER, TruthAssignment, truth_cell
 
@@ -181,6 +180,82 @@ def perfbench_module(name: str) -> types.ModuleType:
     return module
 
 
+# The isinstance dispatch over label sets and interval unions that
+# fdist.mass replaced with LabelSet, which gives label sets the interval
+# union's methods. Label sets are combined by frozenset operators here, so
+# the LabelSet methods under test are never called.
+
+def oracle_focal_is_empty(f) -> bool:
+    if isinstance(f, IntervalUnion):
+        return f.is_empty
+    if isinstance(f, frozenset):
+        return len(f) == 0
+    raise TypeError(f"not a focal element: {type(f).__name__}")
+
+
+def oracle_focal_issuperset(a, g) -> bool:
+    if oracle_focal_is_empty(g):
+        return True
+    if oracle_focal_is_empty(a):
+        return False
+    if isinstance(a, IntervalUnion) and isinstance(g, IntervalUnion):
+        return a.issuperset(g)
+    if isinstance(a, frozenset) and isinstance(g, frozenset):
+        return a >= g
+    raise TypeError(MIXED_KINDS)
+
+
+def oracle_focal_intersects(a, g) -> bool:
+    if oracle_focal_is_empty(a) or oracle_focal_is_empty(g):
+        return False
+    if isinstance(a, IntervalUnion) and isinstance(g, IntervalUnion):
+        return a.intersects(g)
+    if isinstance(a, frozenset) and isinstance(g, frozenset):
+        return bool(a & g)
+    raise TypeError(MIXED_KINDS)
+
+
+def oracle_focal_union(a, b):
+    if oracle_focal_is_empty(a):
+        return b
+    if oracle_focal_is_empty(b):
+        return a
+    if isinstance(a, IntervalUnion) and isinstance(b, IntervalUnion):
+        return a.union(b)
+    if isinstance(a, frozenset) and isinstance(b, frozenset):
+        return a | b
+    raise TypeError(MIXED_KINDS)
+
+
+def oracle_focal_intersection(a, b):
+    if oracle_focal_is_empty(a) or oracle_focal_is_empty(b):
+        return EMPTY
+    if isinstance(a, IntervalUnion) and isinstance(b, IntervalUnion):
+        return a.intersection(b)
+    if isinstance(a, frozenset) and isinstance(b, frozenset):
+        inter = a & b
+        return inter if inter else EMPTY
+    raise TypeError(MIXED_KINDS)
+
+
+def oracle_focal_key(f) -> tuple:
+    """Deterministic ordering: numeric by position, labels lexicographic,
+    the empty set last."""
+    if oracle_focal_is_empty(f):
+        return (1,)
+    if isinstance(f, frozenset):
+        return (0, 0, tuple(sorted(f)))
+    return (0, 1, tuple((p.lo, p.hi) for p in f.parts))
+
+
+def oracle_format_focal(f) -> str:
+    if oracle_focal_is_empty(f):
+        return "[]"
+    if isinstance(f, frozenset):
+        return "{" + ",".join(sorted(f)) + "}"
+    return str(f)
+
+
 # The dense simplex formulation of both transportation problems, which
 # fdist replaced with one exact min-cost flow.
 
@@ -227,7 +302,7 @@ def oracle_reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
         (i, j)
         for i, (fs, _) in enumerate(src.entries)
         for j, (fd, _) in enumerate(dst.entries)
-        if focal_issuperset(fs, fd)
+        if oracle_focal_issuperset(fs, fd)
     ]
     rows, rhs = transportation(
         edges, [m for _, m in src.entries], [m for _, m in dst.entries]

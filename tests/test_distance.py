@@ -365,6 +365,13 @@ class TestDistanceApi:
         assert entries(result) == ((iu((0, 0)), F(1)),)
         assert result.fuzzy.steps == (Step(0, 0, F(1)),)
 
+    def test_label_focals_rejected(self):
+        labels = MassAssignment([(frozenset("ab"), H), (frozenset("a"), H)])
+        for x in (labels, SlicedAssignment.from_mass(labels)):
+            for strategy in Strategy:
+                with pytest.raises(TypeError, match="distance needs numeric focal elements"):
+                    distance(x, MASS_A2, strategy=strategy)
+
     def test_rejects_unknown_input_type(self):
         with pytest.raises(TypeError):
             distance([1, 2, 3], MASS_B2)

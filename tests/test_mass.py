@@ -4,17 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdist.intervals import EMPTY, Interval, iu
+from fdist.intervals import EMPTY, MIXED_KINDS, Interval, IntervalUnion, iu
 from fdist.mass import (
     DegenerateSupportError,
     DiscreteFuzzySet,
+    LabelSet,
     MassAssignment,
     NumericFuzzySet,
     PiecewiseShape,
+    Slice,
     SlicedAssignment,
     Step,
     ZeroAreaError,
     align_levels,
+    as_focal,
     centre_of_gravity,
     combine,
     fuzzy_from_mass,
@@ -25,9 +28,17 @@ from fdist.mass import (
 )
 from helpers import (
     frac,
+    interval_unions,
     nested_masses,
     numeric_masses,
     oracle_align_levels,
+    oracle_focal_intersection,
+    oracle_focal_intersects,
+    oracle_focal_is_empty,
+    oracle_focal_issuperset,
+    oracle_focal_key,
+    oracle_focal_union,
+    oracle_format_focal,
     oracle_fuzzy_from_mass,
     oracle_least_prejudiced,
     oracle_level_cut,
@@ -89,6 +100,63 @@ class TestMassAssignment:
         assert m == MassAssignment(
             [(iu((1, 9)), F(1, 4)), (iu((2, 8)), H), (iu((3, 7)), F(1, 4))]
         )
+
+
+LABELS = st.frozensets(st.sampled_from("abc"))
+FOCALS = st.one_of(
+    st.just(EMPTY),
+    LABELS,
+    LABELS.map(LabelSet),
+    interval_unions(max_parts=2, lo=-3, hi=3, den=2, allow_empty=True),
+)
+FOCAL_METHODS = {
+    "issuperset": oracle_focal_issuperset,
+    "issubset": lambda a, b: oracle_focal_issuperset(b, a),
+    "intersects": oracle_focal_intersects,
+    "union": oracle_focal_union,
+    "intersection": oracle_focal_intersection,
+}
+
+
+class TestFocalInterface:
+    @given(FOCALS, FOCALS)
+    @settings(max_examples=300, deadline=None)
+    def test_methods_match_dispatch_oracle(self, a, b):
+        fa, fb = as_focal(a), as_focal(b)
+        for name, oracle in FOCAL_METHODS.items():
+            try:
+                expected = oracle(a, b)
+            except TypeError:
+                with pytest.raises(TypeError, match=MIXED_KINDS):
+                    getattr(fa, name)(fb)
+                continue
+            got = getattr(fa, name)(fb)
+            if isinstance(expected, bool):
+                assert got is expected, name
+            else:  # the oracle may hand back a bare or empty frozenset
+                assert got == as_focal(expected), name
+                assert type(got) in (IntervalUnion, LabelSet), name
+
+    @given(FOCALS)
+    @settings(max_examples=100, deadline=None)
+    def test_key_text_and_equality_match_oracle(self, a):
+        f = as_focal(a)
+        assert f.sort_key() == oracle_focal_key(a)
+        assert str(f) == oracle_format_focal(a)
+        if oracle_focal_is_empty(a):
+            assert f is EMPTY
+        else:
+            assert f == a and hash(f) == hash(a)
+
+    def test_as_focal_converts_once(self):
+        m = MassAssignment([(fs("a", "b"), H), (fs("b"), H)])
+        assert all(type(f) is LabelSet for f in m.focals())
+        assert m.mass_of(fs("b")) == H
+        s = SlicedAssignment((Slice(0, H, fs("a")), Slice(H, 1, fs())))
+        assert type(s.slices[0].focal) is LabelSet and s.slices[1].focal is EMPTY
+        assert not s.is_normal
+        with pytest.raises(TypeError, match="not a focal element: set"):
+            as_focal({"a"})
 
 
 class TestMassFromDiscrete:

@@ -31,6 +31,7 @@ from helpers import (
     label_masses,
     nested_masses,
     numeric_masses,
+    oracle_focal_issuperset,
     oracle_reachable_type1,
     perfbench_module,
     random_triangle,
@@ -362,9 +363,7 @@ class TestReachability:
 
 
 def focal_contains(a, b):
-    from fdist.mass import focal_issuperset
-
-    return focal_issuperset(a, b)
+    return oracle_focal_issuperset(a, b)
 
 
 def _triangle(xs):
