@@ -128,7 +128,7 @@ def _normalised(x: DistanceInput, n_slices: Optional[int]) -> Normalised:
     """Slice a shape (n_slices, default DEFAULT_SLICES); pass mass and
     sliced assignments with numeric focal elements through unchanged."""
     if isinstance(x, PiecewiseShape):
-        return slice_shape(x, n_slices or DEFAULT_SLICES)
+        return slice_shape(x, DEFAULT_SLICES if n_slices is None else n_slices)
     if isinstance(x, MassAssignment):
         focals = x.focals()
     elif isinstance(x, SlicedAssignment):

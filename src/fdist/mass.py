@@ -12,8 +12,13 @@ Conventions that matter and are easy to get wrong:
 * Slicing a piecewise-linear shape into n level slices takes slice k's
   focal element as the closure of the strict cut {x : mu(x) > level_lo}
   at the slice's lower boundary. For the triangle (1,0),(3,1),(5,0) and
-  n = 2 this yields [1,5]:0.5 and [2,4]:0.5. Each cut is one pass over
-  the edges; align_levels pairs two stacks in one merge walk over levels.
+  n = 2 this yields [1,5]:0.5 and [2,4]:0.5. slice_shape reads each
+  edge once for all n levels, which then compare as integers;
+  align_levels pairs two stacks in one merge walk over levels.
+* Focal elements (in MassAssignment) and sweep endpoints sort as
+  integers: each endpoint times the least common denominator of the
+  endpoints being sorted. Scaling by a positive number keeps the order
+  that sort_key() defines, so the integers are only a faster way to it.
 * Membership reconstructed from masses is the sum over focal elements
   containing the point, with closed-set containment. At an endpoint
   shared by several focal elements the sums stack, so the step regions
@@ -28,6 +33,7 @@ Conventions that matter and are easy to get wrong:
   shared closed endpoint and single-point parts follow from this rule.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,6 +129,32 @@ def focal_issuperset(a: Focal, g: Focal) -> bool:
     return a.issuperset(g)
 
 
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    """The least d that makes every value times d an integer."""
+    return math.lcm(*{v.denominator for v in values})
+
+
+def _scaled(x: Fraction, d: int) -> int:
+    """x times d, for a d that x's denominator divides. Scaling by one
+    positive d keeps the order, and integers compare and hash without
+    Fraction arithmetic."""
+    return x.numerator * (d // x.denominator)
+
+
+def _integer_keys(focals: Sequence[Focal]) -> list:
+    """Each focal element's sort_key() with every endpoint scaled by one
+    common denominator, so the keys order as the sort_key()s do."""
+    d = _common_denominator(
+        e for f in focals if isinstance(f, IntervalUnion) for p in f.parts for e in (p.lo, p.hi)
+    )
+    return [
+        (0, 1, tuple((_scaled(p.lo, d), _scaled(p.hi, d)) for p in f.parts))
+        if isinstance(f, IntervalUnion) and f.parts
+        else f.sort_key()
+        for f in focals
+    ]
+
+
 # ---------------------------------------------------------------------------
 # core types
 
@@ -148,15 +180,15 @@ class MassAssignment:
                 raise ValueError(f"negative mass {mass} on {focal}")
             if mass == 0:
                 continue
-            merged[focal] = merged.get(focal, ZERO) + mass
+            before = merged.get(focal)
+            merged[focal] = mass if before is None else before + mass
         total = sum(merged.values(), ZERO)
         if abs(total - 1) > tolerance:
             raise ValueError(f"masses sum to {total}, expected 1")
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(sorted(merged.items(), key=lambda e: e[0].sort_key())),
-        )
+        items = list(merged.items())
+        keys = _integer_keys([f for f, _ in items])
+        order = sorted(range(len(items)), key=keys.__getitem__)
+        object.__setattr__(self, "entries", tuple(items[i] for i in order))
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "_by_focal", merged)
 
@@ -289,21 +321,6 @@ class PiecewiseShape:
     def height(self) -> Fraction:
         return max(m for _, m in self.vertices)
 
-    def level_cut(self, level: Rational) -> IntervalUnion:
-        """Closure of the strict cut {x : mu(x) > level}, in one pass over
-        the edges (a lone vertex is an edge to itself). A jump edge
-        (x1 == x2) yields its point by the crossing rule, as x2 - x1 is 0."""
-        level = as_fraction(level)
-        vs = self.vertices
-        pieces = []
-        for (x1, m1), (x2, m2) in zip(vs, vs[1:] or vs):
-            if m1 > level and m2 > level:
-                pieces.append(Interval(x1, x2))
-            elif m1 > level or m2 > level:
-                xc = x1 + (level - m1) * (x2 - x1) / (m2 - m1)
-                pieces.append(Interval(x1, xc) if m1 > level else Interval(xc, x2))
-        return IntervalUnion(tuple(pieces))
-
     def __eq__(self, other):
         return isinstance(other, PiecewiseShape) and self.vertices == other.vertices
 
@@ -412,17 +429,50 @@ class SlicedAssignment:
 
 def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
     """Cut a shape into n equal-height slices of height(shape)/n, the
-    focal element of slice k being the closure of the strict cut at the
-    slice's lower level. A peak below 1 appends an empty-set slice."""
+    focal element of slice k being the closure of the strict cut
+    {x : mu(x) > k*h/n} at the slice's lower level. A peak below 1
+    appends an empty-set slice.
+
+    Each edge is read once (a lone vertex is an edge to itself). A vertex
+    of membership m lies above level k*h/n exactly when k < ceil(m*n/h),
+    so levels compare as integers. An edge of slope s = (x2-x1)/(m2-m1)
+    crosses level k*h/n at a + k*b, a = x1 - m1*s and b = s*h/n, kept as
+    (c + k*dc)/q over one denominator q; a jump edge (x1 == x2) crosses
+    at its point, as its s is 0. Edges meeting at a vertex above the
+    level join into one part as they are walked, and the union merges
+    any other parts that touch."""
     if n < 1:
         raise ValueError("need at least one slice")
     h = shape.height
     if h == 0:
         return SlicedAssignment((Slice(ZERO, ONE, EMPTY),))
     step = h / n
-    slices = [
-        Slice(step * k, step * (k + 1), shape.level_cut(step * k)) for k in range(n)
-    ]
+    vs = [(x, m, math.ceil(m * n / h)) for x, m in shape.vertices]
+    edges = []
+    for (x1, m1, t1), (x2, m2, t2) in zip(vs, vs[1:] or vs):
+        c = dc = q = None
+        if t1 != t2:
+            s = (x2 - x1) / (m2 - m1)
+            a, b = x1 - m1 * s, step * s
+            q = _common_denominator((a, b))
+            c, dc = _scaled(a, q), _scaled(b, q)
+        edges.append((x1, x2, t1, t2, c, dc, q))
+    levels = [step * k for k in range(n + 1)]
+    slices = []
+    for k in range(n):
+        parts, lo = [], None
+        for x1, x2, t1, t2, c, dc, q in edges:
+            if k < t1:
+                if lo is None:
+                    lo = x1
+                if k >= t2:
+                    parts.append(Interval(lo, Fraction(c + k * dc, q)))
+                    lo = None
+            elif k < t2:
+                lo = Fraction(c + k * dc, q)
+        if lo is not None:
+            parts.append(Interval(lo, x2))
+        slices.append(Slice(levels[k], levels[k + 1], IntervalUnion(tuple(parts))))
     if h < 1:
         slices.append(Slice(h, ONE, EMPTY))
     return SlicedAssignment(tuple(slices))
@@ -541,22 +591,28 @@ def _sweep(weighted: list, points: bool) -> list:
     total weight over (IntervalUnion, weight) pairs, from one pass over
     the sorted part endpoints (see the module docstring). With points
     False only the open gaps between endpoints are valued."""
+    d = _common_denominator(e for f, _ in weighted for p in f.parts for e in (p.lo, p.hi))
+    at: dict = {}  # the endpoints, keyed and sorted by their integer scaling
     starts: dict = {}
     ends: dict = {}
     for f, w in weighted:
         for p in f.parts:
-            starts[p.lo] = starts.get(p.lo, ZERO) + w
-            ends[p.hi] = ends.get(p.hi, ZERO) + w
-    cs = sorted(starts.keys() | ends.keys())
+            lo, hi = _scaled(p.lo, d), _scaled(p.hi, d)
+            at[lo], at[hi] = p.lo, p.hi
+            starts[lo] = starts[lo] + w if lo in starts else w
+            ends[hi] = ends[hi] + w if hi in ends else w
+    cs = sorted(at)
     atoms = []
     total = ZERO
     for c, after in zip(cs, cs[1:] + [None]):
-        total += starts.get(c, ZERO)
+        if c in starts:
+            total += starts[c]
         if points:
-            atoms.append((c, c, total, False, False))
-        total -= ends.get(c, ZERO)
+            atoms.append((at[c], at[c], total, False, False))
+        if c in ends:
+            total -= ends[c]
         if after is not None:
-            atoms.append((c, after, total, True, True))
+            atoms.append((at[c], at[after], total, True, True))
     runs = []  # consecutive atoms of one nonzero value join; zero breaks a run
     last = ZERO
     for lo, hi, value, lo_open, hi_open in atoms:

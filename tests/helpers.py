@@ -26,8 +26,16 @@ from fdist.unification import DEFAULT_ORDER, TruthAssignment, truth_cell
 F = Fraction
 
 
+# Pairwise coprime denominators: fractions over them share no factor, so
+# the common denominator of a set of them grows with every one added.
+COPRIME_DENS = (7, 11, 13, 17, 19, 23)
+
+
 def frac(lo=-10, hi=10, den=4):
-    """Fractions k/den within [lo, hi]."""
+    """Fractions k/den within [lo, hi]; a tuple den draws one of its
+    denominators for each fraction."""
+    if isinstance(den, tuple):
+        return st.sampled_from(den).flatmap(lambda d: frac(lo, hi, d))
     return st.integers(lo * den, hi * den).map(lambda k: F(k, den))
 
 
@@ -45,10 +53,10 @@ def interval_unions(draw, max_parts=3, lo=-10, hi=10, den=4, allow_empty=False):
 
 
 @st.composite
-def numeric_masses(draw, max_focals=4, allow_empty=True, lo=-8, hi=8):
+def numeric_masses(draw, max_focals=4, allow_empty=True, lo=-8, hi=8, den=4):
     k = draw(st.integers(1, max_focals))
     focals = [
-        draw(interval_unions(max_parts=2, lo=lo, hi=hi, allow_empty=allow_empty))
+        draw(interval_unions(max_parts=2, lo=lo, hi=hi, den=den, allow_empty=allow_empty))
         for _ in range(k)
     ]
     weights = [draw(st.integers(1, 8)) for _ in range(k)]
@@ -100,6 +108,20 @@ def piecewise_shapes(draw, max_vertices=6):
     xs = sorted(draw(st.lists(frac(-2, 2, 2), min_size=n, max_size=n)))
     ms = draw(st.lists(frac(0, 1, 4), min_size=n, max_size=n))
     return PiecewiseShape(zip(xs, ms))
+
+
+@st.composite
+def coprime_shapes(draw, max_vertices=6):
+    """Shapes whose coordinates have pairwise coprime denominators, so
+    crossings and slice levels carry large common denominators. An x may
+    repeat the one before it (a jump), a shape may be one lone vertex,
+    and the peak is often below 1."""
+    n = draw(st.integers(1, max_vertices))
+    xs = [draw(frac(-3, 3, COPRIME_DENS))]
+    for _ in range(n - 1):
+        xs.append(xs[-1] if draw(st.booleans()) else draw(frac(-3, 3, COPRIME_DENS)))
+    ms = draw(st.lists(frac(0, 1, COPRIME_DENS) | st.just(F(1)), min_size=n, max_size=n))
+    return PiecewiseShape(zip(sorted(xs), ms))
 
 
 def random_triangle(rng: random.Random, left=0, right=40, isosceles=True):

@@ -333,6 +333,12 @@ class TestDistanceApi:
         )
         assert result.mass == assign_product(MASS_A2, MASS_B2).mass
 
+    @pytest.mark.parametrize("n_slices", [0, -1])
+    def test_slice_counts_below_one_rejected(self, n_slices):
+        # 0 is a count like any other, not a request for the default
+        with pytest.raises(ValueError, match="need at least one slice"):
+            distance(TRIANGLE_A, TRIANGLE_B, n_slices=n_slices)
+
     def test_default_strategy_normal_inputs_is_diagonal(self):
         result = distance(MASS_A2, MASS_B2)
         assert entries(result) == ((iu((1, 9)), H), (iu((3, 7)), H))

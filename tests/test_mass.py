@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from fdist.mass import (
     SlicedAssignment,
     Step,
     ZeroAreaError,
+    _integer_keys,
     align_levels,
     as_focal,
     centre_of_gravity,
@@ -27,8 +29,11 @@ from fdist.mass import (
     slice_shape,
 )
 from helpers import (
+    COPRIME_DENS,
+    coprime_shapes,
     frac,
     interval_unions,
+    label_masses,
     nested_masses,
     numeric_masses,
     oracle_align_levels,
@@ -62,6 +67,16 @@ def fs(*labels):
     return frozenset(labels)
 
 
+LABELS = st.frozensets(st.sampled_from("abc"))
+FOCALS = st.one_of(
+    st.just(EMPTY),
+    LABELS,
+    LABELS.map(LabelSet),
+    interval_unions(max_parts=2, lo=-3, hi=3, den=2, allow_empty=True),
+)
+COPRIME_MASSES = numeric_masses(den=COPRIME_DENS)
+
+
 class TestMassAssignment:
     def test_merges_duplicates_and_sorts(self):
         m = MassAssignment([(iu((2, 4)), F(1, 4)), (iu((1, 5)), H), (iu((2, 4)), F(1, 4))])
@@ -90,6 +105,19 @@ class TestMassAssignment:
         assert not m.is_normal
         assert m.entries[-1][0] == EMPTY
 
+    @given(COPRIME_MASSES | label_masses())
+    @settings(max_examples=300)
+    def test_entries_in_focal_key_order(self, m):
+        assert m.focals() == tuple(sorted(m.focals(), key=oracle_focal_key))
+
+    @given(st.lists(FOCALS | interval_unions(max_parts=2, lo=-3, hi=3, den=COPRIME_DENS)))
+    @settings(max_examples=300)
+    def test_integer_keys_order_as_sort_keys(self, focals):
+        focals = [as_focal(f) for f in focals]
+        keyed = list(zip(_integer_keys(focals), (f.sort_key() for f in focals)))
+        for (k, key), (l, other) in itertools.product(keyed, repeat=2):
+            assert (k < l, k == l) == (key < other, key == other)
+
     def test_negated(self):
         m = MassAssignment([(iu((2, 8)), H), (iu((4, 6)), H)])
         assert m.negated() == MassAssignment([(iu((-8, -2)), H), (iu((-6, -4)), H)])
@@ -102,13 +130,6 @@ class TestMassAssignment:
         )
 
 
-LABELS = st.frozensets(st.sampled_from("abc"))
-FOCALS = st.one_of(
-    st.just(EMPTY),
-    LABELS,
-    LABELS.map(LabelSet),
-    interval_unions(max_parts=2, lo=-3, hi=3, den=2, allow_empty=True),
-)
 FOCAL_METHODS = {
     "issuperset": oracle_focal_issuperset,
     "issubset": lambda a, b: oracle_focal_issuperset(b, a),
@@ -362,15 +383,37 @@ class TestAlignLevels:
         assert align_levels(sa, sb) == oracle_align_levels(sa, sb)
 
 
-class TestLevelCutMatchesOracle:
-    """The one-pass edge cut equals the vertex-then-edge cut it replaced."""
+def assert_slices_equal_cuts(shape, n):
+    """Slice k holds over (k*h/n, (k+1)*h/n] and its focal element is the
+    two-pass cut at k*h/n; a peak below 1 adds one empty slice on top."""
+    h = shape.height
+    s = slice_shape(shape, n)
+    if h == 0:
+        assert s.slices == (Slice(0, 1, EMPTY),)
+        return
+    step = h / n
+    expected = [
+        Slice(step * k, step * (k + 1), oracle_level_cut(shape, step * k))
+        for k in range(n)
+    ]
+    if h < 1:
+        expected.append(Slice(h, 1, EMPTY))
+    assert s.slices == tuple(expected)
 
-    @given(st.data(), piecewise_shapes())
-    @settings(max_examples=500)
-    def test_cut_equals_two_pass_cut(self, data, shape):
-        memberships = sorted({m for _, m in shape.vertices})
-        level = data.draw(st.sampled_from(memberships) | frac(0, 1, 8))
-        assert shape.level_cut(level) == oracle_level_cut(shape, level)
+
+class TestLevelCutMatchesOracle:
+    """Each slice of the per-edge slicer equals the vertex-then-edge cut
+    at its lower level."""
+
+    @given(piecewise_shapes(), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_cut_equals_two_pass_cut(self, shape, n):
+        assert_slices_equal_cuts(shape, n)
+
+    @given(coprime_shapes(), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_coprime_cut_equals_two_pass_cut(self, shape, n):
+        assert_slices_equal_cuts(shape, n)
 
 
 class TestFuzzyFromMass:
@@ -522,12 +565,12 @@ class TestLeastPrejudiced:
 class TestSweepMatchesOracle:
     """The endpoint sweep against the quadratic reconstructions it replaced."""
 
-    @given(numeric_masses(allow_empty=True))
+    @given(numeric_masses(allow_empty=True) | COPRIME_MASSES)
     @settings(max_examples=300)
     def test_membership_equals_oracle(self, m):
         assert fuzzy_from_mass(m).steps == oracle_fuzzy_from_mass(m).steps
 
-    @given(numeric_masses(allow_empty=True))
+    @given(numeric_masses(allow_empty=True) | COPRIME_MASSES)
     @settings(max_examples=300)
     def test_density_equals_oracle(self, m):
         try:
