@@ -31,7 +31,6 @@ from fdist.mass import (
 from helpers import (
     COPRIME_DENS,
     coprime_shapes,
-    frac,
     interval_unions,
     label_masses,
     nested_masses,
