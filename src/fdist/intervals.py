@@ -5,11 +5,12 @@ Floats convert by their binary value (which is exact for the dyadic data
 these operations are normally fed), strings by decimal or `p/q` syntax.
 """
 
+import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, float, str, Fraction, Decimal]
 
@@ -21,6 +22,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 MIXED_KINDS = "cannot mix label-set and numeric focal elements"
+
+# Endpoint keys are integers only while the common denominator fits this
+# many bits. Past it the lcm grows with the count of distinct denominators,
+# not with any one of them, and such keys would cost more than the
+# Fractions they stand for.
+MAX_SCALE_BITS = 64
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -52,6 +59,24 @@ def as_fraction(value: Rational) -> Fraction:
         except (OverflowError, ValueError):
             raise ValueError(f"not a finite number: {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a number")
+
+
+def common_scale(values: Iterable[Fraction]) -> Optional[int]:
+    """The least d that makes every value times d an integer, or None when
+    d needs more than MAX_SCALE_BITS bits."""
+    d = 1
+    for q in {v.denominator for v in values}:
+        d = math.lcm(d, q)
+        if d.bit_length() > MAX_SCALE_BITS:
+            return None
+    return d
+
+
+def scaled(x: Fraction, d: Optional[int]):
+    """Sort key for x under a common_scale d: the integer x*d, which orders
+    and hashes like x without Fraction arithmetic, or x itself when d is
+    None."""
+    return x if d is None else x.numerator * (d // x.denominator)
 
 
 def format_fraction(q: Fraction) -> str:
@@ -184,12 +209,14 @@ class IntervalUnion:
         """Pointwise negation {-x : x in self}."""
         return IntervalUnion(tuple(Interval(-p.hi, -p.lo) for p in self.parts))
 
-    def sort_key(self) -> tuple:
+    def sort_key(self, scale: Optional[int] = None) -> tuple:
         """Ordering key among focal elements: label sets (0, 0, ...) first,
-        then unions by position (0, 1, ...), the empty set (1,) last."""
+        then unions by position (0, 1, ...), the empty set (1,) last. A
+        common_scale of the endpoints being sorted turns the positions into
+        integers (see scaled) that order alike."""
         if self.is_empty:
             return (1,)
-        return (0, 1, tuple((p.lo, p.hi) for p in self.parts))
+        return (0, 1, tuple((scaled(p.lo, scale), scaled(p.hi, scale)) for p in self.parts))
 
     def __str__(self) -> str:
         if self.is_empty:

@@ -17,8 +17,11 @@ Conventions that matter and are easy to get wrong:
   align_levels pairs two stacks in one merge walk over levels.
 * Focal elements (in MassAssignment) and sweep endpoints sort as
   integers: each endpoint times the least common denominator of the
-  endpoints being sorted. Scaling by a positive number keeps the order
-  that sort_key() defines, so the integers are only a faster way to it.
+  endpoints being sorted (intervals.common_scale). Scaling by a positive
+  number keeps the order that sort_key() defines, so the integers are
+  only a faster way to it. When that denominator passes MAX_SCALE_BITS
+  bits, as many distinct prime denominators make it, the keys stay
+  Fractions, so no key grows with the number of endpoints.
 * Membership reconstructed from masses is the sum over focal elements
   containing the point, with closed-set containment. At an endpoint
   shared by several focal elements the sums stack, so the step regions
@@ -37,7 +40,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .intervals import (
@@ -50,7 +53,9 @@ from .intervals import (
     IntervalUnion,
     Rational,
     as_fraction,
+    common_scale,
     format_fraction,
+    scaled,
 )
 
 
@@ -91,7 +96,7 @@ class LabelSet(frozenset):
     def intersection(self, other) -> "Focal":
         return as_focal(self & _labels(other))
 
-    def sort_key(self) -> tuple:
+    def sort_key(self, scale: Optional[int] = None) -> tuple:
         return (0, 0, tuple(sorted(self)))
 
     def __str__(self) -> str:
@@ -129,30 +134,9 @@ def focal_issuperset(a: Focal, g: Focal) -> bool:
     return a.issuperset(g)
 
 
-def _common_denominator(values: Iterable[Fraction]) -> int:
-    """The least d that makes every value times d an integer."""
-    return math.lcm(*{v.denominator for v in values})
-
-
-def _scaled(x: Fraction, d: int) -> int:
-    """x times d, for a d that x's denominator divides. Scaling by one
-    positive d keeps the order, and integers compare and hash without
-    Fraction arithmetic."""
-    return x.numerator * (d // x.denominator)
-
-
-def _integer_keys(focals: Sequence[Focal]) -> list:
-    """Each focal element's sort_key() with every endpoint scaled by one
-    common denominator, so the keys order as the sort_key()s do."""
-    d = _common_denominator(
-        e for f in focals if isinstance(f, IntervalUnion) for p in f.parts for e in (p.lo, p.hi)
-    )
-    return [
-        (0, 1, tuple((_scaled(p.lo, d), _scaled(p.hi, d)) for p in f.parts))
-        if isinstance(f, IntervalUnion) and f.parts
-        else f.sort_key()
-        for f in focals
-    ]
+def _endpoints(focals: Iterable[Focal]):
+    """Every part endpoint of the numeric focal elements."""
+    return (e for f in focals if isinstance(f, IntervalUnion) for p in f.parts for e in (p.lo, p.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +164,15 @@ class MassAssignment:
                 raise ValueError(f"negative mass {mass} on {focal}")
             if mass == 0:
                 continue
+            # a first mass is stored, not added to ZERO (a Fraction sum)
             before = merged.get(focal)
             merged[focal] = mass if before is None else before + mass
         total = sum(merged.values(), ZERO)
         if abs(total - 1) > tolerance:
             raise ValueError(f"masses sum to {total}, expected 1")
-        items = list(merged.items())
-        keys = _integer_keys([f for f, _ in items])
-        order = sorted(range(len(items)), key=keys.__getitem__)
-        object.__setattr__(self, "entries", tuple(items[i] for i in order))
+        d = common_scale(_endpoints(merged))
+        entries = sorted(merged.items(), key=lambda e: e[0].sort_key(d))
+        object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "_by_focal", merged)
 
@@ -447,6 +431,7 @@ def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
     if h == 0:
         return SlicedAssignment((Slice(ZERO, ONE, EMPTY),))
     step = h / n
+    x_end = shape.vertices[-1][0]
     vs = [(x, m, math.ceil(m * n / h)) for x, m in shape.vertices]
     edges = []
     for (x1, m1, t1), (x2, m2, t2) in zip(vs, vs[1:] or vs):
@@ -454,8 +439,8 @@ def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
         if t1 != t2:
             s = (x2 - x1) / (m2 - m1)
             a, b = x1 - m1 * s, step * s
-            q = _common_denominator((a, b))
-            c, dc = _scaled(a, q), _scaled(b, q)
+            q = math.lcm(a.denominator, b.denominator)
+            c, dc = scaled(a, q), scaled(b, q)
         edges.append((x1, x2, t1, t2, c, dc, q))
     levels = [step * k for k in range(n + 1)]
     slices = []
@@ -471,7 +456,7 @@ def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
             elif k < t2:
                 lo = Fraction(c + k * dc, q)
         if lo is not None:
-            parts.append(Interval(lo, x2))
+            parts.append(Interval(lo, x_end))
         slices.append(Slice(levels[k], levels[k + 1], IntervalUnion(tuple(parts))))
     if h < 1:
         slices.append(Slice(h, ONE, EMPTY))
@@ -591,28 +576,29 @@ def _sweep(weighted: list, points: bool) -> list:
     total weight over (IntervalUnion, weight) pairs, from one pass over
     the sorted part endpoints (see the module docstring). With points
     False only the open gaps between endpoints are valued."""
-    d = _common_denominator(e for f, _ in weighted for p in f.parts for e in (p.lo, p.hi))
-    at: dict = {}  # the endpoints, keyed and sorted by their integer scaling
-    starts: dict = {}
-    ends: dict = {}
+    d = common_scale(_endpoints(f for f, _ in weighted))
+    events: dict = {}  # sort key (see scaled) -> [endpoint, start weight, end weight]
     for f, w in weighted:
         for p in f.parts:
-            lo, hi = _scaled(p.lo, d), _scaled(p.hi, d)
-            at[lo], at[hi] = p.lo, p.hi
-            starts[lo] = starts[lo] + w if lo in starts else w
-            ends[hi] = ends[hi] + w if hi in ends else w
-    cs = sorted(at)
+            for x, side in ((p.lo, 1), (p.hi, 2)):
+                k = scaled(x, d)
+                e = events.get(k)
+                if e is None:
+                    events[k] = e = [x, None, None]
+                # a first weight is stored, not summed with ZERO (a Fraction sum)
+                e[side] = w if e[side] is None else e[side] + w
+    cuts = [e for _, e in sorted(events.items(), key=itemgetter(0))]
     atoms = []
     total = ZERO
-    for c, after in zip(cs, cs[1:] + [None]):
-        if c in starts:
-            total += starts[c]
+    for (x, start, end), after in zip(cuts, cuts[1:] + [None]):
+        if start is not None:
+            total += start
         if points:
-            atoms.append((at[c], at[c], total, False, False))
-        if c in ends:
-            total -= ends[c]
+            atoms.append((x, x, total, False, False))
+        if end is not None:
+            total -= end
         if after is not None:
-            atoms.append((at[c], at[after], total, True, True))
+            atoms.append((x, after[0], total, True, True))
     runs = []  # consecutive atoms of one nonzero value join; zero breaks a run
     last = ZERO
     for lo, hi, value, lo_open, hi_open in atoms:

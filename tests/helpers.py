@@ -29,6 +29,9 @@ F = Fraction
 # Pairwise coprime denominators: fractions over them share no factor, so
 # the common denominator of a set of them grows with every one added.
 COPRIME_DENS = (7, 11, 13, 17, 19, 23)
+# Primes just past 2**20: any four of them have a common denominator of
+# over 80 bits, past intervals.MAX_SCALE_BITS, so sort keys stay Fractions.
+WIDE_PRIME_DENS = (1048583, 1048589, 1048601, 1048609, 1048613, 1048627)
 
 
 def frac(lo=-10, hi=10, den=4):

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from fdist.intervals import (
     EMPTY,
+    MAX_SCALE_BITS,
     Interval,
     IntervalUnion,
     as_fraction,
+    common_scale,
     format_fraction,
     iu,
+    scaled,
 )
 from helpers import frac, interval_unions
 
@@ -127,6 +130,31 @@ def test_as_fraction_bounds_decimal_exponents(value):
 def test_as_fraction_accepts_exponents_at_the_limit():
     assert as_fraction(f"1e{LIMIT}") == 10**LIMIT
     assert as_fraction(Decimal(f"1e-{LIMIT}")) == Fraction(1, 10**LIMIT)
+
+
+def test_common_scale_is_the_lcm_of_the_denominators():
+    assert common_scale([F(1, 6), F(3, 4), F(5), F(-2, 9)]) == 36
+    assert common_scale([]) == 1
+
+
+def test_common_scale_gives_up_past_the_bit_limit():
+    # 3 * 2**62 has MAX_SCALE_BITS bits; 3 * 2**63 has one more
+    top = 2 ** (MAX_SCALE_BITS - 2)
+    assert common_scale([F(1, top), F(1, 3)]) == 3 * top
+    assert common_scale([F(1, 2 * top), F(1, 3)]) is None
+
+
+@given(st.lists(frac(-5, 5, (2, 3, 7, 2**40, 3**30)), min_size=1))
+def test_scaled_keys_order_and_equal_as_the_values(xs):
+    d = common_scale(xs)
+    keys = [scaled(x, d) for x in xs]
+    for x, k in zip(xs, keys):
+        if d is None:
+            assert k is x
+        else:
+            assert k == x * d and isinstance(k, int)
+        for y, l in zip(xs, keys):
+            assert (k < l, k == l) == (x < y, x == y)
 
 
 def test_format_fraction():

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdist.intervals import EMPTY, MIXED_KINDS, Interval, IntervalUnion, iu
+from fdist.intervals import (
+    EMPTY,
+    MIXED_KINDS,
+    Interval,
+    IntervalUnion,
+    common_scale,
+    iu,
+)
 from fdist.mass import (
     DegenerateSupportError,
     DiscreteFuzzySet,
@@ -17,7 +24,6 @@ from fdist.mass import (
     SlicedAssignment,
     Step,
     ZeroAreaError,
-    _integer_keys,
     align_levels,
     as_focal,
     centre_of_gravity,
@@ -30,6 +36,7 @@ from fdist.mass import (
 )
 from helpers import (
     COPRIME_DENS,
+    WIDE_PRIME_DENS,
     coprime_shapes,
     interval_unions,
     label_masses,
@@ -73,7 +80,21 @@ FOCALS = st.one_of(
     LABELS.map(LabelSet),
     interval_unions(max_parts=2, lo=-3, hi=3, den=2, allow_empty=True),
 )
-COPRIME_MASSES = numeric_masses(den=COPRIME_DENS)
+COPRIME_MASSES = numeric_masses(den=COPRIME_DENS) | numeric_masses(den=WIDE_PRIME_DENS)
+
+
+def endpoints(focals) -> list:
+    return [e for f in focals if isinstance(f, IntervalUnion) for p in f.parts for e in (p.lo, p.hi)]
+
+
+def primes_from(start: int, count: int) -> list:
+    found = []
+    k = start
+    while len(found) < count:
+        if all(k % p for p in range(2, int(k**0.5) + 1)):
+            found.append(k)
+        k += 1
+    return found
 
 
 class TestMassAssignment:
@@ -109,13 +130,25 @@ class TestMassAssignment:
     def test_entries_in_focal_key_order(self, m):
         assert m.focals() == tuple(sorted(m.focals(), key=oracle_focal_key))
 
-    @given(st.lists(FOCALS | interval_unions(max_parts=2, lo=-3, hi=3, den=COPRIME_DENS)))
+    @given(st.lists(
+        FOCALS | interval_unions(max_parts=2, lo=-3, hi=3, den=COPRIME_DENS + WIDE_PRIME_DENS)
+    ))
     @settings(max_examples=300)
     def test_integer_keys_order_as_sort_keys(self, focals):
         focals = [as_focal(f) for f in focals]
-        keyed = list(zip(_integer_keys(focals), (f.sort_key() for f in focals)))
+        d = common_scale(endpoints(focals))
+        keyed = list(zip((f.sort_key(d) for f in focals), (f.sort_key() for f in focals)))
         for (k, key), (l, other) in itertools.product(keyed, repeat=2):
             assert (k < l, k == l) == (key < other, key == other)
+
+    def test_many_prime_denominators_keep_fraction_keys(self):
+        # their lcm would have about 3000 bits, and so would every key
+        ps = primes_from(1000, 300)
+        m = MassAssignment((iu((F(i, p), F(i + 40, p))), F(1, len(ps))) for i, p in enumerate(ps))
+        assert common_scale(endpoints(m.focals())) is None
+        assert m.focals() == tuple(sorted(m.focals(), key=oracle_focal_key))
+        assert fuzzy_from_mass(m).steps == oracle_fuzzy_from_mass(m).steps
+        assert least_prejudiced(m) == oracle_least_prejudiced(m)
 
     def test_negated(self):
         m = MassAssignment([(iu((2, 8)), H), (iu((4, 6)), H)])
