@@ -12,10 +12,13 @@ Set ``FDIST_TOLERANCE`` to override the mass-sum validation tolerance
 
 Exit status: 0 on success, 2 on any input or computation error
 (message on stderr).
+
+The argument parser is built once, when this module is imported
+(``PARSER``); parsing leaves it unchanged, so ``main()`` is safe to call
+repeatedly in one process.
 """
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -81,10 +84,6 @@ def _numeric(
     return s.value
 
 
-def _render(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _plot(fuzzy: NumericFuzzySet, step: Fraction) -> str:
     lines = ["x,mu"]
     if not fuzzy.is_empty:
@@ -113,7 +112,7 @@ def cmd_mass(args, sets: dict) -> str:
     }
     if not any(isinstance(f, frozenset) for f, _ in m.entries):
         doc["fuzzy"] = specfile.fuzzy_to_doc(fuzzy_from_mass(m))
-    return _render(doc)
+    return specfile.render(doc)
 
 
 def cmd_distance(args, sets: dict) -> str:
@@ -136,7 +135,7 @@ def cmd_distance(args, sets: dict) -> str:
         "mass": specfile.mass_to_doc(result.mass, name=f"D({sa.name},{sb.name})"),
         "fuzzy": specfile.fuzzy_to_doc(result.fuzzy),
     }
-    return _render(doc)
+    return specfile.render(doc)
 
 
 def cmd_unify(args, sets: dict) -> str:
@@ -152,7 +151,7 @@ def cmd_unify(args, sets: dict) -> str:
         doc["product"] = specfile.truth_to_doc(unify_product(m_a, m_g))
     if args.routing in ("maximal", "both"):
         doc["maximal"] = specfile.truth_to_doc(unify_maximal(m_a, m_g))
-    return _render(doc)
+    return specfile.render(doc)
 
 
 def cmd_defuzz(args, sets: dict) -> str:
@@ -167,7 +166,7 @@ def cmd_defuzz(args, sets: dict) -> str:
         "centre_of_gravity": format_fraction(centre_of_gravity(fuzzy_from_mass(m))),
         "unassigned": format_fraction(m.empty_mass),
     }
-    return _render(doc)
+    return specfile.render(doc)
 
 
 def cmd_restrict_check(args, sets: dict) -> str:
@@ -202,7 +201,7 @@ def cmd_restrict_check(args, sets: dict) -> str:
             for name, m in zip(names, basis)
         },
     }
-    return _render(doc)
+    return specfile.render(doc)
 
 
 def _positive_int(raw: str) -> int:
@@ -283,8 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         tolerance = _env_tolerance()
         sets = specfile.load(args.spec, tolerance=tolerance)

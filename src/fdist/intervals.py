@@ -80,24 +80,37 @@ def scaled(x: Fraction, d: Optional[int]):
 
 
 def format_fraction(q: Fraction) -> str:
-    """Canonical text form: exact decimal when it terminates, else p/q."""
-    den = q.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
+    """Canonical text form: exact decimal when it terminates, else p/q.
+
+    A terminating decimal is written as p/q instead when it would need
+    more digits, or more places after the point, than the interpreter's
+    integer digit limit (sys.get_int_max_str_digits()), which str() and
+    as_fraction enforce. When p/q does not fit either, ValueError names
+    the limit."""
+    num, den = q.numerator, q.denominator
     if den != 1:
-        return f"{q.numerator}/{q.denominator}"
-    digits = max(twos, fives)
-    if digits == 0:
-        return str(q.numerator)
-    scaled = abs(q.numerator) * 10**digits // q.denominator
-    text = str(scaled).rjust(digits + 1, "0")
-    sign = "-" if q < 0 else ""
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+        twos = (den & -den).bit_length() - 1
+        odd, fives = den >> twos, 0
+        while odd % 5 == 0:
+            odd //= 5
+            fives += 1
+        places = max(twos, fives)
+        limit = sys.get_int_max_str_digits()
+        if odd == 1 and (places <= limit or not limit):
+            try:
+                text = str(abs(num) * 10**places // den).rjust(places + 1, "0")
+            except ValueError:  # more digits than str() converts: p/q below
+                pass
+            else:
+                sign = "-" if num < 0 else ""
+                return f"{sign}{text[:-places]}.{text[-places:]}"
+    try:
+        return f"{num}/{den}" if den != 1 else str(num)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"exact number too long to print: over the integer digit limit of {limit} digits"
+        ) from None
 
 
 @dataclass(frozen=True, order=True)

@@ -20,11 +20,13 @@ labels, or [] for the empty set. The optional "slices" field on a
 points set names its preferred slicing resolution.
 
 Serialization uses canonical exact number strings, so emitted mass
-documents re-parse to equal values (round-trip fidelity).
+documents re-parse to equal values (round-trip fidelity), and ``render``
+writes a result document as ``json.dumps(doc, indent=2)`` would.
 """
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -241,3 +243,53 @@ def fuzzy_to_doc(f: NumericFuzzySet) -> list:
 
 def truth_to_doc(t: TruthAssignment) -> dict:
     return {label.value: format_fraction(t[label]) for label in TruthLabel}
+
+
+def render(doc) -> str:
+    """The text of ``json.dumps(doc, indent=2)`` plus a newline, for the
+    types result documents hold: str, bool, None, and lists and dicts with
+    str keys. Any other type raises TypeError. The stdlib's C encoder
+    ignores ``indent``, so json.dumps would run its pure-Python one."""
+    out: list = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, emit) -> None:
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, list):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _write(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            emit(sep)
+            emit(encode_basestring_ascii(key))
+            emit(": ")
+            _write(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
