@@ -88,24 +88,26 @@ def format_fraction(q: Fraction) -> str:
     as_fraction enforce. When p/q does not fit either, ValueError names
     the limit."""
     num, den = q.numerator, q.denominator
-    if den != 1:
+    try:
+        if den == 1:
+            return str(num)
         twos = (den & -den).bit_length() - 1
         odd, fives = den >> twos, 0
         while odd % 5 == 0:
             odd //= 5
             fives += 1
-        places = max(twos, fives)
-        limit = sys.get_int_max_str_digits()
-        if odd == 1 and (places <= limit or not limit):
-            try:
-                text = str(abs(num) * 10**places // den).rjust(places + 1, "0")
-            except ValueError:  # more digits than str() converts: p/q below
-                pass
-            else:
-                sign = "-" if num < 0 else ""
-                return f"{sign}{text[:-places]}.{text[-places:]}"
-    try:
-        return f"{num}/{den}" if den != 1 else str(num)
+        if odd == 1:
+            places = max(twos, fives)
+            limit = sys.get_int_max_str_digits()
+            if places <= limit or not limit:
+                try:
+                    text = str(abs(num) * 10**places // den).rjust(places + 1, "0")
+                except ValueError:  # more digits than str() converts: p/q below
+                    pass
+                else:
+                    sign = "-" if num < 0 else ""
+                    return f"{sign}{text[:-places]}.{text[-places:]}"
+        return f"{num}/{den}"
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ValueError(
