@@ -1,5 +1,6 @@
 """Shared builders and brute-force oracles for the test suite."""
 
+import json
 import math
 import random
 import types
@@ -279,6 +280,34 @@ def oracle_format_focal(f) -> str:
     if isinstance(f, frozenset):
         return "{" + ",".join(sorted(f)) + "}"
     return str(f)
+
+
+# The result-document text and number form that fdist.cli and
+# fdist.intervals wrote before specfile.render and the bit-count
+# format_fraction replaced them.
+
+def oracle_render(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def oracle_format_fraction(q: Fraction) -> str:
+    den = q.denominator
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return f"{q.numerator}/{q.denominator}"
+    digits = max(twos, fives)
+    if digits == 0:
+        return str(q.numerator)
+    scaled = abs(q.numerator) * 10**digits // q.denominator
+    text = str(scaled).rjust(digits + 1, "0")
+    sign = "-" if q < 0 else ""
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
 # The dense simplex formulation of both transportation problems, which

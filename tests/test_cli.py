@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import fdist
 from fdist.cli import main
+from helpers import oracle_render
 
 DATA = str(Path(__file__).resolve().parent.parent / "data" / "worked_sets.json")
 
@@ -37,6 +38,13 @@ def write_doc(tmp_path, doc, name="sets.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+def module_env():
+    """The environment for running fdist from this source tree in a
+    child interpreter."""
+    src = str(Path(fdist.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def entries(mass_doc):
@@ -465,6 +473,82 @@ class TestErrorsAndEnvironment:
         fourth = run(capsys, "restrict-check", DATA, "prod4", "--basis", "diag4,anti4")
         assert third == fourth
 
+    def test_parser_state_does_not_leak_between_calls(self, capsys):
+        # main() reuses one parser; a flag, default or error of one call
+        # must not reach the next.
+        plain = ["distance", DATA, "A", "B"]
+        first = run(capsys, *plain)
+        assert first[0] == 0
+        assert run(capsys, "distance", DATA, "A", "B", "--directional",
+                   "--strategy", "product", "--slices", "4")[0] == 0
+        with pytest.raises(SystemExit) as info:
+            main(["distance", DATA, "A", "B", "--strategy", "zigzag"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *plain) == first
+        fresh = subprocess.run([sys.executable, "-m", "fdist.cli", *plain], capture_output=True,
+                               text=True, env=module_env())
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == first
+
+
+class TestDigitLimit:
+    """Exact numbers whose decimal form would pass the interpreter's
+    integer digit limit (sys.get_int_max_str_digits())."""
+
+    @staticmethod
+    def spec(tmp_path, entries):
+        return write_doc(tmp_path, {"sets": [{"name": "m", "kind": "mass", "entries": entries}]})
+
+    @staticmethod
+    def fraction_text(q):
+        return f"{q.numerator}/{q.denominator}"
+
+    def test_mass_within_the_limit_prints_and_reparses(self, capsys, tmp_path):
+        # 1/2**14000 has a 4215-digit denominator but a 9786-digit decimal.
+        q = Fraction(1, 2**14000)
+        spec = self.spec(tmp_path, [{"focal": [[0, 1]], "mass": self.fraction_text(q)},
+                                    {"focal": [[0, 2]], "mass": self.fraction_text(1 - q)}])
+        doc = run_json(capsys, "mass", spec, "m")
+        assert doc["mass"]["entries"][0]["mass"] == self.fraction_text(q)
+        again = fdist.parse_document({"sets": [doc["mass"]]})["m"].value
+        assert again == fdist.load(spec)["m"].value
+        for argv in (["defuzz", spec, "m"], ["distance", spec, "m", "m"]):
+            assert run(capsys, *argv)[0] == 0
+
+    def test_endpoint_with_too_many_places_reparses(self, capsys, tmp_path):
+        # 1/2**5000 as a decimal has 3495 digits but 5000 places, which
+        # as_fraction refuses to read back.
+        q = Fraction(1, 2**5000)
+        spec = self.spec(tmp_path, [{"focal": [[0, self.fraction_text(q)]], "mass": 1}])
+        doc = run_json(capsys, "mass", spec, "m")
+        assert doc["mass"]["entries"][0]["focal"] == [["0", self.fraction_text(q)]]
+        assert fdist.parse_document({"sets": [doc["mass"]]})["m"].value == fdist.load(spec)["m"].value
+
+    def test_product_past_the_limit_names_it(self, capsys, tmp_path):
+        q = Fraction(1, 2**14000)
+        spec = self.spec(tmp_path, [{"focal": [[0, 1]], "mass": self.fraction_text(q)},
+                                    {"focal": [[0, 2]], "mass": self.fraction_text(1 - q)}])
+        code, out, err = run(capsys, "distance", spec, "m", "m", "--strategy", "product")
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (2, "")
+        assert err == f"fdist: exact number too long to print: over the integer digit limit of {limit} digits\n"
+
+
+class TestRenderedOutput:
+    """Every command's output is the indented json.dumps text of its document."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mass", "A"],
+        ["distance", "A4", "B4", "--directional", "--strategy", "product"],
+        ["unify", "claim", "evidence"],
+        ["defuzz", "narrowA"],
+        ["restrict-check", "prod2", "--basis", "diag2,anti2"],
+    ], ids=lambda argv: argv[0])
+    def test_output_equals_oracle_render(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], DATA, *argv[1:])
+        assert code == 0, err
+        assert out == oracle_render(json.loads(out))
+
 
 @pytest.mark.skipif(shutil.which("fdist") is None, reason="console script not on PATH")
 def test_console_script_runs():
@@ -476,13 +560,11 @@ def test_console_script_runs():
 
 
 def test_module_entry_point_runs():
-    src = str(Path(fdist.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fdist.cli", "unify", DATA, "claim", "evidence"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=module_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["product"]["t"] == "0.67"

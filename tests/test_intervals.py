@@ -17,7 +17,7 @@ from fdist.intervals import (
     iu,
     scaled,
 )
-from helpers import frac, interval_unions
+from helpers import frac, interval_unions, oracle_format_fraction
 
 F = Fraction
 
@@ -169,6 +169,60 @@ def test_format_fraction():
 @given(st.fractions())
 def test_format_fraction_round_trips(q):
     assert as_fraction(format_fraction(q)) == q
+
+
+TERMINATING = st.builds(
+    lambda num, a, b: F(num, 2**a * 5**b),
+    st.integers(-(10**30), 10**30),
+    st.integers(0, 200),
+    st.integers(0, 200),
+)
+# Denominators with a factor other than 2 and 5, times some twos and fives.
+NON_TERMINATING = st.builds(
+    lambda num, odd, a, b: F(num, odd * 2**a * 5**b),
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**12).map(lambda k: 3 * k if k % 3 else 7 * k),
+    st.integers(0, 60),
+    st.integers(0, 60),
+)
+
+
+@given(st.integers(-(10**40), 10**40).map(F) | TERMINATING | NON_TERMINATING)
+def test_format_fraction_equals_division_loop(q):
+    assert format_fraction(q) == oracle_format_fraction(q)
+
+
+def test_format_fraction_falls_back_to_p_over_q_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    # 1/2**k needs k places and 5**k, about 0.7k digits, as a decimal.
+    for k in (limit + 1, 2 * limit, 3 * limit):
+        q = F(1, 2**k)
+        text = format_fraction(q)
+        assert text.startswith("1/") and "." not in text
+        assert as_fraction(text) == q
+    # Few enough places, but too many digits: 3**(3L/2) * 5**(L-1).
+    q = F(3 ** (3 * limit // 2), 2 ** (limit - 1))
+    assert format_fraction(q) == f"{q.numerator}/{q.denominator}"
+    # Within the limit the decimal stays.
+    assert format_fraction(F(1, 2**limit)).startswith("0.")
+
+
+def test_format_fraction_without_a_digit_limit_keeps_the_decimal():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        q = F(1, 2 ** (3 * limit))
+        assert format_fraction(q) == oracle_format_fraction(q)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_format_fraction_names_the_limit_when_p_over_q_is_too_long():
+    limit = sys.get_int_max_str_digits()
+    for q in (F(1, 2 ** (5 * limit)), F(3 ** (3 * limit)), F(3 ** (3 * limit), 7)):
+        with pytest.raises(ValueError, match=f"limit of {limit} digits") as info:
+            format_fraction(q)
+        assert "set_int_max_str_digits" not in str(info.value)
 
 
 @given(interval_unions(allow_empty=True))

@@ -22,11 +22,12 @@ from fdist.specfile import (
     mass_to_doc,
     parse_document,
     parse_text,
+    render,
     truth_to_doc,
 )
 from fdist.unification import TruthAssignment, TruthLabel
 
-from helpers import numeric_masses
+from helpers import numeric_masses, oracle_render
 
 H = F(1, 2)
 Q = F(1, 4)
@@ -362,3 +363,36 @@ class TestSerialization:
             }
         )
         assert truth_to_doc(t) == {"t": "0.67", "f": "0", "ft": "0.23", "empty": "0.1"}
+
+
+# Text with what JSON escapes: quotes, backslashes, control characters,
+# non-ASCII (astral too) and lone surrogates, which st.text leaves out.
+JSON_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600')
+)
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestRender:
+    @given(JSON_DOCS)
+    def test_equals_indented_json_dumps(self, doc):
+        assert render(doc) == oracle_render(doc)
+
+    def test_empty_containers_and_scalars(self):
+        for doc in ([], {}, [[], {}], {"a": [], "b": {}}, None, True, False, "", "\ud800"):
+            assert render(doc) == oracle_render(doc)
+
+    @pytest.mark.parametrize("key", [F(1, 2), 1])
+    def test_non_string_key_is_a_type_error(self, key):
+        with pytest.raises(TypeError, match=type(key).__name__):
+            render({"ok": [{key: "x"}]})
+
+    @pytest.mark.parametrize("value", [F(1, 2), 1, 0.5, ("a",), {"a"}])
+    def test_other_value_types_are_type_errors(self, value):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            render({"ok": [value]})
