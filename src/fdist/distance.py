@@ -16,19 +16,31 @@ mass or sliced assignments pass through. The strategy is resolved from
 those inputs and reported in the result. Diagonal pairings need a level
 ordering, so they stack a mass assignment's focal elements by size;
 distances between cells of the empty set stay on the empty set.
+
+Every strategy builds its cells in one kernel, in the integer key space
+of intervals.common_scale. Each input focal element becomes its (lo, hi)
+endpoint keys once; a cell's bounds are differences of those keys,
+folded onto the nonnegative axis unless directional and merged by
+intervals.merge_spans, and its mass, an integer under the masses' own
+common scale, is summed into one dict keyed by the cell's keys.
+Fractions are built once per distinct result focal element, and the
+result reaches MassAssignment already merged and in order, so only its
+total is checked there. Past MAX_SCALE_BITS a scale is None and the keys
+are the Fractions themselves, through the same code.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Iterable, Optional, Union
 
-from .intervals import Interval, IntervalUnion
+from .intervals import EMPTY, IntervalUnion, common_scale, merge_spans, scaled, unscaled
 from .mass import (
     MassAssignment,
     NumericFuzzySet,
     PiecewiseShape,
     SlicedAssignment,
     align_levels,
+    endpoint_scale,
     fuzzy_from_mass,
     slice_shape,
 )
@@ -37,7 +49,6 @@ DEFAULT_SLICES = 100
 MAX_SLICES = 1000  # work limits: a subnormal stack adds an empty slice
 MAX_PRODUCT_CELLS = (MAX_SLICES + 1) ** 2
 
-CellOp = Callable[[IntervalUnion, IntervalUnion], IntervalUnion]
 DistanceInput = Union[PiecewiseShape, MassAssignment, SlicedAssignment]
 Normalised = Union[MassAssignment, SlicedAssignment]
 
@@ -48,29 +59,62 @@ class Strategy(Enum):
     ANTIDIAGONAL = "antidiagonal"
 
 
-def _differences(a: IntervalUnion, b: IntervalUnion):
-    """(lo, hi) bounds of {y - x} for each part x of a and part y of b;
-    none when either side is empty."""
-    return ((q.lo - p.hi, q.hi - p.lo) for p in a.parts for q in b.parts)
+def _keys(f: IntervalUnion, d: Optional[int]) -> tuple:
+    """f's parts as (lo, hi) keys under the common scale d (see scaled)."""
+    return tuple((scaled(p.lo, d), scaled(p.hi, d)) for p in f.parts)
+
+
+def _cell(ka: tuple, kb: tuple, directional: bool) -> tuple:
+    """Keys of the cell between focal elements a and b given as keys: for
+    each part x of a and y of b the bounds (y.lo - x.hi, y.hi - x.lo) of
+    {y - x}, folded onto the nonnegative axis unless directional, then
+    merged; () when either side is empty."""
+    spans = [(qlo - phi, qhi - plo) for plo, phi in ka for qlo, qhi in kb]
+    if not directional:
+        spans = [
+            (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
+            for lo, hi in spans
+        ]
+    return merge_spans(spans)
+
+
+def _focal(key: tuple, d: Optional[int]) -> IntervalUnion:
+    """The focal element whose keys under d are key."""
+    if not key:
+        return EMPTY
+    return IntervalUnion._from_merged((unscaled(lo, d), unscaled(hi, d)) for lo, hi in key)
 
 
 def cell_directional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
     """{y - x : x in a, y in b}; empty if either side is empty."""
-    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in _differences(a, b)))
+    return _focal(_cell(_keys(a, None), _keys(b, None), True), None)
 
 
 def cell_nondirectional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
     """{|y - x| : x in a, y in b}, each directional difference folded onto
     the nonnegative axis; empty if either side is empty."""
-    folded = []
-    for lo, hi in _differences(a, b):
-        if lo >= 0:
-            folded.append(Interval(lo, hi))
-        elif hi <= 0:
-            folded.append(Interval(-hi, -lo))
-        else:
-            folded.append(Interval(0, max(-lo, hi)))
-    return IntervalUnion(tuple(folded))
+    return _focal(_cell(_keys(a, None), _keys(b, None), False), None)
+
+
+def _cell_mass(
+    cells: Iterable[tuple], d: Optional[int], w: Optional[int], directional: bool
+) -> MassAssignment:
+    """The mass assignment of cells (ka, kb, mass), focal elements given
+    as keys under the scale d and masses under the scale w: each cell's
+    mass lands on _cell(ka, kb), summed per distinct cell. Entries come
+    out in sort_key order, which a positive scale keeps: by keys, the
+    empty set last."""
+    acc: dict = {}
+    for ka, kb, mass in cells:
+        key = _cell(ka, kb, directional)
+        before = acc.get(key)
+        # a first mass is stored, not added to 0 (a Fraction sum past the limit)
+        acc[key] = mass if before is None else before + mass
+    entries = tuple(
+        (_focal(key, d), unscaled(acc[key], w))
+        for key in sorted(acc, key=lambda key: (not key, key))
+    )
+    return MassAssignment._trusted(entries, unscaled(sum(acc.values()), w))
 
 
 @dataclass(frozen=True)
@@ -88,39 +132,48 @@ class DistanceResult:
 
 
 def assign_product(
-    m_a: MassAssignment, m_b: MassAssignment, cell: CellOp = cell_nondirectional
+    m_a: MassAssignment, m_b: MassAssignment, directional: bool = False
 ) -> DistanceResult:
     cells = len(m_a) * len(m_b)
     if cells > MAX_PRODUCT_CELLS:
         raise ValueError(f"product of {cells} cells exceeds the limit {MAX_PRODUCT_CELLS}")
-    entries = [
-        (cell(fa, fb), ma * mb)
-        for fa, ma in m_a.entries
-        for fb, mb in m_b.entries
-    ]
-    return DistanceResult.from_mass(MassAssignment(entries), Strategy.PRODUCT)
+    d = endpoint_scale(m_a.focals() + m_b.focals())
+    w = common_scale(m for _, m in m_a.entries + m_b.entries)
+    keyed_a = [(_keys(f, d), scaled(m, w)) for f, m in m_a.entries]
+    keyed_b = [(_keys(f, d), scaled(m, w)) for f, m in m_b.entries]
+    pairs = ((ka, kb, ma * mb) for ka, ma in keyed_a for kb, mb in keyed_b)
+    w_pair = None if w is None else w * w  # the scale of a product of two masses
+    return DistanceResult.from_mass(_cell_mass(pairs, d, w_pair, directional), Strategy.PRODUCT)
 
 
-def _paired(a: SlicedAssignment, b: SlicedAssignment, cell: CellOp) -> MassAssignment:
-    return MassAssignment((cell(fa, fb), h) for fa, fb, h in align_levels(a, b))
+def _paired(
+    a: SlicedAssignment, b: SlicedAssignment, directional: bool = False
+) -> MassAssignment:
+    rows = align_levels(a, b)
+    focals = [s.focal for s in a.slices + b.slices]
+    d = endpoint_scale(focals)
+    w = common_scale(h for _, _, h in rows)
+    keys = {id(f): _keys(f, d) for f in focals}  # each focal once, by identity
+    cells = ((keys[id(fa)], keys[id(fb)], scaled(h, w)) for fa, fb, h in rows)
+    return _cell_mass(cells, d, w, directional)
 
 
 def assign_diagonal(
-    a: SlicedAssignment, b: SlicedAssignment, cell: CellOp = cell_nondirectional
+    a: SlicedAssignment, b: SlicedAssignment, directional: bool = False
 ) -> DistanceResult:
     """Pair equal level slices: bottom with bottom, top with top."""
-    return DistanceResult.from_mass(_paired(a, b, cell), Strategy.DIAGONAL)
+    return DistanceResult.from_mass(_paired(a, b, directional), Strategy.DIAGONAL)
 
 
 def assign_antidiagonal(
-    a: SlicedAssignment, b: SlicedAssignment, cell: CellOp = cell_nondirectional
+    a: SlicedAssignment, b: SlicedAssignment, directional: bool = False
 ) -> DistanceResult:
     """Pair opposite level slices: bottom of a with top of b. Implemented
     by reversing b's slice stack before aligning, which both keeps the
     marginals exact for non-uniform level partitions and reduces to
     pairing slice k with slice n+1-k when all slices have equal height."""
     return DistanceResult.from_mass(
-        _paired(a, b.reversed_levels(), cell), Strategy.ANTIDIAGONAL
+        _paired(a, b.reversed_levels(), directional), Strategy.ANTIDIAGONAL
     )
 
 
@@ -165,14 +218,13 @@ def distance(
     DEFAULT_SLICES); the result's strategy field names the pairing used."""
     a, b = _normalised(a, n_slices), _normalised(b, n_slices)
     strategy = resolve_strategy(a, b, strategy)
-    cell = cell_directional if directional else cell_nondirectional
     if strategy is Strategy.PRODUCT:
         ma, mb = (x.to_mass() if isinstance(x, SlicedAssignment) else x for x in (a, b))
-        return assign_product(ma, mb, cell)
+        return assign_product(ma, mb, directional)
     sa, sb = (
         x if isinstance(x, SlicedAssignment) else SlicedAssignment.from_mass(x)
         for x in (a, b)
     )
     if strategy is Strategy.DIAGONAL:
-        return assign_diagonal(sa, sb, cell)
-    return assign_antidiagonal(sa, sb, cell)
+        return assign_diagonal(sa, sb, directional)
+    return assign_antidiagonal(sa, sb, directional)

@@ -29,6 +29,10 @@ MIXED_KINDS = "cannot mix label-set and numeric focal elements"
 # Fractions they stand for.
 MAX_SCALE_BITS = 64
 
+# Numbers in messages are written out in full up to this many bits over
+# and under the line (see brief).
+BRIEF_BITS = 128
+
 
 def as_fraction(value: Rational) -> Fraction:
     """Convert to an exact Fraction. Accepts "1/16", "0.0625", floats, ints.
@@ -79,6 +83,28 @@ def scaled(x: Fraction, d: Optional[int]):
     return x if d is None else x.numerator * (d // x.denominator)
 
 
+def unscaled(k, d: Optional[int]) -> Fraction:
+    """The Fraction a key under the common_scale d stands for: k/d, or k
+    itself when d is None (as a Fraction: a folded cell bound may be int 0)."""
+    return as_fraction(k) if d is None else Fraction(k, d)
+
+
+def merge_spans(spans: Iterable[tuple]) -> tuple:
+    """Sort (lo, hi) pairs and merge those that overlap or touch. The
+    endpoints may be Fractions or the keys of one common_scale."""
+    spans = sorted(spans)
+    if len(spans) < 2:
+        return tuple(spans)
+    merged = [spans[0]]
+    for lo, hi in spans[1:]:
+        if lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
 def format_fraction(q: Fraction) -> str:
     """Canonical text form: exact decimal when it terminates, else p/q.
 
@@ -115,6 +141,19 @@ def format_fraction(q: Fraction) -> str:
         ) from None
 
 
+def brief(q: Fraction) -> str:
+    """q for a message: format_fraction(q) while its numerator and
+    denominator fit BRIEF_BITS bits, else about three significant digits
+    in e-notation, so that no message grows with, or fails on, a number
+    past the integer digit limit."""
+    num, den = q.numerator, q.denominator
+    if max(num.bit_length(), den.bit_length()) <= BRIEF_BITS:
+        return format_fraction(q)
+    exponent = math.log10(abs(num)) - math.log10(den)
+    e = math.floor(exponent)
+    return f"{'-' if num < 0 else ''}~{10 ** (exponent - e):.3g}e{e}"
+
+
 @dataclass(frozen=True, order=True)
 class Interval:
     """Closed interval [lo, hi]. Degenerate points (lo == hi) are allowed."""
@@ -126,7 +165,7 @@ class Interval:
         object.__setattr__(self, "lo", as_fraction(self.lo))
         object.__setattr__(self, "hi", as_fraction(self.hi))
         if self.lo > self.hi:
-            raise ValueError(f"malformed interval: lo {self.lo} > hi {self.hi}")
+            raise ValueError(f"malformed interval: lo {brief(self.lo)} > hi {brief(self.hi)}")
 
     @property
     def length(self) -> Fraction:
@@ -142,16 +181,21 @@ class Interval:
         return f"[{format_fraction(self.lo)},{format_fraction(self.hi)}]"
 
 
+def _interval(lo: Fraction, hi: Fraction) -> Interval:
+    """Interval(lo, hi) for Fraction endpoints known to be in order, built
+    without coercing or comparing them again."""
+    p = object.__new__(Interval)
+    object.__setattr__(p, "lo", lo)
+    object.__setattr__(p, "hi", hi)
+    return p
+
+
 def _canonical(parts: Iterable[Interval]) -> tuple:
     """Sort and merge overlapping or touching intervals."""
-    merged: list[Interval] = []
-    for p in sorted(parts, key=lambda p: (p.lo, p.hi)):
-        if merged and p.lo <= merged[-1].hi:
-            if p.hi > merged[-1].hi:
-                merged[-1] = Interval(merged[-1].lo, p.hi)
-        else:
-            merged.append(p)
-    return tuple(merged)
+    parts = tuple(parts)
+    if len(parts) < 2:
+        return parts
+    return tuple(_interval(lo, hi) for lo, hi in merge_spans((p.lo, p.hi) for p in parts))
 
 
 @dataclass(frozen=True)
@@ -170,6 +214,14 @@ class IntervalUnion:
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[Rational]]) -> "IntervalUnion":
         return cls(tuple(Interval(lo, hi) for lo, hi in pairs))
+
+    @classmethod
+    def _from_merged(cls, pairs: Iterable[tuple]) -> "IntervalUnion":
+        """The union of (lo, hi) Fraction pairs already as merge_spans
+        returns them, built without sorting or merging them again."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "parts", tuple(_interval(lo, hi) for lo, hi in pairs))
+        return u
 
     @property
     def is_empty(self) -> bool:

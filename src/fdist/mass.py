@@ -134,9 +134,20 @@ def focal_issuperset(a: Focal, g: Focal) -> bool:
     return a.issuperset(g)
 
 
-def _endpoints(focals: Iterable[Focal]):
-    """Every part endpoint of the numeric focal elements."""
-    return (e for f in focals if isinstance(f, IntervalUnion) for p in f.parts for e in (p.lo, p.hi))
+def endpoint_scale(focals: Iterable[Focal]) -> Optional[int]:
+    """The common_scale of every part endpoint of the numeric focal
+    elements."""
+    return common_scale(
+        e for f in focals if isinstance(f, IntervalUnion) for p in f.parts for e in (p.lo, p.hi)
+    )
+
+
+def _checked_total(total: Fraction, tolerance: Fraction) -> Fraction:
+    """total, the exact sum of the masses, which must lie within tolerance
+    of 1."""
+    if abs(total - 1) > tolerance:
+        raise ValueError(f"masses sum to {total}, expected 1")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +178,25 @@ class MassAssignment:
             # a first mass is stored, not added to ZERO (a Fraction sum)
             before = merged.get(focal)
             merged[focal] = mass if before is None else before + mass
-        total = sum(merged.values(), ZERO)
-        if abs(total - 1) > tolerance:
-            raise ValueError(f"masses sum to {total}, expected 1")
-        d = common_scale(_endpoints(merged))
+        total = _checked_total(sum(merged.values(), ZERO), tolerance)
+        d = endpoint_scale(merged)
         entries = sorted(merged.items(), key=lambda e: e[0].sort_key(d))
-        object.__setattr__(self, "entries", tuple(entries))
+        self._set(tuple(entries), total, merged)
+
+    @classmethod
+    def _trusted(cls, entries: tuple, total: Fraction) -> "MassAssignment":
+        """The assignment of entries already canonical: distinct focal
+        elements as as_focal returns them, positive Fraction masses, in
+        sort_key order, with total their exact sum. Only the total is
+        checked, as __init__ checks it at the default tolerance."""
+        self = object.__new__(cls)
+        self._set(entries, _checked_total(total, DEFAULT_TOLERANCE), dict(entries))
+        return self
+
+    def _set(self, entries: tuple, total: Fraction, by_focal: dict):
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "_by_focal", merged)
+        object.__setattr__(self, "_by_focal", by_focal)
 
     def __setattr__(self, name, value):
         raise AttributeError("MassAssignment is immutable")
@@ -576,7 +598,7 @@ def _sweep(weighted: list, points: bool) -> list:
     total weight over (IntervalUnion, weight) pairs, from one pass over
     the sorted part endpoints (see the module docstring). With points
     False only the open gaps between endpoints are valued."""
-    d = common_scale(_endpoints(f for f, _ in weighted))
+    d = endpoint_scale(f for f, _ in weighted)
     events: dict = {}  # sort key (see scaled) -> [endpoint, start weight, end weight]
     for f, w in weighted:
         for p in f.parts:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
-from .intervals import DEFAULT_TOLERANCE, IntervalUnion, as_fraction, format_fraction
+from .intervals import DEFAULT_TOLERANCE, IntervalUnion, as_fraction, brief, format_fraction
 from .mass import (
     DiscreteFuzzySet,
     Focal,
@@ -66,10 +66,22 @@ class SpecSet:
 
 
 def _number(value, path: str) -> Fraction:
+    """The exact number at path. A number that would not print back, its
+    numerator or denominator past the interpreter's integer digit limit
+    (as "1.5e4300" is), is refused here: it could be read but never
+    written in a result."""
     if isinstance(value, bool):
         raise SpecError(path, "expected a number, got a boolean")
     try:
-        return as_fraction(value)
+        q = as_fraction(value)
+        limit = sys.get_int_max_str_digits()
+        # Text of at most limit characters and no exponent has at most that
+        # many digits; 2**(3 * limit) < 10**limit, so no fewer bits pass it.
+        plain = isinstance(value, str) and len(value) <= limit and not ("e" in value or "E" in value)
+        bits = max(q.numerator.bit_length(), q.denominator.bit_length()) if not plain else 0
+        if limit and bits > 3 * limit:
+            format_fraction(q)  # raises when the number does not print
+        return q
     except (TypeError, ValueError) as exc:
         raise SpecError(path, str(exc)) from None
 
@@ -88,7 +100,7 @@ def _focal(value, path: str) -> Focal:
             raise SpecError(here, "expected an [lo, hi] pair")
         lo, hi = (_number(v, here) for v in pair)
         if lo > hi:
-            raise SpecError(here, f"interval endpoints out of order: {lo} > {hi}")
+            raise SpecError(here, f"interval endpoints out of order: {brief(lo)} > {brief(hi)}")
         parts.append((lo, hi))
     return IntervalUnion.from_pairs(parts)
 

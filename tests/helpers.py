@@ -21,6 +21,7 @@ from fdist.mass import (
     Slice,
     SlicedAssignment,
     Step,
+    align_levels,
 )
 from fdist.unification import DEFAULT_ORDER, TruthAssignment, truth_cell
 
@@ -79,6 +80,42 @@ def label_masses(draw, allow_empty=True):
     weights = [draw(st.integers(1, 8)) for _ in range(k)]
     total = sum(weights)
     return MassAssignment((f, F(w, total)) for f, w in zip(focals, weights))
+
+
+@st.composite
+def kernel_masses(draw, den=4, max_focals=4):
+    """Masses for the distance kernel: one to max_focals focal elements of
+    up to two parts, the empty set among them at times, with endpoints
+    and masses both over den (a denominator or a tuple of them). Over
+    WIDE_PRIME_DENS the common denominators of the endpoints and of the
+    masses each pass intervals.MAX_SCALE_BITS as the focal count grows."""
+    dens = den if isinstance(den, tuple) else (den,)
+    k = draw(st.integers(1, max_focals))
+    focals = [
+        draw(interval_unions(max_parts=2, lo=-8, hi=8, den=den, allow_empty=True))
+        for _ in range(k)
+    ]
+    masses = []
+    for _ in range(k - 1):  # each under 1/(2k) or 1/4, so the last stays positive
+        q = draw(st.sampled_from(dens))
+        masses.append(F(draw(st.integers(1, max(1, q // (2 * k)))), q))
+    masses.append(1 - sum(masses))
+    return MassAssignment(zip(focals, masses))
+
+
+def stacked(entries) -> SlicedAssignment:
+    """(focal, mass) entries stacked as slices in their order, bottom first,
+    nested or not."""
+    level, slices = ZERO, []
+    for f, mass in entries:
+        slices.append(Slice(level, level + mass, f))
+        level += mass
+    return SlicedAssignment(tuple(slices))
+
+
+def stacks(m: MassAssignment):
+    """m's entries stacked in a drawn order."""
+    return st.permutations(m.entries).map(stacked)
 
 
 @st.composite
@@ -204,6 +241,53 @@ def perfbench_module(name: str) -> types.ModuleType:
     module = types.ModuleType(f"perfbench_{name}")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
+
+
+# The Fraction cells that fdist.distance replaced with one kernel over
+# scaled integer keys: each cell is built from Intervals, merged here, and
+# fed with its mass to the public MassAssignment, which merges equal cells
+# and sorts them.
+
+def oracle_cell(a: IntervalUnion, b: IntervalUnion, directional: bool) -> IntervalUnion:
+    """{y - x} (or {|y - x|}) for x in a and y in b, one part per pair of
+    parts; empty if either side is empty."""
+    parts = []
+    for p in a.parts:
+        for q in b.parts:
+            lo, hi = q.lo - p.hi, q.hi - p.lo
+            if not directional and lo < 0:
+                lo, hi = (-hi, -lo) if hi <= 0 else (ZERO, max(-lo, hi))
+            parts.append(Interval(lo, hi))
+    return IntervalUnion(oracle_merge(parts))
+
+
+def oracle_merge(parts) -> tuple:
+    """Sort Intervals and merge those that overlap or touch, as
+    IntervalUnion did before intervals.merge_spans."""
+    merged: list = []
+    for p in sorted(parts, key=lambda p: (p.lo, p.hi)):
+        if merged and p.lo <= merged[-1].hi:
+            if p.hi > merged[-1].hi:
+                merged[-1] = Interval(merged[-1].lo, p.hi)
+        else:
+            merged.append(p)
+    return tuple(merged)
+
+
+def oracle_assign_product(m_a: MassAssignment, m_b: MassAssignment, directional: bool):
+    """The product distance mass: every pair of focal elements a cell."""
+    return MassAssignment(
+        (oracle_cell(fa, fb, directional), ma * mb)
+        for fa, ma in m_a.entries
+        for fb, mb in m_b.entries
+    )
+
+
+def oracle_paired(a: SlicedAssignment, b: SlicedAssignment, directional: bool):
+    """The paired distance mass: one cell per shared level range."""
+    return MassAssignment(
+        (oracle_cell(fa, fb, directional), h) for fa, fb, h in align_levels(a, b)
+    )
 
 
 # The isinstance dispatch over label sets and interval unions that

@@ -534,6 +534,47 @@ class TestDigitLimit:
         assert err == f"fdist: exact number too long to print: over the integer digit limit of {limit} digits\n"
 
 
+class TestNumbersPastTheDigitLimit:
+    """Every number a document may hold prints back: one whose numerator
+    or denominator passes the integer digit limit is refused where it is
+    read, with the field named, and no message prints such a number."""
+
+    LIMIT = sys.get_int_max_str_digits()
+
+    @staticmethod
+    def spec(tmp_path, focal):
+        return write_doc(tmp_path, {"sets": [{"name": "m", "kind": "mass",
+                                              "entries": [{"focal": [focal], "mass": 1}]}]})
+
+    def test_out_of_order_endpoint_past_the_limit_names_the_field(self, capsys, tmp_path):
+        code, out, err = run(capsys, "mass", self.spec(tmp_path, ["1.5e4300", 0]), "m")
+        assert (code, out) == (2, "")
+        assert err == ("fdist: $.sets[0].entries[0].focal[0]: exact number too long to print:"
+                       f" over the integer digit limit of {self.LIMIT} digits\n")
+
+    def test_out_of_order_message_stays_short(self, capsys, tmp_path):
+        # 1/10**LIMIT prints as a decimal, but not as the p/q of str()
+        code, out, err = run(capsys, "mass", self.spec(tmp_path, [f"1e-{self.LIMIT}", 0]), "m")
+        assert (code, out) == (2, "")
+        assert err == (f"fdist: $.sets[0].entries[0].focal[0]: interval endpoints out of order:"
+                       f" ~1e-{self.LIMIT} > 0\n")
+
+    @pytest.mark.parametrize("text", ["1e{L1}", "-1e{L1}", "9{nines}", "1/1{zeros}", "{nines}.5"])
+    def test_numbers_at_the_limit_print_back(self, capsys, tmp_path, text):
+        text = text.format(L1=self.LIMIT - 1, nines="9" * (self.LIMIT - 1),
+                           zeros="0" * (self.LIMIT - 1))
+        spec = self.spec(tmp_path, [text, text])
+        doc = run_json(capsys, "mass", spec, "m")
+        assert fdist.parse_document({"sets": [doc["mass"]]})["m"].value == fdist.load(spec)["m"].value
+
+    @pytest.mark.parametrize("text", ["1e{L}", "1.5e{L}", "-1e{L}", "1{zeros}", "1{zeros}.5"])
+    def test_numbers_past_the_limit_are_refused(self, capsys, tmp_path, text):
+        text = text.format(L=self.LIMIT, zeros="0" * self.LIMIT)
+        code, out, err = run(capsys, "mass", self.spec(tmp_path, [text, text]), "m")
+        assert (code, out) == (2, "")
+        assert err.startswith("fdist: $.sets[0].entries[0].focal[0]: exact number too long to print")
+
+
 class TestRenderedOutput:
     """Every command's output is the indented json.dumps text of its document."""
 

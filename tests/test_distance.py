@@ -18,21 +18,30 @@ from fdist.distance import (
     cell_nondirectional,
     distance,
 )
-from fdist.intervals import EMPTY, IntervalUnion, iu
+from fdist.intervals import DEFAULT_TOLERANCE, EMPTY, IntervalUnion, common_scale, iu
 from fdist.mass import (
     MassAssignment,
     PiecewiseShape,
     SlicedAssignment,
     Step,
     combine,
+    fuzzy_from_mass,
     slice_shape,
 )
 from helpers import (
+    COPRIME_DENS,
+    WIDE_PRIME_DENS,
     check_cell_against_grid,
+    coprime_shapes,
     interval_unions,
+    kernel_masses,
     nested_masses,
     numeric_masses,
+    oracle_assign_product,
     oracle_differences,
+    oracle_paired,
+    stacked,
+    stacks,
 )
 
 F = Fraction
@@ -180,7 +189,7 @@ class TestProduct:
         assert result.fuzzy.height == H
 
     def test_directional_product(self):
-        result = assign_product(MASS_DIR_A, MASS_DIR_B, cell_directional)
+        result = assign_product(MASS_DIR_A, MASS_DIR_B, directional=True)
         assert entries(result) == (
             (iu((2, 8)), Q),
             (iu((3, 7)), H),
@@ -214,7 +223,7 @@ class TestDiagonal:
     def test_directional_narrow_pair(self):
         a = SlicedAssignment.from_mass(MASS_DIR_A)
         b = SlicedAssignment.from_mass(MASS_DIR_B)
-        result = assign_diagonal(a, b, cell_directional)
+        result = assign_diagonal(a, b, directional=True)
         assert entries(result) == ((iu((2, 8)), H), (iu((4, 6)), H))
         assert result.fuzzy.steps == (
             Step(2, 4, H, False, True),
@@ -225,8 +234,8 @@ class TestDiagonal:
     def test_directional_reversed_is_negated(self):
         a = SlicedAssignment.from_mass(MASS_DIR_A)
         b = SlicedAssignment.from_mass(MASS_DIR_B)
-        forward = assign_diagonal(a, b, cell_directional)
-        backward = assign_diagonal(b, a, cell_directional)
+        forward = assign_diagonal(a, b, directional=True)
+        backward = assign_diagonal(b, a, directional=True)
         assert backward.mass == forward.mass.negated()
         assert entries(backward) == ((iu((-8, -2)), H), (iu((-6, -4)), H))
         assert backward.fuzzy.steps == (
@@ -238,7 +247,7 @@ class TestDiagonal:
     def test_multimodal_unimodal_result(self):
         a = SlicedAssignment.from_mass(MASS_AM)
         b = SlicedAssignment.from_mass(MASS_DIR_B)
-        result = assign_diagonal(a, b, cell_directional)
+        result = assign_diagonal(a, b, directional=True)
         assert entries(result) == ((iu((2, 8)), H), (iu((3, 7)), H))
         assert result.fuzzy.steps == (
             Step(2, 3, H, False, True),
@@ -249,7 +258,7 @@ class TestDiagonal:
     def test_multimodal_bimodal_result(self):
         a = SlicedAssignment.from_mass(MASS_AE)
         b = SlicedAssignment.from_mass(MASS_DIR_B)
-        result = assign_diagonal(a, b, cell_directional)
+        result = assign_diagonal(a, b, directional=True)
         assert entries(result) == ((iu((1, 8)), H), (iu((2, 4), (5, 7)), H))
         assert result.fuzzy.steps == (
             Step(1, 2, H, False, True),
@@ -262,7 +271,7 @@ class TestDiagonal:
     def test_multimodal_non_normal_levels_align(self):
         a = SlicedAssignment.from_mass(MASS_AEN)
         b = SlicedAssignment.from_mass(MASS_DIR_B)
-        result = assign_diagonal(a, b, cell_directional)
+        result = assign_diagonal(a, b, directional=True)
         assert entries(result) == (
             (iu((1, 8)), H),
             (iu((2, 4), (5, 7)), Q),
@@ -279,8 +288,8 @@ class TestDiagonal:
     def test_nondirectional_same_where_all_positive(self):
         a = SlicedAssignment.from_mass(MASS_AEN)
         b = SlicedAssignment.from_mass(MASS_DIR_B)
-        assert assign_diagonal(a, b, cell_directional).mass == assign_diagonal(
-            a, b, cell_nondirectional
+        assert assign_diagonal(a, b, directional=True).mass == assign_diagonal(
+            a, b, directional=False
         ).mass
 
 
@@ -394,27 +403,34 @@ class TestDistanceApi:
         a = SlicedAssignment.from_mass(MASS_A2)
         b = SlicedAssignment((Slice(0, F(3, 4), iu((6, 10))),))
         with pytest.raises(ValueError, match="different levels"):
-            _paired(a, b, cell_nondirectional)
+            _paired(a, b)
         # stacks with different boundaries but the same top pair directly
         b = SlicedAssignment.from_mass(
             MassAssignment([(iu((6, 10)), F(3, 4)), (iu((7, 9)), Q)])
         )
-        assert _paired(a, b, cell_nondirectional) == MassAssignment(
+        assert _paired(a, b) == MassAssignment(
             [(iu((1, 9)), H), (iu((2, 8)), Q), (iu((3, 7)), Q)]
         )
 
 
 class TestProductLimit:
-    def test_product_refused_before_any_cell(self):
+    def test_product_refused_before_any_cell(self, monkeypatch):
         wide = MassAssignment([(iu((-k, k)), F(1, 1002)) for k in range(1, 1003)])
+        # the package's distance() function shadows this submodule's name
+        module = importlib.import_module("fdist.distance")
 
-        def no_cells(a, b):
-            raise AssertionError("a cell was built")
+        def no_work(*args):
+            raise AssertionError("a key or a cell was built")
 
+        for kernel in ("_keys", "_cell"):
+            monkeypatch.setattr(module, kernel, no_work)
         with pytest.raises(ValueError, match="product of 1004004 cells exceeds the limit 1002001"):
-            assign_product(wide, wide, no_cells)
+            assign_product(wide, wide)
         with pytest.raises(ValueError, match="exceeds the limit"):
             distance(wide, wide, strategy=Strategy.PRODUCT)
+        # the patched kernel is the one the product runs
+        with pytest.raises(AssertionError, match="a key or a cell was built"):
+            assign_product(MASS_A2, MASS_B2)
 
     def test_limit_admits_every_sliced_shape(self):
         # a subnormal shape at the slice limit stacks one empty slice more
@@ -498,16 +514,16 @@ class TestProperties:
     @given(numeric_masses(), numeric_masses())
     @settings(max_examples=60)
     def test_product_antisymmetry(self, ma, mb):
-        forward = assign_product(ma, mb, cell_directional)
-        backward = assign_product(mb, ma, cell_directional)
+        forward = assign_product(ma, mb, directional=True)
+        backward = assign_product(mb, ma, directional=True)
         assert backward.mass == forward.mass.negated()
 
     @given(nested_masses(), nested_masses())
     @settings(max_examples=60)
     def test_diagonal_antisymmetry(self, ma, mb):
         sa, sb = SlicedAssignment.from_mass(ma), SlicedAssignment.from_mass(mb)
-        forward = assign_diagonal(sa, sb, cell_directional)
-        backward = assign_diagonal(sb, sa, cell_directional)
+        forward = assign_diagonal(sa, sb, directional=True)
+        backward = assign_diagonal(sb, sa, directional=True)
         assert backward.mass == forward.mass.negated()
 
     @given(numeric_masses(), numeric_masses())
@@ -539,3 +555,110 @@ class TestProperties:
         za, zb = ma.empty_mass, mb.empty_mass
         result = assign_product(ma, mb)
         assert result.mass.empty_mass == za + zb - za * zb
+
+
+def same_as_oracle(result: DistanceResult, oracle: MassAssignment):
+    """Exactly the oracle's mass assignment: entries in the same order with
+    the same masses, the same total and lookups, the same membership."""
+    assert result.mass.entries == oracle.entries
+    assert result.mass.total == oracle.total
+    assert all(result.mass.mass_of(f) == m for f, m in oracle.entries)
+    assert result.mass.empty_mass == oracle.empty_mass
+    assert result.fuzzy == fuzzy_from_mass(oracle)
+
+
+DENS = pytest.mark.parametrize("den", [4, COPRIME_DENS, WIDE_PRIME_DENS], ids=["4", "coprime", "wide"])
+
+
+class TestKernelMatchesOracle:
+    """Cells built on scaled integer keys (or, past MAX_SCALE_BITS, on the
+    Fractions themselves) equal the Fraction cells fed to MassAssignment."""
+
+    @DENS
+    @given(data=st.data(), directional=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_product(self, den, data, directional):
+        ma, mb = data.draw(kernel_masses(den)), data.draw(kernel_masses(den))
+        same_as_oracle(
+            assign_product(ma, mb, directional), oracle_assign_product(ma, mb, directional)
+        )
+
+    @DENS
+    @given(data=st.data(), directional=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_diagonal_and_antidiagonal(self, den, data, directional):
+        sa = data.draw(stacks(data.draw(kernel_masses(den))))
+        sb = data.draw(stacks(data.draw(kernel_masses(den))))
+        same_as_oracle(assign_diagonal(sa, sb, directional), oracle_paired(sa, sb, directional))
+        same_as_oracle(
+            assign_antidiagonal(sa, sb, directional),
+            oracle_paired(sa, sb.reversed_levels(), directional),
+        )
+
+    @given(coprime_shapes(), coprime_shapes(), st.sampled_from(list(Strategy)),
+           st.booleans(), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_sliced_shapes(self, a, b, strategy, directional, n):
+        # peaks below 1 leave subnormal stacks topped by an empty slice
+        sa, sb = slice_shape(a, n), slice_shape(b, n)
+        result = distance(sa, sb, directional=directional, strategy=strategy)
+        if strategy is Strategy.PRODUCT:
+            oracle = oracle_assign_product(sa.to_mass(), sb.to_mass(), directional)
+        elif strategy is Strategy.DIAGONAL:
+            oracle = oracle_paired(sa, sb, directional)
+        else:
+            oracle = oracle_paired(sa, sb.reversed_levels(), directional)
+        same_as_oracle(result, oracle)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_both_sides_of_the_scale_limit(self, wide):
+        # four distinct primes past 2**20 put endpoints and masses past the limit
+        dens = WIDE_PRIME_DENS[:4] if wide else (4, 8, 16, 32)
+        focals = [iu((F(-k, q), F(k, q))) for k, q in zip((1, 2, 3, 5), dens)] + [EMPTY]
+        masses = [F(1, q) for q in dens]
+        m = MassAssignment(zip(focals, masses + [1 - sum(masses)]))
+        endpoints = [e for f in m.focals() for p in f.parts for e in (p.lo, p.hi)]
+        assert (common_scale(endpoints) is None) is wide
+        assert (common_scale(mass for _, mass in m.entries) is None) is wide
+        s = stacked(m.entries)
+        for directional in (False, True):
+            same_as_oracle(assign_product(m, m, directional), oracle_assign_product(m, m, directional))
+            same_as_oracle(assign_antidiagonal(s, s, directional),
+                           oracle_paired(s, s.reversed_levels(), directional))
+
+
+class TestSumTolerance:
+    """Result masses skip MassAssignment's merge and sort, but not its check
+    that the masses total 1 within the tolerance."""
+
+    @staticmethod
+    def short_of_one(gap):
+        return MassAssignment([(iu((0, 2)), H), (iu((0, 1)), H - gap)])
+
+    def test_product_past_the_tolerance_raises_as_the_oracle(self):
+        m = self.short_of_one(F(6, 10**10))
+        assert 1 - m.total * m.total > DEFAULT_TOLERANCE
+        with pytest.raises(ValueError) as expected:
+            oracle_assign_product(m, m, False)
+        with pytest.raises(ValueError) as info:
+            assign_product(m, m)
+        assert str(info.value) == str(expected.value)
+        assert str(info.value).startswith("masses sum to ")
+
+    def test_product_within_the_tolerance_passes(self):
+        m = self.short_of_one(F(4, 10**10))
+        assert 1 - m.total * m.total <= DEFAULT_TOLERANCE
+        for directional in (False, True):
+            same_as_oracle(assign_product(m, m, directional), oracle_assign_product(m, m, directional))
+
+    def test_paired_stacks_keep_their_total(self):
+        m = self.short_of_one(F(6, 10**10))
+        s = SlicedAssignment.from_mass(m)
+        same_as_oracle(assign_diagonal(s, s), oracle_paired(s, s, False))
+        # a stack may end further below 1 than a mass assignment may total
+        low = stacked([(iu((0, 2)), H), (iu((0, 1)), H - F(2, 10**9))])
+        with pytest.raises(ValueError) as expected:
+            oracle_paired(low, low, False)
+        with pytest.raises(ValueError) as info:
+            assign_diagonal(low, low)
+        assert str(info.value) == str(expected.value)

@@ -7,17 +7,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fdist.intervals import (
+    BRIEF_BITS,
     EMPTY,
     MAX_SCALE_BITS,
     Interval,
     IntervalUnion,
     as_fraction,
+    brief,
     common_scale,
     format_fraction,
     iu,
+    merge_spans,
     scaled,
+    unscaled,
 )
-from helpers import frac, interval_unions, oracle_format_fraction
+from helpers import frac, interval_unions, oracle_format_fraction, oracle_merge
 
 F = Fraction
 
@@ -155,6 +159,53 @@ def test_scaled_keys_order_and_equal_as_the_values(xs):
             assert k == x * d and isinstance(k, int)
         for y, l in zip(xs, keys):
             assert (k < l, k == l) == (x < y, x == y)
+
+
+@st.composite
+def spans(draw, den):
+    lo, hi = sorted((draw(frac(-5, 5, den)), draw(frac(-5, 5, den))))
+    return lo, hi
+
+
+@given(st.lists(spans((2, 3, 7, 2**40, 3**30)), max_size=6))
+def test_merge_spans_merges_as_intervals_did_on_values_and_keys(pairs):
+    expected = tuple((p.lo, p.hi) for p in oracle_merge(Interval(lo, hi) for lo, hi in pairs))
+    assert merge_spans(pairs) == expected
+    assert IntervalUnion(tuple(Interval(lo, hi) for lo, hi in pairs)).parts == oracle_merge(
+        Interval(lo, hi) for lo, hi in pairs
+    )
+    d = common_scale(e for pair in pairs for e in pair)
+    keyed = merge_spans((scaled(lo, d), scaled(hi, d)) for lo, hi in pairs)
+    assert tuple((unscaled(lo, d), unscaled(hi, d)) for lo, hi in keyed) == expected
+
+
+def test_unscaled_gives_fractions():
+    assert unscaled(6, 4) == F(3, 2) and isinstance(unscaled(6, 4), Fraction)
+    assert unscaled(0, None) == 0 and isinstance(unscaled(0, None), Fraction)
+    assert unscaled(F(1, 3), None) == F(1, 3)
+
+
+def test_brief_writes_short_numbers_in_full():
+    assert brief(F(5)) == "5"
+    assert brief(F(-1, 3)) == "-1/3"
+    edge = F(1, 2 ** (BRIEF_BITS - 1))  # a denominator of BRIEF_BITS bits
+    assert brief(edge) == format_fraction(edge)
+    assert brief(edge / 2).startswith("~")
+
+
+@pytest.mark.parametrize(
+    "q, text",
+    [(F(15 * 10**4299), "~1.5e4300"), (F(-10**5000), "-~1e5000"),
+     (F(1, 10**4300), "~1e-4300"), (F(2**200, 3), "~5.36e59")],
+)
+def test_brief_abbreviates_long_numbers(q, text):
+    assert brief(q) == text
+
+
+def test_reversed_endpoints_past_the_digit_limit_give_a_short_message():
+    with pytest.raises(ValueError) as info:
+        Interval(F(15 * 10**4299), 0)
+    assert str(info.value) == "malformed interval: lo ~1.5e4300 > hi 0"
 
 
 def test_format_fraction():

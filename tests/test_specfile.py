@@ -1,6 +1,7 @@
 """Input-document parsing: exact numbers, field-path errors, round-trips."""
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -267,6 +268,23 @@ class TestErrors:
             parse_text(text % '"1e999999999"')
         assert info.value.path == "$.sets[0].grades.a"
         assert "exponent out of range" in str(info.value)
+
+    def test_numbers_that_would_not_print_back_are_refused(self):
+        limit = sys.get_int_max_str_digits()
+        text = '{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": %s}}]}'
+        for past in (f"1e{limit}", f'"1.5e{limit}"', f'"-1{"0" * limit}"'):
+            with pytest.raises(SpecError) as info:
+                parse_text(text % past)
+            assert info.value.path == ("$" if past[0] != '"' else "$.sets[0].grades.a")
+            assert "too long to print" in str(info.value)
+        # a number at the limit is read, and out of range as a grade
+        with pytest.raises(SpecError) as info:
+            parse_text(text % f'"1e{limit - 1}"')
+        assert "outside [0,1]" in str(info.value)
+        doc = {"name": "m", "kind": "mass",
+               "entries": [{"focal": [[f"-1e{limit - 1}", f"1e{limit - 1}"]], "mass": 1}]}
+        parsed = parse_document({"sets": [doc]})["m"].value
+        assert parsed.entries[0][0] == IntervalUnion.from_pairs([(-(10 ** (limit - 1)), 10 ** (limit - 1))])
 
     def test_tolerance_is_wired_through(self):
         text = (
