@@ -39,12 +39,12 @@ from fdist import (  # noqa: E402
 DATA = Path(__file__).resolve().parent.parent / "data" / "worked_sets.json"
 
 
-def permutation_mass(slices_a, slices_b, perm, cell) -> MassAssignment:
+def permutation_mass(focals_a, focals_b, perm, cell) -> MassAssignment:
     """Pair slice k of a with slice perm[k] of b; equal slice masses."""
     n = len(perm)
     share = Fraction(1, n)
     return MassAssignment(
-        (cell(slices_a[k].focal, slices_b[perm[k]].focal), share) for k in range(n)
+        (cell(focals_a[k], focals_b[perm[k]]), share) for k in range(n)
     )
 
 
@@ -81,8 +81,8 @@ def main() -> int:
             f"{coefficients[0]}*diagonal + {coefficients[1]}*anti-diagonal"
         )
 
-    sa = slice_shape(a, n).slices
-    sb = slice_shape(b, n).slices
+    sa = [f for f, _ in slice_shape(a, n).slices]
+    sb = [f for f, _ in slice_shape(b, n).slices]
     perms = list(permutations(range(n)))
     family = [permutation_mass(sa, sb, p, cell) for p in perms]
     coefficients = linear_combination(product, family)

@@ -150,7 +150,7 @@ def _paired(
     a: SlicedAssignment, b: SlicedAssignment, directional: bool = False
 ) -> MassAssignment:
     rows = align_levels(a, b)
-    focals = [s.focal for s in a.slices + b.slices]
+    focals = [f for f, _ in a.slices + b.slices]
     d = endpoint_scale(focals)
     w = common_scale(h for _, _, h in rows)
     keys = {id(f): _keys(f, d) for f in focals}  # each focal once, by identity
@@ -185,7 +185,7 @@ def _normalised(x: DistanceInput, n_slices: Optional[int]) -> Normalised:
     if isinstance(x, MassAssignment):
         focals = x.focals()
     elif isinstance(x, SlicedAssignment):
-        focals = [s.focal for s in x.slices]
+        focals = [f for f, _ in x.slices]
     else:
         raise TypeError(f"cannot take distances over {type(x).__name__}")
     if not all(isinstance(f, IntervalUnion) for f in focals):

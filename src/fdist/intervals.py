@@ -33,6 +33,9 @@ MAX_SCALE_BITS = 64
 # and under the line (see brief).
 BRIEF_BITS = 128
 
+# Input echoed in a message is cut to this many characters (see echo).
+ECHO_CHARS = 40
+
 
 def as_fraction(value: Rational) -> Fraction:
     """Convert to an exact Fraction. Accepts "1/16", "0.0625", floats, ints.
@@ -52,17 +55,24 @@ def as_fraction(value: Rational) -> Fraction:
             try:
                 return Fraction(value)
             except (ValueError, ZeroDivisionError):
-                raise ValueError(f"not a number: {value!r}") from None
+                raise ValueError(f"not a number: {echo(value)}") from None
     if isinstance(number, Decimal) and number.is_finite():
         limit = sys.get_int_max_str_digits()
         if limit and abs(number.as_tuple().exponent) > limit:
-            raise ValueError(f"exponent out of range (over {limit} digits): {value!r}")
+            raise ValueError(f"exponent out of range (over {limit} digits): {echo(value)}")
     if isinstance(number, (int, float, Decimal)):
         try:
             return Fraction(number)
         except (OverflowError, ValueError):
-            raise ValueError(f"not a finite number: {value!r}") from None
+            raise ValueError(f"not a finite number: {echo(value)}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a number")
+
+
+def echo(value) -> str:
+    """repr(value) for a message, cut to ECHO_CHARS characters so that no
+    message grows with the input it names."""
+    text = repr(value)
+    return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 3] + "..."
 
 
 def common_scale(values: Iterable[Fraction]) -> Optional[int]:

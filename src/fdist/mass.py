@@ -9,12 +9,14 @@ set, so masses always total 1.
 
 Conventions that matter and are easy to get wrong:
 
-* Slicing a piecewise-linear shape into n level slices takes slice k's
-  focal element as the closure of the strict cut {x : mu(x) > level_lo}
-  at the slice's lower boundary. For the triangle (1,0),(3,1),(5,0) and
-  n = 2 this yields [1,5]:0.5 and [2,4]:0.5. slice_shape reads each
-  edge once for all n levels, which then compare as integers;
-  align_levels pairs two stacks in one merge walk over levels.
+* Slicing a piecewise-linear shape of height h into n level slices
+  takes slice k's focal element as the closure of the strict cut
+  {x : mu(x) > k*h/n} at the slice's lower level. For the triangle
+  (1,0),(3,1),(5,0) and n = 2 this yields [1,5]:0.5 and [2,4]:0.5.
+  slice_shape reads each edge once for all n levels, which then compare
+  as integers. A stack of slices is (focal, mass) pairs, bottom first,
+  so its levels are prefix sums; align_levels pairs two stacks in one
+  merge walk over those sums.
 * Focal elements (in MassAssignment) and sweep endpoints sort as
   integers: each endpoint times the least common denominator of the
   endpoints being sorted (intervals.common_scale). Scaling by a positive
@@ -53,9 +55,13 @@ from .intervals import (
     IntervalUnion,
     Rational,
     as_fraction,
+    brief,
     common_scale,
+    echo,
     format_fraction,
+    merge_spans,
     scaled,
+    unscaled,
 )
 
 
@@ -146,7 +152,7 @@ def _checked_total(total: Fraction, tolerance: Fraction) -> Fraction:
     """total, the exact sum of the masses, which must lie within tolerance
     of 1."""
     if abs(total - 1) > tolerance:
-        raise ValueError(f"masses sum to {total}, expected 1")
+        raise ValueError(f"masses sum to {brief(total)}, expected 1")
     return total
 
 
@@ -172,7 +178,7 @@ class MassAssignment:
         for focal, mass in entries:
             focal, mass = as_focal(focal), as_fraction(mass)
             if mass < 0:
-                raise ValueError(f"negative mass {mass} on {focal}")
+                raise ValueError(f"negative mass {brief(mass)} on {focal}")
             if mass == 0:
                 continue
             # a first mass is stored, not added to ZERO (a Fraction sum)
@@ -261,7 +267,7 @@ class DiscreteFuzzySet:
         for label, grade in grades.items():
             g = as_fraction(grade)
             if not (0 <= g <= 1):
-                raise ValueError(f"grade {g} for {label!r} outside [0,1]")
+                raise ValueError(f"grade {brief(g)} for {echo(label)} outside [0,1]")
             items.append((str(label), g))
         object.__setattr__(self, "grades", tuple(sorted(items)))
 
@@ -317,7 +323,7 @@ class PiecewiseShape:
                 raise ValueError("vertex x values must be non-decreasing")
         for _, m in vs:
             if not (0 <= m <= 1):
-                raise ValueError(f"membership {m} outside [0,1]")
+                raise ValueError(f"membership {brief(m)} outside [0,1]")
         object.__setattr__(self, "vertices", vs)
 
     def __setattr__(self, name, value):
@@ -338,50 +344,43 @@ class PiecewiseShape:
         return f"PiecewiseShape({body})"
 
 
-@dataclass(frozen=True)
-class Slice:
-    """One level slice: focal element holding over (level_lo, level_hi]."""
-
-    level_lo: Fraction
-    level_hi: Fraction
-    focal: Focal
-
-    def __post_init__(self):
-        object.__setattr__(self, "level_lo", as_fraction(self.level_lo))
-        object.__setattr__(self, "level_hi", as_fraction(self.level_hi))
-        object.__setattr__(self, "focal", as_focal(self.focal))
-        if not (0 <= self.level_lo < self.level_hi <= 1):
-            raise ValueError(
-                f"slice levels [{self.level_lo}, {self.level_hi}] not within [0,1]"
-            )
-
-    @property
-    def mass(self) -> Fraction:
-        return self.level_hi - self.level_lo
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SlicedAssignment:
     """Mass assignment with an explicit level ordering of its slices.
 
-    Slices partition [0, top] contiguously from 0. Duplicate focal
-    elements stay as separate slices; conversion to a MassAssignment
-    merges them. Slicing a fuzzy set produces focal elements that shrink
-    as levels rise, but the type does not enforce that, since reversed
-    slice sequences are legitimate intermediates."""
+    slices holds (focal, mass) pairs stacked bottom first from level 0,
+    so each slice's levels are the sums of the masses below it and up to
+    it, and top is the sum of all of them. Duplicate focal elements stay
+    as separate slices; conversion to a MassAssignment merges them.
+    Slicing a fuzzy set produces focal elements that shrink as levels
+    rise, but the type does not enforce that, since reversed stacks are
+    legitimate intermediates."""
 
     slices: tuple
+    top: Fraction
 
-    def __post_init__(self):
-        sl = tuple(self.slices)
-        if not sl:
+    def __init__(self, entries: Iterable[tuple]):
+        slices = tuple((as_focal(f), as_fraction(mass)) for f, mass in entries)
+        if not slices:
             raise ValueError("need at least one slice")
-        if sl[0].level_lo != 0:
-            raise ValueError("slices must start at level 0")
-        for a, b in zip(sl, sl[1:]):
-            if b.level_lo != a.level_hi:
-                raise ValueError("slices must be contiguous")
-        object.__setattr__(self, "slices", sl)
+        for f, mass in slices:
+            if mass <= 0:
+                raise ValueError(f"slice mass {brief(mass)} on {f} is not positive")
+        top = sum((mass for _, mass in slices), ZERO)
+        if top > 1:
+            raise ValueError(f"slice masses sum to {brief(top)}, over 1")
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "top", top)
+
+    @classmethod
+    def _trusted(cls, slices: tuple, top: Fraction) -> "SlicedAssignment":
+        """The stack of slices already valid: (focal, mass) pairs with
+        focal elements as as_focal returns them and positive Fraction
+        masses, with top their exact sum. Nothing is checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "top", top)
+        return self
 
     @classmethod
     def from_mass(cls, m: MassAssignment) -> "SlicedAssignment":
@@ -399,38 +398,22 @@ class SlicedAssignment:
                     "; diagonal and antidiagonal pairings need nested focal elements,"
                     " the product strategy does not"
                 )
-        slices = []
-        level = ZERO
-        for f, mass in nonempty:
-            slices.append(Slice(level, level + mass, f))
-            level += mass
         empty = m.empty_mass
         if empty > 0:
-            slices.append(Slice(level, level + empty, EMPTY))
-        return cls(tuple(slices))
-
-    @property
-    def top(self) -> Fraction:
-        return self.slices[-1].level_hi
+            nonempty.append((EMPTY, empty))
+        return cls._trusted(tuple(nonempty), m.total)
 
     @property
     def is_normal(self) -> bool:
         """No slice rests on the empty set, as for to_mass().is_normal."""
-        return not any(s.focal.is_empty for s in self.slices)
+        return not any(f.is_empty for f, _ in self.slices)
 
     def reversed_levels(self) -> "SlicedAssignment":
         """Same slices stacked in the opposite order."""
-        out = []
-        level = ZERO
-        for s in reversed(self.slices):
-            out.append(Slice(level, level + s.mass, s.focal))
-            level += s.mass
-        return SlicedAssignment(tuple(out))
+        return SlicedAssignment._trusted(self.slices[::-1], self.top)
 
     def to_mass(self, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> MassAssignment:
-        return MassAssignment(
-            ((s.focal, s.mass) for s in self.slices), tolerance=tolerance
-        )
+        return MassAssignment(self.slices, tolerance=tolerance)
 
 
 def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
@@ -445,13 +428,13 @@ def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
     crosses level k*h/n at a + k*b, a = x1 - m1*s and b = s*h/n, kept as
     (c + k*dc)/q over one denominator q; a jump edge (x1 == x2) crosses
     at its point, as its s is 0. Edges meeting at a vertex above the
-    level join into one part as they are walked, and the union merges
+    level join into one part as they are walked, and merge_spans merges
     any other parts that touch."""
     if n < 1:
         raise ValueError("need at least one slice")
     h = shape.height
     if h == 0:
-        return SlicedAssignment((Slice(ZERO, ONE, EMPTY),))
+        return SlicedAssignment._trusted(((EMPTY, ONE),), ONE)
     step = h / n
     x_end = shape.vertices[-1][0]
     vs = [(x, m, math.ceil(m * n / h)) for x, m in shape.vertices]
@@ -464,7 +447,6 @@ def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
             q = math.lcm(a.denominator, b.denominator)
             c, dc = scaled(a, q), scaled(b, q)
         edges.append((x1, x2, t1, t2, c, dc, q))
-    levels = [step * k for k in range(n + 1)]
     slices = []
     for k in range(n):
         parts, lo = [], None
@@ -473,33 +455,37 @@ def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
                 if lo is None:
                     lo = x1
                 if k >= t2:
-                    parts.append(Interval(lo, Fraction(c + k * dc, q)))
+                    parts.append((lo, Fraction(c + k * dc, q)))
                     lo = None
             elif k < t2:
                 lo = Fraction(c + k * dc, q)
         if lo is not None:
-            parts.append(Interval(lo, x_end))
-        slices.append(Slice(levels[k], levels[k + 1], IntervalUnion(tuple(parts))))
+            parts.append((lo, x_end))
+        slices.append((IntervalUnion._from_merged(merge_spans(parts)), step))
     if h < 1:
-        slices.append(Slice(h, ONE, EMPTY))
-    return SlicedAssignment(tuple(slices))
+        slices.append((EMPTY, 1 - h))
+    return SlicedAssignment._trusted(tuple(slices), ONE)
 
 
 def align_levels(a: SlicedAssignment, b: SlicedAssignment) -> list:
     """(focal_a, focal_b, height) for each level range shared by two stacks
-    ending at the same level, from one merge walk over their slice tops."""
+    ending at the same level, from one merge walk over the levels at which
+    their slices end, summed as keys under the masses' common_scale."""
     if a.top != b.top:
-        raise ValueError(f"slice stacks end at different levels: {a.top} and {b.top}")
-    shared, lo, i, j = [], ZERO, 0, 0
-    while lo < a.top:
-        sa, sb = a.slices[i], b.slices[j]
-        hi = min(sa.level_hi, sb.level_hi)
-        shared.append((sa.focal, sb.focal, hi - lo))
-        lo = hi
-        if sa.level_hi == hi:
-            i += 1
-        if sb.level_hi == hi:
-            j += 1
+        raise ValueError(
+            f"slice stacks end at different levels: {brief(a.top)} and {brief(b.top)}"
+        )
+    w = common_scale(mass for _, mass in a.slices + b.slices)
+    shared, lo, hi_a, hi_b, rest_b = [], 0, 0, 0, iter(b.slices)
+    for fa, mass in a.slices:
+        hi_a += scaled(mass, w)
+        while lo < hi_a:
+            if hi_b == lo:
+                fb, mass = next(rest_b)
+                hi_b += scaled(mass, w)
+            hi = min(hi_a, hi_b)
+            shared.append((fa, fb, unscaled(hi - lo, w)))
+            lo = hi
     return shared
 
 

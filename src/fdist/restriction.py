@@ -159,9 +159,7 @@ class CellMatrix:
         b: SlicedAssignment,
         cell: Callable[[IntervalUnion, IntervalUnion], IntervalUnion],
     ) -> "CellMatrix":
-        return cls.build(
-            [s.focal for s in a.slices], [s.focal for s in b.slices], cell
-        )
+        return cls.build([f for f, _ in a.slices], [f for f, _ in b.slices], cell)
 
     def flat(self):
         for i, row in enumerate(self.cells):

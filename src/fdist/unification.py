@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import exactlp
-from .intervals import DEFAULT_TOLERANCE, ZERO, as_fraction, format_fraction
+from .intervals import DEFAULT_TOLERANCE, ZERO, as_fraction, brief, format_fraction
 from .mass import Focal, MassAssignment, as_focal
 
 
@@ -61,7 +61,7 @@ class TruthAssignment:
             raise ValueError("negative truth mass")
         total = sum(acc.values(), ZERO)
         if abs(total - 1) > tolerance:
-            raise ValueError(f"truth masses sum to {total}, expected 1")
+            raise ValueError(f"truth masses sum to {brief(total)}, expected 1")
         object.__setattr__(self, "masses", acc)
 
     def __setattr__(self, name, value):

@@ -6,6 +6,7 @@ import random
 import types
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -18,7 +19,6 @@ from fdist.mass import (
     MassAssignment,
     NumericFuzzySet,
     PiecewiseShape,
-    Slice,
     SlicedAssignment,
     Step,
     align_levels,
@@ -103,19 +103,9 @@ def kernel_masses(draw, den=4, max_focals=4):
     return MassAssignment(zip(focals, masses))
 
 
-def stacked(entries) -> SlicedAssignment:
-    """(focal, mass) entries stacked as slices in their order, bottom first,
-    nested or not."""
-    level, slices = ZERO, []
-    for f, mass in entries:
-        slices.append(Slice(level, level + mass, f))
-        level += mass
-    return SlicedAssignment(tuple(slices))
-
-
 def stacks(m: MassAssignment):
-    """m's entries stacked in a drawn order."""
-    return st.permutations(m.entries).map(stacked)
+    """m's entries stacked in a drawn order, bottom first, nested or not."""
+    return st.permutations(m.entries).map(SlicedAssignment)
 
 
 @st.composite
@@ -470,20 +460,21 @@ def oracle_level_cut(shape: PiecewiseShape, level: Fraction) -> IntervalUnion:
 
 
 def _boundaries(s: SlicedAssignment) -> tuple:
-    return (ZERO,) + tuple(sl.level_hi for sl in s.slices)
+    """0 and the level at which each slice ends: the prefix sums of the
+    slice masses."""
+    return tuple(accumulate((mass for _, mass in s.slices), initial=ZERO))
 
 
 def _refined(s: SlicedAssignment, boundaries) -> SlicedAssignment:
     """Split slices at the given interior levels, keeping focals."""
     cuts = sorted(set(boundaries))
+    levels = _boundaries(s)
     out = []
-    for sl in s.slices:
-        inner = cuts[bisect_right(cuts, sl.level_lo):bisect_left(cuts, sl.level_hi)]
-        lo = sl.level_lo
-        for b in inner + [sl.level_hi]:
-            out.append(Slice(lo, b, sl.focal))
+    for (f, _), lo, hi in zip(s.slices, levels, levels[1:]):
+        for b in cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)] + [hi]:
+            out.append((f, b - lo))
             lo = b
-    return SlicedAssignment(tuple(out))
+    return SlicedAssignment(out)
 
 
 def oracle_align_levels(a: SlicedAssignment, b: SlicedAssignment) -> list:
@@ -493,7 +484,7 @@ def oracle_align_levels(a: SlicedAssignment, b: SlicedAssignment) -> list:
     a2, b2 = _refined(a, bounds), _refined(b, bounds)
     if _boundaries(a2) != _boundaries(b2):
         raise ValueError("slice levels misaligned")
-    return [(sa.focal, sb.focal, sa.mass) for sa, sb in zip(a2.slices, b2.slices)]
+    return [(fa, fb, mass) for (fa, mass), (fb, _) in zip(a2.slices, b2.slices)]
 
 
 # The quadratic reconstructions that fdist.mass replaced with one endpoint

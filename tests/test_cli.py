@@ -574,6 +574,48 @@ class TestNumbersPastTheDigitLimit:
         assert (code, out) == (2, "")
         assert err.startswith("fdist: $.sets[0].entries[0].focal[0]: exact number too long to print")
 
+    def test_sum_past_the_limit_stays_short(self, capsys, tmp_path):
+        # each mass prints, but their sum has a 7620-digit denominator
+        doc = {"sets": [{"name": "m", "kind": "mass", "entries": [
+            {"focal": [[0, 1]], "mass": f"1/{3 ** 8000}"},
+            {"focal": [[0, 2]], "mass": f"1/{7 ** 4500}"},
+        ]}]}
+        code, out, err = run(capsys, "mass", write_doc(tmp_path, doc), "m")
+        assert (code, out) == (2, "")
+        assert err == "fdist: $.sets[0].entries: masses sum to ~1.15e-3803, expected 1\n"
+
+    def test_unreadable_number_is_echoed_short(self, capsys, tmp_path):
+        doc = {"sets": [{"name": "m", "kind": "mass", "entries": [
+            {"focal": [[0, 1]], "mass": "1/1" + "0" * self.LIMIT},
+        ]}]}
+        code, out, err = run(capsys, "mass", write_doc(tmp_path, doc), "m")
+        assert (code, out) == (2, "")
+        assert err == (f"fdist: $.sets[0].entries[0].mass: not a number:"
+                       f" '1/1{'0' * 33}...\n")
+
+
+class TestStacksEndingNearOne:
+    """A mass set whose total lies within the tolerance above 1 stacks at
+    that total: it pairs with itself, and not with a set ending lower."""
+
+    @staticmethod
+    def spec(tmp_path):
+        def mass_set(name, last):
+            return {"name": name, "kind": "mass", "entries": [
+                {"focal": [[0, 2]], "mass": "0.5"}, {"focal": [[0, 1]], "mass": last}]}
+        return write_doc(tmp_path, {"sets": [mass_set("A", "0.5000000001"),
+                                             mass_set("B", "0.4999999999")]})
+
+    def test_total_above_one_pairs_with_itself(self, capsys, tmp_path):
+        doc = run_json(capsys, "distance", self.spec(tmp_path), "A", "A")
+        assert doc["strategy"] == "diagonal"
+        assert entries(doc["mass"]) == [((("0", "1"),), "0.5000000001"), ((("0", "2"),), "0.5")]
+
+    def test_stacks_ending_at_different_levels_exit_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "distance", self.spec(tmp_path), "A", "B")
+        assert (code, out) == (2, "")
+        assert err == "fdist: slice stacks end at different levels: 1.0000000001 and 0.9999999999\n"
+
 
 class TestRenderedOutput:
     """Every command's output is the indented json.dumps text of its document."""

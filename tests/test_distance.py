@@ -40,7 +40,6 @@ from helpers import (
     oracle_assign_product,
     oracle_differences,
     oracle_paired,
-    stacked,
     stacks,
 )
 
@@ -398,10 +397,9 @@ class TestDistanceApi:
 
     def test_stacks_ending_at_different_levels_rejected(self):
         from fdist.distance import _paired
-        from fdist.mass import Slice
 
         a = SlicedAssignment.from_mass(MASS_A2)
-        b = SlicedAssignment((Slice(0, F(3, 4), iu((6, 10))),))
+        b = SlicedAssignment([(iu((6, 10)), F(3, 4))])
         with pytest.raises(ValueError, match="different levels"):
             _paired(a, b)
         # stacks with different boundaries but the same top pair directly
@@ -620,7 +618,7 @@ class TestKernelMatchesOracle:
         endpoints = [e for f in m.focals() for p in f.parts for e in (p.lo, p.hi)]
         assert (common_scale(endpoints) is None) is wide
         assert (common_scale(mass for _, mass in m.entries) is None) is wide
-        s = stacked(m.entries)
+        s = SlicedAssignment(m.entries)
         for directional in (False, True):
             same_as_oracle(assign_product(m, m, directional), oracle_assign_product(m, m, directional))
             same_as_oracle(assign_antidiagonal(s, s, directional),
@@ -656,7 +654,7 @@ class TestSumTolerance:
         s = SlicedAssignment.from_mass(m)
         same_as_oracle(assign_diagonal(s, s), oracle_paired(s, s, False))
         # a stack may end further below 1 than a mass assignment may total
-        low = stacked([(iu((0, 2)), H), (iu((0, 1)), H - F(2, 10**9))])
+        low = SlicedAssignment([(iu((0, 2)), H), (iu((0, 1)), H - F(2, 10**9))])
         with pytest.raises(ValueError) as expected:
             oracle_paired(low, low, False)
         with pytest.raises(ValueError) as info:

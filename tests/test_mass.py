@@ -20,7 +20,6 @@ from fdist.mass import (
     MassAssignment,
     NumericFuzzySet,
     PiecewiseShape,
-    Slice,
     SlicedAssignment,
     Step,
     ZeroAreaError,
@@ -39,6 +38,7 @@ from helpers import (
     WIDE_PRIME_DENS,
     coprime_shapes,
     interval_unions,
+    kernel_masses,
     label_masses,
     nested_masses,
     numeric_masses,
@@ -55,6 +55,7 @@ from helpers import (
     oracle_level_cut,
     oracle_mu,
     piecewise_shapes,
+    stacks,
 )
 
 F = Fraction
@@ -113,6 +114,13 @@ class TestMassAssignment:
     def test_bad_sum_rejected(self):
         with pytest.raises(ValueError):
             MassAssignment([(iu((1, 5)), F(9, 10))])
+
+    def test_messages_print_long_numbers_briefly(self):
+        tiny = F(1, 3**8000)
+        with pytest.raises(ValueError, match=r"^negative mass -~1\.07e-3817 on \[1,5\]$"):
+            MassAssignment([(iu((1, 5)), -tiny)])
+        with pytest.raises(ValueError, match=r"^masses sum to ~1\.07e-3817, expected 1$"):
+            MassAssignment([(iu((1, 5)), tiny)])
 
     def test_tolerance_allows_rounded_sums(self):
         third = F(3333333333, 10**10)
@@ -205,8 +213,8 @@ class TestFocalInterface:
         m = MassAssignment([(fs("a", "b"), H), (fs("b"), H)])
         assert all(type(f) is LabelSet for f in m.focals())
         assert m.mass_of(fs("b")) == H
-        s = SlicedAssignment((Slice(0, H, fs("a")), Slice(H, 1, fs())))
-        assert type(s.slices[0].focal) is LabelSet and s.slices[1].focal is EMPTY
+        s = SlicedAssignment([(fs("a"), H), (fs(), H)])
+        assert type(s.slices[0][0]) is LabelSet and s.slices[1][0] is EMPTY
         assert not s.is_normal
         with pytest.raises(TypeError, match="not a focal element: set"):
             as_focal({"a"})
@@ -241,6 +249,8 @@ class TestMassFromDiscrete:
     def test_grade_outside_unit_rejected(self):
         with pytest.raises(ValueError):
             DiscreteFuzzySet({"a": F(11, 10)})
+        with pytest.raises(ValueError, match=r"^grade 2 for 'a{36}\.\.\. outside \[0,1\]$"):
+            DiscreteFuzzySet({"a" * 5000: 2})
 
     @given(
         st.dictionaries(
@@ -263,7 +273,7 @@ class TestSliceShape:
     def test_triangle_two_slices(self):
         s = slice_shape(TRIANGLE_A, 2)
         assert s.to_mass() == MASS_A2
-        assert [sl.focal for sl in s.slices] == [iu((1, 5)), iu((2, 4))]
+        assert [f for f, _ in s.slices] == [iu((1, 5)), iu((2, 4))]
 
     def test_triangle_four_slices(self):
         s = slice_shape(TRIANGLE_A, 4)
@@ -288,7 +298,7 @@ class TestSliceShape:
         shape = PiecewiseShape([(0, 0), (1, H), (2, 0)])
         s = slice_shape(shape, 1)
         assert s.to_mass() == MassAssignment([(iu((0, 2)), H), (EMPTY, H)])
-        assert s.slices[-1].focal == EMPTY
+        assert s.slices[-1] == (EMPTY, H)
         assert s.top == 1
 
     def test_bimodal_shape_slices_to_union(self):
@@ -297,7 +307,7 @@ class TestSliceShape:
             [(1, 0), (1, 1), (2, 1), (2, H), (4, H), (4, 1), (5, 1), (5, 0)]
         )
         s = slice_shape(shape, 2)
-        assert [sl.focal for sl in s.slices] == [
+        assert [f for f, _ in s.slices] == [
             iu((1, 5)),
             iu((1, 2), (4, 5)),
         ]
@@ -307,7 +317,7 @@ class TestSliceShape:
             [(1, 0), (F(3, 2), 1), (2, H), (4, H), (F(9, 2), 1), (5, 0)]
         )
         s = slice_shape(shape, 2)
-        assert s.slices[1].focal == iu((F(5, 4), 2), (4, F(19, 4)))
+        assert s.slices[1] == (iu((F(5, 4), 2), (4, F(19, 4))), H)
 
     def test_zero_slices_rejected(self):
         with pytest.raises(ValueError):
@@ -321,7 +331,7 @@ class TestSliceShape:
     def test_slices_nested_and_total_one(self, n):
         s = slice_shape(TRIANGLE_A, n)
         assert s.to_mass().total == 1
-        focals = [sl.focal for sl in s.slices]
+        focals = [f for f, _ in s.slices]
         for big, small in zip(focals, focals[1:]):
             assert small.issubset(big)
 
@@ -336,22 +346,17 @@ class TestSlicedAssignment:
             ]
         )
         s = SlicedAssignment.from_mass(m)
-        assert [sl.focal for sl in s.slices] == [
-            iu((1, 5)),
-            iu((1, 2), (4, 5)),
-            iu((1, 2)),
-        ]
-        assert [(sl.level_lo, sl.level_hi) for sl in s.slices] == [
-            (0, H),
-            (H, F(3, 4)),
-            (F(3, 4), 1),
-        ]
+        assert s.slices == (
+            (iu((1, 5)), H),
+            (iu((1, 2), (4, 5)), Q),
+            (iu((1, 2)), Q),
+        )
+        assert s.top == 1
 
     def test_from_mass_puts_empty_on_top(self):
         m = MassAssignment([(iu((1, 4)), H), (EMPTY, H)])
         s = SlicedAssignment.from_mass(m)
-        assert s.slices[-1].focal == EMPTY
-        assert s.slices[-1].level_lo == H
+        assert s.slices == ((iu((1, 4)), H), (EMPTY, H))
 
     def test_from_mass_rejects_unnested(self):
         m = MassAssignment([(iu((1, 4)), H), (iu((6, 9)), H)])
@@ -363,18 +368,32 @@ class TestSlicedAssignment:
             MassAssignment([(iu((1, 5)), F(3, 4)), (iu((2, 4)), F(1, 4))])
         )
         r = s.reversed_levels()
-        assert [sl.focal for sl in r.slices] == [iu((2, 4)), iu((1, 5))]
-        assert [(sl.level_lo, sl.level_hi) for sl in r.slices] == [(0, Q), (Q, 1)]
+        assert r.slices == ((iu((2, 4)), Q), (iu((1, 5)), F(3, 4)))
+        assert r.top == 1
 
-    def test_must_start_at_zero_and_be_contiguous(self):
-        from fdist.mass import Slice
+    @given(
+        st.one_of(
+            nested_masses().map(SlicedAssignment.from_mass),
+            st.tuples(piecewise_shapes(), st.integers(1, 12)).map(lambda t: slice_shape(*t)),
+        ),
+        st.data(),
+    )
+    def test_constructor_round_trips_and_rejects_invalid_stacks(self, s, data):
+        rebuilt = SlicedAssignment(s.slices)
+        assert rebuilt == s and rebuilt.top == s.top == 1
+        with pytest.raises(ValueError, match="at least one slice"):
+            SlicedAssignment(())
+        k = data.draw(st.integers(0, len(s.slices) - 1))
+        f, mass = s.slices[k]
 
-        with pytest.raises(ValueError):
-            SlicedAssignment((Slice(F(1, 4), 1, iu((1, 2))),))
-        with pytest.raises(ValueError):
-            SlicedAssignment(
-                (Slice(0, F(1, 4), iu((1, 2))), Slice(H, 1, iu((1, 2))))
-            )
+        def with_mass(m):
+            return s.slices[:k] + ((f, m),) + s.slices[k + 1 :]
+
+        with pytest.raises(ValueError, match="is not positive"):
+            SlicedAssignment(with_mass(data.draw(st.sampled_from([0, -mass]))))
+        excess = data.draw(st.integers(1, 8).map(lambda j: F(j, 10**9)))
+        with pytest.raises(ValueError, match="over 1"):
+            SlicedAssignment(with_mass(mass + excess))
 
 
 class TestAlignLevels:
@@ -397,7 +416,7 @@ class TestAlignLevels:
 
     def test_identical_unchanged(self):
         s = SlicedAssignment.from_mass(MASS_A2)
-        assert align_levels(s, s) == [(sl.focal, sl.focal, sl.mass) for sl in s.slices]
+        assert align_levels(s, s) == [(f, f, mass) for f, mass in s.slices]
 
     @given(nested_masses(), nested_masses())
     def test_alignment_preserves_mass(self, ma, mb):
@@ -414,22 +433,30 @@ class TestAlignLevels:
             sb = sb.reversed_levels()
         assert align_levels(sa, sb) == oracle_align_levels(sa, sb)
 
+    @given(st.data())
+    def test_merge_equals_refine_and_zip_past_the_scale_limit(self, data):
+        # masses over four or more wide primes have no integer common scale
+        sa, sb = (
+            data.draw(kernel_masses(den=WIDE_PRIME_DENS, max_focals=6).flatmap(stacks))
+            for _ in range(2)
+        )
+        assert align_levels(sa, sb) == oracle_align_levels(sa, sb)
+
 
 def assert_slices_equal_cuts(shape, n):
-    """Slice k holds over (k*h/n, (k+1)*h/n] and its focal element is the
-    two-pass cut at k*h/n; a peak below 1 adds one empty slice on top."""
+    """Slice k has mass h/n, so it holds over (k*h/n, (k+1)*h/n], and its
+    focal element is the two-pass cut at k*h/n; a peak below 1 adds one
+    empty slice on top."""
     h = shape.height
     s = slice_shape(shape, n)
+    assert s.top == 1
     if h == 0:
-        assert s.slices == (Slice(0, 1, EMPTY),)
+        assert s.slices == ((EMPTY, 1),)
         return
     step = h / n
-    expected = [
-        Slice(step * k, step * (k + 1), oracle_level_cut(shape, step * k))
-        for k in range(n)
-    ]
+    expected = [(oracle_level_cut(shape, step * k), step) for k in range(n)]
     if h < 1:
-        expected.append(Slice(h, 1, EMPTY))
+        expected.append((EMPTY, 1 - h))
     assert s.slices == tuple(expected)
 
 

@@ -111,6 +111,11 @@ class TestUnifyMaximal:
             unify_maximal(CLAIM, EVIDENCE, order=(TruthLabel.TRUE,) * 4)
 
 
+def test_bad_truth_sum_prints_briefly():
+    with pytest.raises(ValueError, match=r"^truth masses sum to ~1\.07e-3817, expected 1$"):
+        ta(true=F(1, 3**8000))
+
+
 # ---------------------------------------------------------------------------
 # randomized properties
 
