@@ -26,7 +26,7 @@ from typing import Optional
 
 from . import specfile
 from .distance import DEFAULT_SLICES, MAX_SLICES, Normalised, Strategy, distance
-from .intervals import DEFAULT_TOLERANCE, as_fraction, format_fraction
+from .intervals import DEFAULT_TOLERANCE, as_fraction, echo, format_fraction
 from .mass import (
     MassAssignment,
     NumericFuzzySet,
@@ -53,9 +53,9 @@ def _env_tolerance() -> Fraction:
     try:
         tolerance = as_fraction(raw)
     except (TypeError, ValueError):
-        raise ValueError(f"{TOLERANCE_ENV} must be a number, got {raw!r}") from None
+        raise ValueError(f"{TOLERANCE_ENV} must be a number, got {echo(raw)}") from None
     if tolerance < 0:
-        raise ValueError(f"{TOLERANCE_ENV} must be nonnegative, got {raw!r}")
+        raise ValueError(f"{TOLERANCE_ENV} must be nonnegative, got {echo(raw)}")
     return tolerance
 
 
@@ -64,7 +64,7 @@ def _resolve(sets: dict, name: str) -> SpecSet:
         return sets[name]
     except KeyError:
         known = ", ".join(sorted(sets)) or "none"
-        raise ValueError(f"unknown set {name!r} (document defines: {known})") from None
+        raise ValueError(f"unknown set {echo(name)} (document defines: {known})") from None
 
 
 def _numeric(
@@ -75,12 +75,12 @@ def _numeric(
     if s.kind == "points":
         n = slices or s.slices or DEFAULT_SLICES
         if n > MAX_SLICES:
-            raise ValueError(f"slice count {n} for set {s.name!r} exceeds the limit {MAX_SLICES}")
+            raise ValueError(f"slice count {n} for set {echo(s.name)} exceeds the limit {MAX_SLICES}")
         return slice_shape(s.value, n)
     if s.kind == "discrete":
-        raise ValueError(f"set {s.name!r} is discrete; {need}")
+        raise ValueError(f"set {echo(s.name)} is discrete; {need}")
     if any(isinstance(f, frozenset) for f, _ in s.value.entries):
-        raise ValueError(f"set {s.name!r} has label focal elements; a numeric set is required")
+        raise ValueError(f"set {echo(s.name)} has label focal elements; a numeric set is required")
     return s.value
 
 
@@ -124,7 +124,7 @@ def cmd_distance(args, sets: dict) -> str:
     if args.plot_step is not None:
         step = as_fraction(args.plot_step)
         if step <= 0:
-            raise ValueError(f"--plot-step must be positive, got {args.plot_step!r}")
+            raise ValueError(f"--plot-step must be positive, got {echo(args.plot_step)}")
         return _plot(result.fuzzy, step)
     doc = {
         "command": "distance",
@@ -143,7 +143,7 @@ def cmd_unify(args, sets: dict) -> str:
     for s in (sa, sg):
         if s.kind != "discrete":
             raise ValueError(
-                f"set {s.name!r} must be discrete for unification, got kind {s.kind!r}"
+                f"set {echo(s.name)} must be discrete for unification, got kind {s.kind!r}"
             )
     m_a, m_g = mass_from_discrete(sa.value), mass_from_discrete(sg.value)
     doc = {"command": "unify", "claim": sa.name, "evidence": sg.name}
@@ -173,7 +173,7 @@ def cmd_restrict_check(args, sets: dict) -> str:
     def mass_kind(s: SpecSet) -> MassAssignment:
         if s.kind != "mass":
             raise ValueError(
-                f"set {s.name!r} must be mass kind for restrict-check, got {s.kind!r}"
+                f"set {echo(s.name)} must be mass kind for restrict-check, got {s.kind!r}"
             )
         return s.value
 
@@ -208,9 +208,9 @@ def _positive_int(raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {echo(raw)}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {echo(raw)}")
     return value
 
 

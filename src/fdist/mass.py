@@ -43,7 +43,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .intervals import (
     DEFAULT_TOLERANCE,
@@ -166,14 +166,9 @@ class MassAssignment:
     tolerance, for inputs that arrive as rounded decimals). total is that
     exact sum."""
 
-    __slots__ = ("entries", "total", "_by_focal")
+    __slots__ = ("entries", "total")
 
-    def __init__(
-        self,
-        entries: Iterable[tuple],
-        *,
-        tolerance: Fraction = DEFAULT_TOLERANCE,
-    ):
+    def __init__(self, entries: Iterable[tuple], *, tolerance: Fraction = DEFAULT_TOLERANCE):
         merged: dict = {}
         for focal, mass in entries:
             focal, mass = as_focal(focal), as_fraction(mass)
@@ -187,7 +182,8 @@ class MassAssignment:
         total = _checked_total(sum(merged.values(), ZERO), tolerance)
         d = endpoint_scale(merged)
         entries = sorted(merged.items(), key=lambda e: e[0].sort_key(d))
-        self._set(tuple(entries), total, merged)
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "total", total)
 
     @classmethod
     def _trusted(cls, entries: tuple, total: Fraction) -> "MassAssignment":
@@ -196,26 +192,28 @@ class MassAssignment:
         sort_key order, with total their exact sum. Only the total is
         checked, as __init__ checks it at the default tolerance."""
         self = object.__new__(cls)
-        self._set(entries, _checked_total(total, DEFAULT_TOLERANCE), dict(entries))
-        return self
-
-    def _set(self, entries: tuple, total: Fraction, by_focal: dict):
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "_by_focal", by_focal)
+        object.__setattr__(self, "total", _checked_total(total, DEFAULT_TOLERANCE))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MassAssignment is immutable")
 
     def mass_of(self, focal: Focal) -> Fraction:
-        return self._by_focal.get(as_focal(focal), ZERO)
+        """The mass on focal, or 0: a scan of entries (see linear_combination)."""
+        focal = as_focal(focal)
+        return next((mass for f, mass in self.entries if f == focal), ZERO)
 
     def focals(self) -> tuple:
         return tuple(f for f, _ in self.entries)
 
     @property
     def empty_mass(self) -> Fraction:
-        return self._by_focal.get(EMPTY, ZERO)
+        # The empty set sorts last in both constructors: its sort_key is (1,),
+        # and the distance kernel (distance._cell_mass) orders its key last.
+        if self.entries and self.entries[-1][0].is_empty:
+            return self.entries[-1][1]
+        return ZERO
 
     @property
     def is_normal(self) -> bool:
@@ -389,19 +387,17 @@ class SlicedAssignment:
         def size(f: Focal) -> Fraction:
             return f.length if isinstance(f, IntervalUnion) else Fraction(len(f))
 
-        nonempty = [(f, mass) for f, mass in m.entries if not f.is_empty]
-        nonempty.sort(key=lambda e: (-size(e[0]), e[0].sort_key()))
-        for (f1, _), (f2, _) in zip(nonempty, nonempty[1:]):
+        # sort is stable and entries come in sort_key order, which breaks ties
+        # and keeps the empty set, of size 0 and contained in any set, last
+        stack = sorted(m.entries, key=lambda e: -size(e[0]))
+        for (f1, _), (f2, _) in zip(stack, stack[1:]):
             if not f1.issuperset(f2):
                 raise ValueError(
                     f"focal elements not nested: {f1} vs {f2}"
                     "; diagonal and antidiagonal pairings need nested focal elements,"
                     " the product strategy does not"
                 )
-        empty = m.empty_mass
-        if empty > 0:
-            nonempty.append((EMPTY, empty))
-        return cls._trusted(tuple(nonempty), m.total)
+        return cls._trusted(tuple(stack), m.total)
 
     @property
     def is_normal(self) -> bool:
@@ -412,8 +408,8 @@ class SlicedAssignment:
         """Same slices stacked in the opposite order."""
         return SlicedAssignment._trusted(self.slices[::-1], self.top)
 
-    def to_mass(self, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> MassAssignment:
-        return MassAssignment(self.slices, tolerance=tolerance)
+    def to_mass(self) -> MassAssignment:
+        return MassAssignment(self.slices)
 
 
 def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
@@ -492,20 +488,14 @@ def align_levels(a: SlicedAssignment, b: SlicedAssignment) -> list:
 # ---------------------------------------------------------------------------
 # membership reconstruction
 
-@dataclass(frozen=True)
-class Step:
-    """Constant-membership piece with explicit boundary closure."""
+class Step(NamedTuple):
+    """Constant-membership piece with explicit boundary closure, stored as given."""
 
     lo: Fraction
     hi: Fraction
     mu: Fraction
     lo_open: bool = False
     hi_open: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        object.__setattr__(self, "mu", as_fraction(self.mu))
 
     def contains(self, x: Fraction) -> bool:
         if x == self.lo:
@@ -675,5 +665,6 @@ def centre_of_gravity(f: NumericFuzzySet) -> Fraction:
     area = f.area
     if area == 0:
         raise ZeroAreaError("fuzzy set has zero area")
-    moment = sum((s.mu * (s.hi**2 - s.lo**2) / 2 for s in f.steps), ZERO)
+    # halved once, after the sum, so integer-valued steps stay exact
+    moment = sum((s.mu * (s.hi**2 - s.lo**2) for s in f.steps), ZERO) / 2
     return moment / area

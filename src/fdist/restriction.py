@@ -99,12 +99,10 @@ def linear_combination(
     with one equation per focal element."""
     if not basis:
         return None
-    focals = set(f for f, _ in target.entries)
-    for m in basis:
-        focals.update(f for f, _ in m.entries)
-    focals = sorted(focals, key=lambda f: f.sort_key())
-    rows = [[m.mass_of(f) for m in basis] for f in focals]
-    rhs = [target.mass_of(f) for f in focals]
+    held, *columns = (dict(m.entries) for m in (target, *basis))  # one lookup table each
+    focals = sorted(set(held).union(*columns), key=lambda f: f.sort_key())
+    rows = [[column.get(f, ZERO) for column in columns] for f in focals]
+    rhs = [held.get(f, ZERO) for f in focals]
     rows.append([ONE] * len(basis))
     rhs.append(ONE)
     solution = exactlp.feasible(rows, rhs, nvars=len(basis))

@@ -31,7 +31,15 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
-from .intervals import DEFAULT_TOLERANCE, IntervalUnion, as_fraction, brief, format_fraction
+from .intervals import (
+    DEFAULT_TOLERANCE,
+    IntervalUnion,
+    as_fraction,
+    brief,
+    echo,
+    format_fraction,
+    merge_spans,
+)
 from .mass import (
     DiscreteFuzzySet,
     Focal,
@@ -102,7 +110,7 @@ def _focal(value, path: str) -> Focal:
         if lo > hi:
             raise SpecError(here, f"interval endpoints out of order: {brief(lo)} > {brief(hi)}")
         parts.append((lo, hi))
-    return IntervalUnion.from_pairs(parts)
+    return IntervalUnion._from_merged(merge_spans(parts))
 
 
 def _expect_keys(obj: dict, path: str, required: set, optional: set = frozenset()):
@@ -111,7 +119,7 @@ def _expect_keys(obj: dict, path: str, required: set, optional: set = frozenset(
         raise SpecError(path, f"missing field {sorted(missing)[0]!r}")
     unknown = obj.keys() - required - optional
     if unknown:
-        raise SpecError(path, f"unknown field {sorted(unknown)[0]!r}")
+        raise SpecError(path, f"unknown field {echo(sorted(unknown)[0])}")
 
 
 def _parse_set(obj, path: str, tolerance: Fraction) -> SpecSet:
@@ -194,7 +202,7 @@ def parse_document(doc, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
     for i, obj in enumerate(doc["sets"]):
         parsed = _parse_set(obj, f"$.sets[{i}]", tolerance)
         if parsed.name in out:
-            raise SpecError(f"$.sets[{i}].name", f"duplicate set name {parsed.name!r}")
+            raise SpecError(f"$.sets[{i}].name", f"duplicate set name {echo(parsed.name)}")
         out[parsed.name] = parsed
     return out
 

@@ -53,14 +53,14 @@ class TruthAssignment:
 
     __slots__ = ("masses",)
 
-    def __init__(self, masses, *, tolerance: Fraction = DEFAULT_TOLERANCE):
+    def __init__(self, masses):
         acc = {label: ZERO for label in TruthLabel}
         for label, mass in dict(masses).items():
             acc[TruthLabel(label)] = as_fraction(mass)
         if any(m < 0 for m in acc.values()):
             raise ValueError("negative truth mass")
         total = sum(acc.values(), ZERO)
-        if abs(total - 1) > tolerance:
+        if abs(total - 1) > DEFAULT_TOLERANCE:
             raise ValueError(f"truth masses sum to {brief(total)}, expected 1")
         object.__setattr__(self, "masses", acc)
 

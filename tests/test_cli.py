@@ -617,6 +617,79 @@ class TestStacksEndingNearOne:
         assert err == "fdist: slice stacks end at different levels: 1.0000000001 and 0.9999999999\n"
 
 
+class TestNoEntries:
+    """A mass set whose only mass is 0, read at FDIST_TOLERANCE=1, has no
+    entries at all; each command treats it as it always has."""
+
+    @pytest.fixture
+    def spec(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FDIST_TOLERANCE", "1")
+        return write_doc(tmp_path, {"sets": [
+            {"name": "Z", "kind": "mass", "entries": [{"focal": [[0, 1]], "mass": 0}]},
+            {"name": "N", "kind": "mass", "entries": [{"focal": [[0, 1]], "mass": 1}]},
+        ]})
+
+    def test_mass_has_no_entries_and_no_steps(self, capsys, spec):
+        doc = run_json(capsys, "mass", spec, "Z")
+        assert doc["mass"]["entries"] == [] and doc["fuzzy"] == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["defuzz", "Z"], "no numeric support to take a maximum over"),
+        (["distance", "Z", "N"], "slice stacks end at different levels: 0 and 1"),
+        (["distance", "Z", "N", "--strategy", "product"], "masses sum to 0, expected 1"),
+    ], ids=["defuzz", "distance", "distance-product"])
+    def test_commands_needing_mass_exit_two(self, capsys, spec, argv, message):
+        code, out, err = run(capsys, argv[0], spec, *argv[1:])
+        assert (code, out, err) == (2, "", f"fdist: {message}\n")
+
+    @pytest.mark.parametrize("target, basis", [("Z", "N"), ("N", "Z")])
+    def test_restrict_check_finds_no_combination(self, capsys, spec, target, basis):
+        doc = run_json(capsys, "restrict-check", spec, target, "--basis", basis)
+        assert doc["coefficients"] is None
+        assert doc["reachability"] == {
+            basis: {"basis_to_target": False, "target_to_basis": False}
+        }
+
+
+class TestLongInputEchoedShort:
+    """Input repeated in a message is cut short (intervals.echo), however
+    long it is."""
+
+    LONG = "x" * 50_000
+
+    def assert_short_failure(self, capsys, *argv):
+        try:
+            code, _, err = run(capsys, *argv)
+        except SystemExit as exc:  # argparse refuses the argument itself
+            code, err = exc.code, capsys.readouterr().err
+        assert code == 2 and len(err) < 200, (code, len(err))
+
+    @pytest.mark.parametrize("raw", ["x" * 50_001, "-" + "1" * 50_000], ids=["unreadable", "negative"])
+    def test_tolerance_env(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("FDIST_TOLERANCE", raw)
+        self.assert_short_failure(capsys, "mass", DATA, "A")
+
+    def test_unknown_set_name(self, capsys, tmp_path):
+        # the list of the names the document defines is not cut
+        spec = write_doc(tmp_path, {"sets": [{"name": "A", "kind": "points", "vertices": [[0, 1]]}]})
+        self.assert_short_failure(capsys, "mass", spec, self.LONG)
+
+    def test_unknown_document_field(self, capsys, tmp_path):
+        spec = write_doc(tmp_path, {"sets": [{"name": "A", "kind": "points",
+                                              "vertices": [[0, 1]], self.LONG: 1}]})
+        self.assert_short_failure(capsys, "mass", spec, "A")
+
+    def test_duplicated_set_name(self, capsys, tmp_path):
+        one = {"name": self.LONG, "kind": "points", "vertices": [[0, 1]]}
+        self.assert_short_failure(capsys, "mass", write_doc(tmp_path, {"sets": [one, one]}), "A")
+
+    def test_slices_flag(self, capsys):
+        self.assert_short_failure(capsys, "mass", DATA, "A", "--slices", self.LONG)
+
+    def test_plot_step_flag(self, capsys):
+        self.assert_short_failure(capsys, "distance", DATA, "A", "B", "--plot-step", "-1" + "0" * 4000)
+
+
 class TestRenderedOutput:
     """Every command's output is the indented json.dumps text of its document."""
 

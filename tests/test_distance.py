@@ -25,6 +25,7 @@ from fdist.mass import (
     SlicedAssignment,
     Step,
     combine,
+    as_focal,
     fuzzy_from_mass,
     slice_shape,
 )
@@ -35,6 +36,7 @@ from helpers import (
     coprime_shapes,
     interval_unions,
     kernel_masses,
+    label_masses,
     nested_masses,
     numeric_masses,
     oracle_assign_product,
@@ -623,6 +625,42 @@ class TestKernelMatchesOracle:
             same_as_oracle(assign_product(m, m, directional), oracle_assign_product(m, m, directional))
             same_as_oracle(assign_antidiagonal(s, s, directional),
                            oracle_paired(s, s.reversed_levels(), directional))
+
+
+ABSENT_FOCALS = st.one_of(
+    st.just(EMPTY),
+    st.frozensets(st.sampled_from("abcd")),
+    interval_unions(max_parts=2, lo=-8, hi=8, den=4, allow_empty=True),
+)
+
+
+class TestLookupsMatchEntries:
+    """mass_of and empty_mass read entries alone: they agree with a dict
+    of the entries on every input assignment and every strategy's result."""
+
+    @staticmethod
+    def check(m, absent):
+        held = dict(m.entries)
+        for f in [f for f, _ in m.entries] + [as_focal(f) for f in absent]:
+            assert m.mass_of(f) == held.get(f, 0)
+        assert m.empty_mass == held.get(EMPTY, 0)
+
+    @given(label_masses() | numeric_masses(den=COPRIME_DENS), st.lists(ABSENT_FOCALS))
+    @settings(max_examples=150)
+    def test_inputs(self, m, absent):
+        self.check(m, absent)
+
+    @DENS
+    @given(data=st.data(), directional=st.booleans(), absent=st.lists(ABSENT_FOCALS))
+    @settings(max_examples=40, deadline=None)
+    def test_every_strategy_result(self, den, data, directional, absent):
+        ma, mb = data.draw(kernel_masses(den)), data.draw(kernel_masses(den))
+        sa, sb = data.draw(stacks(ma)), data.draw(stacks(mb))
+        for m in (ma, mb):
+            self.check(m, absent)
+        self.check(assign_product(ma, mb, directional).mass, absent)
+        self.check(assign_diagonal(sa, sb, directional).mass, absent)
+        self.check(assign_antidiagonal(sa, sb, directional).mass, absent)
 
 
 class TestSumTolerance:

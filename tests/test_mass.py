@@ -687,6 +687,11 @@ class TestDefuzz:
         with pytest.raises(ZeroAreaError):
             centre_of_gravity(NumericFuzzySet((Step(2, 2, 1),)))
 
+    def test_centre_of_gravity_of_integer_steps_is_exact(self):
+        # hand-built steps keep their ints; the moment is halved after the sum
+        cog = centre_of_gravity(NumericFuzzySet((Step(0, 1, 1), Step(1, 3, 2))))
+        assert type(cog) is Fraction and cog == F(17, 10)
+
     @given(nested_masses(allow_empty=False))
     def test_cog_of_symmetric_mass_is_centre(self, m):
         # mirror the assignment around 0 and average: centre must be 0
