@@ -23,10 +23,13 @@ endpoint keys once; a cell's bounds are differences of those keys,
 folded onto the nonnegative axis unless directional and merged by
 intervals.merge_spans, and its mass, an integer under the masses' own
 common scale, is summed into one dict keyed by the cell's keys.
-Fractions are built once per distinct result focal element, and the
-result reaches MassAssignment already merged and in order, so only its
-total is checked there. Past MAX_SCALE_BITS a scale is None and the keys
-are the Fractions themselves, through the same code.
+Fractions are built once per distinct endpoint key and once per distinct
+mass, shared by every focal element that holds them, and the result
+reaches MassAssignment already merged and in order, so only its total is
+checked there. The result keeps its keys and scales, so its membership
+and density sweep them without scaling any endpoint again (see mass).
+Past MAX_SCALE_BITS a scale is None and the keys are the Fractions
+themselves, through the same code.
 """
 
 from dataclasses import dataclass
@@ -78,22 +81,34 @@ def _cell(ka: tuple, kb: tuple, directional: bool) -> tuple:
     return merge_spans(spans)
 
 
-def _focal(key: tuple, d: Optional[int]) -> IntervalUnion:
-    """The focal element whose keys under d are key."""
+def _fractions(keys: Iterable, d: Optional[int]) -> dict:
+    """Each distinct key mapped to the Fraction it stands for under d,
+    built once and shared by every part or entry that holds it."""
+    return {k: unscaled(k, d) for k in set(keys)}
+
+
+def _focal(key: tuple, at: dict) -> IntervalUnion:
+    """The focal element whose keys are key, its endpoints read from at
+    (see _fractions)."""
     if not key:
         return EMPTY
-    return IntervalUnion._from_merged((unscaled(lo, d), unscaled(hi, d)) for lo, hi in key)
+    return IntervalUnion._from_merged((at[lo], at[hi]) for lo, hi in key)
+
+
+def _cell_of(a: IntervalUnion, b: IntervalUnion, directional: bool) -> IntervalUnion:
+    key = _cell(_keys(a, None), _keys(b, None), directional)
+    return _focal(key, _fractions((k for span in key for k in span), None))
 
 
 def cell_directional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
     """{y - x : x in a, y in b}; empty if either side is empty."""
-    return _focal(_cell(_keys(a, None), _keys(b, None), True), None)
+    return _cell_of(a, b, True)
 
 
 def cell_nondirectional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
     """{|y - x| : x in a, y in b}, each directional difference folded onto
     the nonnegative axis; empty if either side is empty."""
-    return _focal(_cell(_keys(a, None), _keys(b, None), False), None)
+    return _cell_of(a, b, False)
 
 
 def _cell_mass(
@@ -103,18 +118,19 @@ def _cell_mass(
     as keys under the scale d and masses under the scale w: each cell's
     mass lands on _cell(ka, kb), summed per distinct cell. Entries come
     out in sort_key order, which a positive scale keeps: by keys, the
-    empty set last."""
+    empty set last. The result keeps its keys for the sweep."""
     acc: dict = {}
     for ka, kb, mass in cells:
         key = _cell(ka, kb, directional)
         before = acc.get(key)
         # a first mass is stored, not added to 0 (a Fraction sum past the limit)
         acc[key] = mass if before is None else before + mass
-    entries = tuple(
-        (_focal(key, d), unscaled(acc[key], w))
-        for key in sorted(acc, key=lambda key: (not key, key))
-    )
-    return MassAssignment._trusted(entries, unscaled(sum(acc.values()), w))
+    order = sorted(acc, key=lambda key: (not key, key))
+    at = _fractions((k for key in order for span in key for k in span), d)
+    masses = _fractions(acc.values(), w)
+    entries = tuple((_focal(key, at), masses[acc[key]]) for key in order)
+    keys = tuple((key, acc[key]) for key in order)
+    return MassAssignment._trusted(entries, unscaled(sum(acc.values()), w), d, w, keys)
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,22 @@ Conventions that matter and are easy to get wrong:
   at endpoint c is the sum after adding the starts at c, and the value
   on the open gap after c is that minus the ends at c. Stacking at a
   shared closed endpoint and single-point parts follow from this rule.
+* The sweep runs on the keys a MassAssignment was built on, which it
+  carries from construction: from __init__'s sort keys, or from the
+  distance kernel, which made them. Endpoints are their integer keys and
+  weights integers under one common scale (the masses', or the
+  densities'), so the deltas and the running sum are integer additions;
+  each endpoint is the Fraction its part already holds, and a Fraction
+  is built once per value of a run.
+  Past MAX_SCALE_BITS a key or a weight is the Fraction itself, through
+  the same code.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .intervals import (
@@ -59,7 +68,6 @@ from .intervals import (
     common_scale,
     echo,
     format_fraction,
-    merge_spans,
     scaled,
     unscaled,
 )
@@ -164,37 +172,63 @@ class MassAssignment:
     masses dropped, every empty focal normalized to the one empty set,
     entries sorted deterministically, masses summing to 1 (within the
     tolerance, for inputs that arrive as rounded decimals). total is that
-    exact sum."""
+    exact sum. The keys the entries were sorted and summed on stay in
+    private slots (see _set) for the membership and density sweeps."""
 
-    __slots__ = ("entries", "total")
+    __slots__ = ("entries", "total", "_scale", "_mass_scale", "_keys")
 
     def __init__(self, entries: Iterable[tuple], *, tolerance: Fraction = DEFAULT_TOLERANCE):
-        merged: dict = {}
+        positive = []
         for focal, mass in entries:
             focal, mass = as_focal(focal), as_fraction(mass)
             if mass < 0:
                 raise ValueError(f"negative mass {brief(mass)} on {focal}")
-            if mass == 0:
-                continue
-            # a first mass is stored, not added to ZERO (a Fraction sum)
-            before = merged.get(focal)
-            merged[focal] = mass if before is None else before + mass
-        total = _checked_total(sum(merged.values(), ZERO), tolerance)
-        d = endpoint_scale(merged)
-        entries = sorted(merged.items(), key=lambda e: e[0].sort_key(d))
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "total", total)
+            if mass != 0:
+                positive.append((focal, mass))
+        d = endpoint_scale(f for f, _ in positive)
+        # merged on sort keys, which are distinct for distinct focal elements
+        # and hash as integers, where a focal element hashes its Fractions
+        merged: dict = {}
+        for focal, mass in positive:
+            k = focal.sort_key(d)
+            e = merged.get(k)
+            if e is None:
+                merged[k] = [focal, mass]
+            else:
+                e[1] += mass
+        order = sorted(merged)
+        w = common_scale(mass for _, mass in merged.values())
+        # a union's sort key ends in its part keys (see IntervalUnion.sort_key)
+        keys = tuple((k[2] if k[:2] == (0, 1) else (), scaled(merged[k][1], w)) for k in order)
+        total = _checked_total(unscaled(sum(mass for _, mass in keys), w), tolerance)
+        self._set(tuple(tuple(merged[k]) for k in order), total, d, w, keys)
 
     @classmethod
-    def _trusted(cls, entries: tuple, total: Fraction) -> "MassAssignment":
+    def _trusted(
+        cls,
+        entries: tuple,
+        total: Fraction,
+        scale: Optional[int],
+        mass_scale: Optional[int],
+        keys: tuple,
+    ) -> "MassAssignment":
         """The assignment of entries already canonical: distinct focal
         elements as as_focal returns them, positive Fraction masses, in
-        sort_key order, with total their exact sum. Only the total is
-        checked, as __init__ checks it at the default tolerance."""
+        sort_key order, with total their exact sum, and keys their part
+        and mass keys under scale and mass_scale (see _set). Only the
+        total is checked, as __init__ checks it at the default tolerance."""
         self = object.__new__(cls)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "total", _checked_total(total, DEFAULT_TOLERANCE))
+        self._set(entries, _checked_total(total, DEFAULT_TOLERANCE), scale, mass_scale, keys)
         return self
+
+    def _set(self, entries, total, scale, mass_scale, keys) -> None:
+        """Fill the slots. keys holds, per entry, the (lo, hi) keys of its
+        parts under the endpoint scale (() for a label set or the empty
+        set) and its mass key under mass_scale; a None scale keys numbers
+        as themselves (see intervals.scaled). Equality and hashing read
+        entries alone."""
+        for name, value in zip(self.__slots__, (entries, total, scale, mass_scale, keys)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("MassAssignment is immutable")
@@ -384,12 +418,17 @@ class SlicedAssignment:
     def from_mass(cls, m: MassAssignment) -> "SlicedAssignment":
         """Order focal elements by containment, biggest at the bottom.
         Fails when the nonempty focal elements are not nested."""
-        def size(f: Focal) -> Fraction:
-            return f.length if isinstance(f, IntervalUnion) else Fraction(len(f))
+        def size(f: Focal) -> tuple:
+            # Of two nested unions of one length, the superset has more parts:
+            # it adds single points. Label sets of one size are nested only
+            # when equal.
+            if isinstance(f, IntervalUnion):
+                return (f.length, len(f.parts))
+            return (Fraction(len(f)), 0)
 
-        # sort is stable and entries come in sort_key order, which breaks ties
-        # and keeps the empty set, of size 0 and contained in any set, last
-        stack = sorted(m.entries, key=lambda e: -size(e[0]))
+        # sort is stable and entries come in sort_key order, which keeps the
+        # empty set, of size 0, no parts and contained in any set, last
+        stack = sorted(m.entries, key=lambda e: size(e[0]), reverse=True)
         for (f1, _), (f2, _) in zip(stack, stack[1:]):
             if not f1.issuperset(f2):
                 raise ValueError(
@@ -423,9 +462,10 @@ def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
     so levels compare as integers. An edge of slope s = (x2-x1)/(m2-m1)
     crosses level k*h/n at a + k*b, a = x1 - m1*s and b = s*h/n, kept as
     (c + k*dc)/q over one denominator q; a jump edge (x1 == x2) crosses
-    at its point, as its s is 0. Edges meeting at a vertex above the
-    level join into one part as they are walked, and merge_spans merges
-    any other parts that touch."""
+    at its point, as its s is 0. Parts come in x order, so joining is one
+    pass: edges meeting at a vertex above the level join as they are
+    walked, and a part that opens where the last one closed (a jump down
+    and up at one x, or a vertex exactly at the level) reopens it."""
     if n < 1:
         raise ValueError("need at least one slice")
     h = shape.height
@@ -455,9 +495,11 @@ def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
                     lo = None
             elif k < t2:
                 lo = Fraction(c + k * dc, q)
+                if parts and parts[-1][1] == lo:  # opens where the last part closed
+                    lo = parts.pop()[0]
         if lo is not None:
             parts.append((lo, x_end))
-        slices.append((IntervalUnion._from_merged(merge_spans(parts)), step))
+        slices.append((IntervalUnion._from_merged(parts), step))
     if h < 1:
         slices.append((EMPTY, 1 - h))
     return SlicedAssignment._trusted(tuple(slices), ONE)
@@ -558,60 +600,72 @@ class NumericFuzzySet:
 
 
 def _numeric_focals(m: MassAssignment, use: str) -> list:
-    """The nonempty focal elements of m with their masses; label focal
-    elements raise TypeError naming the use."""
+    """(focal, part keys, mass key) for the nonempty focal elements of m;
+    label focal elements raise TypeError naming the use."""
     focals = []
-    for f, mass in m.entries:
+    for (f, _), (keys, mass) in zip(m.entries, m._keys):
         if isinstance(f, frozenset):
             raise TypeError(f"{use} needs numeric focal elements")
-        if not f.is_empty:
-            focals.append((f, mass))
+        if keys:
+            focals.append((f, keys, mass))
     return focals
 
 
-def _sweep(weighted: list, points: bool) -> list:
+def _sweep(keyed: list, scale: Optional[int], points: bool) -> list:
     """Maximal runs (lo, hi, value, lo_open, hi_open) of equal nonzero
-    total weight over (IntervalUnion, weight) pairs, from one pass over
-    the sorted part endpoints (see the module docstring). With points
-    False only the open gaps between endpoints are valued."""
-    d = endpoint_scale(f for f, _ in weighted)
-    events: dict = {}  # sort key (see scaled) -> [endpoint, start weight, end weight]
-    for f, w in weighted:
-        for p in f.parts:
-            for x, side in ((p.lo, 1), (p.hi, 2)):
-                k = scaled(x, d)
-                e = events.get(k)
-                if e is None:
-                    events[k] = e = [x, None, None]
-                # a first weight is stored, not summed with ZERO (a Fraction sum)
-                e[side] = w if e[side] is None else e[side] + w
-    cuts = [e for _, e in sorted(events.items(), key=itemgetter(0))]
+    total weight over (IntervalUnion, part keys, weight key) triples with
+    weights keyed under scale, from one pass over the sorted endpoint keys
+    (see the module docstring). Totals stay keys until a run is done; each
+    endpoint is the Fraction its part already holds. With points False
+    only the open gaps between endpoints are valued."""
+    deltas: dict = {}  # endpoint key -> [endpoint, start weight, end weight]
+    for f, keys, w in keyed:
+        for p, (lo, hi) in zip(f.parts, keys):
+            e = deltas.get(lo)
+            if e is None:
+                deltas[lo] = [p.lo, w, 0]
+            else:
+                e[1] += w
+            e = deltas.get(hi)
+            if e is None:
+                deltas[hi] = [p.hi, 0, w]
+            else:
+                e[2] += w
     atoms = []
-    total = ZERO
-    for (x, start, end), after in zip(cuts, cuts[1:] + [None]):
-        if start is not None:
+    total, x = 0, None
+    for k in sorted(deltas):
+        after, start, end = deltas[k]
+        if x is not None:
+            atoms.append((x, after, total, True, True))
+        x = after
+        if start:
             total += start
         if points:
             atoms.append((x, x, total, False, False))
-        if end is not None:
+        if end:
             total -= end
-        if after is not None:
-            atoms.append((x, after[0], total, True, True))
-    runs = []  # consecutive atoms of one nonzero value join; zero breaks a run
-    last = ZERO
+    runs = []  # consecutive atoms of one nonzero total join; zero breaks a run
+    last = 0
     for lo, hi, value, lo_open, hi_open in atoms:
-        if value != 0 and value == last:
-            runs[-1] = (runs[-1][0], hi, value, runs[-1][3], hi_open)
-        elif value != 0:
-            runs.append((lo, hi, value, lo_open, hi_open))
+        if value and value == last:
+            runs[-1][1], runs[-1][4] = hi, hi_open
+        elif value:
+            runs.append([lo, hi, value, lo_open, hi_open])
         last = value
+    if scale is not None:
+        values: dict = {}  # total key -> its Fraction, built once
+        for run in runs:
+            v = values.get(run[2])
+            if v is None:
+                v = values[run[2]] = Fraction(run[2], scale)
+            run[2] = v
     return runs
 
 
 def fuzzy_from_mass(m: MassAssignment) -> NumericFuzzySet:
     """Membership of x is the total mass of focal elements containing x."""
     focals = _numeric_focals(m, "membership reconstruction")
-    return NumericFuzzySet(tuple(Step(*run) for run in _sweep(focals, True)))
+    return NumericFuzzySet(tuple(Step(*run) for run in _sweep(focals, m._mass_scale, True)))
 
 
 # ---------------------------------------------------------------------------
@@ -641,14 +695,18 @@ class Density:
 def least_prejudiced(m: MassAssignment) -> Density:
     """Spread each focal element's mass uniformly over its length and add
     the densities. Mass on the empty set is reported separately."""
-    weighted = []
-    for f, mass in _numeric_focals(m, "density"):
-        if f.length == 0:
+    focals = _numeric_focals(m, "density")
+    densities = []
+    for f, keys, mass in focals:
+        length = sum(hi - lo for lo, hi in keys)
+        if length == 0:
             raise DegenerateSupportError(
                 f"cannot spread mass over zero-length focal element {f}"
             )
-        weighted.append((f, mass / f.length))
-    pieces = tuple((Interval(lo, hi), d) for lo, hi, d, _, _ in _sweep(weighted, False))
+        densities.append(unscaled(mass, m._mass_scale) / unscaled(length, m._scale))
+    scale = common_scale(densities)
+    keyed = [(f, keys, scaled(x, scale)) for (f, keys, _), x in zip(focals, densities)]
+    pieces = tuple((Interval(lo, hi), value) for lo, hi, value, _, _ in _sweep(keyed, scale, False))
     return Density(pieces, m.empty_mass)
 
 

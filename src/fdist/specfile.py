@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .intervals import (
     DEFAULT_TOLERANCE,
@@ -231,29 +231,46 @@ def load(path, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
 # ---------------------------------------------------------------------------
 # result serialization (documents that re-parse to equal values)
 
-def focal_to_doc(f: Focal) -> list:
+def _formatter() -> Callable[[Fraction], str]:
+    """format_fraction for the numbers of one document, each distinct
+    number formatted once. The memo is keyed by (numerator, denominator),
+    which hashes faster than the Fraction, and lives as long as the
+    function returned."""
+    memo: dict = {}
+
+    def text(q: Fraction) -> str:
+        key = q.as_integer_ratio()
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = format_fraction(q)
+        return out
+
+    return text
+
+
+def focal_to_doc(f: Focal, text: Callable[[Fraction], str] = format_fraction) -> list:
     if isinstance(f, frozenset):
         return sorted(f)
-    return [[format_fraction(p.lo), format_fraction(p.hi)] for p in f.parts]
+    return [[text(p.lo), text(p.hi)] for p in f.parts]
 
 
 def mass_to_doc(m: MassAssignment, name: str = "result") -> dict:
     """A kind-"mass" set document for this assignment."""
+    text = _formatter()
     return {
         "name": name,
         "kind": "mass",
-        "entries": [
-            {"focal": focal_to_doc(f), "mass": format_fraction(mass)} for f, mass in m.entries
-        ],
+        "entries": [{"focal": focal_to_doc(f, text), "mass": text(mass)} for f, mass in m.entries],
     }
 
 
 def fuzzy_to_doc(f: NumericFuzzySet) -> list:
+    text = _formatter()
     return [
         {
-            "mu": format_fraction(s.mu),
-            "lo": format_fraction(s.lo),
-            "hi": format_fraction(s.hi),
+            "mu": text(s.mu),
+            "lo": text(s.lo),
+            "hi": text(s.hi),
             "lo_open": s.lo_open,
             "hi_open": s.hi_open,
         }

@@ -48,3 +48,21 @@ def test_every_counter_counts_under_the_tracer():
     counted = {name for _, _, name, counter in spans.hook_points() if counter}
     seen = {name for name, *_, counts in tracer.spans if counts}
     assert counted - seen == set()
+
+
+def test_traced_distance_records_membership_and_emitter_spans():
+    # Membership runs in the result's key space; its span must still be
+    # recorded with its counts, not folded into distance.cells.
+    spans = perfbench_module("spans")
+    for argv in (["A", "B", "--slices", "4"], ["A", "B", "--slices", "4", "--strategy", "product"]):
+        tracer = spans.Tracer()
+        with tracer.installed():
+            with redirect_stdout(io.StringIO()):
+                assert main(["distance", str(DATA), *argv]) == 0
+        names = [name for name, *_ in tracer.spans]
+        membership = [counts for name, *_, counts in tracer.spans if name == "mass.membership"]
+        assert len(membership) == 1
+        assert all(membership[0][key] > 0 for key in ("focals", "breakpoints", "steps"))
+        assert names.count("specfile.to_doc") > 1  # mass_to_doc, its focal_to_doc calls, fuzzy_to_doc
+        own = dict(zip(names, tracer.self_times()))
+        assert own["mass.membership"] > 0

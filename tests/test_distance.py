@@ -20,6 +20,7 @@ from fdist.distance import (
 )
 from fdist.intervals import DEFAULT_TOLERANCE, EMPTY, IntervalUnion, common_scale, iu
 from fdist.mass import (
+    DegenerateSupportError,
     MassAssignment,
     PiecewiseShape,
     SlicedAssignment,
@@ -27,6 +28,7 @@ from fdist.mass import (
     combine,
     as_focal,
     fuzzy_from_mass,
+    least_prejudiced,
     slice_shape,
 )
 from helpers import (
@@ -41,6 +43,8 @@ from helpers import (
     numeric_masses,
     oracle_assign_product,
     oracle_differences,
+    oracle_fuzzy_from_mass,
+    oracle_least_prejudiced,
     oracle_paired,
     stacks,
 )
@@ -397,6 +401,17 @@ class TestDistanceApi:
         with pytest.raises(ValueError):
             distance(scattered, MASS_B2, strategy=Strategy.DIAGONAL)
 
+    @pytest.mark.parametrize("strategy", [Strategy.DIAGONAL, Strategy.ANTIDIAGONAL])
+    def test_nested_focals_of_equal_length_pair_as_the_oracle(self, strategy):
+        # [0,1] and [0,1],[2,2] both have length 1; the second holds the first
+        m = MassAssignment([(iu((0, 1)), H), (iu((0, 1), (2, 2)), H)])
+        stack = SlicedAssignment([(iu((0, 1), (2, 2)), H), (iu((0, 1)), H)])
+        other = stack if strategy is Strategy.DIAGONAL else stack.reversed_levels()
+        for directional in (False, True):
+            result = distance(m, m, directional=directional, strategy=strategy)
+            same_as_oracle(result, oracle_paired(stack, other, directional))
+        assert distance(m, m).strategy is Strategy.DIAGONAL
+
     def test_stacks_ending_at_different_levels_rejected(self):
         from fdist.distance import _paired
 
@@ -625,6 +640,36 @@ class TestKernelMatchesOracle:
             same_as_oracle(assign_product(m, m, directional), oracle_assign_product(m, m, directional))
             same_as_oracle(assign_antidiagonal(s, s, directional),
                            oracle_paired(s, s.reversed_levels(), directional))
+
+
+class TestSweepOnKernelKeys:
+    """Membership and density of a result read the keys the kernel built
+    it from (or, past MAX_SCALE_BITS, the Fractions themselves) and equal
+    the quadratic reconstructions; the kept keys do not show in equality,
+    hashing or membership."""
+
+    @DENS
+    @given(data=st.data(), directional=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_strategy_result(self, den, data, directional):
+        ma, mb = data.draw(kernel_masses(den)), data.draw(kernel_masses(den))
+        sa, sb = data.draw(stacks(ma)), data.draw(stacks(mb))
+        for result in (
+            assign_product(ma, mb, directional),
+            assign_diagonal(sa, sb, directional),
+            assign_antidiagonal(sa, sb, directional),
+        ):
+            m, rebuilt = result.mass, MassAssignment(result.mass.entries)
+            assert m == rebuilt and hash(m) == hash(rebuilt)
+            assert result.fuzzy == fuzzy_from_mass(m) == oracle_fuzzy_from_mass(m)
+            assert fuzzy_from_mass(rebuilt) == result.fuzzy
+            try:
+                expected = oracle_least_prejudiced(m)
+            except DegenerateSupportError:
+                with pytest.raises(DegenerateSupportError):
+                    least_prejudiced(m)
+            else:
+                assert least_prejudiced(m) == least_prejudiced(rebuilt) == expected
 
 
 ABSENT_FOCALS = st.one_of(

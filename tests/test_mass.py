@@ -358,6 +358,23 @@ class TestSlicedAssignment:
         s = SlicedAssignment.from_mass(m)
         assert s.slices == ((iu((1, 4)), H), (EMPTY, H))
 
+    def test_from_mass_puts_the_superset_of_equal_length_first(self):
+        # [0,1] and [0,1],[2,2] both have length 1, and sort_key puts the
+        # subset first; the single point makes the other the superset
+        for extra in ((2, 2), (-1, -1)):
+            m = MassAssignment([(iu((0, 1)), Q), (iu((0, 1), extra), Q), (EMPTY, H)])
+            assert SlicedAssignment.from_mass(m).slices == (
+                (iu((0, 1), extra), Q), (iu((0, 1)), Q), (EMPTY, H)
+            )
+        points = MassAssignment([(iu((3, 3)), H), (iu((3, 3), (5, 5)), Q), (EMPTY, Q)])
+        assert SlicedAssignment.from_mass(points).slices == (
+            (iu((3, 3), (5, 5)), Q), (iu((3, 3)), H), (EMPTY, Q)
+        )
+        # equal length and more parts still fail when not nested
+        with pytest.raises(ValueError, match="not nested"):
+            SlicedAssignment.from_mass(MassAssignment([(iu((0, 1)), H), (iu((0, 1), (2, 2)), Q),
+                                                       (iu((0, 1), (3, 3)), Q)]))
+
     def test_from_mass_rejects_unnested(self):
         m = MassAssignment([(iu((1, 4)), H), (iu((6, 9)), H)])
         with pytest.raises(ValueError, match="the product strategy does not"):
@@ -463,6 +480,21 @@ def assert_slices_equal_cuts(shape, n):
 class TestLevelCutMatchesOracle:
     """Each slice of the per-edge slicer equals the vertex-then-edge cut
     at its lower level."""
+
+    @pytest.mark.parametrize("vertices", [
+        # jump down to 0 and back up at one x: the parts on either side touch
+        [(0, 1), (1, 1), (1, 0), (1, 1), (2, 1)],
+        [(0, 0), (1, 1), (1, Q), (1, 1), (2, 0)],
+        # two peaks over a valley at exactly a slice level
+        [(0, 0), (1, 1), (2, H), (3, 1), (4, 0)],
+        [(0, 0), (1, 1), (2, Q), (3, 1), (4, 0)],
+        # two peaks with jumps, a lone spike and a valley that reaches 0
+        [(0, 0), (0, 1), (1, 1), (1, H), (2, 0), (3, F(3, 4)), (3, 0), (3, 1), (4, 0)],
+        [(0, H), (1, 0), (1, 1), (1, 0), (2, 0), (2, 1), (3, 1), (3, 0)],
+    ])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_jumps_and_two_peaks(self, vertices, n):
+        assert_slices_equal_cuts(PiecewiseShape(vertices), n)
 
     @given(piecewise_shapes(), st.integers(1, 40))
     @settings(max_examples=300, deadline=None)
