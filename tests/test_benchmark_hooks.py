@@ -63,6 +63,7 @@ def test_traced_distance_records_membership_and_emitter_spans():
         membership = [counts for name, *_, counts in tracer.spans if name == "mass.membership"]
         assert len(membership) == 1
         assert all(membership[0][key] > 0 for key in ("focals", "breakpoints", "steps"))
-        assert names.count("specfile.to_doc") > 1  # mass_to_doc, its focal_to_doc calls, fuzzy_to_doc
+        # mass_to_doc, the focal_to_doc calls it makes and fuzzy_to_doc
+        assert names.count("specfile.to_doc") > 1
         own = dict(zip(names, tracer.self_times()))
         assert own["mass.membership"] > 0

@@ -371,9 +371,9 @@ class TestSlicedAssignment:
             (iu((3, 3), (5, 5)), Q), (iu((3, 3)), H), (EMPTY, Q)
         )
         # equal length and more parts still fail when not nested
+        apart = MassAssignment([(iu((0, 1)), H), (iu((0, 1), (2, 2)), Q), (iu((0, 1), (3, 3)), Q)])
         with pytest.raises(ValueError, match="not nested"):
-            SlicedAssignment.from_mass(MassAssignment([(iu((0, 1)), H), (iu((0, 1), (2, 2)), Q),
-                                                       (iu((0, 1), (3, 3)), Q)]))
+            SlicedAssignment.from_mass(apart)
 
     def test_from_mass_rejects_unnested(self):
         m = MassAssignment([(iu((1, 4)), H), (iu((6, 9)), H)])
