@@ -1,23 +1,32 @@
-"""Exact solvers over Fractions.
+"""Exact solvers on integers.
 
-``maximize`` solves  max c.x  subject to  A x = b, x >= 0  by the textbook
+``maximize`` solves  max c.x  subject to  A x = b, x >= 0  by the
 two-phase dense-tableau method with Bland's rule (anti-cycling); it serves
-``linear_combination``. ``min_cost_flow`` solves transportation problems
-over a sparse edge list by successive shortest paths (Busacker-Gowen),
-each found by Bellman-Ford with a queue. Edge costs are integer tuples
-compared lexicographically, so one flow optimizes several objectives in
-order; ties go to the path with the fewest edges (Edmonds-Karp), and empty
-costs give a plain maximum flow. All arithmetic is exact, so results are
-bit-stable.
+``linear_combination``. Each row of ``[A | b]`` is scaled to integers by
+its own lcm, and every pivot is Bareiss's fraction-free update: all
+entries stay integers over one common denominator, the previous pivot,
+which divides each updated entry exactly (Edmonds 1967; Bareiss 1968).
+
+``min_cost_flow`` solves transportation problems over a sparse edge list
+by the primal-dual method (Ahuja, Magnanti and Orlin, *Network Flows*,
+ch. 9): each round one Dijkstra over reduced costs under node potentials
+(Tomizawa 1971; Edmonds-Karp 1972) raises the potentials, and a maximum
+flow is pushed through the arcs of reduced cost zero, Dinic-style. Edge
+costs are integer tuples compared lexicographically, so one flow
+optimizes several objectives in order; each tuple is encoded as one
+integer in a base wider than any simple path's cost difference in one
+coordinate, which keeps that order. Empty costs give a plain maximum flow.
+
+Both solvers turn their integers back into Fractions only at the end, so
+results are exact and bit-stable.
 """
 
-from collections import deque
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
-from operator import add
 from typing import Optional, Sequence
 
-from .intervals import ONE, ZERO
+from .intervals import ZERO
 
 
 class Infeasible(Exception):
@@ -28,45 +37,57 @@ class Unbounded(Exception):
     pass
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            factor = line[col]
-            tableau[r] = [v - factor * w for v, w in zip(line, tableau[row])]
+def _pivot(tableau, basis, d, row, col):
+    """Bareiss step on the pivot (row, col) of a tableau whose true entries
+    are its integers over d > 0; returns the new denominator, the pivot.
+    A negative pivot row is negated first, so the denominator stays
+    positive and every sign test reads the integers directly."""
+    line = tableau[row]
+    p = line[col]
+    if p < 0:
+        line = tableau[row] = [-v for v in line]
+        p = -p
+    for r, other in enumerate(tableau):
+        if r != row:
+            f = other[col]
+            if f:
+                tableau[r] = [(p * v - f * w) // d for v, w in zip(other, line)]
+            elif p != d:
+                tableau[r] = [p * v // d for v in other]
     basis[row] = col
+    return p
 
 
-def _simplex(tableau, basis, cost, ncols):
-    """Maximize over the current tableau; cost is the full objective row.
-    Returns the optimal value."""
-    m = len(tableau)
-    # reduced costs: z_j = c_j - c_B . column_j, objective value in obj[-1]
-    obj = list(cost) + [ZERO]
-    for r in range(m):
-        cb = cost[basis[r]]
-        if cb != 0:
-            obj = [v - cb * w for v, w in zip(obj, tableau[r])]
+def _simplex(tableau, basis, d, ncols):
+    """Maximize over a tableau whose last row holds the reduced costs and
+    minus the objective value; returns the final denominator. Bland's rule
+    enters the lowest column with positive reduced cost and leaves by the
+    least ratio, compared by cross-multiplication, ties to the lowest
+    basic variable."""
+    m = len(tableau) - 1
     while True:
+        obj = tableau[-1]
         col = next((j for j in range(ncols) if obj[j] > 0), None)
         if col is None:
-            return -obj[-1]
+            return d
         row = None
-        best = None
         for r in range(m):
             a = tableau[r][col]
             if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    best = ratio
-                    row = r
+                rhs = tableau[r][-1]
+                # rhs / a against the least ratio so far, top / bottom
+                if row is None or (rhs * bottom, basis[r]) < (top * a, basis[row]):
+                    row, top, bottom = r, rhs, a
         if row is None:
             raise Unbounded("objective unbounded above")
-        _pivot(tableau, basis, row, col)
-        factor = obj[col]
-        if factor != 0:
-            obj = [v - factor * w for v, w in zip(obj, tableau[row])]
+        d = _pivot(tableau, basis, d, row, col)
+
+
+def _scaled(values, sign=1):
+    """The values times the lcm of their denominators (and sign), as ints,
+    with that positive lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (sign * scale // v.denominator) for v in values], scale
 
 
 def maximize(
@@ -77,38 +98,54 @@ def maximize(
     """Return (optimal value, solution vector) or raise Infeasible/Unbounded."""
     n = len(c)
     m = len(A)
-    # phase 1 tableau: [A | I | b] with artificial basis, rows flipped so b >= 0
-    tableau = []
+    # phase 1 tableau: [A | I | b] with artificial basis, rows flipped so
+    # b >= 0 and scaled to integers. The scaling multiplies each basic
+    # artificial by its row's lcm; weighting it by the inverse in the
+    # phase 1 objective keeps every reduced cost's sign, every ratio's
+    # order and so every pivot of the unscaled tableau.
+    tableau, scales = [], []
     for i in range(m):
-        row = list(A[i])
-        rhs = b[i]
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        art = [ONE if j == i else ZERO for j in range(m)]
-        tableau.append(row + art + [rhs])
+        line, scale = _scaled([*A[i], b[i]], -1 if b[i] < 0 else 1)
+        tableau.append(line[:-1] + [int(j == i) for j in range(m)] + line[-1:])
+        scales.append(scale)
     basis = [n + i for i in range(m)]
-    phase1_cost = [ZERO] * n + [-ONE] * m
-    if _simplex(tableau, basis, phase1_cost, n + m) < 0:
+    # phase 1 maximizes minus the sum of the artificials, each weighted by
+    # weight // its row's scale: the reduced costs are the weighted sum of
+    # the rows, zero on the basic artificials
+    weight = lcm(*scales)
+    obj = [0] * (n + m + 1)
+    for line, scale in zip(tableau, scales):
+        obj = [v + weight // scale * w for v, w in zip(obj, line)]
+    obj[n:n + m] = [0] * m
+    tableau.append(obj)
+    d = _simplex(tableau, basis, 1, n + m)
+    if tableau.pop()[-1] > 0:
         raise Infeasible("no feasible point")
 
     # drive remaining artificials out of the basis, drop redundant rows
     keep = []
     for r in range(m):
         if basis[r] >= n:
-            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+            col = next((j for j in range(n) if tableau[r][j]), None)
             if col is None:
                 continue  # redundant constraint
-            _pivot(tableau, basis, r, col)
+            d = _pivot(tableau, basis, d, r, col)
         keep.append(r)
-    tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
+    tableau = [tableau[r][:n] + tableau[r][-1:] for r in keep]
     basis = [basis[r] for r in keep]
 
-    value = _simplex(tableau, basis, c, n)
+    cost, scale = _scaled(c)
+    obj = [d * v for v in cost] + [0]
+    for line, var in zip(tableau, basis):
+        cb = cost[var]
+        if cb:
+            obj = [v - cb * w for v, w in zip(obj, line)]
+    tableau.append(obj)
+    d = _simplex(tableau, basis, d, n)
     x = [ZERO] * n
-    for r, var in enumerate(basis):
-        x[var] = tableau[r][-1]
-    return value, x
+    for line, var in zip(tableau, basis):
+        x[var] = Fraction(line[-1], d)
+    return Fraction(-tableau[-1][-1], d * scale), x
 
 
 def feasible(
@@ -135,49 +172,128 @@ def min_cost_flow(
     (no supply or demand exceeded) whose summed cost tuple is
     lexicographically least. The flow falls short of the total supply
     exactly when no routing meets every supply and demand."""
-    source, sink = len(supply) + len(demand), len(supply) + len(demand) + 1
-    zero = (0,) * len(costs[0]) if costs else ()
+    ns = len(supply)
+    source = ns + len(demand)
+    sink = source + 1
+    nodes = sink + 1
+    # A simple path or cycle has at most `nodes` arcs, so a coordinate of
+    # its cost, or of the difference of two such costs, stays below base
+    # in size, and comparing the encoded integers compares the tuples.
+    base = 2 * max((abs(v) for c in costs for v in c), default=0) * nodes + 1
+
+    def encode(c):
+        code = 0
+        for v in c:
+            code = code * base + v
+        return code
+
     # integer capacities over one common denominator keep every step exact
     scale = lcm(*(x.denominator for x in (*supply, *demand)))
     # residual arcs in pairs: arc k runs to head[k], arc k ^ 1 is its reverse
-    head, cap, cost, out = [], [], [], [[] for _ in range(sink + 1)]
+    head, cap, cost, out = [], [], [], [[] for _ in range(nodes)]
 
-    def arc(u, v, capacity, c):
-        for a, b, room, w in ((u, v, capacity, c), (v, u, 0, tuple(-x for x in c))):
-            out[a].append(len(head))
-            head.append(b)
-            cap.append(room)
-            cost.append(w)
+    def arc(u, v, room, w):
+        out[u].append(len(head))
+        out[v].append(len(head) + 1)
+        head.extend((v, u))
+        cap.extend((room, 0))
+        cost.extend((w, -w))
 
-    for i, s in enumerate(supply):
-        arc(source, i, int(s * scale), zero)
-    for j, d in enumerate(demand):
-        arc(len(supply) + j, sink, int(d * scale), zero)
-    total = int(sum(supply, ZERO) * scale)
+    rooms = [x.numerator * (scale // x.denominator) for x in supply]
+    for i, room in enumerate(rooms):
+        arc(source, i, room, 0)
+    for j, x in enumerate(demand):
+        arc(ns + j, sink, x.numerator * (scale // x.denominator), 0)
+    total = sum(rooms)
     first = len(head)
+    # first potentials, in one pass over the three-layer DAG: no arc's
+    # reduced cost is negative
+    pot = [0] * nodes
     for (i, j), c in zip(edges, costs):
-        arc(i, len(supply) + j, total, c)
+        w = encode(c)
+        arc(i, ns + j, total, w)
+        pot[ns + j] = min(pot[ns + j], w)
+    pot[sink] = min(pot[ns:source], default=0)
 
     while True:
-        # shortest path by (cost, edge count); no residual cycle is negative
-        dist, via, queue = {source: (zero, 0)}, {}, deque([source])
-        while queue:
-            u = queue.popleft()
-            du, hops = dist[u]
+        # Dijkstra over reduced costs, stopped once the sink is settled
+        dist = [None] * nodes
+        dist[source] = 0
+        settled = [False] * nodes
+        heap = [(0, source)]
+        while heap:
+            du, u = heappop(heap)
+            if settled[u]:
+                continue
+            settled[u] = True
+            if u == sink:
+                break
+            reach = du + pot[u]
             for k in out[u]:
                 if cap[k]:
                     v = head[k]
-                    d = (tuple(map(add, du, cost[k])), hops + 1)
-                    if v not in dist or d < dist[v]:
-                        dist[v], via[v] = d, k
-                        queue.append(v)
-        if sink not in dist:
-            return [Fraction(cap[k + 1], scale) for k in range(first, len(head), 2)]
-        path, v = [], sink
-        while v != source:
-            path.append(via[v])
-            v = head[via[v] ^ 1]
-        push = min(cap[k] for k in path)
-        for k in path:
-            cap[k] -= push
-            cap[k ^ 1] += push
+                    dv = reach + cost[k] - pot[v]
+                    if dist[v] is None or dv < dist[v]:
+                        dist[v] = dv
+                        heappush(heap, (dv, v))
+        if not settled[sink]:
+            flows = (cap[k + 1] for k in range(first, len(head), 2))
+            return [Fraction(f, scale) if f else ZERO for f in flows]
+        # every reduced cost stays >= 0 and each shortest path's drops to 0
+        top = dist[sink]
+        for v in range(nodes):
+            pot[v] += dist[v] if settled[v] else top
+        _admissible_max_flow(source, sink, head, cap, cost, out, pot)
+
+
+def _admissible_max_flow(source, sink, head, cap, cost, out, pot):
+    """Dinic's maximum flow restricted to the admissible arcs (residual
+    room, reduced cost 0): a breadth-first level graph, then a blocking
+    flow found by an iterative depth-first walk with a current-arc pointer
+    per node, until no admissible path reaches the sink."""
+    nodes = len(out)
+    while True:
+        level = [None] * nodes
+        level[source] = 0
+        frontier = [source]
+        while frontier and level[sink] is None:
+            nxt = []
+            for u in frontier:
+                pu, lv = pot[u], level[u] + 1
+                for k in out[u]:
+                    v = head[k]
+                    if cap[k] and level[v] is None and cost[k] + pu == pot[v]:
+                        level[v] = lv
+                        nxt.append(v)
+            frontier = nxt
+        if level[sink] is None:
+            return
+        cursor = [0] * nodes
+        path, u = [], source
+        while True:
+            if u == sink:
+                push = min(cap[k] for k in path)
+                for k in path:
+                    cap[k] -= push
+                    cap[k ^ 1] += push
+                # retreat to the tail of the first arc the push saturated
+                del path[next(i for i, k in enumerate(path) if not cap[k]):]
+                u = head[path[-1]] if path else source
+                continue
+            arcs, i, pu, lv = out[u], cursor[u], pot[u], level[u] + 1
+            while i < len(arcs):
+                k = arcs[i]
+                v = head[k]
+                if cap[k] and level[v] == lv and cost[k] + pu == pot[v]:
+                    break
+                i += 1
+            cursor[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = head[arcs[i]]
+            elif u == source:
+                break
+            else:
+                level[u] = None  # dead end for the rest of this phase
+                u = head[path.pop() ^ 1]
+                cursor[u] += 1

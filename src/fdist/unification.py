@@ -119,5 +119,6 @@ def unify_maximal(
     costs = [tuple(-(label == o) for o in order) for label in labels]
     totals = dict.fromkeys(TruthLabel, ZERO)
     for label, x in zip(labels, exactlp.min_cost_flow(supply, demand, cells, costs)):
-        totals[label] += x
+        if x:
+            totals[label] += x
     return TruthAssignment(totals)

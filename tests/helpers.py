@@ -6,13 +6,16 @@ import random
 import types
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from collections import deque
 from itertools import accumulate
+from math import lcm
+from operator import add
 from pathlib import Path
 
 from hypothesis import strategies as st
 
-from fdist.exactlp import feasible, maximize
-from fdist.intervals import EMPTY, MIXED_KINDS, ZERO, Interval, IntervalUnion, iu
+from fdist.exactlp import Infeasible, Unbounded
+from fdist.intervals import EMPTY, MIXED_KINDS, ONE, ZERO, Interval, IntervalUnion, iu
 from fdist.mass import (
     DegenerateSupportError,
     Density,
@@ -384,6 +387,149 @@ def oracle_format_fraction(q: Fraction) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
+# The Fraction solvers that fdist.exactlp replaced with a fraction-free
+# simplex and a primal-dual flow on integer costs: the dense two-phase
+# tableau with Bland's rule, and successive shortest paths found by
+# Bellman-Ford over cost tuples. They share no code with fdist.exactlp
+# and serve as its oracles and as the dense LP oracles below.
+
+def _oracle_pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    tableau[row] = [v / piv for v in tableau[row]]
+    for r, line in enumerate(tableau):
+        if r != row and line[col] != 0:
+            factor = line[col]
+            tableau[r] = [v - factor * w for v, w in zip(line, tableau[row])]
+    basis[row] = col
+
+
+def _oracle_simplex(tableau, basis, cost, ncols):
+    """Maximize over the current tableau; cost is the full objective row.
+    Returns the optimal value."""
+    m = len(tableau)
+    # reduced costs: z_j = c_j - c_B . column_j, objective value in obj[-1]
+    obj = list(cost) + [ZERO]
+    for r in range(m):
+        cb = cost[basis[r]]
+        if cb != 0:
+            obj = [v - cb * w for v, w in zip(obj, tableau[r])]
+    while True:
+        col = next((j for j in range(ncols) if obj[j] > 0), None)
+        if col is None:
+            return -obj[-1]
+        row = None
+        best = None
+        for r in range(m):
+            a = tableau[r][col]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
+                    best = ratio
+                    row = r
+        if row is None:
+            raise Unbounded("objective unbounded above")
+        _oracle_pivot(tableau, basis, row, col)
+        factor = obj[col]
+        if factor != 0:
+            obj = [v - factor * w for v, w in zip(obj, tableau[row])]
+
+
+def oracle_maximize(c, A, b) -> tuple:
+    """(optimal value, solution vector) of max c.x, A x = b, x >= 0, by
+    the two-phase Fraction tableau; raises Infeasible or Unbounded."""
+    n = len(c)
+    m = len(A)
+    # phase 1 tableau: [A | I | b] with artificial basis, rows flipped so b >= 0
+    tableau = []
+    for i in range(m):
+        row = list(A[i])
+        rhs = b[i]
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        art = [ONE if j == i else ZERO for j in range(m)]
+        tableau.append(row + art + [rhs])
+    basis = [n + i for i in range(m)]
+    phase1_cost = [ZERO] * n + [-ONE] * m
+    if _oracle_simplex(tableau, basis, phase1_cost, n + m) < 0:
+        raise Infeasible("no feasible point")
+
+    # drive remaining artificials out of the basis, drop redundant rows
+    keep = []
+    for r in range(m):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+            if col is None:
+                continue  # redundant constraint
+            _oracle_pivot(tableau, basis, r, col)
+        keep.append(r)
+    tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
+    basis = [basis[r] for r in keep]
+
+    value = _oracle_simplex(tableau, basis, c, n)
+    x = [ZERO] * n
+    for r, var in enumerate(basis):
+        x[var] = tableau[r][-1]
+    return value, x
+
+
+def oracle_min_cost_flow(supply, demand, edges, costs) -> list:
+    """Flow per (i, j) edge: a maximum flow whose summed cost tuple is
+    lexicographically least, by successive shortest paths, each found by
+    queue-based Bellman-Ford over (cost tuple, edge count)."""
+    source, sink = len(supply) + len(demand), len(supply) + len(demand) + 1
+    zero = (0,) * len(costs[0]) if costs else ()
+    scale = lcm(*(x.denominator for x in (*supply, *demand)))
+    head, cap, cost, out = [], [], [], [[] for _ in range(sink + 1)]
+
+    def arc(u, v, capacity, c):
+        for a, b, room, w in ((u, v, capacity, c), (v, u, 0, tuple(-x for x in c))):
+            out[a].append(len(head))
+            head.append(b)
+            cap.append(room)
+            cost.append(w)
+
+    for i, s in enumerate(supply):
+        arc(source, i, int(s * scale), zero)
+    for j, d in enumerate(demand):
+        arc(len(supply) + j, sink, int(d * scale), zero)
+    total = int(sum(supply, ZERO) * scale)
+    first = len(head)
+    for (i, j), c in zip(edges, costs):
+        arc(i, len(supply) + j, total, c)
+
+    while True:
+        dist, via, queue = {source: (zero, 0)}, {}, deque([source])
+        while queue:
+            u = queue.popleft()
+            du, hops = dist[u]
+            for k in out[u]:
+                if cap[k]:
+                    v = head[k]
+                    d = (tuple(map(add, du, cost[k])), hops + 1)
+                    if v not in dist or d < dist[v]:
+                        dist[v], via[v] = d, k
+                        queue.append(v)
+        if sink not in dist:
+            return [Fraction(cap[k + 1], scale) for k in range(first, len(head), 2)]
+        path, v = [], sink
+        while v != source:
+            path.append(via[v])
+            v = head[via[v] ^ 1]
+        push = min(cap[k] for k in path)
+        for k in path:
+            cap[k] -= push
+            cap[k ^ 1] += push
+
+
+def flow_totals(edges, costs, flow) -> tuple:
+    """A flow's value and its summed cost tuple: what every optimal flow
+    shares, whichever optimal edge vector a solver returns."""
+    width = len(costs[0]) if costs else 0
+    sums = tuple(sum((c[k] * x for c, x in zip(costs, flow)), ZERO) for k in range(width))
+    return sum(flow, ZERO), sums
+
+
 # The dense simplex formulation of both transportation problems, which
 # fdist replaced with one exact min-cost flow.
 
@@ -404,7 +550,7 @@ def oracle_lex_maximize(objectives, A, b):
     values = []
     x = None
     for obj in objectives:
-        value, x = maximize(obj, rows, rhs)
+        value, x = oracle_maximize(obj, rows, rhs)
         values.append(value)
         rows.append(list(obj))
         rhs.append(value)
@@ -435,7 +581,11 @@ def oracle_reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
     rows, rhs = transportation(
         edges, [m for _, m in src.entries], [m for _, m in dst.entries]
     )
-    return feasible(rows, rhs, nvars=len(edges)) is not None
+    try:
+        oracle_maximize([ZERO] * len(edges), rows, rhs)
+    except Infeasible:
+        return False
+    return True
 
 
 # The two-pass cut and the refine-and-zip alignment that fdist.mass

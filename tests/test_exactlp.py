@@ -4,8 +4,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fdist import exactlp
 from fdist.exactlp import Infeasible, Unbounded, feasible, maximize, min_cost_flow
-from helpers import oracle_lex_maximize, transportation
+from helpers import (
+    flow_totals,
+    frac,
+    oracle_lex_maximize,
+    oracle_maximize,
+    oracle_min_cost_flow,
+    transportation,
+)
 
 F = Fraction
 
@@ -53,6 +61,24 @@ class TestMaximize:
         )
         assert value == F(1, 2)
         assert x == [F(1, 2), F(0), F(1, 2)]
+
+    def test_drive_out_pivots_on_a_negative_entry(self, monkeypatch):
+        # max x1 + 2 x2 + 2 x3 with (2/3) x2 + (1/3) x3 = 1/3 and -x1 = 0.
+        # Phase 1 enters x2 on the first row and ends with the second
+        # row's artificial basic at zero; driving it out pivots on the -1
+        # of x1. Phase 2 then enters x3 over the negated row.
+        signs = []
+        pivot = exactlp._pivot
+
+        def spy(tableau, basis, d, row, col):
+            signs.append(tableau[row][col] > 0)
+            return pivot(tableau, basis, d, row, col)
+
+        monkeypatch.setattr(exactlp, "_pivot", spy)
+        lp = ([F(1), F(2), F(2)], [[F(0), F(2, 3), F(1, 3)], [F(-1), F(0), F(0)]], [F(1, 3), F(0)])
+        assert maximize(*lp) == (2, [F(0), F(0), F(1)])
+        assert signs == [True, False, True]
+        assert maximize(*lp) == oracle_maximize(*lp)
 
 
 class TestFeasible:
@@ -136,6 +162,96 @@ class TestMinCostFlow:
 
     def test_no_edges(self):
         assert min_cost_flow([F(1)], [F(1)], [], []) == []
+
+
+@st.composite
+def small_lps(draw):
+    """max c.x, A x = b, x >= 0 over a coarse grid of halves and thirds, so
+    that ratio ties (Bland's tie-break) and degenerate pivots are common.
+    Right-hand sides may be negative; rows may be repeated, scaled, with
+    the same right-hand side (redundant) or another one (infeasible); the
+    objective may be zero, as in feasible."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 4))
+    entry = st.just(F(0)) | frac(-3, 3, (1, 2, 3))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    rhs = [draw(entry) for _ in range(m)]
+    if m:
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(0, m - 1))
+            times = draw(st.sampled_from((F(1), F(-1), F(2), F(1, 3))))
+            rows.append([times * v for v in rows[k]])
+            rhs.append(times * rhs[k] if draw(st.booleans()) else draw(entry))
+    c = [F(0)] * n if draw(st.booleans()) else draw(st.lists(entry, min_size=n, max_size=n))
+    return c, rows, rhs
+
+
+def outcome(solve, lp):
+    try:
+        return solve(*lp)
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+
+
+@given(small_lps())
+@settings(max_examples=400, deadline=None)
+def test_maximize_equals_the_fraction_tableau(lp):
+    # value and solution vector, or the exception class: the same pivots
+    assert outcome(maximize, lp) == outcome(oracle_maximize, lp)
+
+
+@st.composite
+def flow_problems(draw):
+    """Supplies and demands (some zero) over a small table with some cells
+    dropped and some repeated as parallel edges, each edge carrying a cost
+    tuple of 0, 2 or 4 coordinates."""
+    den = draw(st.sampled_from((1, 2, 3, 7)))
+    supply = draw(st.lists(frac(0, 2, den), min_size=1, max_size=4))
+    demand = draw(st.lists(frac(0, 2, den), min_size=1, max_size=4))
+    table = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
+    dropped = draw(st.sets(st.sampled_from(table), max_size=3))
+    edges = [c for c in table if c not in dropped]
+    edges += draw(st.lists(st.sampled_from(table), max_size=3))
+    width = draw(st.sampled_from((0, 2, 4)))
+    coord = st.integers(-3, 3)
+    costs = [tuple(draw(coord) for _ in range(width)) for _ in edges]
+    return supply, demand, edges, costs
+
+
+@given(flow_problems())
+@settings(max_examples=300, deadline=None)
+def test_flow_value_and_cost_totals_equal_the_tuple_flow(problem):
+    # optimal edge vectors may differ; the value and the totals may not
+    supply, demand, edges, costs = problem
+    x = min_cost_flow(*problem)
+    assert all(v >= 0 for v in x)
+    for k, s in enumerate(supply):
+        assert sum(v for (i, _), v in zip(edges, x) if i == k) <= s
+    for k, d in enumerate(demand):
+        assert sum(v for (_, j), v in zip(edges, x) if j == k) <= d
+    assert flow_totals(edges, costs, x) == flow_totals(
+        edges, costs, oracle_min_cost_flow(*problem)
+    )
+
+
+def test_encoded_costs_keep_lexicographic_order_across_a_long_cycle():
+    # Four supplies route to four demands either straight (i -> i) or
+    # shifted (i -> i+1). Straight costs (0, 3) per edge and shifted
+    # (0, -3), save one shifted edge at (1, -3): straight wins by 1/4 in
+    # the first coordinate while losing 6 in the second, and the residual
+    # cycle between the two has 8 arcs, each worth the largest |cost| 3
+    # in the second coordinate. A base of 2*3+1 would prefer the shift.
+    quarter = [F(1, 4)] * 4
+    straight = [(i, i) for i in range(4)]
+    shifted = [(i, (i + 1) % 4) for i in range(4)]
+    edges = shifted + straight
+    costs = [(1, -3)] + [(0, -3)] * 3 + [(0, 3)] * 4
+    x = min_cost_flow(quarter, quarter, edges, costs)
+    assert x == [F(0)] * 4 + quarter
+    assert flow_totals(edges, costs, x) == (1, (0, 3))
+    assert flow_totals(edges, costs, x) == flow_totals(
+        edges, costs, oracle_min_cost_flow(quarter, quarter, edges, costs)
+    )
 
 
 @st.composite

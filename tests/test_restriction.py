@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -260,6 +261,48 @@ def chain_pairs(draw):
     return chain, masses(), masses()
 
 
+# Twelve distinct primes just past 2**40: the masses of two chains over
+# them have a common denominator of 80 bits or more, so the flow's
+# integer capacities run far past 64 bits.
+PRIMES_2_40 = (
+    1099511627791, 1099511627803, 1099511627831, 1099511627873,
+    1099511627891, 1099511627917, 1099511627933, 1099511627953,
+    1099511628029, 1099511628053, 1099511628079, 1099511628119,
+)
+
+
+@st.composite
+def prime_chain_pairs(draw):
+    """Two masses on one chain of nested intervals, each mass but the last
+    of a side over its own prime denominator; the target either follows
+    from the source by type-1 moves inward, each a share over a new prime,
+    or is drawn on its own."""
+    depth = draw(st.integers(2, 6))
+    chain = [iu((k, 20 - k)) for k in range(depth)]  # widest first
+    primes = iter(draw(st.permutations(PRIMES_2_40)))
+
+    def masses():
+        share = [F(draw(st.integers(1, p // (2 * depth))), p) for p in
+                 (next(primes) for _ in range(depth - 1))]
+        return share + [1 - sum(share)]
+
+    src = masses()
+    if draw(st.booleans()):
+        dst = masses()
+    else:
+        dst = list(src)
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, depth - 2))
+            j = draw(st.integers(i + 1, depth - 1))
+            p = next(primes)
+            moved = dst[i] * F(draw(st.integers(1, p - 1)), p)
+            dst[i] -= moved
+            dst[j] += moved
+    pair = tuple(MassAssignment((f, m) for f, m in zip(chain, side) if m) for side in (src, dst))
+    assume(lcm(*(m.denominator for side in pair for _, m in side.entries)) > 2**64)
+    return pair
+
+
 class TestReachability:
     def test_neither_assignment_reaches_the_other(self):
         assert not reachable_type1(NESTED, PRODUCT_2)
@@ -317,6 +360,12 @@ class TestReachability:
     )
     @settings(max_examples=150, deadline=None)
     def test_flow_equals_lp_feasibility(self, pair):
+        src, dst = pair
+        assert reachable_type1(src, dst) == oracle_reachable_type1(src, dst)
+
+    @given(prime_chain_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_large_prime_denominators_match_lp_feasibility(self, pair):
         src, dst = pair
         assert reachable_type1(src, dst) == oracle_reachable_type1(src, dst)
 

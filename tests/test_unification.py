@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from fdist.unification import (
     unify_maximal,
     unify_product,
 )
-from helpers import label_masses, numeric_masses, oracle_unify_maximal
+from helpers import label_masses, numeric_masses, oracle_min_cost_flow, oracle_unify_maximal
 
 F = Fraction
 
@@ -167,6 +168,30 @@ def test_maximal_on_24_by_24_coprime_grades():
     r = unify_maximal(ma, mg)
     assert sum(r.masses.values()) == 1
     assert r.as_tuple() >= unify_product(ma, mg).as_tuple()
+
+
+def test_maximal_on_60_distinct_grades_matches_the_tuple_flow():
+    # 61 x 61 focal elements (3721 cells), too many for the dense LP
+    # oracle: the label totals of the Bellman-Ford flow over cost tuples
+    rng = random.Random(60)
+    labels = [f"x{k:02d}" for k in range(60)]
+    ma, mg = (
+        mass_from_discrete(DiscreteFuzzySet(
+            {l: F(g, 1000) for l, g in zip(labels, rng.sample(range(1, 1000), 60))}
+        ))
+        for _ in range(2)
+    )
+    assert (len(ma.entries), len(mg.entries)) == (61, 61)
+    cells = [(i, j) for i in range(61) for j in range(61)]
+    table = [truth_cell(fa, fg) for fa, _ in ma.entries for fg, _ in mg.entries]
+    costs = [tuple(-(label == o) for o in DEFAULT_ORDER) for label in table]
+    flow = oracle_min_cost_flow(
+        [m for _, m in ma.entries], [m for _, m in mg.entries], cells, costs
+    )
+    totals = {label: F(0) for label in TruthLabel}
+    for label, x in zip(table, flow):
+        totals[label] += x
+    assert unify_maximal(ma, mg) == TruthAssignment(totals)
 
 
 @st.composite
