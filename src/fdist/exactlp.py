@@ -9,9 +9,12 @@ which divides each updated entry exactly (Edmonds 1967; Bareiss 1968).
 
 ``min_cost_flow`` solves transportation problems over a sparse edge list
 by the primal-dual method (Ahuja, Magnanti and Orlin, *Network Flows*,
-ch. 9): each round one Dijkstra over reduced costs under node potentials
-(Tomizawa 1971; Edmonds-Karp 1972) raises the potentials, and a maximum
-flow is pushed through the arcs of reduced cost zero, Dinic-style. Edge
+ch. 9): a maximum flow is pushed through the arcs of reduced cost zero
+under node potentials, Dinic-style, and then one Dijkstra over reduced
+costs (Tomizawa 1971; Edmonds-Karp 1972) raises the potentials for the
+next round. The first potentials are shortest distances in the
+three-layer graph (source, supplies, demands, sink), so the first round
+needs no Dijkstra, and a flow that fills every supply or demand stops. Edge
 costs are integer tuples compared lexicographically, so one flow
 optimizes several objectives in order; each tuple is encoded as one
 integer in a base wider than any simple path's cost difference in one
@@ -189,33 +192,36 @@ def min_cost_flow(
 
     # integer capacities over one common denominator keep every step exact
     scale = lcm(*(x.denominator for x in (*supply, *demand)))
+    rooms = [x.numerator * (scale // x.denominator) for x in (*supply, *demand)]
+    total = sum(rooms[:ns])
+    arcs = [(source, i, room, 0) for i, room in enumerate(rooms[:ns])]
+    arcs += [(ns + j, sink, room, 0) for j, room in enumerate(rooms[ns:])]
+    first = 2 * len(arcs)
+    arcs += [(i, ns + j, total, encode(c)) for (i, j), c in zip(edges, costs)]
     # residual arcs in pairs: arc k runs to head[k], arc k ^ 1 is its reverse
     head, cap, cost, out = [], [], [], [[] for _ in range(nodes)]
-
-    def arc(u, v, room, w):
+    for u, v, room, w in arcs:
         out[u].append(len(head))
         out[v].append(len(head) + 1)
-        head.extend((v, u))
-        cap.extend((room, 0))
-        cost.extend((w, -w))
-
-    rooms = [x.numerator * (scale // x.denominator) for x in supply]
-    for i, room in enumerate(rooms):
-        arc(source, i, room, 0)
-    for j, x in enumerate(demand):
-        arc(ns + j, sink, x.numerator * (scale // x.denominator), 0)
-    total = sum(rooms)
-    first = len(head)
-    # first potentials, in one pass over the three-layer DAG: no arc's
-    # reduced cost is negative
+        head += v, u
+        cap += room, 0
+        cost += w, -w
+    # first potentials: shortest distances over the three-layer DAG, so
+    # the first admissible flow needs no Dijkstra
     pot = [0] * nodes
-    for (i, j), c in zip(edges, costs):
-        w = encode(c)
-        arc(i, ns + j, total, w)
-        pot[ns + j] = min(pot[ns + j], w)
-    pot[sink] = min(pot[ns:source], default=0)
+    low = {}
+    for _, v, _, w in arcs[first // 2:]:
+        low[v] = min(low.get(v, w), w)
+    for v, w in low.items():
+        pot[v] = w
+    pot[sink] = min(low.values(), default=0)
 
+    # a flow that fills every supply or every demand is a maximum flow
+    left = min(total, sum(rooms[ns:]))
     while True:
+        left -= _admissible_max_flow(source, sink, head, cap, cost, out, pot)
+        if not left:
+            break
         # Dijkstra over reduced costs, stopped once the sink is settled
         dist = [None] * nodes
         dist[source] = 0
@@ -237,21 +243,23 @@ def min_cost_flow(
                         dist[v] = dv
                         heappush(heap, (dv, v))
         if not settled[sink]:
-            flows = (cap[k + 1] for k in range(first, len(head), 2))
-            return [Fraction(f, scale) if f else ZERO for f in flows]
+            break
         # every reduced cost stays >= 0 and each shortest path's drops to 0
         top = dist[sink]
         for v in range(nodes):
             pot[v] += dist[v] if settled[v] else top
-        _admissible_max_flow(source, sink, head, cap, cost, out, pot)
+    flows = (cap[k + 1] for k in range(first, len(head), 2))
+    return [Fraction(f, scale) if f else ZERO for f in flows]
 
 
 def _admissible_max_flow(source, sink, head, cap, cost, out, pot):
     """Dinic's maximum flow restricted to the admissible arcs (residual
     room, reduced cost 0): a breadth-first level graph, then a blocking
     flow found by an iterative depth-first walk with a current-arc pointer
-    per node, until no admissible path reaches the sink."""
+    per node, until no admissible path reaches the sink. Returns the
+    amount pushed."""
     nodes = len(out)
+    pushed = 0
     while True:
         level = [None] * nodes
         level[source] = 0
@@ -267,12 +275,13 @@ def _admissible_max_flow(source, sink, head, cap, cost, out, pot):
                         nxt.append(v)
             frontier = nxt
         if level[sink] is None:
-            return
+            return pushed
         cursor = [0] * nodes
         path, u = [], source
         while True:
             if u == sink:
                 push = min(cap[k] for k in path)
+                pushed += push
                 for k in path:
                     cap[k] -= push
                     cap[k ^ 1] += push
