@@ -290,14 +290,14 @@ def _admissible_max_flow(source, sink, head, cap, cost, out, pot):
                 u = head[path[-1]] if path else source
                 continue
             arcs, i, pu, lv = out[u], cursor[u], pot[u], level[u] + 1
-            while i < len(arcs):
+            end = len(arcs)
+            while i < end:
                 k = arcs[i]
-                v = head[k]
-                if cap[k] and level[v] == lv and cost[k] + pu == pot[v]:
+                if cap[k] and level[head[k]] == lv and cost[k] + pu == pot[head[k]]:
                     break
                 i += 1
             cursor[u] = i
-            if i < len(arcs):
+            if i < end:
                 path.append(arcs[i])
                 u = head[arcs[i]]
             elif u == source:

@@ -124,7 +124,7 @@ def reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
     flow = exactlp.min_cost_flow(
         [m for _, m in src.entries], [m for _, m in dst.entries], edges, [()] * len(edges)
     )
-    return sum(flow, ZERO) == src.total
+    return sum(x for x in flow if x) == src.total
 
 
 # ---------------------------------------------------------------------------
