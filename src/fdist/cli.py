@@ -26,7 +26,7 @@ from typing import Optional
 
 from . import specfile
 from .distance import DEFAULT_SLICES, MAX_SLICES, Normalised, Strategy, distance
-from .intervals import DEFAULT_TOLERANCE, as_fraction, echo, format_fraction
+from .intervals import DEFAULT_TOLERANCE, as_fraction, cut, echo, format_fraction
 from .mass import (
     MassAssignment,
     NumericFuzzySet,
@@ -44,6 +44,7 @@ from .unification import unify_maximal, unify_product
 
 TOLERANCE_ENV = "FDIST_TOLERANCE"
 MAX_PLOT_ROWS = 100000
+NAMES_CHARS = 160  # the list of set names in a message is cut to this
 
 
 def _env_tolerance() -> Fraction:
@@ -63,7 +64,7 @@ def _resolve(sets: dict, name: str) -> SpecSet:
     try:
         return sets[name]
     except KeyError:
-        known = ", ".join(sorted(sets)) or "none"
+        known = cut(", ".join(sorted(sets)), NAMES_CHARS) or "none"
         raise ValueError(f"unknown set {echo(name)} (document defines: {known})") from None
 
 

@@ -18,25 +18,24 @@ ordering, so they stack a mass assignment's focal elements by size;
 distances between cells of the empty set stay on the empty set.
 
 Every strategy builds its cells in one kernel, in the integer key space
-of intervals.common_scale. Each input focal element becomes its (lo, hi)
-endpoint keys once; a cell's bounds are differences of those keys,
-folded onto the nonnegative axis unless directional and merged by
-intervals.merge_spans, and its mass, an integer under the masses' own
-common scale, is summed into one dict keyed by the cell's keys.
-Fractions are built once per distinct endpoint key and once per distinct
-mass, shared by every focal element that holds them, and the result
-reaches MassAssignment already merged and in order, so only its total is
-checked there. The result keeps its keys and scales, so its membership
-and density sweep them without scaling any endpoint again (see mass).
-Past MAX_SCALE_BITS a scale is None and the keys are the Fractions
-themselves, through the same code.
+of intervals.common_scale. Each input focal element becomes its part
+keys once (IntervalUnion.part_keys); a cell's bounds are differences of
+those keys, folded onto the nonnegative axis unless directional and
+merged by intervals.merge_spans, and its mass, an integer under the
+masses' own common scale, is summed into one dict keyed by the cell's
+keys. The paired strategies take their heights as keys straight from
+align_levels. MassAssignment._from_keys turns that dict into the result,
+which keeps its keys and scales, so its membership and density sweep
+them without scaling any endpoint again (see mass). Past MAX_SCALE_BITS
+a scale is None and the keys are the Fractions themselves, through the
+same code.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Union
 
-from .intervals import EMPTY, IntervalUnion, common_scale, merge_spans, scaled, unscaled
+from .intervals import IntervalUnion, common_scale, merge_spans, scaled
 from .mass import (
     MassAssignment,
     NumericFuzzySet,
@@ -44,6 +43,7 @@ from .mass import (
     SlicedAssignment,
     align_levels,
     endpoint_scale,
+    focals_from_keys,
     fuzzy_from_mass,
     slice_shape,
 )
@@ -62,11 +62,6 @@ class Strategy(Enum):
     ANTIDIAGONAL = "antidiagonal"
 
 
-def _keys(f: IntervalUnion, d: Optional[int]) -> tuple:
-    """f's parts as (lo, hi) keys under the common scale d (see scaled)."""
-    return tuple((scaled(p.lo, d), scaled(p.hi, d)) for p in f.parts)
-
-
 def _cell(ka: tuple, kb: tuple, directional: bool) -> tuple:
     """Keys of the cell between focal elements a and b given as keys: for
     each part x of a and y of b the bounds (y.lo - x.hi, y.hi - x.lo) of
@@ -81,23 +76,8 @@ def _cell(ka: tuple, kb: tuple, directional: bool) -> tuple:
     return merge_spans(spans)
 
 
-def _fractions(keys: Iterable, d: Optional[int]) -> dict:
-    """Each distinct key mapped to the Fraction it stands for under d,
-    built once and shared by every part or entry that holds it."""
-    return {k: unscaled(k, d) for k in set(keys)}
-
-
-def _focal(key: tuple, at: dict) -> IntervalUnion:
-    """The focal element whose keys are key, its endpoints read from at
-    (see _fractions)."""
-    if not key:
-        return EMPTY
-    return IntervalUnion._from_merged((at[lo], at[hi]) for lo, hi in key)
-
-
 def _cell_of(a: IntervalUnion, b: IntervalUnion, directional: bool) -> IntervalUnion:
-    key = _cell(_keys(a, None), _keys(b, None), directional)
-    return _focal(key, _fractions((k for span in key for k in span), None))
+    return focals_from_keys([_cell(a.part_keys(), b.part_keys(), directional)], None)[0]
 
 
 def cell_directional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
@@ -115,22 +95,15 @@ def _cell_mass(
     cells: Iterable[tuple], d: Optional[int], w: Optional[int], directional: bool
 ) -> MassAssignment:
     """The mass assignment of cells (ka, kb, mass), focal elements given
-    as keys under the scale d and masses under the scale w: each cell's
-    mass lands on _cell(ka, kb), summed per distinct cell. Entries come
-    out in sort_key order, which a positive scale keeps: by keys, the
-    empty set last. The result keeps its keys for the sweep."""
+    as part keys under the scale d and masses under the scale w: each
+    cell's mass lands on _cell(ka, kb), summed per distinct cell."""
     acc: dict = {}
     for ka, kb, mass in cells:
         key = _cell(ka, kb, directional)
         before = acc.get(key)
         # a first mass is stored, not added to 0 (a Fraction sum past the limit)
         acc[key] = mass if before is None else before + mass
-    order = sorted(acc, key=lambda key: (not key, key))
-    at = _fractions((k for key in order for span in key for k in span), d)
-    masses = _fractions(acc.values(), w)
-    entries = tuple((_focal(key, at), masses[acc[key]]) for key in order)
-    keys = tuple((key, acc[key]) for key in order)
-    return MassAssignment._trusted(entries, unscaled(sum(acc.values()), w), d, w, keys)
+    return MassAssignment._from_keys(acc, d, w)
 
 
 @dataclass(frozen=True)
@@ -155,8 +128,8 @@ def assign_product(
         raise ValueError(f"product of {cells} cells exceeds the limit {MAX_PRODUCT_CELLS}")
     d = endpoint_scale(m_a.focals() + m_b.focals())
     w = common_scale(m for _, m in m_a.entries + m_b.entries)
-    keyed_a = [(_keys(f, d), scaled(m, w)) for f, m in m_a.entries]
-    keyed_b = [(_keys(f, d), scaled(m, w)) for f, m in m_b.entries]
+    keyed_a = [(f.part_keys(d), scaled(m, w)) for f, m in m_a.entries]
+    keyed_b = [(f.part_keys(d), scaled(m, w)) for f, m in m_b.entries]
     pairs = ((ka, kb, ma * mb) for ka, ma in keyed_a for kb, mb in keyed_b)
     w_pair = None if w is None else w * w  # the scale of a product of two masses
     return DistanceResult.from_mass(_cell_mass(pairs, d, w_pair, directional), Strategy.PRODUCT)
@@ -165,12 +138,11 @@ def assign_product(
 def _paired(
     a: SlicedAssignment, b: SlicedAssignment, directional: bool = False
 ) -> MassAssignment:
-    rows = align_levels(a, b)
+    rows, w = align_levels(a, b)
     focals = [f for f, _ in a.slices + b.slices]
     d = endpoint_scale(focals)
-    w = common_scale(h for _, _, h in rows)
-    keys = {id(f): _keys(f, d) for f in focals}  # each focal once, by identity
-    cells = ((keys[id(fa)], keys[id(fb)], scaled(h, w)) for fa, fb, h in rows)
+    keys = {id(f): f.part_keys(d) for f in focals}  # each focal once, by identity
+    cells = ((keys[id(fa)], keys[id(fb)], h) for fa, fb, h in rows)
     return _cell_mass(cells, d, w, directional)
 
 

@@ -151,13 +151,9 @@ def maximize(
     return Fraction(-tableau[-1][-1], d * scale), x
 
 
-def feasible(
-    A: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    nvars: Optional[int] = None,
-) -> Optional[list]:
+def feasible(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[list]:
     """A solution of A x = b, x >= 0, or None."""
-    n = nvars if nvars is not None else (len(A[0]) if A else 0)
+    n = len(A[0]) if A else 0
     try:
         _, x = maximize([ZERO] * n, A, b)
     except Infeasible:

@@ -59,7 +59,7 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(number, Decimal) and number.is_finite():
         limit = sys.get_int_max_str_digits()
         if limit and abs(number.as_tuple().exponent) > limit:
-            raise ValueError(f"exponent out of range (over {limit} digits): {echo(value)}")
+            raise ValueError(f"exponent out of range (over {limit} digits): {echo(str(value))}")
     if isinstance(number, (int, float, Decimal)):
         try:
             return Fraction(number)
@@ -68,11 +68,15 @@ def as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a number")
 
 
+def cut(text: str, chars: int = ECHO_CHARS) -> str:
+    """text for a message, cut to chars characters so that no message grows
+    with the input it names."""
+    return text if len(text) <= chars else text[: chars - 3] + "..."
+
+
 def echo(value) -> str:
-    """repr(value) for a message, cut to ECHO_CHARS characters so that no
-    message grows with the input it names."""
-    text = repr(value)
-    return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 3] + "..."
+    """repr(value) for a message, cut to ECHO_CHARS characters."""
+    return cut(repr(value))
 
 
 def common_scale(values: Iterable[Fraction]) -> Optional[int]:
@@ -286,14 +290,19 @@ class IntervalUnion:
         """Pointwise negation {-x : x in self}."""
         return IntervalUnion(tuple(Interval(-p.hi, -p.lo) for p in self.parts))
 
+    def part_keys(self, scale: Optional[int] = None) -> tuple:
+        """The (lo, hi) keys of the parts under a common_scale of the
+        endpoints (see scaled); () for the empty set."""
+        return tuple((scaled(p.lo, scale), scaled(p.hi, scale)) for p in self.parts)
+
     def sort_key(self, scale: Optional[int] = None) -> tuple:
         """Ordering key among focal elements: label sets (0, 0, ...) first,
-        then unions by position (0, 1, ...), the empty set (1,) last. A
-        common_scale of the endpoints being sorted turns the positions into
-        integers (see scaled) that order alike."""
+        then unions by position (0, 1, part_keys), the empty set (1,) last.
+        A common_scale of the endpoints being sorted turns the positions
+        into integers that order alike."""
         if self.is_empty:
             return (1,)
-        return (0, 1, tuple((scaled(p.lo, scale), scaled(p.hi, scale)) for p in self.parts))
+        return (0, 1, self.part_keys(scale))
 
     def __str__(self) -> str:
         if self.is_empty:

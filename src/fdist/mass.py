@@ -16,7 +16,7 @@ Conventions that matter and are easy to get wrong:
   slice_shape reads each edge once for all n levels, which then compare
   as integers. A stack of slices is (focal, mass) pairs, bottom first,
   so its levels are prefix sums; align_levels pairs two stacks in one
-  merge walk over those sums.
+  merge walk over those sums as keys, and returns the heights as keys.
 * Focal elements (in MassAssignment) and sweep endpoints sort as
   integers: each endpoint times the least common denominator of the
   endpoints being sorted (intervals.common_scale). Scaling by a positive
@@ -38,11 +38,11 @@ Conventions that matter and are easy to get wrong:
   shared closed endpoint and single-point parts follow from this rule.
 * The sweep runs on the keys a MassAssignment was built on, which it
   carries from construction: from __init__'s sort keys, or from the
-  distance kernel, which made them. Endpoints are their integer keys and
-  weights integers under one common scale (the masses', or the
-  densities'), so the deltas and the running sum are integer additions;
-  each endpoint is the Fraction its part already holds, and a Fraction
-  is built once per value of a run.
+  distance kernel's one dict of part keys to mass keys (_from_keys).
+  Endpoints are their integer keys and weights integers under one common
+  scale (the masses', or the densities'), so the deltas and the running
+  sum are integer additions; each endpoint is the Fraction its part
+  already holds, and a Fraction is built once per value of a run.
   Past MAX_SCALE_BITS a key or a weight is the Fraction itself, through
   the same code.
 """
@@ -66,6 +66,7 @@ from .intervals import (
     as_fraction,
     brief,
     common_scale,
+    cut,
     echo,
     format_fraction,
     scaled,
@@ -156,6 +157,16 @@ def endpoint_scale(focals: Iterable[Focal]) -> Optional[int]:
     )
 
 
+def focals_from_keys(keys: Sequence[tuple], scale: Optional[int]) -> list:
+    """The numeric focal elements whose part keys under scale are keys,
+    each merged as merge_spans returns them, () for the empty set (see
+    IntervalUnion.part_keys). One Fraction is built per distinct endpoint
+    key, shared by every part that holds it."""
+    at = {k: unscaled(k, scale) for k in {k for key in keys for span in key for k in span}}
+    return [IntervalUnion._from_merged((at[lo], at[hi]) for lo, hi in key) if key else EMPTY
+            for key in keys]
+
+
 def _checked_total(total: Fraction, tolerance: Fraction) -> Fraction:
     """total, the exact sum of the masses, which must lie within tolerance
     of 1."""
@@ -182,7 +193,7 @@ class MassAssignment:
         for focal, mass in entries:
             focal, mass = as_focal(focal), as_fraction(mass)
             if mass < 0:
-                raise ValueError(f"negative mass {brief(mass)} on {focal}")
+                raise ValueError(f"negative mass {brief(mass)} on {cut(str(focal))}")
             if mass != 0:
                 positive.append((focal, mass))
         d = endpoint_scale(f for f, _ in positive)
@@ -198,27 +209,28 @@ class MassAssignment:
                 e[1] += mass
         order = sorted(merged)
         w = common_scale(mass for _, mass in merged.values())
-        # a union's sort key ends in its part keys (see IntervalUnion.sort_key)
+        # a union's sort key is (0, 1, part_keys), a label set's (0, 0, labels)
         keys = tuple((k[2] if k[:2] == (0, 1) else (), scaled(merged[k][1], w)) for k in order)
         total = _checked_total(unscaled(sum(mass for _, mass in keys), w), tolerance)
         self._set(tuple(tuple(merged[k]) for k in order), total, d, w, keys)
 
     @classmethod
-    def _trusted(
-        cls,
-        entries: tuple,
-        total: Fraction,
-        scale: Optional[int],
-        mass_scale: Optional[int],
-        keys: tuple,
+    def _from_keys(
+        cls, masses: dict, scale: Optional[int], mass_scale: Optional[int]
     ) -> "MassAssignment":
-        """The assignment of entries already canonical: distinct focal
-        elements as as_focal returns them, positive Fraction masses, in
-        sort_key order, with total their exact sum, and keys their part
-        and mass keys under scale and mass_scale (see _set). Only the
-        total is checked, as __init__ checks it at the default tolerance."""
+        """The numeric assignment that masses holds as keys: the part keys
+        of each distinct focal element under scale (see focals_from_keys)
+        mapped to its positive mass key under mass_scale. Entries, stored
+        keys and total all come from that one dict, in sort_key order: by
+        keys, the empty set last. Only the total is checked, as __init__
+        checks it at the default tolerance."""
+        order = sorted(masses, key=lambda key: (not key, key))
+        keys = tuple((key, masses[key]) for key in order)
+        at = {m: unscaled(m, mass_scale) for m in set(masses.values())}
+        entries = tuple(zip(focals_from_keys(order, scale), (at[m] for _, m in keys)))
+        total = _checked_total(unscaled(sum(masses.values()), mass_scale), DEFAULT_TOLERANCE)
         self = object.__new__(cls)
-        self._set(entries, _checked_total(total, DEFAULT_TOLERANCE), scale, mass_scale, keys)
+        self._set(entries, total, scale, mass_scale, keys)
         return self
 
     def _set(self, entries, total, scale, mass_scale, keys) -> None:
@@ -244,7 +256,7 @@ class MassAssignment:
     @property
     def empty_mass(self) -> Fraction:
         # The empty set sorts last in both constructors: its sort_key is (1,),
-        # and the distance kernel (distance._cell_mass) orders its key last.
+        # and _from_keys orders its key () last.
         if self.entries and self.entries[-1][0].is_empty:
             return self.entries[-1][1]
         return ZERO
@@ -397,7 +409,7 @@ class SlicedAssignment:
             raise ValueError("need at least one slice")
         for f, mass in slices:
             if mass <= 0:
-                raise ValueError(f"slice mass {brief(mass)} on {f} is not positive")
+                raise ValueError(f"slice mass {brief(mass)} on {cut(str(f))} is not positive")
         top = sum((mass for _, mass in slices), ZERO)
         if top > 1:
             raise ValueError(f"slice masses sum to {brief(top)}, over 1")
@@ -432,7 +444,7 @@ class SlicedAssignment:
         for (f1, _), (f2, _) in zip(stack, stack[1:]):
             if not f1.issuperset(f2):
                 raise ValueError(
-                    f"focal elements not nested: {f1} vs {f2}"
+                    f"focal elements not nested: {cut(str(f1))} vs {cut(str(f2))}"
                     "; diagonal and antidiagonal pairings need nested focal elements,"
                     " the product strategy does not"
                 )
@@ -505,10 +517,11 @@ def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
     return SlicedAssignment._trusted(tuple(slices), ONE)
 
 
-def align_levels(a: SlicedAssignment, b: SlicedAssignment) -> list:
-    """(focal_a, focal_b, height) for each level range shared by two stacks
-    ending at the same level, from one merge walk over the levels at which
-    their slices end, summed as keys under the masses' common_scale."""
+def align_levels(a: SlicedAssignment, b: SlicedAssignment) -> tuple:
+    """(rows, scale): a row (focal_a, focal_b, height) for each level range
+    shared by two stacks ending at the same level, from one merge walk over
+    the levels at which their slices end, summed as keys under scale, the
+    masses' common_scale. Each height is such a key (see scaled)."""
     if a.top != b.top:
         raise ValueError(
             f"slice stacks end at different levels: {brief(a.top)} and {brief(b.top)}"
@@ -522,9 +535,9 @@ def align_levels(a: SlicedAssignment, b: SlicedAssignment) -> list:
                 fb, mass = next(rest_b)
                 hi_b += scaled(mass, w)
             hi = min(hi_a, hi_b)
-            shared.append((fa, fb, unscaled(hi - lo, w)))
+            shared.append((fa, fb, hi - lo))
             lo = hi
-    return shared
+    return shared, w
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +714,7 @@ def least_prejudiced(m: MassAssignment) -> Density:
         length = sum(hi - lo for lo, hi in keys)
         if length == 0:
             raise DegenerateSupportError(
-                f"cannot spread mass over zero-length focal element {f}"
+                f"cannot spread mass over zero-length focal element {cut(str(f))}"
             )
         densities.append(unscaled(mass, m._mass_scale) / unscaled(length, m._scale))
     scale = common_scale(densities)

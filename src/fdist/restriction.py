@@ -105,7 +105,7 @@ def linear_combination(
     rhs = [held.get(f, ZERO) for f in focals]
     rows.append([ONE] * len(basis))
     rhs.append(ONE)
-    solution = exactlp.feasible(rows, rhs, nvars=len(basis))
+    solution = exactlp.feasible(rows, rhs)
     return None if solution is None else tuple(solution)
 
 

@@ -27,6 +27,7 @@ writes a result document as ``json.dumps(doc, indent=2)`` would.
 import json
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Union
@@ -36,6 +37,7 @@ from .intervals import (
     IntervalUnion,
     as_fraction,
     brief,
+    cut,
     echo,
     format_fraction,
     merge_spans,
@@ -165,7 +167,7 @@ def _parse_set(obj, path: str, tolerance: Fraction) -> SpecSet:
         if not isinstance(body, dict) or not body:
             raise SpecError(here, "grades must be a non-empty object")
         grades = {
-            label: _number(g, f"{here}.{label}") for label, g in body.items()
+            label: _number(g, f"{here}.{cut(label)}") for label, g in body.items()
         }
         try:
             value = DiscreteFuzzySet(grades)
@@ -209,9 +211,7 @@ def parse_document(doc, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
 
 def parse_text(text: str, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
     try:
-        doc = json.loads(text, parse_float=lambda literal: _number(literal, "$"))
-    except SpecError:
-        raise
+        doc = json.loads(text, parse_float=Decimal)  # exact; _number converts at its field
     except json.JSONDecodeError as exc:
         raise SpecError(f"$ (line {exc.lineno})", exc.msg) from None
     except RecursionError:

@@ -15,7 +15,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from fdist.exactlp import Infeasible, Unbounded
-from fdist.intervals import EMPTY, MIXED_KINDS, ONE, ZERO, Interval, IntervalUnion, iu
+from fdist.intervals import EMPTY, MIXED_KINDS, ONE, ZERO, Interval, IntervalUnion, iu, unscaled
 from fdist.mass import (
     DegenerateSupportError,
     Density,
@@ -276,10 +276,17 @@ def oracle_assign_product(m_a: MassAssignment, m_b: MassAssignment, directional:
     )
 
 
+def aligned(a: SlicedAssignment, b: SlicedAssignment) -> list:
+    """align_levels(a, b)'s rows with each height key unscaled under the
+    scale it returns: (focal_a, focal_b, height as a Fraction)."""
+    rows, scale = align_levels(a, b)
+    return [(fa, fb, unscaled(h, scale)) for fa, fb, h in rows]
+
+
 def oracle_paired(a: SlicedAssignment, b: SlicedAssignment, directional: bool):
     """The paired distance mass: one cell per shared level range."""
     return MassAssignment(
-        (oracle_cell(fa, fb, directional), h) for fa, fb, h in align_levels(a, b)
+        (oracle_cell(fa, fb, directional), h) for fa, fb, h in aligned(a, b)
     )
 
 

@@ -426,7 +426,7 @@ class TestErrorsAndEnvironment:
         p.write_text('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1e999999999}}]}')
         code, out, err = run(capsys, "mass", str(p), "g")
         assert (code, out) == (2, "")
-        assert err.startswith("fdist: $: exponent out of range")
+        assert err.startswith("fdist: $.sets[0].grades.a: exponent out of range")
 
     def test_slice_count_limited(self, capsys, tmp_path):
         doc = {"sets": [{"name": "S", "kind": "points", "vertices": [[0, 0], [1, 1], [2, 0]],
@@ -657,12 +657,12 @@ class TestLongInputEchoedShort:
 
     LONG = "x" * 50_000
 
-    def assert_short_failure(self, capsys, *argv):
+    def assert_short_failure(self, capsys, *argv, chars=200):
         try:
             code, _, err = run(capsys, *argv)
         except SystemExit as exc:  # argparse refuses the argument itself
             code, err = exc.code, capsys.readouterr().err
-        assert code == 2 and len(err) < 200, (code, len(err))
+        assert code == 2 and len(err) < chars, (code, len(err))
 
     @pytest.mark.parametrize("raw", ["x" * 50_001, "-" + "1" * 50_000], ids=["unreadable", "negative"])
     def test_tolerance_env(self, capsys, monkeypatch, raw):
@@ -670,7 +670,6 @@ class TestLongInputEchoedShort:
         self.assert_short_failure(capsys, "mass", DATA, "A")
 
     def test_unknown_set_name(self, capsys, tmp_path):
-        # the list of the names the document defines is not cut
         spec = write_doc(tmp_path, {"sets": [{"name": "A", "kind": "points", "vertices": [[0, 1]]}]})
         self.assert_short_failure(capsys, "mass", spec, self.LONG)
 
@@ -688,6 +687,35 @@ class TestLongInputEchoedShort:
 
     def test_plot_step_flag(self, capsys):
         self.assert_short_failure(capsys, "distance", DATA, "A", "B", "--plot-step", "-1" + "0" * 4000)
+
+    # a focal element of 3000 single points, about 50 KB of text
+    POINTS = [[2 * k, 2 * k] for k in range(3000)]
+
+    def test_negative_mass_on_a_long_focal_element(self, capsys, tmp_path):
+        entries = [{"focal": self.POINTS, "mass": "-1/2"}, {"focal": [[0, 1]], "mass": "3/2"}]
+        spec = write_doc(tmp_path, {"sets": [{"name": "M", "kind": "mass", "entries": entries}]})
+        self.assert_short_failure(capsys, "mass", spec, "M", chars=300)
+
+    def test_long_focal_elements_not_nested(self, capsys, tmp_path):
+        entries = [{"focal": self.POINTS, "mass": "1/2"}, {"focal": [[-3, -1]], "mass": "1/2"}]
+        spec = write_doc(tmp_path, {"sets": [{"name": "M", "kind": "mass", "entries": entries}]})
+        self.assert_short_failure(capsys, "distance", spec, "M", "M", chars=300)
+
+    def test_long_zero_length_focal_element(self, capsys, tmp_path):
+        entries = [{"focal": self.POINTS, "mass": 1}]
+        spec = write_doc(tmp_path, {"sets": [{"name": "M", "kind": "mass", "entries": entries}]})
+        self.assert_short_failure(capsys, "defuzz", spec, "M", chars=300)
+
+    def test_long_label_in_a_field_path(self, capsys, tmp_path):
+        spec = write_doc(tmp_path, {"sets": [{"name": "D", "kind": "discrete",
+                                              "grades": {self.LONG: "zz"}}]})
+        self.assert_short_failure(capsys, "mass", spec, "D", chars=300)
+
+    def test_many_long_set_names_listed(self, capsys, tmp_path):
+        sets = [{"name": f"{k:03d}" + "n" * 97, "kind": "points", "vertices": [[0, 1]]}
+                for k in range(500)]
+        spec = write_doc(tmp_path, {"sets": sets})
+        self.assert_short_failure(capsys, "mass", spec, "nope", chars=300)
 
 
 class TestRenderedOutput:

@@ -437,8 +437,9 @@ class TestProductLimit:
         def no_work(*args):
             raise AssertionError("a key or a cell was built")
 
-        for kernel in ("_keys", "_cell"):
-            monkeypatch.setattr(module, kernel, no_work)
+        # the one keying function and the cell kernel
+        monkeypatch.setattr(IntervalUnion, "part_keys", no_work)
+        monkeypatch.setattr(module, "_cell", no_work)
         with pytest.raises(ValueError, match="product of 1004004 cells exceeds the limit 1002001"):
             assign_product(wide, wide)
         with pytest.raises(ValueError, match="exceeds the limit"):
@@ -574,8 +575,10 @@ class TestProperties:
 
 def same_as_oracle(result: DistanceResult, oracle: MassAssignment):
     """Exactly the oracle's mass assignment: entries in the same order with
-    the same masses, the same total and lookups, the same membership."""
+    the same masses, equal and hashing alike, the same total and lookups,
+    the same membership."""
     assert result.mass.entries == oracle.entries
+    assert result.mass == oracle and hash(result.mass) == hash(oracle)
     assert result.mass.total == oracle.total
     assert all(result.mass.mass_of(f) == m for f, m in oracle.entries)
     assert result.mass.empty_mass == oracle.empty_mass

@@ -90,7 +90,7 @@ class TestFeasible:
             [F(0), F(1), F(0), F(1)],
         ]
         rhs = [F(1, 2), F(1, 2), F(3, 4), F(1, 4)]
-        x = feasible(rows, rhs, nvars=4)
+        x = feasible(rows, rhs)
         assert x is not None
         assert x[0] + x[1] == F(1, 2)
         assert x[2] + x[3] == F(1, 2)
@@ -101,11 +101,11 @@ class TestFeasible:
     def test_unbalanced_is_infeasible(self):
         rows = [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]]
         rhs = [F(1), F(1), F(3)]
-        assert feasible(rows, rhs, nvars=2) is None
+        assert feasible(rows, rhs) is None
 
     def test_no_columns(self):
-        assert feasible([[], []], [F(0), F(0)], nvars=0) == []
-        assert feasible([[], []], [F(1), F(0)], nvars=0) is None
+        assert feasible([[], []], [F(0), F(0)]) == []
+        assert feasible([[], []], [F(1), F(0)]) is None
 
     @given(
         st.lists(st.integers(0, 5), min_size=2, max_size=3),
@@ -121,7 +121,7 @@ class TestFeasible:
         nr, nc = len(supply), len(demand)
         edges = [(i, j) for i in range(nr) for j in range(nc)]
         rows, rhs = transportation(edges, supply, demand)
-        x = feasible(rows, rhs, nvars=len(edges))
+        x = feasible(rows, rhs)
         assert x is not None
         for i in range(nr):
             assert sum(x[k] for k, e in enumerate(edges) if e[0] == i) == supply[i]

@@ -36,6 +36,7 @@ from fdist.mass import (
 from helpers import (
     COPRIME_DENS,
     WIDE_PRIME_DENS,
+    aligned,
     coprime_shapes,
     interval_unions,
     kernel_masses,
@@ -425,7 +426,7 @@ class TestAlignLevels:
             )
         )
         b = SlicedAssignment.from_mass(MASS_DIR_B)
-        assert align_levels(aen, b) == [
+        assert aligned(aen, b) == [
             (iu((1, 5)), iu((6, 9)), H),
             (iu((1, 2), (4, 5)), iu((7, 8)), Q),
             (iu((1, 2)), iu((7, 8)), Q),
@@ -433,11 +434,11 @@ class TestAlignLevels:
 
     def test_identical_unchanged(self):
         s = SlicedAssignment.from_mass(MASS_A2)
-        assert align_levels(s, s) == [(f, f, mass) for f, mass in s.slices]
+        assert aligned(s, s) == [(f, f, mass) for f, mass in s.slices]
 
     @given(nested_masses(), nested_masses())
     def test_alignment_preserves_mass(self, ma, mb):
-        shared = align_levels(SlicedAssignment.from_mass(ma), SlicedAssignment.from_mass(mb))
+        shared = aligned(SlicedAssignment.from_mass(ma), SlicedAssignment.from_mass(mb))
         assert MassAssignment((fa, h) for fa, _, h in shared) == ma
         assert MassAssignment((fb, h) for _, fb, h in shared) == mb
         assert all(h > 0 for _, _, h in shared)
@@ -448,7 +449,7 @@ class TestAlignLevels:
         sa, sb = SlicedAssignment.from_mass(ma), SlicedAssignment.from_mass(mb)
         if reverse:
             sb = sb.reversed_levels()
-        assert align_levels(sa, sb) == oracle_align_levels(sa, sb)
+        assert aligned(sa, sb) == oracle_align_levels(sa, sb)
 
     @given(st.data())
     def test_merge_equals_refine_and_zip_past_the_scale_limit(self, data):
@@ -457,7 +458,22 @@ class TestAlignLevels:
             data.draw(kernel_masses(den=WIDE_PRIME_DENS, max_focals=6).flatmap(stacks))
             for _ in range(2)
         )
-        assert align_levels(sa, sb) == oracle_align_levels(sa, sb)
+        assert aligned(sa, sb) == oracle_align_levels(sa, sb)
+
+    @pytest.mark.parametrize("dens", [COPRIME_DENS[:4], WIDE_PRIME_DENS[:4]], ids=["int", "wide"])
+    def test_heights_are_keys_under_the_masses_scale(self, dens):
+        # four wide primes have no integer common scale: the walk sums
+        # Fraction keys, and the heights are the Fractions themselves
+        masses = [Fraction(1, q) for q in dens]
+        rest = 1 - sum(masses)
+        a = SlicedAssignment([(iu((0, 8 - k)), m) for k, m in enumerate(masses + [rest])])
+        b = SlicedAssignment([(iu((k, 9)), m) for k, m in enumerate([rest] + masses[::-1])])
+        rows, scale = align_levels(a, b)
+        assert scale == common_scale(masses + [rest])
+        assert (scale is None) == (dens == WIDE_PRIME_DENS[:4])
+        assert all(isinstance(h, Fraction if scale is None else int) for _, _, h in rows)
+        assert aligned(a, b) == oracle_align_levels(a, b)
+        assert len(rows) == 2 * len(dens) + 1
 
 
 def assert_slices_equal_cuts(shape, n):

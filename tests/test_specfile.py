@@ -262,12 +262,24 @@ class TestErrors:
         text = '{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": %s}}]}'
         with pytest.raises(SpecError) as info:
             parse_text(text % "1e999999999")
-        assert info.value.path == "$"
+        assert info.value.path == "$.sets[0].grades.a"
         assert "exponent out of range" in str(info.value)
         with pytest.raises(SpecError) as info:
             parse_text(text % '"1e999999999"')
         assert info.value.path == "$.sets[0].grades.a"
         assert "exponent out of range" in str(info.value)
+
+    def test_float_literal_errors_name_their_field(self):
+        # JSON floats arrive as Decimals and convert once, at their field
+        text = '{"sets": [{"name": "g", "kind": "points", "vertices": [[0, 0], [2e99999, 1]]}]}'
+        with pytest.raises(SpecError) as info:
+            parse_text(text)
+        assert str(info.value) == (
+            "$.sets[0].vertices[1]: exponent out of range (over "
+            f"{sys.get_int_max_str_digits()} digits): '2E+99999'"
+        )
+        sets = parse_text(text.replace("2e99999", "0.1"))
+        assert sets["g"].value.vertices[1] == (F(1, 10), 1)
 
     def test_numbers_that_would_not_print_back_are_refused(self):
         limit = sys.get_int_max_str_digits()
@@ -275,7 +287,7 @@ class TestErrors:
         for past in (f"1e{limit}", f'"1.5e{limit}"', f'"-1{"0" * limit}"'):
             with pytest.raises(SpecError) as info:
                 parse_text(text % past)
-            assert info.value.path == ("$" if past[0] != '"' else "$.sets[0].grades.a")
+            assert info.value.path == "$.sets[0].grades.a"
             assert "too long to print" in str(info.value)
         # a number at the limit is read, and out of range as a grade
         with pytest.raises(SpecError) as info:
