@@ -187,8 +187,7 @@ def min_cost_flow(
         return code
 
     # integer capacities over one common denominator keep every step exact
-    scale = lcm(*(x.denominator for x in (*supply, *demand)))
-    rooms = [x.numerator * (scale // x.denominator) for x in (*supply, *demand)]
+    rooms, scale = _scaled([*supply, *demand])
     total = sum(rooms[:ns])
     arcs = [(source, i, room, 0) for i, room in enumerate(rooms[:ns])]
     arcs += [(ns + j, sink, room, 0) for j, room in enumerate(rooms[ns:])]

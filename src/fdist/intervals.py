@@ -168,18 +168,19 @@ def brief(q: Fraction) -> str:
     return f"{'-' if num < 0 else ''}~{10 ** (exponent - e):.3g}e{e}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Interval:
     """Closed interval [lo, hi]. Degenerate points (lo == hi) are allowed."""
 
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"malformed interval: lo {brief(self.lo)} > hi {brief(self.hi)}")
+    def __init__(self, lo: Rational, hi: Rational):
+        lo, hi = as_fraction(lo), as_fraction(hi)
+        if lo > hi:
+            raise ValueError(f"malformed interval: lo {brief(lo)} > hi {brief(hi)}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def length(self) -> Fraction:
@@ -212,7 +213,7 @@ def _canonical(parts: Iterable[Interval]) -> tuple:
     return tuple(_interval(lo, hi) for lo, hi in merge_spans((p.lo, p.hi) for p in parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntervalUnion:
     """Finite union of disjoint closed intervals, kept in canonical form.
 
@@ -220,10 +221,10 @@ class IntervalUnion:
     parts merged. The empty union stands for the empty set.
     """
 
-    parts: tuple = ()
+    parts: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", _canonical(self.parts))
+    def __init__(self, parts: Iterable[Interval] = ()):
+        object.__setattr__(self, "parts", _canonical(parts))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[Rational]]) -> "IntervalUnion":

@@ -49,7 +49,7 @@ Conventions that matter and are easy to get wrong:
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -178,15 +178,21 @@ def _checked_total(total: Fraction, tolerance: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # core types
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class MassAssignment:
     """Canonical mass assignment: entries merged per focal element, zero
     masses dropped, every empty focal normalized to the one empty set,
     entries sorted deterministically, masses summing to 1 (within the
     tolerance, for inputs that arrive as rounded decimals). total is that
-    exact sum. The keys the entries were sorted and summed on stay in
-    private slots (see _set) for the membership and density sweeps."""
+    exact sum. The keys the entries were sorted and summed on stay in the
+    key fields (see _set) for the membership and density sweeps; equality
+    and hashing read entries alone."""
 
-    __slots__ = ("entries", "total", "_scale", "_mass_scale", "_keys")
+    entries: tuple
+    total: Fraction = field(compare=False)
+    _scale: Optional[int] = field(compare=False)
+    _mass_scale: Optional[int] = field(compare=False)
+    _keys: tuple = field(compare=False)
 
     def __init__(self, entries: Iterable[tuple], *, tolerance: Fraction = DEFAULT_TOLERANCE):
         positive = []
@@ -234,16 +240,12 @@ class MassAssignment:
         return self
 
     def _set(self, entries, total, scale, mass_scale, keys) -> None:
-        """Fill the slots. keys holds, per entry, the (lo, hi) keys of its
-        parts under the endpoint scale (() for a label set or the empty
-        set) and its mass key under mass_scale; a None scale keys numbers
-        as themselves (see intervals.scaled). Equality and hashing read
-        entries alone."""
+        """Set the fields, in their order. keys holds, per entry, the
+        (lo, hi) keys of its parts under the endpoint scale (() for a label
+        set or the empty set) and its mass key under mass_scale; a None
+        scale keys numbers as themselves (see intervals.scaled)."""
         for name, value in zip(self.__slots__, (entries, total, scale, mass_scale, keys)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MassAssignment is immutable")
 
     def mass_of(self, focal: Focal) -> Fraction:
         """The mass on focal, or 0: a scan of entries (see linear_combination)."""
@@ -280,12 +282,6 @@ class MassAssignment:
     def __len__(self):
         return len(self.entries)
 
-    def __eq__(self, other):
-        return isinstance(other, MassAssignment) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
     def __repr__(self):
         body = ", ".join(f"{f}:{format_fraction(m)}" for f, m in self.entries)
         return f"MassAssignment({body})"
@@ -301,31 +297,28 @@ def combine(weighted: Sequence[tuple]) -> MassAssignment:
     return MassAssignment(acc.items())
 
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class DiscreteFuzzySet:
-    """Fuzzy set over labels: membership grade per label, grades in [0,1]."""
+    """Fuzzy set over labels: membership grade per label, grades in [0,1].
+    Labels are kept as strings, so 1 and "1" name the same label, and a
+    label given twice is refused."""
 
-    __slots__ = ("grades",)
+    grades: tuple
 
     def __init__(self, grades: Mapping[str, Rational]):
-        items = []
+        items: dict = {}
         for label, grade in grades.items():
             g = as_fraction(grade)
             if not (0 <= g <= 1):
                 raise ValueError(f"grade {brief(g)} for {echo(label)} outside [0,1]")
-            items.append((str(label), g))
-        object.__setattr__(self, "grades", tuple(sorted(items)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiscreteFuzzySet is immutable")
+            name = str(label)
+            if name in items:
+                raise ValueError(f"label {echo(name)} given twice")
+            items[name] = g
+        object.__setattr__(self, "grades", tuple(sorted(items.items())))
 
     def as_dict(self) -> dict:
         return dict(self.grades)
-
-    def __eq__(self, other):
-        return isinstance(other, DiscreteFuzzySet) and self.grades == other.grades
-
-    def __hash__(self):
-        return hash(self.grades)
 
     def __repr__(self):
         body = ", ".join(f"{l}:{format_fraction(g)}" for l, g in self.grades)
@@ -349,6 +342,7 @@ def mass_from_discrete(f: DiscreteFuzzySet) -> MassAssignment:
     return MassAssignment(entries)
 
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class PiecewiseShape:
     """Piecewise-linear membership function given by vertices (x, mu),
     zero outside the vertex span. Repeated x values describe a jump;
@@ -356,7 +350,7 @@ class PiecewiseShape:
     a crisp interval can be written (1,0),(1,1),(2,1),(2,0) or just
     (1,1),(2,1)."""
 
-    __slots__ = ("vertices",)
+    vertices: tuple
 
     def __init__(self, vertices: Iterable[Sequence[Rational]]):
         vs = tuple((as_fraction(x), as_fraction(m)) for x, m in vertices)
@@ -370,18 +364,9 @@ class PiecewiseShape:
                 raise ValueError(f"membership {brief(m)} outside [0,1]")
         object.__setattr__(self, "vertices", vs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PiecewiseShape is immutable")
-
     @property
     def height(self) -> Fraction:
         return max(m for _, m in self.vertices)
-
-    def __eq__(self, other):
-        return isinstance(other, PiecewiseShape) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
 
     def __repr__(self):
         body = ", ".join(f"({format_fraction(x)},{format_fraction(m)})" for x, m in self.vertices)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import exactlp
-from .intervals import ONE, ZERO, IntervalUnion, as_fraction
+from .intervals import ONE, ZERO, IntervalUnion, as_fraction, brief, cut
 from .mass import Focal, MassAssignment, SlicedAssignment, as_focal
 
 
@@ -27,9 +27,14 @@ class RestrictionKind(Enum):
     TYPE2 = "type2"
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, *values) -> None:
+    """Raise InvalidRestrictionError unless condition holds. Each value
+    fills a {} of message once it fails: a number through brief, a focal
+    element cut short, so that no message grows with its input."""
     if not condition:
-        raise InvalidRestrictionError(message)
+        raise InvalidRestrictionError(message.format(
+            *(brief(v) if isinstance(v, Fraction) else cut(str(v)) for v in values)
+        ))
 
 
 def apply_type1(
@@ -40,9 +45,9 @@ def apply_type1(
     donor, receiver = as_focal(donor), as_focal(receiver)
     held = m.mass_of(donor)
     _require(x > 0, "moved mass must be positive")
-    _require(held > 0, f"donor {donor} holds no mass")
-    _require(x <= held, f"donor {donor} holds only {held}")
-    _require(donor.issuperset(receiver), f"{donor} does not contain {receiver}")
+    _require(held > 0, "donor {} holds no mass", donor)
+    _require(x <= held, "donor {} holds only {}", donor, held)
+    _require(donor.issuperset(receiver), "{} does not contain {}", donor, receiver)
     _require(donor != receiver, "donor and receiver must differ")
     entries = [(f, mass) for f, mass in m.entries if f != donor]
     if held != x:
@@ -59,8 +64,8 @@ def apply_type2(m: MassAssignment, k: Focal, n: Focal, x) -> MassAssignment:
     _require(x > 0, "moved mass must be positive")
     _require(k != n, "the two donors must differ")
     held_k, held_n = m.mass_of(k), m.mass_of(n)
-    _require(held_k >= x, f"donor {k} holds only {held_k}")
-    _require(held_n >= x, f"donor {n} holds only {held_n}")
+    _require(held_k >= x, "donor {} holds only {}", k, held_k)
+    _require(held_n >= x, "donor {} holds only {}", n, held_n)
     _require(
         not k.issuperset(n) and not n.issuperset(k),
         "donors must be incomparable (use a type-1 move for nested ones)",

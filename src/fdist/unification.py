@@ -7,9 +7,11 @@ assignments as independent; maximal routing finds, by one min-cost flow,
 the lexicographically most informative joint distribution over the table.
 """
 
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from . import exactlp
 from .intervals import DEFAULT_TOLERANCE, ZERO, as_fraction, brief, format_fraction
@@ -48,10 +50,12 @@ def truth_cell(a: Focal, g: Focal) -> TruthLabel:
     return TruthLabel.BOTH
 
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class TruthAssignment:
-    """Mass over the four truth labels, summing to 1."""
+    """Mass over the four truth labels, summing to 1, kept as a tuple in
+    TruthLabel order."""
 
-    __slots__ = ("masses",)
+    _masses: tuple
 
     def __init__(self, masses):
         acc = {label: ZERO for label in TruthLabel}
@@ -62,22 +66,20 @@ class TruthAssignment:
         total = sum(acc.values(), ZERO)
         if abs(total - 1) > DEFAULT_TOLERANCE:
             raise ValueError(f"truth masses sum to {brief(total)}, expected 1")
-        object.__setattr__(self, "masses", acc)
+        object.__setattr__(self, "_masses", tuple(acc.values()))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruthAssignment is immutable")
+    @property
+    def masses(self) -> Mapping[TruthLabel, Fraction]:
+        """Read-only mapping from every TruthLabel, in TruthLabel order, to
+        its mass."""
+        return MappingProxyType(dict(zip(TruthLabel, self._masses)))
 
     def __getitem__(self, label: TruthLabel) -> Fraction:
         return self.masses[TruthLabel(label)]
 
     def as_tuple(self, order: Sequence[TruthLabel] = DEFAULT_ORDER) -> tuple:
-        return tuple(self.masses[l] for l in order)
-
-    def __eq__(self, other):
-        return isinstance(other, TruthAssignment) and self.masses == other.masses
-
-    def __hash__(self):
-        return hash(tuple(sorted((l.value, m) for l, m in self.masses.items())))
+        masses = self.masses
+        return tuple(masses[l] for l in order)
 
     def __repr__(self):
         body = ", ".join(

@@ -253,6 +253,13 @@ class TestMassFromDiscrete:
         with pytest.raises(ValueError, match=r"^grade 2 for 'a{36}\.\.\. outside \[0,1\]$"):
             DiscreteFuzzySet({"a" * 5000: 2})
 
+    def test_label_given_twice_rejected(self):
+        # labels are kept as strings, so 1 and "1" are one label
+        with pytest.raises(ValueError, match=r"^label '1' given twice$"):
+            DiscreteFuzzySet({1: 1, "1": H})
+        with pytest.raises(ValueError, match=r"^label '7{36}\.\.\. given twice$"):
+            DiscreteFuzzySet({int("7" * 4000): 1, "7" * 4000: H})
+
     @given(
         st.dictionaries(
             st.sampled_from("abcde"),

@@ -52,6 +52,9 @@ NESTED = MassAssignment([(iu((1, 9)), H), (iu((3, 7)), H)])
 PRODUCT_2 = MassAssignment([(iu((1, 9)), Q), (iu((2, 8)), H), (iu((3, 7)), Q)])
 ANTI_2 = MassAssignment([(iu((2, 8)), F(1))])
 
+WIDE = iu(*((2 * i, 2 * i + 1) for i in range(3000)))  # 3000 parts
+TINY = F(1, 3**9100)  # past the integer digit limit
+
 
 class TestType1:
     def test_moves_mass_to_subset(self):
@@ -133,6 +136,52 @@ class TestType1:
         donor, held = donors[0]
         out = apply_type1(m, donor, EMPTY, held)
         assert out.total == 1
+
+
+class TestMessagesStayShort:
+    """A restriction refused over a long focal element or a mass past the
+    integer digit limit still raises InvalidRestrictionError with a short
+    message."""
+
+    @pytest.mark.parametrize(
+        "move",
+        [
+            lambda: apply_type1(
+                MassAssignment([(WIDE, H), (iu((0, 1)), H)]),
+                WIDE, iu((0, 1)), 1,
+            ),
+            lambda: apply_type1(
+                MassAssignment([(WIDE, 1)]),
+                WIDE, iu((10**6, 10**6 + 1)), H,
+            ),
+            lambda: apply_type2(
+                MassAssignment([(WIDE, H), (iu((1, 4)), H)]),
+                WIDE, iu((1, 4)), 1,
+            ),
+            lambda: apply_type1(
+                MassAssignment([(iu((0, 1)), TINY),
+                                (iu((0, 2)), 1 - TINY)]),
+                iu((0, 1)), EMPTY, H,
+            ),
+            lambda: apply_type2(
+                MassAssignment([(iu((0, 1)), TINY),
+                                (iu((1, 2)), 1 - TINY)]),
+                iu((0, 1)), iu((1, 2)), H,
+            ),
+        ],
+        ids=["type1-holds-only", "type1-does-not-contain", "type2-holds-only",
+             "type1-past-digit-limit", "type2-past-digit-limit"],
+    )
+    def test_refused_with_a_short_message(self, move):
+        with pytest.raises(InvalidRestrictionError) as caught:
+            move()
+        assert len(str(caught.value)) < 300
+
+    def test_short_messages_name_donor_and_mass(self):
+        with pytest.raises(InvalidRestrictionError, match=r"^donor \[1,9\] holds only 0\.5$"):
+            apply_type1(NESTED, iu((1, 9)), iu((3, 7)), F(3, 4))
+        with pytest.raises(InvalidRestrictionError, match=r"^\[3,7\] does not contain \[1,9\]$"):
+            apply_type1(NESTED, iu((3, 7)), iu((1, 9)), Q)
 
 
 class TestType2:
