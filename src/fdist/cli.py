@@ -10,8 +10,8 @@ instead of the JSON document.
 Set ``FDIST_TOLERANCE`` to override the mass-sum validation tolerance
 (default 1e-9); values accept decimal or fraction syntax.
 
-Exit status: 0 on success, 2 on any input or computation error
-(message on stderr).
+Exit status: 0 on success, 2 on any input or computation error, or
+when stdout cannot be written (message on stderr).
 
 The argument parser is built once, when this module is imported
 (``PARSER``); parsing leaves it unchanged, so ``main()`` is safe to call
@@ -106,13 +106,14 @@ def cmd_mass(args, sets: dict) -> str:
         m = mass_from_discrete(s.value)
     else:
         m = _numeric(s, args.slices).to_mass() if s.kind == "points" else s.value
+    text = specfile.formatter()
     doc = {
         "command": "mass",
         "set": s.name,
-        "mass": specfile.mass_to_doc(m, name=s.name),
+        "mass": specfile.mass_frame(m, s.name, text),
     }
     if not any(isinstance(f, frozenset) for f, _ in m.entries):
-        doc["fuzzy"] = specfile.fuzzy_to_doc(fuzzy_from_mass(m))
+        doc["fuzzy"] = specfile.fuzzy_rows(fuzzy_from_mass(m), text)
     return specfile.render(doc)
 
 
@@ -127,14 +128,15 @@ def cmd_distance(args, sets: dict) -> str:
         if step <= 0:
             raise ValueError(f"--plot-step must be positive, got {echo(args.plot_step)}")
         return _plot(result.fuzzy, step)
+    text = specfile.formatter()
     doc = {
         "command": "distance",
         "a": sa.name,
         "b": sb.name,
         "directional": bool(args.directional),
         "strategy": result.strategy.value,
-        "mass": specfile.mass_to_doc(result.mass, name=f"D({sa.name},{sb.name})"),
-        "fuzzy": specfile.fuzzy_to_doc(result.fuzzy),
+        "mass": specfile.mass_frame(result.mass, f"D({sa.name},{sb.name})", text),
+        "fuzzy": specfile.fuzzy_rows(result.fuzzy, text),
     }
     return specfile.render(doc)
 
@@ -291,11 +293,11 @@ def main(argv=None) -> int:
     try:
         tolerance = _env_tolerance()
         sets = specfile.load(args.spec, tolerance=tolerance)
-        out = args.func(args, sets)
+        sys.stdout.write(args.func(args, sets))
+        sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
     except (ValueError, TypeError, OSError) as exc:
         print(f"fdist: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(out)
     return 0
 
 

@@ -21,7 +21,13 @@ points set names its preferred slicing resolution.
 
 Serialization uses canonical exact number strings, so emitted mass
 documents re-parse to equal values (round-trip fidelity), and ``render``
-writes a result document as ``json.dumps(doc, indent=2)`` would.
+writes a result document as ``json.dumps(doc, indent=2)`` would. The
+long parts of a result, the entries of a mass document and the steps of
+a fuzzy set, are written as text, one template per row (``mass_frame``,
+``fuzzy_rows``), and handed to render as ``Rows``, which it indents to
+where they sit. One ``formatter`` per op formats each distinct number
+once for all of the op's documents. ``mass_to_doc``, ``fuzzy_to_doc``
+and ``focal_to_doc`` return that text decoded.
 """
 
 import json
@@ -231,8 +237,8 @@ def load(path, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
 # ---------------------------------------------------------------------------
 # result serialization (documents that re-parse to equal values)
 
-def _formatter() -> Callable[[Fraction], str]:
-    """format_fraction for the numbers of one document, each distinct
+def formatter() -> Callable[[Fraction], str]:
+    """format_fraction for the numbers of one op's documents, each distinct
     number formatted once. The memo is keyed by (numerator, denominator),
     which hashes faster than the Fraction, and lives as long as the
     function returned."""
@@ -248,34 +254,73 @@ def _formatter() -> Callable[[Fraction], str]:
     return text
 
 
-def focal_to_doc(f: Focal, text: Callable[[Fraction], str] = format_fraction) -> list:
+@dataclass(frozen=True)
+class Rows:
+    """JSON text written as render writes it at the top level, for render
+    to place at any depth: it indents every line after the first to the
+    depth the rows sit at."""
+
+    text: str
+
+
+# One template per row of a result document, each written as render would
+# write it at the top level. Numbers go in unescaped: format_fraction
+# writes only digits, "-", "." and "/".
+_PART = '\n      [\n        "%s",\n        "%s"\n      ]'
+_LABEL = "\n      %s"
+_ENTRY = '\n  {\n    "focal": [%s\n    ],\n    "mass": "%s"\n  }'
+_EMPTY_ENTRY = '\n  {\n    "focal": [],\n    "mass": "%s"\n  }'
+_STEP = (
+    '\n  {\n    "mu": "%s",\n    "lo": "%s",\n    "hi": "%s",'
+    '\n    "lo_open": %s,\n    "hi_open": %s\n  }'
+)
+_BOOL = {False: "false", True: "true"}
+
+
+def _rows(rows: list) -> Rows:
+    return Rows("[" + ",".join(rows) + "\n]" if rows else "[]")
+
+
+def _focal_items(f: Focal, text: Callable[[Fraction], str]) -> str:
+    """The items of focal element f's list as its mass entry row holds
+    them; "" for the empty set."""
     if isinstance(f, frozenset):
-        return sorted(f)
-    return [[text(p.lo), text(p.hi)] for p in f.parts]
+        return ",".join([_LABEL % encode_basestring_ascii(label) for label in sorted(f)])
+    return ",".join([_PART % (text(p.lo), text(p.hi)) for p in f.parts])
+
+
+def fuzzy_rows(f: NumericFuzzySet, text: Callable[[Fraction], str]) -> Rows:
+    """f's steps, one row per step."""
+    return _rows([
+        _STEP % (text(s.mu), text(s.lo), text(s.hi), _BOOL[s.lo_open], _BOOL[s.hi_open])
+        for s in f.steps
+    ])
+
+
+def mass_frame(m: MassAssignment, name: str, text: Callable[[Fraction], str]) -> dict:
+    """The kind-"mass" set document for m, its entries written as Rows,
+    one row per entry."""
+    rows = []
+    for f, mass in m.entries:
+        items = _focal_items(f, text)
+        rows.append(_ENTRY % (items, text(mass)) if items else _EMPTY_ENTRY % text(mass))
+    return {"name": name, "kind": "mass", "entries": _rows(rows)}
+
+
+def focal_to_doc(f: Focal, text: Callable[[Fraction], str] = format_fraction) -> list:
+    return json.loads("[" + _focal_items(f, text) + "]")
 
 
 def mass_to_doc(m: MassAssignment, name: str = "result") -> dict:
-    """A kind-"mass" set document for this assignment."""
-    text = _formatter()
-    return {
-        "name": name,
-        "kind": "mass",
-        "entries": [{"focal": focal_to_doc(f, text), "mass": text(mass)} for f, mass in m.entries],
-    }
+    """A kind-"mass" set document for this assignment: mass_frame with
+    its rows decoded."""
+    doc = mass_frame(m, name, formatter())
+    doc["entries"] = json.loads(doc["entries"].text)
+    return doc
 
 
 def fuzzy_to_doc(f: NumericFuzzySet) -> list:
-    text = _formatter()
-    return [
-        {
-            "mu": text(s.mu),
-            "lo": text(s.lo),
-            "hi": text(s.hi),
-            "lo_open": s.lo_open,
-            "hi_open": s.hi_open,
-        }
-        for s in f.steps
-    ]
+    return json.loads(fuzzy_rows(f, formatter()).text)
 
 
 def truth_to_doc(t: TruthAssignment) -> dict:
@@ -285,8 +330,9 @@ def truth_to_doc(t: TruthAssignment) -> dict:
 def render(doc) -> str:
     """The text of ``json.dumps(doc, indent=2)`` plus a newline, for the
     types result documents hold: str, bool, None, and lists and dicts with
-    str keys. Any other type raises TypeError. The stdlib's C encoder
-    ignores ``indent``, so json.dumps would run its pure-Python one."""
+    str keys, with Rows written in place as the value they encode. Any
+    other type raises TypeError. The stdlib's C encoder ignores
+    ``indent``, so json.dumps would run its pure-Python one."""
     out: list = []
     _write(doc, "\n", out.append)
     out.append("\n")
@@ -326,5 +372,7 @@ def _write(value, newline: str, emit) -> None:
             _write(item, inner, emit)
             sep = "," + inner
         emit(newline + "}")
+    elif type(value) is Rows:
+        emit(value.text.replace("\n", newline))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

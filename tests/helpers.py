@@ -15,7 +15,17 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from fdist.exactlp import Infeasible, Unbounded
-from fdist.intervals import EMPTY, MIXED_KINDS, ONE, ZERO, Interval, IntervalUnion, iu, unscaled
+from fdist.intervals import (
+    EMPTY,
+    MIXED_KINDS,
+    ONE,
+    ZERO,
+    Interval,
+    IntervalUnion,
+    format_fraction,
+    iu,
+    unscaled,
+)
 from fdist.mass import (
     DegenerateSupportError,
     Density,
@@ -372,6 +382,38 @@ def oracle_format_focal(f) -> str:
 
 def oracle_render(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
+
+
+# The result documents that fdist.specfile built as dicts, value by value,
+# before it wrote them row by row from templates.
+
+def oracle_focal_doc(f) -> list:
+    if isinstance(f, frozenset):
+        return sorted(f)
+    return [[format_fraction(p.lo), format_fraction(p.hi)] for p in f.parts]
+
+
+def oracle_mass_doc(m: MassAssignment, name: str = "result") -> dict:
+    return {
+        "name": name,
+        "kind": "mass",
+        "entries": [
+            {"focal": oracle_focal_doc(f), "mass": format_fraction(mass)} for f, mass in m.entries
+        ],
+    }
+
+
+def oracle_fuzzy_doc(f: NumericFuzzySet) -> list:
+    return [
+        {
+            "mu": format_fraction(s.mu),
+            "lo": format_fraction(s.lo),
+            "hi": format_fraction(s.hi),
+            "lo_open": s.lo_open,
+            "hi_open": s.hi_open,
+        }
+        for s in f.steps
+    ]
 
 
 def oracle_format_fraction(q: Fraction) -> str:

@@ -727,11 +727,23 @@ class TestRenderedOutput:
         ["unify", "claim", "evidence"],
         ["defuzz", "narrowA"],
         ["restrict-check", "prod2", "--basis", "diag2,anti2"],
+        pytest.param(["mass", "claim"], id="mass-labels"),
+        pytest.param(["distance", "A", "B"], id="distance-default-diagonal"),
+        pytest.param(["distance", "subA", "narrowB"], id="distance-subnormal"),
     ], ids=lambda argv: argv[0])
     def test_output_equals_oracle_render(self, capsys, argv):
         code, out, err = run(capsys, argv[0], DATA, *argv[1:])
         assert code == 0, err
         assert out == oracle_render(json.loads(out))
+
+    def test_rows_cover_labels_and_the_empty_set(self, capsys):
+        labels = run_json(capsys, "mass", DATA, "claim")
+        assert all(isinstance(e["focal"][0], str) for e in labels["mass"]["entries"])
+        assert "fuzzy" not in labels
+        diagonal = run_json(capsys, "distance", DATA, "A", "B")
+        assert diagonal["strategy"] == "diagonal"
+        subnormal = run_json(capsys, "distance", DATA, "subA", "narrowB")
+        assert {"focal": [], "mass": "0.5"} in subnormal["mass"]["entries"]
 
 
 @pytest.mark.skipif(shutil.which("fdist") is None, reason="console script not on PATH")
@@ -741,6 +753,23 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert '"command": "mass"' in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [
+    ["defuzz", DATA, "A"],  # fails on the flush
+    ["distance", DATA, "A", "B", "--slices", "40", "--strategy", "product"],  # on the write
+], ids=["small", "large"])
+def test_unwritable_stdout_is_a_clean_failure(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdist.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=module_env(),
+        )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fdist: "), proc.stderr
 
 
 def test_module_entry_point_runs():

@@ -18,8 +18,11 @@ from fdist.mass import (
 from fdist.specfile import (
     SpecError,
     focal_to_doc,
+    formatter,
+    fuzzy_rows,
     fuzzy_to_doc,
     load,
+    mass_frame,
     mass_to_doc,
     parse_document,
     parse_text,
@@ -28,7 +31,15 @@ from fdist.specfile import (
 )
 from fdist.unification import TruthAssignment, TruthLabel
 
-from helpers import numeric_masses, oracle_render
+from helpers import (
+    WIDE_PRIME_DENS,
+    kernel_masses,
+    numeric_masses,
+    oracle_focal_doc,
+    oracle_fuzzy_doc,
+    oracle_mass_doc,
+    oracle_render,
+)
 
 H = F(1, 2)
 Q = F(1, 4)
@@ -426,3 +437,89 @@ class TestRender:
     def test_other_value_types_are_type_errors(self, value):
         with pytest.raises(TypeError, match=type(value).__name__):
             render({"ok": [value]})
+
+
+@st.composite
+def long_decimal_masses(draw):
+    """Numeric masses over 1/2**k, k on either side of the interpreter's
+    integer digit limit: format_fraction writes a terminating decimal
+    with more places than the limit as p/q. Their common denominator is
+    far past MAX_SCALE_BITS, so their keys are Fractions."""
+    k = draw(st.integers(-1, 1)) + (sys.get_int_max_str_digits() or 4300)
+    tiny = F(1, 2**k)
+    a = F(draw(st.integers(-3, 3)))
+    rest = draw(st.sampled_from([0, Q]))
+    return MassAssignment([
+        (iu((a, a + tiny)), tiny),
+        (iu((a - 1, a + 1 - tiny), (a + 2, a + 3)), 1 - tiny - rest),
+        (IntervalUnion(), rest),
+    ])
+
+
+# Labels that JSON escapes, or writes as \u escapes.
+ESCAPED_LABELS = st.sampled_from(["a", "b c", '"q"', "\\", "\n", "\xe9", "\ud800", "\U0001f600"])
+
+
+@st.composite
+def escaped_label_masses(draw):
+    focals = draw(st.lists(st.frozensets(ESCAPED_LABELS, max_size=3), min_size=1, max_size=3))
+    weights = [draw(st.integers(1, 8)) for _ in focals]
+    return MassAssignment((f, F(w, sum(weights))) for f, w in zip(focals, weights))
+
+
+NUMERIC_RESULTS = {
+    "small": kernel_masses(den=4),  # keys under one integer scale
+    "wide": kernel_masses(den=WIDE_PRIME_DENS, max_focals=6),  # past MAX_SCALE_BITS at times
+    "long": long_decimal_masses(),  # p/q numbers, Fraction keys
+}
+ALL_RESULTS = {**NUMERIC_RESULTS, "labels": escaped_label_masses()}
+
+
+class TestRowWriter:
+    """The row writer writes the text that render writes for the dict
+    documents it replaced, and the dict API is that text decoded."""
+
+    @pytest.mark.parametrize("kind", ALL_RESULTS)
+    @given(data=st.data(), name=JSON_TEXT)
+    @settings(max_examples=50, deadline=None)
+    def test_mass_rows_equal_the_old_document(self, kind, data, name):
+        m = data.draw(ALL_RESULTS[kind])
+        doc = oracle_mass_doc(m, name)
+        assert render(mass_frame(m, name, formatter())) == oracle_render(doc)
+        assert mass_to_doc(m, name) == doc
+        assert [focal_to_doc(f) for f, _ in m.entries] == [oracle_focal_doc(f) for f, _ in m.entries]
+
+    @pytest.mark.parametrize("kind", NUMERIC_RESULTS)
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_fuzzy_rows_equal_the_old_document(self, kind, data):
+        f = fuzzy_from_mass(data.draw(NUMERIC_RESULTS[kind]))
+        steps = oracle_fuzzy_doc(f)
+        assert render(fuzzy_rows(f, formatter())) == oracle_render(steps)
+        assert fuzzy_to_doc(f) == steps
+
+    @pytest.mark.parametrize("kind", NUMERIC_RESULTS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_of_one_op_share_a_formatter_at_any_depth(self, kind, data):
+        # as cmd_distance writes them: both documents' rows under one frame
+        m = data.draw(NUMERIC_RESULTS[kind])
+        f = fuzzy_from_mass(m)
+        text = formatter()
+        written = {"mass": mass_frame(m, "D(A,B)", text), "fuzzy": fuzzy_rows(f, text)}
+        plain = {"mass": oracle_mass_doc(m, "D(A,B)"), "fuzzy": oracle_fuzzy_doc(f)}
+        assert render(written) == oracle_render(plain)
+        assert render([{"x": [written]}]) == oracle_render([{"x": [plain]}])
+
+    def test_open_closed_and_point_steps(self):
+        m = MassAssignment([(iu((1, 3)), H), (iu((3, 3)), Q), (iu((2, 5)), Q)])
+        f = fuzzy_from_mass(m)
+        closures = {(s.lo_open, s.hi_open) for s in f.steps}
+        assert {(False, True), (True, False), (False, False)} <= closures
+        assert render(fuzzy_rows(f, formatter())) == oracle_render(oracle_fuzzy_doc(f))
+
+    def test_no_entries_and_no_steps(self):
+        m = MassAssignment([(IntervalUnion(), 1)])
+        assert fuzzy_to_doc(fuzzy_from_mass(m)) == []
+        assert render(fuzzy_rows(fuzzy_from_mass(m), formatter())) == "[]\n"
+        assert mass_to_doc(m) == oracle_mass_doc(m)
