@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import specfile
-from .distance import DEFAULT_SLICES, MAX_SLICES, Normalised, Strategy, distance
+from .distance import Normalised, Strategy, distance
 from .intervals import DEFAULT_TOLERANCE, as_fraction, cut, echo, format_fraction
 from .mass import (
     MassAssignment,
@@ -71,16 +71,13 @@ def _resolve(sets: dict, name: str) -> SpecSet:
 def _numeric(
     s: SpecSet, slices: Optional[int] = None, need: str = "a numeric set is required"
 ) -> Normalised:
-    """A points set sliced once (at --slices, else the set's own count,
-    else DEFAULT_SLICES), or a mass set with numeric focal elements as is."""
+    """A points set sliced once (at --slices, else the set's own count, else
+    the default), or a mass set with numeric focal elements as is."""
     if s.kind == "points":
-        n = slices or s.slices or DEFAULT_SLICES
-        if n > MAX_SLICES:
-            raise ValueError(f"slice count {n} for set {echo(s.name)} exceeds the limit {MAX_SLICES}")
-        return slice_shape(s.value, n)
+        return slice_shape(s.value, slices or s.slices)
     if s.kind == "discrete":
         raise ValueError(f"set {echo(s.name)} is discrete; {need}")
-    if any(isinstance(f, frozenset) for f, _ in s.value.entries):
+    if not s.value.is_numeric:
         raise ValueError(f"set {echo(s.name)} has label focal elements; a numeric set is required")
     return s.value
 
@@ -112,7 +109,7 @@ def cmd_mass(args, sets: dict) -> str:
         "set": s.name,
         "mass": specfile.mass_frame(m, s.name, text),
     }
-    if not any(isinstance(f, frozenset) for f, _ in m.entries):
+    if m.is_numeric:
         doc["fuzzy"] = specfile.fuzzy_rows(fuzzy_from_mass(m), text)
     return specfile.render(doc)
 
@@ -160,8 +157,7 @@ def cmd_unify(args, sets: dict) -> str:
 def cmd_defuzz(args, sets: dict) -> str:
     s = _resolve(sets, args.name)
     m = _numeric(s)
-    if isinstance(m, SlicedAssignment):
-        m = m.to_mass()
+    m = m.to_mass() if isinstance(m, SlicedAssignment) else m
     doc = {
         "command": "defuzz",
         "set": s.name,

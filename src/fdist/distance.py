@@ -10,9 +10,9 @@ elements is a choice of joint distribution over cells:
 * ANTIDIAGONAL pairs the lowest slice of one with the highest of the
   other; for uniform slicings this is slice k against slice n+1-k.
 
-Each input is normalised once: a shape is sliced at n_slices, default
-DEFAULT_SLICES (the one default, for the library and the CLI alike), and
-mass or sliced assignments pass through. The strategy is resolved from
+Each input is normalised once: mass.slice_shape slices a shape, resolving
+and bounding n_slices, and a mass or sliced assignment passes through when
+its is_numeric, decided in mass, holds. The strategy is resolved from
 those inputs and reported in the result. Diagonal pairings need a level
 ordering, so they stack a mass assignment's focal elements by size;
 distances between cells of the empty set stay on the empty set.
@@ -37,6 +37,7 @@ from typing import Iterable, Optional, Union
 
 from .intervals import IntervalUnion, common_scale, merge_spans, scaled
 from .mass import (
+    MAX_SLICES,
     MassAssignment,
     NumericFuzzySet,
     PiecewiseShape,
@@ -48,9 +49,7 @@ from .mass import (
     slice_shape,
 )
 
-DEFAULT_SLICES = 100
-MAX_SLICES = 1000  # work limits: a subnormal stack adds an empty slice
-MAX_PRODUCT_CELLS = (MAX_SLICES + 1) ** 2
+MAX_PRODUCT_CELLS = (MAX_SLICES + 1) ** 2  # a subnormal stack adds an empty slice
 
 DistanceInput = Union[PiecewiseShape, MassAssignment, SlicedAssignment]
 Normalised = Union[MassAssignment, SlicedAssignment]
@@ -166,17 +165,13 @@ def assign_antidiagonal(
 
 
 def _normalised(x: DistanceInput, n_slices: Optional[int]) -> Normalised:
-    """Slice a shape (n_slices, default DEFAULT_SLICES); pass mass and
-    sliced assignments with numeric focal elements through unchanged."""
+    """Slice a shape at n_slices (see slice_shape); pass mass and sliced
+    assignments with numeric focal elements through unchanged."""
     if isinstance(x, PiecewiseShape):
-        return slice_shape(x, DEFAULT_SLICES if n_slices is None else n_slices)
-    if isinstance(x, MassAssignment):
-        focals = x.focals()
-    elif isinstance(x, SlicedAssignment):
-        focals = [f for f, _ in x.slices]
-    else:
+        return slice_shape(x, n_slices)
+    if not isinstance(x, (MassAssignment, SlicedAssignment)):
         raise TypeError(f"cannot take distances over {type(x).__name__}")
-    if not all(isinstance(f, IntervalUnion) for f in focals):
+    if not x.is_numeric:
         raise TypeError("distance needs numeric focal elements")
     return x
 
@@ -202,8 +197,8 @@ def distance(
     n_slices: Optional[int] = None,
 ) -> DistanceResult:
     """Distance between two fuzzy sets given as shapes, mass assignments,
-    or sliced assignments. Shapes are sliced first (n_slices, default
-    DEFAULT_SLICES); the result's strategy field names the pairing used."""
+    or sliced assignments. Shapes are sliced first (n_slices, see
+    slice_shape); the result's strategy field names the pairing used."""
     a, b = _normalised(a, n_slices), _normalised(b, n_slices)
     strategy = resolve_strategy(a, b, strategy)
     if strategy is Strategy.PRODUCT:

@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Rational = Union[int, float, str, Fraction, Decimal]
 
@@ -168,19 +168,18 @@ def brief(q: Fraction) -> str:
     return f"{'-' if num < 0 else ''}~{10 ** (exponent - e):.3g}e{e}"
 
 
-@dataclass(frozen=True, order=True, init=False)
-class Interval:
-    """Closed interval [lo, hi]. Degenerate points (lo == hi) are allowed."""
+class Interval(NamedTuple("_Bounds", [("lo", Fraction), ("hi", Fraction)])):
+    """Closed interval [lo, hi], the tuple (lo, hi); points (lo == hi) are
+    allowed. Interval._make builds one from Fraction endpoints known to be
+    in order, without coercing or comparing them again."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __init__(self, lo: Rational, hi: Rational):
+    def __new__(cls, lo: Rational, hi: Rational):
         lo, hi = as_fraction(lo), as_fraction(hi)
         if lo > hi:
             raise ValueError(f"malformed interval: lo {brief(lo)} > hi {brief(hi)}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        return super().__new__(cls, lo, hi)
 
     @property
     def length(self) -> Fraction:
@@ -196,21 +195,12 @@ class Interval:
         return f"[{format_fraction(self.lo)},{format_fraction(self.hi)}]"
 
 
-def _interval(lo: Fraction, hi: Fraction) -> Interval:
-    """Interval(lo, hi) for Fraction endpoints known to be in order, built
-    without coercing or comparing them again."""
-    p = object.__new__(Interval)
-    object.__setattr__(p, "lo", lo)
-    object.__setattr__(p, "hi", hi)
-    return p
-
-
 def _canonical(parts: Iterable[Interval]) -> tuple:
     """Sort and merge overlapping or touching intervals."""
     parts = tuple(parts)
     if len(parts) < 2:
         return parts
-    return tuple(_interval(lo, hi) for lo, hi in merge_spans((p.lo, p.hi) for p in parts))
+    return tuple(map(Interval._make, merge_spans(parts)))
 
 
 @dataclass(frozen=True, init=False)
@@ -235,7 +225,7 @@ class IntervalUnion:
         """The union of (lo, hi) Fraction pairs already as merge_spans
         returns them, built without sorting or merging them again."""
         u = object.__new__(cls)
-        object.__setattr__(u, "parts", tuple(_interval(lo, hi) for lo, hi in pairs))
+        object.__setattr__(u, "parts", tuple(map(Interval._make, pairs)))
         return u
 
     @property

@@ -7,6 +7,11 @@ either kind is EMPTY, and as_focal brings a plain frozenset to this form.
 A fuzzy set with maximum membership below 1 puts the deficit on the empty
 set, so masses always total 1.
 
+Each input's kind and slice count are decided here, once: a
+MassAssignment or SlicedAssignment refuses labels beside intervals
+(ValueError(MIXED_KINDS)) and answers is_numeric, which the other modules
+read, and slice_shape resolves the slice count and bounds it.
+
 Conventions that matter and are easy to get wrong:
 
 * Slicing a piecewise-linear shape of height h into n level slices
@@ -72,6 +77,9 @@ from .intervals import (
     scaled,
     unscaled,
 )
+
+DEFAULT_SLICES = 100  # the one default slice count, for the library and the CLI
+MAX_SLICES = 1000  # work limit on a slice count (see slice_shape)
 
 
 class DegenerateSupportError(ValueError):
@@ -149,6 +157,12 @@ def focal_issuperset(a: Focal, g: Focal) -> bool:
     return a.issuperset(g)
 
 
+def _one_kind(focals: Iterable[Focal]) -> None:
+    """Refuse label sets beside nonempty unions; the empty set joins either."""
+    if len({type(f) for f in focals if not f.is_empty}) > 1:
+        raise ValueError(MIXED_KINDS)
+
+
 def endpoint_scale(focals: Iterable[Focal]) -> Optional[int]:
     """The common_scale of every part endpoint of the numeric focal
     elements."""
@@ -202,6 +216,7 @@ class MassAssignment:
                 raise ValueError(f"negative mass {brief(mass)} on {cut(str(focal))}")
             if mass != 0:
                 positive.append((focal, mass))
+        _one_kind(f for f, _ in positive)
         d = endpoint_scale(f for f, _ in positive)
         # merged on sort keys, which are distinct for distinct focal elements
         # and hash as integers, where a focal element hashes its Fractions
@@ -267,14 +282,16 @@ class MassAssignment:
     def is_normal(self) -> bool:
         return self.empty_mass == 0
 
+    @property
+    def is_numeric(self) -> bool:
+        """Not label sets: they sort first, so the first entry decides."""
+        return not (self.entries and isinstance(self.entries[0][0], LabelSet))
+
     def negated(self) -> "MassAssignment":
         """Map every numeric focal element through pointwise negation."""
-        out = []
-        for f, m in self.entries:
-            if not isinstance(f, IntervalUnion):
-                raise TypeError("negation needs numeric focal elements")
-            out.append((f.negated(), m))
-        return MassAssignment(out)
+        if not self.is_numeric:
+            raise TypeError("negation needs numeric focal elements")
+        return MassAssignment((f.negated(), m) for f, m in self.entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -329,13 +346,11 @@ def mass_from_discrete(f: DiscreteFuzzySet) -> MassAssignment:
     """Level-set masses: sort labels by descending grade; each distinct
     grade drop contributes its level set with the drop as mass. A peak
     grade below 1 leaves the deficit on the empty set."""
-    positive = [(g, l) for l, g in f.grades if g > 0]
-    levels = sorted({g for g, _ in positive}, reverse=True)
-    entries = []
-    for i, level in enumerate(levels):
-        below = levels[i + 1] if i + 1 < len(levels) else ZERO
-        focal = LabelSet(l for g, l in positive if g >= level)
-        entries.append((focal, level - below))
+    levels = sorted({g for _, g in f.grades if g > 0}, reverse=True)
+    entries = [
+        (LabelSet(l for l, g in f.grades if g >= level), level - below)
+        for level, below in zip(levels, levels[1:] + [ZERO])
+    ]
     peak = levels[0] if levels else ZERO
     if peak < 1:
         entries.append((EMPTY, 1 - peak))
@@ -392,6 +407,7 @@ class SlicedAssignment:
         slices = tuple((as_focal(f), as_fraction(mass)) for f, mass in entries)
         if not slices:
             raise ValueError("need at least one slice")
+        _one_kind(f for f, _ in slices)
         for f, mass in slices:
             if mass <= 0:
                 raise ValueError(f"slice mass {brief(mass)} on {cut(str(f))} is not positive")
@@ -419,9 +435,7 @@ class SlicedAssignment:
             # Of two nested unions of one length, the superset has more parts:
             # it adds single points. Label sets of one size are nested only
             # when equal.
-            if isinstance(f, IntervalUnion):
-                return (f.length, len(f.parts))
-            return (Fraction(len(f)), 0)
+            return (f.length, len(f.parts)) if isinstance(f, IntervalUnion) else (len(f), 0)
 
         # sort is stable and entries come in sort_key order, which keeps the
         # empty set, of size 0, no parts and contained in any set, last
@@ -440,6 +454,11 @@ class SlicedAssignment:
         """No slice rests on the empty set, as for to_mass().is_normal."""
         return not any(f.is_empty for f, _ in self.slices)
 
+    @property
+    def is_numeric(self) -> bool:
+        """As for to_mass().is_numeric: the first nonempty slice decides."""
+        return next((not isinstance(f, LabelSet) for f, _ in self.slices if not f.is_empty), True)
+
     def reversed_levels(self) -> "SlicedAssignment":
         """Same slices stacked in the opposite order."""
         return SlicedAssignment._trusted(self.slices[::-1], self.top)
@@ -448,11 +467,11 @@ class SlicedAssignment:
         return MassAssignment(self.slices)
 
 
-def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
+def slice_shape(shape: PiecewiseShape, n: Optional[int] = None) -> SlicedAssignment:
     """Cut a shape into n equal-height slices of height(shape)/n, the
     focal element of slice k being the closure of the strict cut
     {x : mu(x) > k*h/n} at the slice's lower level. A peak below 1
-    appends an empty-set slice.
+    appends an empty-set slice. n is DEFAULT_SLICES when None, at most MAX_SLICES.
 
     Each edge is read once (a lone vertex is an edge to itself). A vertex
     of membership m lies above level k*h/n exactly when k < ceil(m*n/h),
@@ -463,8 +482,11 @@ def slice_shape(shape: PiecewiseShape, n: int) -> SlicedAssignment:
     pass: edges meeting at a vertex above the level join as they are
     walked, and a part that opens where the last one closed (a jump down
     and up at one x, or a vertex exactly at the level) reopens it."""
+    n = DEFAULT_SLICES if n is None else n
     if n < 1:
         raise ValueError("need at least one slice")
+    if n > MAX_SLICES:
+        raise ValueError(f"slice count {brief(n)} exceeds the limit {MAX_SLICES}")
     h = shape.height
     if h == 0:
         return SlicedAssignment._trusted(((EMPTY, ONE),), ONE)
@@ -600,13 +622,9 @@ class NumericFuzzySet:
 def _numeric_focals(m: MassAssignment, use: str) -> list:
     """(focal, part keys, mass key) for the nonempty focal elements of m;
     label focal elements raise TypeError naming the use."""
-    focals = []
-    for (f, _), (keys, mass) in zip(m.entries, m._keys):
-        if isinstance(f, frozenset):
-            raise TypeError(f"{use} needs numeric focal elements")
-        if keys:
-            focals.append((f, keys, mass))
-    return focals
+    if not m.is_numeric:
+        raise TypeError(f"{use} needs numeric focal elements")
+    return [(f, keys, mass) for (f, _), (keys, mass) in zip(m.entries, m._keys) if keys]
 
 
 def _sweep(keyed: list, scale: Optional[int], points: bool) -> list:

@@ -307,8 +307,8 @@ def mass_frame(m: MassAssignment, name: str, text: Callable[[Fraction], str]) ->
     return {"name": name, "kind": "mass", "entries": _rows(rows)}
 
 
-def focal_to_doc(f: Focal, text: Callable[[Fraction], str] = format_fraction) -> list:
-    return json.loads("[" + _focal_items(f, text) + "]")
+def focal_to_doc(f: Focal) -> list:
+    return json.loads("[" + _focal_items(f, format_fraction) + "]")
 
 
 def mass_to_doc(m: MassAssignment, name: str = "result") -> dict:

@@ -433,10 +433,26 @@ class TestErrorsAndEnvironment:
                          "slices": 100_000_000}]}
         code, out, err = run(capsys, "mass", write_doc(tmp_path, doc), "S")
         assert (code, out) == (2, "")
-        assert err == "fdist: slice count 100000000 for set 'S' exceeds the limit 1000\n"
+        assert err == "fdist: slice count 100000000 exceeds the limit 1000\n"
         code, out, err = run(capsys, "distance", DATA, "A", "B", "--slices", "1001")
         assert (code, out) == (2, "")
-        assert err == "fdist: slice count 1001 for set 'A' exceeds the limit 1000\n"
+        assert err == "fdist: slice count 1001 exceeds the limit 1000\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["mass", "M"],
+        ["distance", "M", "M"],
+        ["unify", "M", "M"],
+        ["defuzz", "M"],
+        ["restrict-check", "M", "--basis", "M"],
+    ], ids=lambda argv: argv[0])
+    def test_mixed_kind_mass_set_refused(self, capsys, tmp_path, argv):
+        doc = {"sets": [{"name": "M", "kind": "mass", "entries": [
+            {"focal": ["a"], "mass": "0.5"}, {"focal": [[1, 2]], "mass": "0.5"}]}]}
+        code, out, err = run(capsys, argv[0], write_doc(tmp_path, doc), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == (
+            "fdist: $.sets[0].entries: cannot mix label-set and numeric focal elements\n"
+        )
 
     def test_product_cells_limited_for_mass_sets(self, capsys, tmp_path):
         # two 1002-focal mass sets: 1002^2 cells exceed (1000 + 1)^2, the

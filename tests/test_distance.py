@@ -1,4 +1,5 @@
 import importlib
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -447,6 +448,12 @@ class TestProductLimit:
         # the patched kernel is the one the product runs
         with pytest.raises(AssertionError, match="a key or a cell was built"):
             assign_product(MASS_A2, MASS_B2)
+
+    def test_slice_count_over_the_limit_refused_before_slicing(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^slice count 1000000000 exceeds the limit 1000$"):
+            distance(TRIANGLE_A, TRIANGLE_A, n_slices=10**9)
+        assert time.perf_counter() - start < 0.5
 
     def test_limit_admits_every_sliced_shape(self):
         # a subnormal shape at the slice limit stacks one empty slice more

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from fdist.intervals import (
     iu,
 )
 from fdist.mass import (
+    DEFAULT_SLICES,
+    MAX_SLICES,
     DegenerateSupportError,
     DiscreteFuzzySet,
     LabelSet,
@@ -343,6 +346,18 @@ class TestSliceShape:
         for big, small in zip(focals, focals[1:]):
             assert small.issubset(big)
 
+    def test_count_defaults_to_default_slices(self):
+        assert slice_shape(TRIANGLE_A) == slice_shape(TRIANGLE_A, DEFAULT_SLICES)
+        assert len(slice_shape(TRIANGLE_A).slices) == DEFAULT_SLICES
+
+    def test_count_over_the_limit_refused_before_slicing(self):
+        assert len(slice_shape(TRIANGLE_A, MAX_SLICES).slices) == MAX_SLICES
+        start = time.perf_counter()
+        for n in (MAX_SLICES + 1, 10**9):
+            with pytest.raises(ValueError, match=f"^slice count {n} exceeds the limit {MAX_SLICES}$"):
+                slice_shape(TRIANGLE_A, n)
+        assert time.perf_counter() - start < 0.5
+
 
 class TestSlicedAssignment:
     def test_from_mass_orders_by_containment(self):
@@ -419,6 +434,51 @@ class TestSlicedAssignment:
         excess = data.draw(st.integers(1, 8).map(lambda j: F(j, 10**9)))
         with pytest.raises(ValueError, match="over 1"):
             SlicedAssignment(with_mass(mass + excess))
+
+
+def scanned_numeric(focals) -> bool:
+    """The kind of focal elements read entry by entry: numeric unless one
+    is a label set (the empty set is numeric)."""
+    return not any(isinstance(f, frozenset) for f in focals)
+
+
+class TestOneKind:
+    LABELS = MassAssignment([(fs("a", "b"), H), (fs("a"), H)])
+    NUMBERS = MassAssignment([(iu((1, 2)), H), (iu((0, 3)), H)])
+
+    def test_mass_assignment_refuses_mixed_kinds(self):
+        for entries in ([(fs("a"), H), (iu((1, 2)), H)],
+                        [(iu((1, 2)), Q), (EMPTY, Q), (fs("a"), H)]):
+            with pytest.raises(ValueError, match=MIXED_KINDS):
+                MassAssignment(entries)
+
+    def test_sliced_assignment_refuses_mixed_kinds(self):
+        for entries in ([(iu((0, 3)), H), (fs("a"), H)], [(fs("a"), Q), (EMPTY, Q), (iu((1, 2)), H)]):
+            with pytest.raises(ValueError, match=MIXED_KINDS):
+                SlicedAssignment(entries)
+
+    def test_combine_refuses_mixed_kinds(self):
+        with pytest.raises(ValueError, match=MIXED_KINDS):
+            combine([(H, self.LABELS), (H, self.NUMBERS)])
+
+    def test_empty_set_sits_beside_either_kind(self):
+        labels = MassAssignment([(fs("a"), H), (fs(), H)])
+        numbers = MassAssignment([(iu((1, 2)), H), (fs(), H)])
+        assert (labels.is_numeric, numbers.is_numeric) == (False, True)
+        assert not SlicedAssignment([(EMPTY, H), (fs("a"), H)]).is_numeric
+        assert SlicedAssignment([(EMPTY, H), (iu((1, 2)), H)]).is_numeric
+
+    @given(
+        label_masses() | numeric_masses() | st.sampled_from([EMPTY, fs()]).map(
+            lambda e: MassAssignment([(e, 1)])
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200)
+    def test_kind_matches_a_scan_of_entries(self, m, random):
+        assert m.is_numeric is scanned_numeric(m.focals())
+        stack = random.sample(m.entries, len(m.entries))
+        assert SlicedAssignment(stack).is_numeric is scanned_numeric(m.focals())
 
 
 class TestAlignLevels:
