@@ -78,7 +78,7 @@ def _numeric(
     if s.kind == "discrete":
         raise ValueError(f"set {echo(s.name)} is discrete; {need}")
     if not s.value.is_numeric:
-        raise ValueError(f"set {echo(s.name)} has label focal elements; a numeric set is required")
+        raise ValueError(f"set {echo(s.name)} has label focal elements; {need}")
     return s.value
 
 
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--strategy",
-        choices=["product", "diagonal", "antidiagonal"],
+        choices=[s.value for s in Strategy],
         help="mass pairing strategy (default: diagonal for normal sets, else product)",
     )
     p.add_argument("--slices", type=_positive_int, help="slice count for points sets")

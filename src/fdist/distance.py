@@ -17,23 +17,23 @@ those inputs and reported in the result. Diagonal pairings need a level
 ordering, so they stack a mass assignment's focal elements by size;
 distances between cells of the empty set stay on the empty set.
 
-Every strategy builds its cells in one kernel, in the integer key space
-of intervals.common_scale. Each input focal element becomes its part
-keys once (IntervalUnion.part_keys); a cell's bounds are differences of
-those keys, folded onto the nonnegative axis unless directional and
-merged by intervals.merge_spans, and its mass, an integer under the
-masses' own common scale, is summed into one dict keyed by the cell's
-keys. The paired strategies take their heights as keys straight from
-align_levels. MassAssignment._from_keys turns that dict into the result,
-which keeps its keys and scales, so its membership and density sweep
-them without scaling any endpoint again (see mass). Past MAX_SCALE_BITS
-a scale is None and the keys are the Fractions themselves, through the
-same code.
+Every strategy hands its rows of focal elements and mass keys to one
+kernel, _cell_mass, which works in the integer key space of
+intervals.common_scale: each input focal element becomes its part keys
+once (IntervalUnion.part_keys). A cell's bounds are differences of those
+keys, folded onto the nonnegative axis unless directional and merged by
+intervals.merge_spans, and its mass, an integer under the masses' own
+common scale, is summed into one dict keyed by the cell's keys. The
+paired strategies take their heights as keys straight from align_levels.
+MassAssignment._from_keys turns that dict into the result, which keeps
+its keys and scales, so its membership and density sweep them without
+scaling any endpoint again (see mass). Past MAX_SCALE_BITS a scale is
+None and the keys are the Fractions themselves, through the same code.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .intervals import IntervalUnion, common_scale, merge_spans, scaled
 from .mass import (
@@ -91,14 +91,16 @@ def cell_nondirectional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
 
 
 def _cell_mass(
-    cells: Iterable[tuple], d: Optional[int], w: Optional[int], directional: bool
+    rows: Iterable[tuple], focals: Sequence, w: Optional[int], directional: bool
 ) -> MassAssignment:
-    """The mass assignment of cells (ka, kb, mass), focal elements given
-    as part keys under the scale d and masses under the scale w: each
-    cell's mass lands on _cell(ka, kb), summed per distinct cell."""
+    """The mass assignment of rows (focal_a, focal_b, mass key under w),
+    each focal element one of focals, keyed once by identity: each row's
+    mass lands on the cell between them, summed per distinct cell."""
+    d = endpoint_scale(focals)
+    keys = {id(f): f.part_keys(d) for f in focals}
     acc: dict = {}
-    for ka, kb, mass in cells:
-        key = _cell(ka, kb, directional)
+    for fa, fb, mass in rows:
+        key = _cell(keys[id(fa)], keys[id(fb)], directional)
         before = acc.get(key)
         # a first mass is stored, not added to 0 (a Fraction sum past the limit)
         acc[key] = mass if before is None else before + mass
@@ -125,24 +127,20 @@ def assign_product(
     cells = len(m_a) * len(m_b)
     if cells > MAX_PRODUCT_CELLS:
         raise ValueError(f"product of {cells} cells exceeds the limit {MAX_PRODUCT_CELLS}")
-    d = endpoint_scale(m_a.focals() + m_b.focals())
     w = common_scale(m for _, m in m_a.entries + m_b.entries)
-    keyed_a = [(f.part_keys(d), scaled(m, w)) for f, m in m_a.entries]
-    keyed_b = [(f.part_keys(d), scaled(m, w)) for f, m in m_b.entries]
-    pairs = ((ka, kb, ma * mb) for ka, ma in keyed_a for kb, mb in keyed_b)
+    a = [(f, scaled(m, w)) for f, m in m_a.entries]
+    b = [(f, scaled(m, w)) for f, m in m_b.entries]
+    rows = ((fa, fb, ma * mb) for fa, ma in a for fb, mb in b)
     w_pair = None if w is None else w * w  # the scale of a product of two masses
-    return DistanceResult.from_mass(_cell_mass(pairs, d, w_pair, directional), Strategy.PRODUCT)
+    m = _cell_mass(rows, m_a.focals() + m_b.focals(), w_pair, directional)
+    return DistanceResult.from_mass(m, Strategy.PRODUCT)
 
 
 def _paired(
     a: SlicedAssignment, b: SlicedAssignment, directional: bool = False
 ) -> MassAssignment:
     rows, w = align_levels(a, b)
-    focals = [f for f, _ in a.slices + b.slices]
-    d = endpoint_scale(focals)
-    keys = {id(f): f.part_keys(d) for f in focals}  # each focal once, by identity
-    cells = ((keys[id(fa)], keys[id(fb)], h) for fa, fb, h in rows)
-    return _cell_mass(cells, d, w, directional)
+    return _cell_mass(rows, [f for f, _ in a.slices + b.slices], w, directional)
 
 
 def assign_diagonal(

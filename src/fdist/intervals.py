@@ -286,15 +286,6 @@ class IntervalUnion:
         endpoints (see scaled); () for the empty set."""
         return tuple((scaled(p.lo, scale), scaled(p.hi, scale)) for p in self.parts)
 
-    def sort_key(self, scale: Optional[int] = None) -> tuple:
-        """Ordering key among focal elements: label sets (0, 0, ...) first,
-        then unions by position (0, 1, part_keys), the empty set (1,) last.
-        A common_scale of the endpoints being sorted turns the positions
-        into integers that order alike."""
-        if self.is_empty:
-            return (1,)
-        return (0, 1, self.part_keys(scale))
-
     def __str__(self) -> str:
         if self.is_empty:
             return "[]"

@@ -10,7 +10,9 @@ set, so masses always total 1.
 Each input's kind and slice count are decided here, once: a
 MassAssignment or SlicedAssignment refuses labels beside intervals
 (ValueError(MIXED_KINDS)) and answers is_numeric, which the other modules
-read, and slice_shape resolves the slice count and bounds it.
+read, and slice_shape resolves the slice count and bounds it. A focal
+element's one key is its part_keys (a label set's sorted labels, a
+union's (lo, hi) part keys, () when empty); key_order sorts entries by it.
 
 Conventions that matter and are easy to get wrong:
 
@@ -25,8 +27,8 @@ Conventions that matter and are easy to get wrong:
 * Focal elements (in MassAssignment) and sweep endpoints sort as
   integers: each endpoint times the least common denominator of the
   endpoints being sorted (intervals.common_scale). Scaling by a positive
-  number keeps the order that sort_key() defines, so the integers are
-  only a faster way to it. When that denominator passes MAX_SCALE_BITS
+  number keeps the order of the unscaled part_keys(), so the integers
+  are only a faster way to it. When that denominator passes MAX_SCALE_BITS
   bits, as many distinct prime denominators make it, the keys stay
   Fractions, so no key grows with the number of endpoints.
 * Membership reconstructed from masses is the sum over focal elements
@@ -42,7 +44,7 @@ Conventions that matter and are easy to get wrong:
   on the open gap after c is that minus the ends at c. Stacking at a
   shared closed endpoint and single-point parts follow from this rule.
 * The sweep runs on the keys a MassAssignment was built on, which it
-  carries from construction: from __init__'s sort keys, or from the
+  carries from construction: from __init__'s part keys, or from the
   distance kernel's one dict of part keys to mass keys (_from_keys).
   Endpoints are their integer keys and weights integers under one common
   scale (the masses', or the densities'), so the deltas and the running
@@ -119,11 +121,16 @@ class LabelSet(frozenset):
     def intersection(self, other) -> "Focal":
         return as_focal(self & _labels(other))
 
-    def sort_key(self, scale: Optional[int] = None) -> tuple:
-        return (0, 0, tuple(sorted(self)))
+    def part_keys(self, scale: Optional[int] = None) -> tuple:
+        """The key of a label set: its labels, sorted; scale is unused."""
+        return tuple(sorted(self))
 
     def __str__(self) -> str:
         return "{" + ",".join(sorted(self)) + "}"
+
+    def __repr__(self) -> str:
+        # sorted, as frozenset's own order depends on the hash seed
+        return f"LabelSet({sorted(self)!r})"
 
 
 Focal = Union[IntervalUnion, LabelSet]
@@ -163,6 +170,11 @@ def _one_kind(focals: Iterable[Focal]) -> None:
         raise ValueError(MIXED_KINDS)
 
 
+def key_order(key: tuple) -> tuple:
+    """The one entry order, on part keys: by key, the empty set's () last."""
+    return (not key, key)
+
+
 def endpoint_scale(focals: Iterable[Focal]) -> Optional[int]:
     """The common_scale of every part endpoint of the numeric focal
     elements."""
@@ -196,9 +208,8 @@ def _checked_total(total: Fraction, tolerance: Fraction) -> Fraction:
 class MassAssignment:
     """Canonical mass assignment: entries merged per focal element, zero
     masses dropped, every empty focal normalized to the one empty set,
-    entries sorted deterministically, masses summing to 1 (within the
-    tolerance, for inputs that arrive as rounded decimals). total is that
-    exact sum. The keys the entries were sorted and summed on stay in the
+    entries in key_order, masses summing to 1 (within the tolerance, for
+    inputs that arrive as rounded decimals). total is that exact sum. The keys the entries were sorted and summed on stay in the
     key fields (see _set) for the membership and density sweeps; equality
     and hashing read entries alone."""
 
@@ -218,20 +229,19 @@ class MassAssignment:
                 positive.append((focal, mass))
         _one_kind(f for f, _ in positive)
         d = endpoint_scale(f for f, _ in positive)
-        # merged on sort keys, which are distinct for distinct focal elements
-        # and hash as integers, where a focal element hashes its Fractions
+        # merged on part keys, which are distinct for distinct focal elements
+        # of one kind; a union's hash as integers, where it hashes Fractions
         merged: dict = {}
         for focal, mass in positive:
-            k = focal.sort_key(d)
+            k = focal.part_keys(d)
             e = merged.get(k)
             if e is None:
                 merged[k] = [focal, mass]
             else:
                 e[1] += mass
-        order = sorted(merged)
+        order = sorted(merged, key=key_order)
         w = common_scale(mass for _, mass in merged.values())
-        # a union's sort key is (0, 1, part_keys), a label set's (0, 0, labels)
-        keys = tuple((k[2] if k[:2] == (0, 1) else (), scaled(merged[k][1], w)) for k in order)
+        keys = tuple((k, scaled(merged[k][1], w)) for k in order)
         total = _checked_total(unscaled(sum(mass for _, mass in keys), w), tolerance)
         self._set(tuple(tuple(merged[k]) for k in order), total, d, w, keys)
 
@@ -242,10 +252,9 @@ class MassAssignment:
         """The numeric assignment that masses holds as keys: the part keys
         of each distinct focal element under scale (see focals_from_keys)
         mapped to its positive mass key under mass_scale. Entries, stored
-        keys and total all come from that one dict, in sort_key order: by
-        keys, the empty set last. Only the total is checked, as __init__
-        checks it at the default tolerance."""
-        order = sorted(masses, key=lambda key: (not key, key))
+        keys and total all come from that one dict, in key_order. Only the
+        total is checked, as __init__ checks it at the default tolerance."""
+        order = sorted(masses, key=key_order)
         keys = tuple((key, masses[key]) for key in order)
         at = {m: unscaled(m, mass_scale) for m in set(masses.values())}
         entries = tuple(zip(focals_from_keys(order, scale), (at[m] for _, m in keys)))
@@ -255,10 +264,10 @@ class MassAssignment:
         return self
 
     def _set(self, entries, total, scale, mass_scale, keys) -> None:
-        """Set the fields, in their order. keys holds, per entry, the
-        (lo, hi) keys of its parts under the endpoint scale (() for a label
-        set or the empty set) and its mass key under mass_scale; a None
-        scale keys numbers as themselves (see intervals.scaled)."""
+        """Set the fields, in their order. keys holds, per entry, the part
+        keys of its focal element under the endpoint scale and its mass key
+        under mass_scale; a None scale keys numbers as themselves (see
+        intervals.scaled)."""
         for name, value in zip(self.__slots__, (entries, total, scale, mass_scale, keys)):
             object.__setattr__(self, name, value)
 
@@ -272,8 +281,7 @@ class MassAssignment:
 
     @property
     def empty_mass(self) -> Fraction:
-        # The empty set sorts last in both constructors: its sort_key is (1,),
-        # and _from_keys orders its key () last.
+        # both constructors sort by key_order, which puts the empty set last
         if self.entries and self.entries[-1][0].is_empty:
             return self.entries[-1][1]
         return ZERO
@@ -284,7 +292,8 @@ class MassAssignment:
 
     @property
     def is_numeric(self) -> bool:
-        """Not label sets: they sort first, so the first entry decides."""
+        """Not label sets: one kind per assignment, empty set last, so the
+        first entry decides."""
         return not (self.entries and isinstance(self.entries[0][0], LabelSet))
 
     def negated(self) -> "MassAssignment":
@@ -333,9 +342,6 @@ class DiscreteFuzzySet:
                 raise ValueError(f"label {echo(name)} given twice")
             items[name] = g
         object.__setattr__(self, "grades", tuple(sorted(items.items())))
-
-    def as_dict(self) -> dict:
-        return dict(self.grades)
 
     def __repr__(self):
         body = ", ".join(f"{l}:{format_fraction(g)}" for l, g in self.grades)
@@ -437,7 +443,7 @@ class SlicedAssignment:
             # when equal.
             return (f.length, len(f.parts)) if isinstance(f, IntervalUnion) else (len(f), 0)
 
-        # sort is stable and entries come in sort_key order, which keeps the
+        # sort is stable and entries come in key_order, which keeps the
         # empty set, of size 0, no parts and contained in any set, last
         stack = sorted(m.entries, key=lambda e: size(e[0]), reverse=True)
         for (f1, _), (f2, _) in zip(stack, stack[1:]):

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from . import exactlp
 from .intervals import ONE, ZERO, IntervalUnion, as_fraction, brief, cut
-from .mass import Focal, MassAssignment, SlicedAssignment, as_focal
+from .mass import Focal, MassAssignment, SlicedAssignment, as_focal, key_order
 
 
 class InvalidRestrictionError(ValueError):
@@ -101,11 +101,14 @@ def linear_combination(
 ) -> Optional[tuple]:
     """Nonnegative coefficients summing to 1 with sum(c_r * basis_r) ==
     target, if any exist. Solved exactly as a linear feasibility problem
-    with one equation per focal element."""
+    with one equation per focal element (key_order, label sets first)."""
     if not basis:
         return None
     held, *columns = (dict(m.entries) for m in (target, *basis))  # one lookup table each
-    focals = sorted(set(held).union(*columns), key=lambda f: f.sort_key())
+    focals = sorted(
+        set(held).union(*columns),
+        key=lambda f: (isinstance(f, IntervalUnion), key_order(f.part_keys())),
+    )
     rows = [[column.get(f, ZERO) for column in columns] for f in focals]
     rhs = [held.get(f, ZERO) for f in focals]
     rows.append([ONE] * len(basis))

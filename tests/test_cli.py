@@ -335,6 +335,41 @@ class TestRestrictCheckCommand:
         assert "at least one" in err
 
 
+class TestLabelAndNumericMassSets:
+    @pytest.fixture
+    def kinds(self, tmp_path):
+        """A label mass T, a numeric mass B and a mass E on the empty set alone."""
+        return write_doc(tmp_path, {"sets": [
+            {"name": "T", "kind": "mass", "entries": [
+                {"focal": ["a"], "mass": "0.5"}, {"focal": ["a", "b"], "mass": "0.5"}]},
+            {"name": "B", "kind": "mass", "entries": [
+                {"focal": [[1, 2]], "mass": "0.5"}, {"focal": [[0, 3]], "mass": "0.5"}]},
+            {"name": "E", "kind": "mass", "entries": [{"focal": [], "mass": 1}]},
+        ]})
+
+    def test_empty_only_target_against_both_kinds(self, capsys, kinds):
+        doc = run_json(capsys, "restrict-check", kinds, "E", "--basis", "B,T")
+        assert doc["coefficients"] is None
+        assert doc["reachability"] == {
+            "B": {"basis_to_target": True, "target_to_basis": False},
+            "T": {"basis_to_target": True, "target_to_basis": False},
+        }
+
+    def test_label_target_against_numeric_basis_refused(self, capsys, kinds):
+        code, out, err = run(capsys, "restrict-check", kinds, "T", "--basis", "B")
+        assert (code, out, err) == (
+            2, "", "fdist: cannot mix label-set and numeric focal elements\n"
+        )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["distance", "T", "B"], "set 'T' has label focal elements; distance needs numeric sets"),
+        (["defuzz", "T"], "set 'T' has label focal elements; a numeric set is required"),
+    ], ids=["distance", "defuzz"])
+    def test_label_mass_set_refused_where_numeric_needed(self, capsys, kinds, argv, message):
+        code, out, err = run(capsys, argv[0], kinds, *argv[1:])
+        assert (code, out, err) == (2, "", f"fdist: {message}\n")
+
+
 class TestErrorsAndEnvironment:
     def test_unknown_set_name(self, capsys):
         code, out, err = run(capsys, "mass", DATA, "nope")

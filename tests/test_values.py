@@ -122,6 +122,15 @@ def test_mass_assignment_copies_keep_their_keys():
     assert fdist.fuzzy_from_mass(twin) == fdist.fuzzy_from_mass(MASS)
 
 
+def test_label_set_repr_does_not_depend_on_insertion_order():
+    # 40 labels inserted in two orders make frozensets that iterate
+    # differently under any hash seed; the repr lists the labels sorted
+    labels = [f"label{k}" for k in range(40)]
+    forward, backward = LabelSet(labels), LabelSet(reversed(labels))
+    assert forward == backward
+    assert repr(forward) == repr(backward) == f"LabelSet({sorted(labels)!r})"
+
+
 def test_truth_masses_are_read_only():
     t = EXAMPLES[TruthAssignment]
     with pytest.raises(TypeError):
