@@ -17,25 +17,28 @@ those inputs and reported in the result. Diagonal pairings need a level
 ordering, so they stack a mass assignment's focal elements by size;
 distances between cells of the empty set stay on the empty set.
 
-Every strategy hands its rows of focal elements and mass keys to one
-kernel, _cell_mass, which works in the integer key space of
-intervals.common_scale: each input focal element becomes its part keys
-once (IntervalUnion.part_keys). A cell's bounds are differences of those
-keys, folded onto the nonnegative axis unless directional and merged by
+Every strategy hands one kernel, _cell_mass, rows (i, j, mass key) that
+index the two inputs' focal elements, with each input's part keys and
+their scale: a MassAssignment's stored keys, or a SlicedAssignment's,
+which slice_shape emits as keys, so no slice's focal element is built.
+The kernel puts both inputs' keys on one scale by an integer factor
+(intervals.meet_scales, key_factor). A cell's bounds are differences of those keys,
+folded onto the nonnegative axis unless directional and merged by
 intervals.merge_spans, and its mass, an integer under the masses' own
 common scale, is summed into one dict keyed by the cell's keys. The
-paired strategies take their heights as keys straight from align_levels.
-MassAssignment._from_keys turns that dict into the result, which keeps
-its keys and scales, so its membership and density sweep them without
-scaling any endpoint again (see mass). Past MAX_SCALE_BITS a scale is
-None and the keys are the Fractions themselves, through the same code.
+paired strategies take their rows, heights as keys, straight from
+align_levels. MassAssignment._from_keys turns that dict into the result,
+which keeps its keys and scales, so its membership and density sweep them
+without scaling any endpoint again (see mass). Past MAX_SCALE_BITS a
+scale is None and the keys are the Fractions themselves, through the
+same code.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
-from .intervals import IntervalUnion, common_scale, merge_spans, scaled
+from .intervals import IntervalUnion, key_factor, meet_scales, merge_spans
 from .mass import (
     MAX_SLICES,
     MassAssignment,
@@ -43,10 +46,10 @@ from .mass import (
     PiecewiseShape,
     SlicedAssignment,
     align_levels,
-    endpoint_scale,
     focals_from_keys,
     fuzzy_from_mass,
     slice_shape,
+    sum_by_key,
 )
 
 MAX_PRODUCT_CELLS = (MAX_SLICES + 1) ** 2  # a subnormal stack adds an empty slice
@@ -90,20 +93,24 @@ def cell_nondirectional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
     return _cell_of(a, b, False)
 
 
+def _part_keys(x: Normalised, d: Optional[int]) -> list:
+    """The part keys of x's focal elements, in entry or slice order, as
+    keys under d, a multiple of their scale or None (see key_factor)."""
+    f = key_factor(x._scale, d)
+    keys = [key for key, _ in x._keys]
+    return keys if f == 1 else [tuple((lo * f, hi * f) for lo, hi in key) for key in keys]
+
+
 def _cell_mass(
-    rows: Iterable[tuple], focals: Sequence, w: Optional[int], directional: bool
+    rows: Iterable[tuple], a: Normalised, b: Normalised, w: Optional[int], directional: bool
 ) -> MassAssignment:
-    """The mass assignment of rows (focal_a, focal_b, mass key under w),
-    each focal element one of focals, keyed once by identity: each row's
-    mass lands on the cell between them, summed per distinct cell."""
-    d = endpoint_scale(focals)
-    keys = {id(f): f.part_keys(d) for f in focals}
-    acc: dict = {}
-    for fa, fb, mass in rows:
-        key = _cell(keys[id(fa)], keys[id(fb)], directional)
-        before = acc.get(key)
-        # a first mass is stored, not added to 0 (a Fraction sum past the limit)
-        acc[key] = mass if before is None else before + mass
+    """The mass assignment of rows (i, j, mass key under w): each row's
+    mass lands on the cell between focal element i of a and j of b, read
+    from their stored part keys where the two scales meet, summed per
+    distinct cell."""
+    d = meet_scales(a._scale, b._scale)
+    keys_a, keys_b = _part_keys(a, d), _part_keys(b, d)
+    acc = sum_by_key((_cell(keys_a[i], keys_b[j], directional), mass) for i, j, mass in rows)
     return MassAssignment._from_keys(acc, d, w)
 
 
@@ -127,12 +134,13 @@ def assign_product(
     cells = len(m_a) * len(m_b)
     if cells > MAX_PRODUCT_CELLS:
         raise ValueError(f"product of {cells} cells exceeds the limit {MAX_PRODUCT_CELLS}")
-    w = common_scale(m for _, m in m_a.entries + m_b.entries)
-    a = [(f, scaled(m, w)) for f, m in m_a.entries]
-    b = [(f, scaled(m, w)) for f, m in m_b.entries]
-    rows = ((fa, fb, ma * mb) for fa, ma in a for fb, mb in b)
+    w = meet_scales(m_a._mass_scale, m_b._mass_scale)
+    fa, fb = key_factor(m_a._mass_scale, w), key_factor(m_b._mass_scale, w)
+    a = [m * fa for _, m in m_a._keys]
+    b = [m * fb for _, m in m_b._keys]
+    rows = ((i, j, ma * mb) for i, ma in enumerate(a) for j, mb in enumerate(b))
     w_pair = None if w is None else w * w  # the scale of a product of two masses
-    m = _cell_mass(rows, m_a.focals() + m_b.focals(), w_pair, directional)
+    m = _cell_mass(rows, m_a, m_b, w_pair, directional)
     return DistanceResult.from_mass(m, Strategy.PRODUCT)
 
 
@@ -140,7 +148,7 @@ def _paired(
     a: SlicedAssignment, b: SlicedAssignment, directional: bool = False
 ) -> MassAssignment:
     rows, w = align_levels(a, b)
-    return _cell_mass(rows, [f for f, _ in a.slices + b.slices], w, directional)
+    return _cell_mass(rows, a, b, w, directional)
 
 
 def assign_diagonal(

@@ -103,6 +103,24 @@ def unscaled(k, d: Optional[int]) -> Fraction:
     return as_fraction(k) if d is None else Fraction(k, d)
 
 
+def meet_scales(da: Optional[int], db: Optional[int]) -> Optional[int]:
+    """The one scale that keys under da and keys under db meet on: their
+    lcm, or None, keys being the Fractions themselves, when either is None
+    or the lcm passes MAX_SCALE_BITS bits."""
+    d = None if da is None or db is None else math.lcm(da, db)
+    return None if d is None or d.bit_length() > MAX_SCALE_BITS else d
+
+
+def key_factor(scale: Optional[int], d: Optional[int]):
+    """What a key under scale is multiplied by to become the key of the
+    same number under d, a multiple of scale or None (see meet_scales):
+    the integer d // scale, or 1/scale, which makes it the Fraction
+    itself; 1 when the two scales agree."""
+    if scale == d or scale is None:
+        return 1
+    return Fraction(1, scale) if d is None else d // scale
+
+
 def merge_spans(spans: Iterable[tuple]) -> tuple:
     """Sort (lo, hi) pairs and merge those that overlap or touch. The
     endpoints may be Fractions or the keys of one common_scale."""

@@ -23,7 +23,15 @@ Conventions that matter and are easy to get wrong:
   slice_shape reads each edge once for all n levels, which then compare
   as integers. A stack of slices is (focal, mass) pairs, bottom first,
   so its levels are prefix sums; align_levels pairs two stacks in one
-  merge walk over those sums as keys, and returns the heights as keys.
+  merge walk over those sums as keys, and returns rows of slice indices
+  with the heights as keys.
+* A SlicedAssignment is held as keys: each slice's part keys and mass
+  key, each under one scale. slice_shape keys every vertex and crossing of a
+  shape over one shape-wide scale and emits the keys directly; the
+  distance kernel, to_mass, is_normal and is_numeric read them, and the
+  slices' focal elements are built, through focals_from_keys, only when
+  slices is read. Keys of two scales meet on the lcm of the two
+  (intervals.meet_scales), each key times an integer (key_factor).
 * Focal elements (in MassAssignment) and sweep endpoints sort as
   integers: each endpoint times the least common denominator of the
   endpoints being sorted (intervals.common_scale). Scaling by a positive
@@ -76,6 +84,8 @@ from .intervals import (
     cut,
     echo,
     format_fraction,
+    key_factor,
+    meet_scales,
     scaled,
     unscaled,
 )
@@ -98,9 +108,18 @@ class ZeroAreaError(ValueError):
 class LabelSet(frozenset):
     """Label-set focal element: a frozenset of labels, equal to and hashing
     like the plain frozenset, with IntervalUnion's focal interface. Its
-    methods take focal elements as as_focal returns them."""
+    methods take focal elements as as_focal returns them. Labels are
+    strings, which sort and join (part_keys, str); any other label raises
+    TypeError."""
 
     __slots__ = ()
+
+    def __new__(cls, labels: Iterable = ()):
+        self = super().__new__(cls, labels)
+        for label in self:
+            if not isinstance(label, str):
+                raise TypeError(f"labels must be strings, got {type(label).__name__} {echo(label)}")
+        return self
 
     @property
     def is_empty(self) -> bool:
@@ -193,6 +212,27 @@ def focals_from_keys(keys: Sequence[tuple], scale: Optional[int]) -> list:
             for key in keys]
 
 
+def _entries_from_keys(
+    keys: Sequence[tuple], scale: Optional[int], mass_scale: Optional[int]
+) -> tuple:
+    """The (focal, mass) pairs that (part keys, mass key) pairs stand for,
+    part keys under scale (focals_from_keys) and mass keys under
+    mass_scale, one Fraction built per distinct mass key."""
+    at = {m: unscaled(m, mass_scale) for m in {m for _, m in keys}}
+    focals = focals_from_keys([key for key, _ in keys], scale)
+    return tuple(zip(focals, (at[m] for _, m in keys)))
+
+
+def sum_by_key(items: Iterable[tuple]) -> dict:
+    """The masses of (key, mass) pairs summed per key, in first-seen order.
+    A first mass is stored, not added to 0 (a Fraction sum past the limit)."""
+    acc: dict = {}
+    for key, mass in items:
+        before = acc.get(key)
+        acc[key] = mass if before is None else before + mass
+    return acc
+
+
 def _checked_total(total: Fraction, tolerance: Fraction) -> Fraction:
     """total, the exact sum of the masses, which must lie within tolerance
     of 1."""
@@ -254,10 +294,8 @@ class MassAssignment:
         mapped to its positive mass key under mass_scale. Entries, stored
         keys and total all come from that one dict, in key_order. Only the
         total is checked, as __init__ checks it at the default tolerance."""
-        order = sorted(masses, key=key_order)
-        keys = tuple((key, masses[key]) for key in order)
-        at = {m: unscaled(m, mass_scale) for m in set(masses.values())}
-        entries = tuple(zip(focals_from_keys(order, scale), (at[m] for _, m in keys)))
+        keys = tuple((key, masses[key]) for key in sorted(masses, key=key_order))
+        entries = _entries_from_keys(keys, scale, mass_scale)
         total = _checked_total(unscaled(sum(masses.values()), mass_scale), DEFAULT_TOLERANCE)
         self = object.__new__(cls)
         self._set(entries, total, scale, mass_scale, keys)
@@ -394,7 +432,7 @@ class PiecewiseShape:
         return f"PiecewiseShape({body})"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class SlicedAssignment:
     """Mass assignment with an explicit level ordering of its slices.
 
@@ -404,10 +442,21 @@ class SlicedAssignment:
     as separate slices; conversion to a MassAssignment merges them.
     Slicing a fuzzy set produces focal elements that shrink as levels
     rise, but the type does not enforce that, since reversed stacks are
-    legitimate intermediates."""
+    legitimate intermediates.
 
-    slices: tuple
+    A stack is held as keys, as a MassAssignment keeps them in _keys:
+    per slice, the part keys of its focal element and the key of its
+    mass. slice_shape emits those keys directly, and slices is built from
+    them on first read (_entries_from_keys), then kept; align_levels, the
+    distance kernel, to_mass, is_normal and is_numeric read the keys
+    alone. Equality and hashing are those of (slices, top), whatever the
+    scales."""
+
     top: Fraction
+    _scale: Optional[int]
+    _mass_scale: Optional[int]
+    _keys: tuple
+    _slices: Optional[tuple]
 
     def __init__(self, entries: Iterable[tuple]):
         slices = tuple((as_focal(f), as_fraction(mass)) for f, mass in entries)
@@ -420,18 +469,29 @@ class SlicedAssignment:
         top = sum((mass for _, mass in slices), ZERO)
         if top > 1:
             raise ValueError(f"slice masses sum to {brief(top)}, over 1")
-        object.__setattr__(self, "slices", slices)
-        object.__setattr__(self, "top", top)
+        d = endpoint_scale(f for f, _ in slices)
+        w = common_scale(mass for _, mass in slices)
+        keys = tuple((f.part_keys(d), scaled(mass, w)) for f, mass in slices)
+        self._set(top, d, w, keys, slices)
 
     @classmethod
-    def _trusted(cls, slices: tuple, top: Fraction) -> "SlicedAssignment":
-        """The stack of slices already valid: (focal, mass) pairs with
-        focal elements as as_focal returns them and positive Fraction
-        masses, with top their exact sum. Nothing is checked."""
+    def _trusted(
+        cls, top: Fraction, scale: Optional[int], mass_scale: Optional[int], keys: tuple,
+        slices: Optional[tuple] = None,
+    ) -> "SlicedAssignment":
+        """The stack already valid: keys holds, per slice, the part keys of
+        a focal element under scale and the key of a positive mass under
+        mass_scale, top is the exact sum of the masses, and slices, when
+        given, holds the (focal, mass) pairs they stand for. Nothing is
+        checked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "slices", slices)
-        object.__setattr__(self, "top", top)
+        self._set(top, scale, mass_scale, keys, slices)
         return self
+
+    def _set(self, *values) -> None:
+        """Set the fields, in their order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_mass(cls, m: MassAssignment) -> "SlicedAssignment":
@@ -445,32 +505,61 @@ class SlicedAssignment:
 
         # sort is stable and entries come in key_order, which keeps the
         # empty set, of size 0, no parts and contained in any set, last
-        stack = sorted(m.entries, key=lambda e: size(e[0]), reverse=True)
-        for (f1, _), (f2, _) in zip(stack, stack[1:]):
+        stack = sorted(zip(m.entries, m._keys), key=lambda e: size(e[0][0]), reverse=True)
+        for ((f1, _), _), ((f2, _), _) in zip(stack, stack[1:]):
             if not f1.issuperset(f2):
                 raise ValueError(
                     f"focal elements not nested: {cut(str(f1))} vs {cut(str(f2))}"
                     "; diagonal and antidiagonal pairings need nested focal elements,"
                     " the product strategy does not"
                 )
-        return cls._trusted(tuple(stack), m.total)
+        slices, keys = tuple(e for e, _ in stack), tuple(key for _, key in stack)
+        return cls._trusted(m.total, m._scale, m._mass_scale, keys, slices)
+
+    @property
+    def slices(self) -> tuple:
+        """The (focal, mass) pairs, built from the keys on first read and
+        kept."""
+        if self._slices is None:
+            slices = _entries_from_keys(self._keys, self._scale, self._mass_scale)
+            object.__setattr__(self, "_slices", slices)
+        return self._slices
 
     @property
     def is_normal(self) -> bool:
         """No slice rests on the empty set, as for to_mass().is_normal."""
-        return not any(f.is_empty for f, _ in self.slices)
+        return all(key for key, _ in self._keys)
 
     @property
     def is_numeric(self) -> bool:
-        """As for to_mass().is_numeric: the first nonempty slice decides."""
-        return next((not isinstance(f, LabelSet) for f, _ in self.slices if not f.is_empty), True)
+        """As for to_mass().is_numeric: the first nonempty slice decides. A
+        union's part keys are (lo, hi) pairs, a label set's its labels."""
+        return next((isinstance(key[0], tuple) for key, _ in self._keys if key), True)
 
     def reversed_levels(self) -> "SlicedAssignment":
         """Same slices stacked in the opposite order."""
-        return SlicedAssignment._trusted(self.slices[::-1], self.top)
+        slices = None if self._slices is None else self._slices[::-1]
+        return SlicedAssignment._trusted(
+            self.top, self._scale, self._mass_scale, self._keys[::-1], slices
+        )
 
     def to_mass(self) -> MassAssignment:
-        return MassAssignment(self.slices)
+        """The slices merged per focal element; a numeric stack goes from
+        its keys to MassAssignment._from_keys."""
+        if not self.is_numeric:
+            return MassAssignment(self.slices)
+        return MassAssignment._from_keys(sum_by_key(self._keys), self._scale, self._mass_scale)
+
+    def __eq__(self, other):
+        if not isinstance(other, SlicedAssignment):
+            return NotImplemented
+        return (self.slices, self.top) == (other.slices, other.top)
+
+    def __hash__(self):
+        return hash((self.slices, self.top))
+
+    def __repr__(self):
+        return f"SlicedAssignment(slices={self.slices!r}, top={self.top!r})"
 
 
 def slice_shape(shape: PiecewiseShape, n: Optional[int] = None) -> SlicedAssignment:
@@ -482,12 +571,16 @@ def slice_shape(shape: PiecewiseShape, n: Optional[int] = None) -> SlicedAssignm
     Each edge is read once (a lone vertex is an edge to itself). A vertex
     of membership m lies above level k*h/n exactly when k < ceil(m*n/h),
     so levels compare as integers. An edge of slope s = (x2-x1)/(m2-m1)
-    crosses level k*h/n at a + k*b, a = x1 - m1*s and b = s*h/n, kept as
-    (c + k*dc)/q over one denominator q; a jump edge (x1 == x2) crosses
-    at its point, as its s is 0. Parts come in x order, so joining is one
-    pass: edges meeting at a vertex above the level join as they are
-    walked, and a part that opens where the last one closed (a jump down
-    and up at one x, or a vertex exactly at the level) reopens it."""
+    crosses level k*h/n at a + k*b, a = x1 - m1*s and b = s*h/n; a jump
+    edge (x1 == x2) crosses at its point, as its s is 0. Every vertex x
+    and every a and b is keyed under one shape-wide scale, their
+    common_scale, so a crossing's key is key(a) + k*key(b), an integer
+    (past MAX_SCALE_BITS the Fraction itself), and the stack holds the
+    keys; its slices are built only when read. Parts come in x order, so
+    joining is one pass: edges meeting at a vertex above the level join
+    as they are walked, and a part that opens where the last one closed (a
+    jump down and up at one x, or a vertex exactly at the level) reopens
+    it."""
     n = DEFAULT_SLICES if n is None else n
     if n < 1:
         raise ValueError("need at least one slice")
@@ -495,60 +588,62 @@ def slice_shape(shape: PiecewiseShape, n: Optional[int] = None) -> SlicedAssignm
         raise ValueError(f"slice count {brief(n)} exceeds the limit {MAX_SLICES}")
     h = shape.height
     if h == 0:
-        return SlicedAssignment._trusted(((EMPTY, ONE),), ONE)
+        return SlicedAssignment._trusted(ONE, 1, 1, (((), 1),))
     step = h / n
-    x_end = shape.vertices[-1][0]
     vs = [(x, m, math.ceil(m * n / h)) for x, m in shape.vertices]
-    edges = []
+    lines = []
     for (x1, m1, t1), (x2, m2, t2) in zip(vs, vs[1:] or vs):
-        c = dc = q = None
-        if t1 != t2:
-            s = (x2 - x1) / (m2 - m1)
-            a, b = x1 - m1 * s, step * s
-            q = math.lcm(a.denominator, b.denominator)
-            c, dc = scaled(a, q), scaled(b, q)
-        edges.append((x1, x2, t1, t2, c, dc, q))
-    slices = []
+        s = (x2 - x1) / (m2 - m1) if t1 != t2 else ZERO
+        lines.append((x1, t1, t2, x1 - m1 * s, step * s))
+    d = common_scale([x for x, _ in shape.vertices] + [v for *_, a, b in lines for v in (a, b)])
+    edges = [(scaled(x1, d), t1, t2, scaled(a, d), scaled(b, d)) for x1, t1, t2, a, b in lines]
+    x_end = scaled(shape.vertices[-1][0], d)
+    w = common_scale((step, 1 - h))
+    step_key = scaled(step, w)
+    keys = []
     for k in range(n):
         parts, lo = [], None
-        for x1, x2, t1, t2, c, dc, q in edges:
+        for x1, t1, t2, c, dc in edges:
             if k < t1:
                 if lo is None:
                     lo = x1
                 if k >= t2:
-                    parts.append((lo, Fraction(c + k * dc, q)))
+                    parts.append((lo, c + k * dc))
                     lo = None
             elif k < t2:
-                lo = Fraction(c + k * dc, q)
+                lo = c + k * dc
                 if parts and parts[-1][1] == lo:  # opens where the last part closed
                     lo = parts.pop()[0]
         if lo is not None:
             parts.append((lo, x_end))
-        slices.append((IntervalUnion._from_merged(parts), step))
+        keys.append((tuple(parts), step_key))
     if h < 1:
-        slices.append((EMPTY, 1 - h))
-    return SlicedAssignment._trusted(tuple(slices), ONE)
+        keys.append(((), scaled(1 - h, w)))
+    return SlicedAssignment._trusted(ONE, d, w, tuple(keys))
 
 
 def align_levels(a: SlicedAssignment, b: SlicedAssignment) -> tuple:
-    """(rows, scale): a row (focal_a, focal_b, height) for each level range
-    shared by two stacks ending at the same level, from one merge walk over
-    the levels at which their slices end, summed as keys under scale, the
-    masses' common_scale. Each height is such a key (see scaled)."""
+    """(rows, scale): a row (i, j, height) for each level range shared by
+    slice i of a and slice j of b, two stacks ending at the same level,
+    from one merge walk over the levels at which their slices end, summed
+    as mass keys under scale, where the stacks' mass scales meet (see
+    meet_scales). Each height is such a key."""
     if a.top != b.top:
         raise ValueError(
             f"slice stacks end at different levels: {brief(a.top)} and {brief(b.top)}"
         )
-    w = common_scale(mass for _, mass in a.slices + b.slices)
-    shared, lo, hi_a, hi_b, rest_b = [], 0, 0, 0, iter(b.slices)
-    for fa, mass in a.slices:
-        hi_a += scaled(mass, w)
+    w = meet_scales(a._mass_scale, b._mass_scale)
+    fa, fb = key_factor(a._mass_scale, w), key_factor(b._mass_scale, w)
+    masses_b = [mass * fb for _, mass in b._keys]
+    shared, lo, hi_a, hi_b, j = [], 0, 0, 0, -1
+    for i, (_, mass) in enumerate(a._keys):
+        hi_a += mass * fa
         while lo < hi_a:
             if hi_b == lo:
-                fb, mass = next(rest_b)
-                hi_b += scaled(mass, w)
+                j += 1
+                hi_b += masses_b[j]
             hi = min(hi_a, hi_b)
-            shared.append((fa, fb, hi - lo))
+            shared.append((i, j, hi - lo))
             lo = hi
     return shared, w
 

@@ -287,10 +287,11 @@ def oracle_assign_product(m_a: MassAssignment, m_b: MassAssignment, directional:
 
 
 def aligned(a: SlicedAssignment, b: SlicedAssignment) -> list:
-    """align_levels(a, b)'s rows with each height key unscaled under the
-    scale it returns: (focal_a, focal_b, height as a Fraction)."""
+    """align_levels(a, b)'s rows with each slice index mapped back to its
+    focal element and each height key unscaled under the scale it returns:
+    (focal_a, focal_b, height as a Fraction)."""
     rows, scale = align_levels(a, b)
-    return [(fa, fb, unscaled(h, scale)) for fa, fb, h in rows]
+    return [(a.slices[i][0], b.slices[j][0], unscaled(h, scale)) for i, j, h in rows]
 
 
 def oracle_paired(a: SlicedAssignment, b: SlicedAssignment, directional: bool):

@@ -524,6 +524,23 @@ class TestSingleInputPass:
     def test_sliced_normality_matches_its_mass(self, m):
         assert SlicedAssignment.from_mass(m).is_normal == m.is_normal
 
+    @pytest.mark.parametrize("strategy", [Strategy.DIAGONAL, Strategy.ANTIDIAGONAL])
+    def test_paired_shapes_build_no_slice_focal_elements(self, monkeypatch, strategy):
+        # slices stay keys from slice_shape through the kernel: the only
+        # unions built are the result's nonempty focal elements
+        built = []
+        original = IntervalUnion._from_merged.__func__
+
+        def counted(cls, pairs):
+            built.append(1)
+            return original(cls, pairs)
+
+        monkeypatch.setattr(IntervalUnion, "_from_merged", classmethod(counted))
+        a = PiecewiseShape([(0, 0), (1, 1), (2, H), (3, 1), (F(9, 2), 0)])
+        b = PiecewiseShape([(F(1, 3), 0), (F(7, 3), 1), (F(11, 3), 0)])
+        result = distance(a, b, strategy=strategy, n_slices=300)
+        assert len(built) == sum(1 for f in result.mass.focals() if not f.is_empty) == 300
+
 
 class TestProperties:
     def test_linear_combination_of_diagonals_is_product(self):

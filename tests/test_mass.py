@@ -13,6 +13,7 @@ from fdist.intervals import (
     IntervalUnion,
     common_scale,
     iu,
+    unscaled,
 )
 from fdist.mass import (
     DEFAULT_SLICES,
@@ -42,6 +43,7 @@ from helpers import (
     WIDE_PRIME_DENS,
     aligned,
     coprime_shapes,
+    frac,
     interval_unions,
     kernel_masses,
     label_masses,
@@ -227,6 +229,20 @@ class TestFocalInterface:
         assert not s.is_normal
         with pytest.raises(TypeError, match="not a focal element: set"):
             as_focal({"a"})
+
+    @pytest.mark.parametrize("labels", [{1, "a"}, {1, 2}, {"a", ("b",)}, {2.5}])
+    def test_labels_other_than_strings_are_refused(self, labels):
+        # ints beside strings do not sort, and ints alone do not join into
+        # the label set's text; both are refused where a label set is made
+        refusals = [
+            LabelSet,
+            lambda f: as_focal(frozenset(f)),
+            lambda f: MassAssignment([(frozenset(f), 1)]),
+            lambda f: SlicedAssignment([(frozenset(f), 1)]),
+        ]
+        for make in refusals:
+            with pytest.raises(TypeError, match="labels must be strings, got"):
+                make(labels)
 
 
 class TestMassFromDiscrete:
@@ -593,6 +609,58 @@ class TestLevelCutMatchesOracle:
     @settings(max_examples=300, deadline=None)
     def test_coprime_cut_equals_two_pass_cut(self, shape, n):
         assert_slices_equal_cuts(shape, n)
+
+
+@st.composite
+def wide_shapes(draw):
+    """Shapes of two to six vertices over WIDE_PRIME_DENS: their crossings'
+    common denominator mostly passes MAX_SCALE_BITS, so the keys of a
+    slicing stay Fractions."""
+    n = draw(st.integers(2, 6))
+    xs = sorted(draw(st.lists(frac(-3, 3, WIDE_PRIME_DENS), min_size=n, max_size=n)))
+    ms = draw(st.lists(frac(0, 1, WIDE_PRIME_DENS) | st.just(F(1)), min_size=n, max_size=n))
+    return PiecewiseShape(zip(xs, ms))
+
+
+def assert_keys_are_cuts(shape, n):
+    """The keys slice_shape stores, unscaled under their scales, are the
+    endpoints of the two-pass cut at each slice's lower level and the
+    slice's mass h/n, with () and 1 - h for the empty slice on top; no
+    slice focal element is built on the way."""
+    s = slice_shape(shape, n)
+    assert s._slices is None
+    h = shape.height
+    cuts = [oracle_level_cut(shape, h / n * k) for k in range(n)] if h else []
+    expected = [(tuple((p.lo, p.hi) for p in cut.parts), h / n) for cut in cuts]
+    expected += [((), 1 - h)] if h < 1 else []
+    assert [
+        (tuple((unscaled(lo, s._scale), unscaled(hi, s._scale)) for lo, hi in key),
+         unscaled(mass, s._mass_scale))
+        for key, mass in s._keys
+    ] == expected
+    number = Fraction if s._scale is None else int
+    assert all(type(e) is number for key, _ in s._keys for span in key for e in span)
+    assert s.is_normal is (h == 1) and s.is_numeric
+    assert s.to_mass() == MassAssignment(s.slices)
+    return s
+
+
+class TestKeysMatchTheCuts:
+    @given(coprime_shapes(), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_coprime_keys(self, shape, n):
+        assert_keys_are_cuts(shape, n)
+
+    @given(wide_shapes(), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_keys_past_the_scale_limit(self, shape, n):
+        assert_keys_are_cuts(shape, n)
+
+    def test_a_wide_shape_keys_fractions(self):
+        p, q, r = WIDE_PRIME_DENS[:3]
+        shape = PiecewiseShape([(F(1, p), 0), (F(2, q), F(1, r)), (F(3, r), 1), (3, 0)])
+        assert assert_keys_are_cuts(shape, 7)._scale is None
+        assert assert_keys_are_cuts(TRIANGLE_A, 7)._scale is not None
 
 
 class TestFuzzyFromMass:

@@ -122,6 +122,31 @@ def test_mass_assignment_copies_keep_their_keys():
     assert fdist.fuzzy_from_mass(twin) == fdist.fuzzy_from_mass(MASS)
 
 
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_lazy_stacks_copy_and_compare_as_values(clone, read_first):
+    # slice_shape keeps a stack as keys and builds its slices on first
+    # read; the copies are equal values either way, and so is the stack
+    # rebuilt from its slices, though its keys sit on another scale
+    shape = PiecewiseShape([(0, 0), (1, 1), (Fraction(3, 2), H), (2, 1), (3, 0)])
+    stack = slice_shape(shape, 3)
+    if read_first:
+        stack.slices
+    twin = clone(stack)
+    assert type(twin) is SlicedAssignment
+    assert (twin._slices is None) is not read_first
+    assert twin == stack and hash(twin) == hash(stack) and repr(twin) == repr(stack)
+    rebuilt = SlicedAssignment(stack.slices)
+    assert rebuilt._scale != stack._scale
+    assert rebuilt == stack == twin and hash(rebuilt) == hash(stack)
+    assert twin.to_mass() == rebuilt.to_mass() == stack.to_mass()
+    assert twin.reversed_levels() == rebuilt.reversed_levels()
+
+
 def test_label_set_repr_does_not_depend_on_insertion_order():
     # 40 labels inserted in two orders make frozensets that iterate
     # differently under any hash seed; the repr lists the labels sorted
