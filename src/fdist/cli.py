@@ -26,7 +26,16 @@ from typing import Optional
 
 from . import specfile
 from .distance import Normalised, Strategy, distance
-from .intervals import DEFAULT_TOLERANCE, as_fraction, cut, echo, format_fraction
+from .intervals import (
+    DEFAULT_TOLERANCE,
+    as_fraction,
+    cut,
+    echo,
+    format_fraction,
+    key_factor,
+    meet_scales,
+    scaled,
+)
 from .mass import (
     MassAssignment,
     NumericFuzzySet,
@@ -83,17 +92,32 @@ def _numeric(
 
 
 def _plot(fuzzy: NumericFuzzySet, step: Fraction) -> str:
+    """x,mu rows from the support's low end at step spacing, x and the
+    runs' ends keyed under one scale (see meet_scales): one merge walk over
+    the rows and the runs, both sorted. A row lies in the first run that
+    does not end before it, or in none."""
     lines = ["x,mu"]
     if not fuzzy.is_empty:
-        hull = fuzzy.support_hull
-        if (hull.hi - hull.lo) // step >= MAX_PLOT_ROWS:
+        d = meet_scales(fuzzy._scale, step.denominator)
+        f = key_factor(fuzzy._scale, d)
+        runs = [(lo * f, hi * f, mu, lo_open, hi_open)
+                for lo, hi, mu, lo_open, hi_open in fuzzy._runs]
+        dx, x, end = scaled(step, d), runs[0][0], runs[-1][1]
+        runs.append((end, end, 0, True, False))  # sentinel: holds no row, ends none early
+        if (end - x) // dx >= MAX_PLOT_ROWS:
             raise ValueError(
                 f"--plot-step {format_fraction(step)} gives more than {MAX_PLOT_ROWS} rows"
             )
-        x = hull.lo
-        while x <= hull.hi:
-            lines.append(f"{format_fraction(x)},{format_fraction(fuzzy.mu(x))}")
-            x += step
+        text = specfile.formatter()
+        num, mu_text = text(d), text(fuzzy._mu_scale)
+        i = 0
+        while x <= end:
+            while runs[i][1] < x or (runs[i][1] == x and runs[i][4]):  # ends before x
+                i += 1
+            lo, _, mu, lo_open, _ = runs[i]
+            inside = lo < x or (lo == x and not lo_open)
+            lines.append(f"{num(x)},{mu_text(mu) if inside else '0'}")
+            x += dx
     return "\n".join(lines) + "\n"
 
 

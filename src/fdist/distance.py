@@ -29,9 +29,11 @@ common scale, is summed into one dict keyed by the cell's keys. The
 paired strategies take their rows, heights as keys, straight from
 align_levels. MassAssignment._from_keys turns that dict into the result,
 which keeps its keys and scales, so its membership and density sweep them
-without scaling any endpoint again (see mass). Past MAX_SCALE_BITS a
-scale is None and the keys are the Fractions themselves, through the
-same code.
+without scaling any endpoint again, and builds its entries only when they
+are read (see mass). DistanceResult.fuzzy holds the sweep's runs as keys
+in the same way, so writing a result builds no focal element and no step.
+Past MAX_SCALE_BITS a scale is None and the keys are the Fractions
+themselves, through the same code.
 """
 
 from dataclasses import dataclass

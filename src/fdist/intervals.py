@@ -6,6 +6,7 @@ these operations are normally fed), strings by decimal or `p/q` syntax.
 """
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -35,6 +36,15 @@ BRIEF_BITS = 128
 
 # Input echoed in a message is cut to this many characters (see echo).
 ECHO_CHARS = 40
+
+# A high surrogate directly followed by a low one (see refuse_surrogate_pairs).
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+class SurrogatePairError(ValueError):
+    """Text that holds a high surrogate directly followed by a low one.
+    JSON writes the two as escapes, and those read back as one astral
+    character, so a document holding the text would not read back equal."""
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -77,6 +87,15 @@ def cut(text: str, chars: int = ECHO_CHARS) -> str:
 def echo(value) -> str:
     """repr(value) for a message, cut to ECHO_CHARS characters."""
     return cut(repr(value))
+
+
+def refuse_surrogate_pairs(text: str, what: str) -> None:
+    """Raise SurrogatePairError naming what when text holds a surrogate
+    pair. Callers test text.isascii() first, which no such text passes."""
+    if _SURROGATE_PAIR.search(text):
+        raise SurrogatePairError(
+            f"{what} {echo(text)} holds a surrogate pair, which JSON reads back as one character"
+        )
 
 
 def common_scale(values: Iterable[Fraction]) -> Optional[int]:

@@ -56,18 +56,24 @@ Conventions that matter and are easy to get wrong:
   distance kernel's one dict of part keys to mass keys (_from_keys).
   Endpoints are their integer keys and weights integers under one common
   scale (the masses', or the densities'), so the deltas and the running
-  sum are integer additions; each endpoint is the Fraction its part
-  already holds, and a Fraction is built once per value of a run.
-  Past MAX_SCALE_BITS a key or a weight is the Fraction itself, through
-  the same code.
+  sum are integer additions, and its runs are keys too. Past
+  MAX_SCALE_BITS a key or a weight is the Fraction itself, through the
+  same code.
+* A result lives as keys until it is read or written. A MassAssignment
+  from _from_keys builds its entries, and a NumericFuzzySet from
+  fuzzy_from_mass its steps, only on first read, each distinct key
+  unscaled to one shared Fraction; the result writer (specfile.formatter)
+  and the plot read the keys with their scales, so a distance written as
+  a document builds neither. least_prejudiced unscales its pieces from
+  the same sweep.
 """
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .intervals import (
     DEFAULT_TOLERANCE,
@@ -86,6 +92,7 @@ from .intervals import (
     format_fraction,
     key_factor,
     meet_scales,
+    refuse_surrogate_pairs,
     scaled,
     unscaled,
 )
@@ -110,7 +117,8 @@ class LabelSet(frozenset):
     like the plain frozenset, with IntervalUnion's focal interface. Its
     methods take focal elements as as_focal returns them. Labels are
     strings, which sort and join (part_keys, str); any other label raises
-    TypeError."""
+    TypeError, and a label holding a surrogate pair, which would not read
+    back from JSON, SurrogatePairError."""
 
     __slots__ = ()
 
@@ -119,6 +127,8 @@ class LabelSet(frozenset):
         for label in self:
             if not isinstance(label, str):
                 raise TypeError(f"labels must be strings, got {type(label).__name__} {echo(label)}")
+            if not label.isascii():
+                refuse_surrogate_pairs(label, "label")
         return self
 
     @property
@@ -202,13 +212,23 @@ def endpoint_scale(focals: Iterable[Focal]) -> Optional[int]:
     )
 
 
+def _unscaler(keys: Iterable, scale: Optional[int]) -> Callable:
+    """The lookup from each of keys to the Fraction it stands for under
+    scale, one Fraction per distinct key, shared by every value that holds
+    it. Under a None scale the keys are the numbers (see unscaled), so
+    nothing is built or hashed."""
+    if scale is None:
+        return as_fraction
+    return {k: Fraction(k, scale) for k in set(keys)}.__getitem__
+
+
 def focals_from_keys(keys: Sequence[tuple], scale: Optional[int]) -> list:
     """The numeric focal elements whose part keys under scale are keys,
     each merged as merge_spans returns them, () for the empty set (see
     IntervalUnion.part_keys). One Fraction is built per distinct endpoint
     key, shared by every part that holds it."""
-    at = {k: unscaled(k, scale) for k in {k for key in keys for span in key for k in span}}
-    return [IntervalUnion._from_merged((at[lo], at[hi]) for lo, hi in key) if key else EMPTY
+    at = _unscaler((k for key in keys for span in key for k in span), scale)
+    return [IntervalUnion._from_merged((at(lo), at(hi)) for lo, hi in key) if key else EMPTY
             for key in keys]
 
 
@@ -218,9 +238,22 @@ def _entries_from_keys(
     """The (focal, mass) pairs that (part keys, mass key) pairs stand for,
     part keys under scale (focals_from_keys) and mass keys under
     mass_scale, one Fraction built per distinct mass key."""
-    at = {m: unscaled(m, mass_scale) for m in {m for _, m in keys}}
+    at = _unscaler((m for _, m in keys), mass_scale)
     focals = focals_from_keys([key for key, _ in keys], scale)
-    return tuple(zip(focals, (at[m] for _, m in keys)))
+    return tuple(zip(focals, (at(m) for _, m in keys)))
+
+
+def _set_fields(value, *fields) -> None:
+    """Set a frozen dataclass's fields, in their order."""
+    for name, field_value in zip(value.__slots__, fields):
+        object.__setattr__(value, name, field_value)
+
+
+def _keys_numeric(keys: tuple) -> bool:
+    """is_numeric of stored (part keys, mass key) pairs: the first nonempty
+    focal element decides, a union's part keys being (lo, hi) pairs and a
+    label set's its labels."""
+    return next((isinstance(key[0], tuple) for key, _ in keys if key), True)
 
 
 def sum_by_key(items: Iterable[tuple]) -> dict:
@@ -244,20 +277,28 @@ def _checked_total(total: Fraction, tolerance: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # core types
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class MassAssignment:
     """Canonical mass assignment: entries merged per focal element, zero
     masses dropped, every empty focal normalized to the one empty set,
     entries in key_order, masses summing to 1 (within the tolerance, for
-    inputs that arrive as rounded decimals). total is that exact sum. The keys the entries were sorted and summed on stay in the
-    key fields (see _set) for the membership and density sweeps; equality
-    and hashing read entries alone."""
+    inputs that arrive as rounded decimals). total is that exact sum.
 
-    entries: tuple
-    total: Fraction = field(compare=False)
-    _scale: Optional[int] = field(compare=False)
-    _mass_scale: Optional[int] = field(compare=False)
-    _keys: tuple = field(compare=False)
+    An assignment is held as keys, as a SlicedAssignment is: per entry,
+    the part keys of its focal element under _scale and the key of its
+    mass under _mass_scale; a None scale keys numbers as themselves (see
+    intervals.scaled). The membership and density sweeps, the distance
+    kernel, the result writer, is_numeric, empty_mass and len read the
+    keys alone. entries is built from them on first read
+    (_entries_from_keys), then kept; __init__, which has the entries at
+    hand, keeps them at once. Equality and hashing are those of entries,
+    whatever the scales."""
+
+    total: Fraction
+    _scale: Optional[int]
+    _mass_scale: Optional[int]
+    _keys: tuple
+    _entries: Optional[tuple]
 
     def __init__(self, entries: Iterable[tuple], *, tolerance: Fraction = DEFAULT_TOLERANCE):
         positive = []
@@ -283,7 +324,7 @@ class MassAssignment:
         w = common_scale(mass for _, mass in merged.values())
         keys = tuple((k, scaled(merged[k][1], w)) for k in order)
         total = _checked_total(unscaled(sum(mass for _, mass in keys), w), tolerance)
-        self._set(tuple(tuple(merged[k]) for k in order), total, d, w, keys)
+        _set_fields(self, total, d, w, keys, tuple(tuple(merged[k]) for k in order))
 
     @classmethod
     def _from_keys(
@@ -291,23 +332,24 @@ class MassAssignment:
     ) -> "MassAssignment":
         """The numeric assignment that masses holds as keys: the part keys
         of each distinct focal element under scale (see focals_from_keys)
-        mapped to its positive mass key under mass_scale. Entries, stored
-        keys and total all come from that one dict, in key_order. Only the
-        total is checked, as __init__ checks it at the default tolerance."""
+        mapped to its positive mass key under mass_scale. Stored keys and
+        total come from that one dict, in key_order, and so do entries,
+        when read. Only the total is checked, as __init__ checks it at the
+        default tolerance."""
         keys = tuple((key, masses[key]) for key in sorted(masses, key=key_order))
-        entries = _entries_from_keys(keys, scale, mass_scale)
         total = _checked_total(unscaled(sum(masses.values()), mass_scale), DEFAULT_TOLERANCE)
         self = object.__new__(cls)
-        self._set(entries, total, scale, mass_scale, keys)
+        _set_fields(self, total, scale, mass_scale, keys, None)
         return self
 
-    def _set(self, entries, total, scale, mass_scale, keys) -> None:
-        """Set the fields, in their order. keys holds, per entry, the part
-        keys of its focal element under the endpoint scale and its mass key
-        under mass_scale; a None scale keys numbers as themselves (see
-        intervals.scaled)."""
-        for name, value in zip(self.__slots__, (entries, total, scale, mass_scale, keys)):
-            object.__setattr__(self, name, value)
+    @property
+    def entries(self) -> tuple:
+        """The (focal, mass) pairs, built from the keys on first read and
+        kept."""
+        if self._entries is None:
+            entries = _entries_from_keys(self._keys, self._scale, self._mass_scale)
+            object.__setattr__(self, "_entries", entries)
+        return self._entries
 
     def mass_of(self, focal: Focal) -> Fraction:
         """The mass on focal, or 0: a scan of entries (see linear_combination)."""
@@ -319,9 +361,9 @@ class MassAssignment:
 
     @property
     def empty_mass(self) -> Fraction:
-        # both constructors sort by key_order, which puts the empty set last
-        if self.entries and self.entries[-1][0].is_empty:
-            return self.entries[-1][1]
+        # key_order puts the empty set, keyed (), last
+        if self._keys and not self._keys[-1][0]:
+            return unscaled(self._keys[-1][1], self._mass_scale)
         return ZERO
 
     @property
@@ -332,7 +374,7 @@ class MassAssignment:
     def is_numeric(self) -> bool:
         """Not label sets: one kind per assignment, empty set last, so the
         first entry decides."""
-        return not (self.entries and isinstance(self.entries[0][0], LabelSet))
+        return _keys_numeric(self._keys)
 
     def negated(self) -> "MassAssignment":
         """Map every numeric focal element through pointwise negation."""
@@ -344,7 +386,15 @@ class MassAssignment:
         return iter(self.entries)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._keys)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
 
     def __repr__(self):
         body = ", ".join(f"{f}:{format_fraction(m)}" for f, m in self.entries)
@@ -472,7 +522,7 @@ class SlicedAssignment:
         d = endpoint_scale(f for f, _ in slices)
         w = common_scale(mass for _, mass in slices)
         keys = tuple((f.part_keys(d), scaled(mass, w)) for f, mass in slices)
-        self._set(top, d, w, keys, slices)
+        _set_fields(self, top, d, w, keys, slices)
 
     @classmethod
     def _trusted(
@@ -485,13 +535,8 @@ class SlicedAssignment:
         given, holds the (focal, mass) pairs they stand for. Nothing is
         checked."""
         self = object.__new__(cls)
-        self._set(top, scale, mass_scale, keys, slices)
+        _set_fields(self, top, scale, mass_scale, keys, slices)
         return self
-
-    def _set(self, *values) -> None:
-        """Set the fields, in their order."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     @classmethod
     def from_mass(cls, m: MassAssignment) -> "SlicedAssignment":
@@ -532,9 +577,8 @@ class SlicedAssignment:
 
     @property
     def is_numeric(self) -> bool:
-        """As for to_mass().is_numeric: the first nonempty slice decides. A
-        union's part keys are (lo, hi) pairs, a label set's its labels."""
-        return next((isinstance(key[0], tuple) for key, _ in self._keys if key), True)
+        """As for to_mass().is_numeric: the first nonempty slice decides."""
+        return _keys_numeric(self._keys)
 
     def reversed_levels(self) -> "SlicedAssignment":
         """Same slices stacked in the opposite order."""
@@ -676,16 +720,62 @@ class Step(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class NumericFuzzySet:
     """Piecewise-constant membership function as maximal constant steps.
 
     Steps are disjoint and ordered; adjacent steps differ in membership
     or are separated by a zero-membership gap. Zero membership is not
     stored. An endpoint shared by several focal elements can carry a
-    higher value than either side, so single-point steps occur."""
+    higher value than either side, so single-point steps occur.
 
-    steps: tuple = ()
+    A fuzzy set is held as keys: per step, the keys of its ends under
+    _scale and of its membership under _mu_scale, and its two closure
+    flags (_runs). fuzzy_from_mass hands over its sweep's runs on the
+    mass assignment's own scales, and steps is built from them on first
+    read, then kept; NumericFuzzySet(steps) keys the steps it is given,
+    each field over its common_scale, and keeps them as given. The result
+    writer and the plot read the runs. Equality and hashing are those of
+    steps, whatever the scales."""
+
+    _scale: Optional[int]
+    _mu_scale: Optional[int]
+    _runs: tuple
+    _steps: Optional[tuple]
+
+    def __init__(self, steps: Iterable[Step] = ()):
+        steps = tuple(steps)
+        d = common_scale(e for s in steps for e in (s.lo, s.hi))
+        w = common_scale(s.mu for s in steps)
+        runs = tuple(
+            (scaled(s.lo, d), scaled(s.hi, d), scaled(s.mu, w), s.lo_open, s.hi_open)
+            for s in steps
+        )
+        _set_fields(self, d, w, runs, steps)
+
+    @classmethod
+    def _from_runs(
+        cls, scale: Optional[int], mu_scale: Optional[int], runs: tuple
+    ) -> "NumericFuzzySet":
+        """The fuzzy set of runs (lo, hi, mu, lo_open, hi_open), ends keyed
+        under scale and memberships under mu_scale, already maximal steps.
+        Nothing is checked."""
+        self = object.__new__(cls)
+        _set_fields(self, scale, mu_scale, runs, None)
+        return self
+
+    @property
+    def steps(self) -> tuple:
+        """The Steps, built from the runs on first read and kept."""
+        if self._steps is None:
+            at = _unscaler((k for lo, hi, *_ in self._runs for k in (lo, hi)), self._scale)
+            mus = _unscaler((mu for _, _, mu, _, _ in self._runs), self._mu_scale)
+            steps = tuple(
+                Step(at(lo), at(hi), mus(mu), lo_open, hi_open)
+                for lo, hi, mu, lo_open, hi_open in self._runs
+            )
+            object.__setattr__(self, "_steps", steps)
+        return self._steps
 
     def mu(self, x: Rational) -> Fraction:
         # x lies in the last step starting at or before it, or the one before
@@ -698,7 +788,7 @@ class NumericFuzzySet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.steps
+        return not self._runs
 
     @property
     def height(self) -> Fraction:
@@ -708,11 +798,16 @@ class NumericFuzzySet:
     def area(self) -> Fraction:
         return sum((s.mu * (s.hi - s.lo) for s in self.steps), ZERO)
 
-    @property
-    def support_hull(self) -> Interval:
-        if self.is_empty:
-            raise ValueError("empty fuzzy set has no support")
-        return Interval(self.steps[0].lo, self.steps[-1].hi)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __hash__(self):
+        return hash(self.steps)
+
+    def __repr__(self):
+        return f"NumericFuzzySet(steps={self.steps!r})"
 
     def __str__(self):
         if self.is_empty:
@@ -720,41 +815,40 @@ class NumericFuzzySet:
         return "{" + ", ".join(str(s) for s in self.steps) + "}"
 
 
-def _numeric_focals(m: MassAssignment, use: str) -> list:
-    """(focal, part keys, mass key) for the nonempty focal elements of m;
+def _numeric_keys(m: MassAssignment, use: str) -> list:
+    """The (part keys, mass key) pairs of the nonempty focal elements of m;
     label focal elements raise TypeError naming the use."""
     if not m.is_numeric:
         raise TypeError(f"{use} needs numeric focal elements")
-    return [(f, keys, mass) for (f, _), (keys, mass) in zip(m.entries, m._keys) if keys]
+    return [(keys, mass) for keys, mass in m._keys if keys]
 
 
-def _sweep(keyed: list, scale: Optional[int], points: bool) -> list:
+def _sweep(keyed: list, points: bool) -> tuple:
     """Maximal runs (lo, hi, value, lo_open, hi_open) of equal nonzero
-    total weight over (IntervalUnion, part keys, weight key) triples with
-    weights keyed under scale, from one pass over the sorted endpoint keys
-    (see the module docstring). Totals stay keys until a run is done; each
-    endpoint is the Fraction its part already holds. With points False
-    only the open gaps between endpoints are valued."""
-    deltas: dict = {}  # endpoint key -> [endpoint, start weight, end weight]
-    for f, keys, w in keyed:
-        for p, (lo, hi) in zip(f.parts, keys):
+    total weight over (part keys, weight key) pairs, from one pass over
+    the sorted endpoint keys (see the module docstring). A run is keys
+    alone: its ends are endpoint keys, its value a sum of weight keys.
+    With points False only the open gaps between endpoints are valued."""
+    deltas: dict = {}  # endpoint key -> [start weight, end weight]
+    for keys, w in keyed:
+        for lo, hi in keys:
             e = deltas.get(lo)
             if e is None:
-                deltas[lo] = [p.lo, w, 0]
+                deltas[lo] = [w, 0]
             else:
-                e[1] += w
+                e[0] += w
             e = deltas.get(hi)
             if e is None:
-                deltas[hi] = [p.hi, 0, w]
+                deltas[hi] = [0, w]
             else:
-                e[2] += w
+                e[1] += w
     atoms = []
     total, x = 0, None
     for k in sorted(deltas):
-        after, start, end = deltas[k]
+        start, end = deltas[k]
         if x is not None:
-            atoms.append((x, after, total, True, True))
-        x = after
+            atoms.append((x, k, total, True, True))
+        x = k
         if start:
             total += start
         if points:
@@ -763,26 +857,21 @@ def _sweep(keyed: list, scale: Optional[int], points: bool) -> list:
             total -= end
     runs = []  # consecutive atoms of one nonzero total join; zero breaks a run
     last = 0
-    for lo, hi, value, lo_open, hi_open in atoms:
+    for atom in atoms:
+        value = atom[2]
         if value and value == last:
-            runs[-1][1], runs[-1][4] = hi, hi_open
+            lo, _, _, lo_open, _ = runs[-1]
+            runs[-1] = (lo, atom[1], value, lo_open, atom[4])
         elif value:
-            runs.append([lo, hi, value, lo_open, hi_open])
+            runs.append(atom)
         last = value
-    if scale is not None:
-        values: dict = {}  # total key -> its Fraction, built once
-        for run in runs:
-            v = values.get(run[2])
-            if v is None:
-                v = values[run[2]] = Fraction(run[2], scale)
-            run[2] = v
-    return runs
+    return tuple(runs)
 
 
 def fuzzy_from_mass(m: MassAssignment) -> NumericFuzzySet:
     """Membership of x is the total mass of focal elements containing x."""
-    focals = _numeric_focals(m, "membership reconstruction")
-    return NumericFuzzySet(tuple(Step(*run) for run in _sweep(focals, m._mass_scale, True)))
+    runs = _sweep(_numeric_keys(m, "membership reconstruction"), True)
+    return NumericFuzzySet._from_runs(m._scale, m._mass_scale, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -812,18 +901,23 @@ class Density:
 def least_prejudiced(m: MassAssignment) -> Density:
     """Spread each focal element's mass uniformly over its length and add
     the densities. Mass on the empty set is reported separately."""
-    focals = _numeric_focals(m, "density")
+    keyed = _numeric_keys(m, "density")
     densities = []
-    for f, keys, mass in focals:
+    for keys, mass in keyed:
         length = sum(hi - lo for lo, hi in keys)
         if length == 0:
+            f = focals_from_keys([keys], m._scale)[0]
             raise DegenerateSupportError(
                 f"cannot spread mass over zero-length focal element {cut(str(f))}"
             )
         densities.append(unscaled(mass, m._mass_scale) / unscaled(length, m._scale))
     scale = common_scale(densities)
-    keyed = [(f, keys, scaled(x, scale)) for (f, keys, _), x in zip(focals, densities)]
-    pieces = tuple((Interval(lo, hi), value) for lo, hi, value, _, _ in _sweep(keyed, scale, False))
+    runs = _sweep([(keys, scaled(x, scale)) for (keys, _), x in zip(keyed, densities)], False)
+    at = _unscaler((k for lo, hi, *_ in runs for k in (lo, hi)), m._scale)
+    values = _unscaler((value for _, _, value, _, _ in runs), scale)
+    pieces = tuple(
+        (Interval._make((at(lo), at(hi))), values(value)) for lo, hi, value, _, _ in runs
+    )
     return Density(pieces, m.empty_mass)
 
 

@@ -25,12 +25,17 @@ writes a result document as ``json.dumps(doc, indent=2)`` would. The
 long parts of a result, the entries of a mass document and the steps of
 a fuzzy set, are written as text, one template per row (``mass_frame``,
 ``fuzzy_rows``), and handed to render as ``Rows``, which it indents to
-where they sit. One ``formatter`` per op formats each distinct number
-once for all of the op's documents. ``mass_to_doc``, ``fuzzy_to_doc``
-and ``focal_to_doc`` return that text decoded.
+where they sit. Both read the keys a result is held as (see mass), never
+its entries or steps: one ``formatter`` per op writes each key under its
+scale as format_fraction would write the number it stands for, each
+distinct key once for all of the op's documents. ``mass_to_doc``,
+``fuzzy_to_doc`` and ``focal_to_doc`` return that text decoded. A set
+name or label holding a surrogate pair, which JSON would read back as one
+character, is refused (intervals.SurrogatePairError).
 """
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -47,6 +52,7 @@ from .intervals import (
     echo,
     format_fraction,
     merge_spans,
+    refuse_surrogate_pairs,
 )
 from .mass import (
     DiscreteFuzzySet,
@@ -59,6 +65,9 @@ from .mass import (
 from .unification import TruthAssignment, TruthLabel
 
 KINDS = ("points", "discrete", "mass")
+
+Key = Union[int, Fraction]  # a number's key under a scale (see intervals.scaled)
+Formatter = Callable[[Optional[int]], Callable[[Key], str]]  # see formatter
 
 SpecValue = Union[PiecewiseShape, DiscreteFuzzySet, MassAssignment]
 
@@ -237,21 +246,81 @@ def load(path, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
 # ---------------------------------------------------------------------------
 # result serialization (documents that re-parse to equal values)
 
-def formatter() -> Callable[[Fraction], str]:
-    """format_fraction for the numbers of one op's documents, each distinct
-    number formatted once. The memo is keyed by (numerator, denominator),
-    which hashes faster than the Fraction, and lives as long as the
-    function returned."""
-    memo: dict = {}
+def _key_text(scale: Optional[int]) -> Callable[[Key], str]:
+    """The writer of keys under scale (see intervals.scaled): each key as
+    format_fraction writes the number it stands for. When scale divides
+    10**P, key k is written as the digits of k * (10**P // scale) with the
+    point P places in and trailing zeros dropped, which is format_fraction's
+    decimal. Under any other scale, k/scale terminates exactly when k is a
+    multiple of the scale's factor prime to 10, and is p/q otherwise. A
+    None scale (past MAX_SCALE_BITS) and a key with more digits than str()
+    converts go through format_fraction."""
+    if scale is None:
+        return format_fraction  # the keys are the numbers
+    twos = (scale & -scale).bit_length() - 1
+    odd, fives = scale >> twos, 0
+    while odd % 5 == 0:
+        odd //= 5
+        fives += 1
+    if odd != 1:
+        decimal_part = _key_text(scale // odd)
 
-    def text(q: Fraction) -> str:
-        key = q.as_integer_ratio()
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = format_fraction(q)
-        return out
+        def ratio(k: int) -> str:
+            if k % odd == 0:
+                return decimal_part(k // odd)
+            g = math.gcd(k, scale)
+            try:
+                return f"{k // g}/{scale // g}"
+            except ValueError:  # past the integer digit limit: the named error
+                return format_fraction(Fraction(k, scale))
 
-    return text
+        return ratio
+    places = max(twos, fives)
+    factor = 10**places // scale
+
+    def decimal(k: int) -> str:
+        try:
+            digits = str(abs(k) * factor)
+        except ValueError:  # past the integer digit limit: p/q, or the named error
+            return format_fraction(Fraction(k, scale))
+        if places:
+            digits = digits.rjust(places + 1, "0")
+            point = digits[-places:].rstrip("0")
+            digits = f"{digits[:-places]}.{point}" if point else digits[:-places]
+        return "-" + digits if k < 0 else digits
+
+    return decimal
+
+
+class _Texts(dict):
+    """The text of each key under one scale, written on first lookup."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, scale: Optional[int]):
+        super().__init__()
+        self.write = _key_text(scale)
+
+    def __missing__(self, k: Key) -> str:
+        text = self[k] = self.write(k)
+        return text
+
+
+def formatter() -> Formatter:
+    """The number writer of one op's documents: formatter()(scale) writes
+    a key under scale as format_fraction writes the number it stands for
+    (see _key_text), each distinct key of a scale once. The memos live as
+    long as the function returned, so every document written through it
+    shares them."""
+    memos: dict = {}
+
+    def at(scale: Optional[int]) -> Callable[[Key], str]:
+        texts = memos.get(scale)
+        if texts is None:
+            texts = memos[scale] = _Texts(scale)
+        return texts.__getitem__
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -264,8 +333,8 @@ class Rows:
 
 
 # One template per row of a result document, each written as render would
-# write it at the top level. Numbers go in unescaped: format_fraction
-# writes only digits, "-", "." and "/".
+# write it at the top level. Numbers go in unescaped: the key writer, like
+# format_fraction, writes only digits, "-", "." and "/".
 _PART = '\n      [\n        "%s",\n        "%s"\n      ]'
 _LABEL = "\n      %s"
 _ENTRY = '\n  {\n    "focal": [%s\n    ],\n    "mass": "%s"\n  }'
@@ -281,34 +350,40 @@ def _rows(rows: list) -> Rows:
     return Rows("[" + ",".join(rows) + "\n]" if rows else "[]")
 
 
-def _focal_items(f: Focal, text: Callable[[Fraction], str]) -> str:
-    """The items of focal element f's list as its mass entry row holds
-    them; "" for the empty set."""
-    if isinstance(f, frozenset):
-        return ",".join([_LABEL % encode_basestring_ascii(label) for label in sorted(f)])
-    return ",".join([_PART % (text(p.lo), text(p.hi)) for p in f.parts])
+def _focal_items(key: tuple, num: Callable[[Key], str]) -> str:
+    """The items of a focal element's list as its mass entry row holds
+    them, from its part keys (a label set's sorted labels), endpoints
+    written by num; "" for the empty set."""
+    if key and isinstance(key[0], str):
+        return ",".join([_LABEL % encode_basestring_ascii(label) for label in key])
+    return ",".join([_PART % (num(lo), num(hi)) for lo, hi in key])
 
 
-def fuzzy_rows(f: NumericFuzzySet, text: Callable[[Fraction], str]) -> Rows:
-    """f's steps, one row per step."""
+def fuzzy_rows(f: NumericFuzzySet, text: Formatter) -> Rows:
+    """f's steps, one row per step, from its runs (see NumericFuzzySet)."""
+    num, mu = text(f._scale), text(f._mu_scale)
     return _rows([
-        _STEP % (text(s.mu), text(s.lo), text(s.hi), _BOOL[s.lo_open], _BOOL[s.hi_open])
-        for s in f.steps
+        _STEP % (mu(value), num(lo), num(hi), _BOOL[lo_open], _BOOL[hi_open])
+        for lo, hi, value, lo_open, hi_open in f._runs
     ])
 
 
-def mass_frame(m: MassAssignment, name: str, text: Callable[[Fraction], str]) -> dict:
+def mass_frame(m: MassAssignment, name: str, text: Formatter) -> dict:
     """The kind-"mass" set document for m, its entries written as Rows,
-    one row per entry."""
+    one row per entry, from m's stored keys. A name holding a surrogate
+    pair raises SurrogatePairError."""
+    if not name.isascii():
+        refuse_surrogate_pairs(name, "set name")
+    num, mass = text(m._scale), text(m._mass_scale)
     rows = []
-    for f, mass in m.entries:
-        items = _focal_items(f, text)
-        rows.append(_ENTRY % (items, text(mass)) if items else _EMPTY_ENTRY % text(mass))
+    for key, k in m._keys:
+        items = _focal_items(key, num)
+        rows.append(_ENTRY % (items, mass(k)) if items else _EMPTY_ENTRY % mass(k))
     return {"name": name, "kind": "mass", "entries": _rows(rows)}
 
 
 def focal_to_doc(f: Focal) -> list:
-    return json.loads("[" + _focal_items(f, format_fraction) + "]")
+    return json.loads("[" + _focal_items(as_focal(f).part_keys(), format_fraction) + "]")
 
 
 def mass_to_doc(m: MassAssignment, name: str = "result") -> dict:

@@ -8,6 +8,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from collections import deque
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from operator import add
 from pathlib import Path
@@ -36,6 +37,7 @@ from fdist.mass import (
     Step,
     align_levels,
 )
+from fdist.specfile import _BOOL, _EMPTY_ENTRY, _ENTRY, _LABEL, _PART, _STEP, Rows, _rows
 from fdist.unification import DEFAULT_ORDER, TruthAssignment, truth_cell
 
 F = Fraction
@@ -415,6 +417,34 @@ def oracle_fuzzy_doc(f: NumericFuzzySet) -> list:
         }
         for s in f.steps
     ]
+
+
+# The eager writer that fdist.specfile replaced with its keyed one: every
+# entry's focal element and mass, and every step, built as Fractions and
+# each number written by format_fraction, into the same row templates.
+
+def _oracle_focal_items(f) -> str:
+    if isinstance(f, frozenset):
+        return ",".join([_LABEL % encode_basestring_ascii(label) for label in sorted(f)])
+    return ",".join([_PART % (format_fraction(p.lo), format_fraction(p.hi)) for p in f.parts])
+
+
+def oracle_mass_frame(m: MassAssignment, name: str) -> dict:
+    rows = []
+    for f, mass in m.entries:
+        items, text = _oracle_focal_items(f), format_fraction(mass)
+        rows.append(_ENTRY % (items, text) if items else _EMPTY_ENTRY % text)
+    return {"name": name, "kind": "mass", "entries": _rows(rows)}
+
+
+def oracle_fuzzy_rows(f: NumericFuzzySet) -> Rows:
+    return _rows([
+        _STEP % (
+            format_fraction(s.mu), format_fraction(s.lo), format_fraction(s.hi),
+            _BOOL[s.lo_open], _BOOL[s.hi_open],
+        )
+        for s in f.steps
+    ])
 
 
 def oracle_format_fraction(q: Fraction) -> str:

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdist
-from fdist.cli import main
-from helpers import oracle_render
+from fdist.cli import _plot, main
+from fdist.mass import NumericFuzzySet, Step
+from helpers import WIDE_PRIME_DENS, kernel_masses, oracle_mu, oracle_render
 
 DATA = str(Path(__file__).resolve().parent.parent / "data" / "worked_sets.json")
 
@@ -210,6 +211,49 @@ class TestPlots:
         assert rows["4"] == "0.75"
         assert rows["4.5"] == "0.5"
         assert rows["6"] == "1"
+
+    @staticmethod
+    def plotted(f, step) -> list:
+        """The (x, mu) rows that _plot writes for f at step, checked to
+        run from the support's low end at step spacing to its high end."""
+        lines = _plot(f, step).splitlines()
+        assert lines[0] == "x,mu"
+        rows = [tuple(map(fdist.as_fraction, line.split(","))) for line in lines[1:]]
+        if f.is_empty:
+            assert rows == []
+        else:
+            lo, hi = f.steps[0].lo, f.steps[-1].hi
+            assert [x for x, _ in rows] == [lo + k * step for k in range(len(rows))]
+            assert rows[-1][0] <= hi < rows[-1][0] + step
+        return rows
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_plot_rows_equal_membership_at_every_row(self, data):
+        # endpoints over 1/4 and steps of 1/8 to 1 land many rows on run
+        # ends, open or closed, and on single-point runs; the wide primes
+        # key rows and ends as Fractions, past MAX_SCALE_BITS
+        den = data.draw(st.sampled_from([4, WIDE_PRIME_DENS]))
+        a, b = data.draw(kernel_masses(den=den)), data.draw(kernel_masses(den=den))
+        result = fdist.distance(
+            a, b, directional=data.draw(st.booleans()), strategy=fdist.Strategy.PRODUCT
+        )
+        f = data.draw(st.sampled_from([result.fuzzy, NumericFuzzySet(result.fuzzy.steps)]))
+        step = data.draw(st.sampled_from([Fraction(k, 24) for k in (3, 6, 8, 24)]))
+        for x, mu in self.plotted(f, step):
+            assert mu == oracle_mu(f, x)
+
+    def test_plot_rows_on_open_closed_and_point_runs(self):
+        f = NumericFuzzySet((
+            Step(Fraction(0), Fraction(0), Fraction(1)),
+            Step(Fraction(0), Fraction(1), Fraction(1, 2), True, True),
+            Step(Fraction(1), Fraction(1), Fraction(1, 4)),
+            Step(Fraction(2), Fraction(3), Fraction(1, 3), True, True),
+        ))
+        rows = self.plotted(f, Fraction(1, 2))
+        third, half, quarter = Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)
+        assert [mu for _, mu in rows] == [1, half, quarter, 0, 0, third, 0]
+        assert all(mu == oracle_mu(f, x) for x, mu in rows)
 
     def test_empty_result_plots_header_only(self, capsys, tmp_path):
         spec = write_doc(

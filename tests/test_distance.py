@@ -1,4 +1,5 @@
 import importlib
+import json
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdist
+from fdist import cli
 from fdist.distance import (
     MAX_PRODUCT_CELLS,
     MAX_SLICES,
@@ -19,7 +22,7 @@ from fdist.distance import (
     cell_nondirectional,
     distance,
 )
-from fdist.intervals import DEFAULT_TOLERANCE, EMPTY, IntervalUnion, common_scale, iu
+from fdist.intervals import DEFAULT_TOLERANCE, EMPTY, Interval, IntervalUnion, common_scale, iu
 from fdist.mass import (
     DegenerateSupportError,
     MassAssignment,
@@ -37,6 +40,7 @@ from helpers import (
     WIDE_PRIME_DENS,
     check_cell_against_grid,
     coprime_shapes,
+    frac,
     interval_unions,
     kernel_masses,
     label_masses,
@@ -47,6 +51,7 @@ from helpers import (
     oracle_fuzzy_from_mass,
     oracle_least_prejudiced,
     oracle_paired,
+    piecewise_shapes,
     stacks,
 )
 
@@ -525,21 +530,45 @@ class TestSingleInputPass:
         assert SlicedAssignment.from_mass(m).is_normal == m.is_normal
 
     @pytest.mark.parametrize("strategy", [Strategy.DIAGONAL, Strategy.ANTIDIAGONAL])
-    def test_paired_shapes_build_no_slice_focal_elements(self, monkeypatch, strategy):
-        # slices stay keys from slice_shape through the kernel: the only
-        # unions built are the result's nonempty focal elements
-        built = []
+    def test_paired_shapes_build_no_slice_focal_elements(
+        self, monkeypatch, capsys, tmp_path, strategy
+    ):
+        # slices and results stay keys from slice_shape through the kernel
+        # and the writer: a CLI distance op with JSON output builds no union
+        # and no step, and a library result builds its entries' unions and
+        # its steps only when they are read
+        built = {"unions": 0, "steps": 0}
         original = IntervalUnion._from_merged.__func__
 
         def counted(cls, pairs):
-            built.append(1)
+            built["unions"] += 1
             return original(cls, pairs)
 
+        def counted_step(cls, *args):
+            built["steps"] += 1
+            return tuple.__new__(cls, args)
+
         monkeypatch.setattr(IntervalUnion, "_from_merged", classmethod(counted))
-        a = PiecewiseShape([(0, 0), (1, 1), (2, H), (3, 1), (F(9, 2), 0)])
-        b = PiecewiseShape([(F(1, 3), 0), (F(7, 3), 1), (F(11, 3), 0)])
-        result = distance(a, b, strategy=strategy, n_slices=300)
-        assert len(built) == sum(1 for f in result.mass.focals() if not f.is_empty) == 300
+        monkeypatch.setattr(Step, "__new__", counted_step)
+        monkeypatch.setattr(Step, "_make", classmethod(lambda cls, it: counted_step(cls, *it)))
+        vertices = {
+            "A": [[0, 0], [1, 1], [2, "1/2"], [3, 1], ["9/2", 0]],
+            "B": [["1/3", 0], ["7/3", 1], ["11/3", 0]],
+        }
+        doc = {"sets": [{"name": n, "kind": "points", "vertices": v} for n, v in vertices.items()]}
+        spec = tmp_path / "sets.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["distance", str(spec), "A", "B", "--slices", "300", "--strategy", strategy.value]
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["mass"]["entries"]) == 300 and out["fuzzy"]
+        assert built == {"unions": 0, "steps": 0}
+
+        sets = fdist.parse_document(doc)
+        result = distance(sets["A"].value, sets["B"].value, strategy=strategy, n_slices=300)
+        assert built == {"unions": 0, "steps": 0}
+        assert sum(1 for f in result.mass.focals() if not f.is_empty) == built["unions"] == 300
+        assert len(result.fuzzy.steps) == built["steps"] > 0
 
 
 class TestProperties:
@@ -557,6 +586,46 @@ class TestProperties:
         forward = assign_product(ma, mb, directional=True)
         backward = assign_product(mb, ma, directional=True)
         assert backward.mass == forward.mass.negated()
+
+    @given(
+        inputs=st.sampled_from(["shapes", "coprime", "nested"]).flatmap(
+            lambda kind: st.tuples(*[{"shapes": piecewise_shapes(), "nested": nested_masses(),
+                                      "coprime": coprime_shapes(max_vertices=4)}[kind]] * 2)
+        ),
+        s=st.sampled_from([1, -1, 2, -2, 3, -3]).flatmap(
+            lambda k: st.sampled_from([F(k, 1), F(k, 2), F(k, 5)])
+        ),
+        t=frac(-3, 3, 3),
+        directional=st.booleans(),
+        strategy=st.sampled_from(list(Strategy)),
+        n=st.integers(1, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_affine_map_of_both_inputs_maps_the_distance(
+        self, inputs, s, t, directional, strategy, n
+    ):
+        # distance(s*a + t, s*b + t) is the image of distance(a, b) under
+        # x -> |s|*x (plain) or x -> s*x (directional): every strategy's
+        # whole path against one exact transformation
+        def moved(x):
+            if isinstance(x, PiecewiseShape):
+                vertices = [(s * v + t, mu) for v, mu in x.vertices]
+                return PiecewiseShape(vertices if s > 0 else vertices[::-1])
+            return image(x, s, t)
+
+        def image(m, r, shift=0):
+            return MassAssignment(
+                (IntervalUnion([Interval(*sorted((r * p.lo + shift, r * p.hi + shift)))
+                                for p in f.parts]), mass)
+                for f, mass in m.entries
+            )
+
+        a, b = inputs
+        before = distance(a, b, directional=directional, strategy=strategy, n_slices=n)
+        after = distance(moved(a), moved(b), directional=directional, strategy=strategy, n_slices=n)
+        expected = image(before.mass, s if directional else abs(s))
+        assert after.mass == expected
+        assert after.fuzzy == fuzzy_from_mass(expected)
 
     @given(nested_masses(), nested_masses())
     @settings(max_examples=60)

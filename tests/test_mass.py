@@ -11,6 +11,7 @@ from fdist.intervals import (
     MIXED_KINDS,
     Interval,
     IntervalUnion,
+    SurrogatePairError,
     common_scale,
     iu,
     unscaled,
@@ -243,6 +244,26 @@ class TestFocalInterface:
         for make in refusals:
             with pytest.raises(TypeError, match="labels must be strings, got"):
                 make(labels)
+
+    @pytest.mark.parametrize("label", ["\ud800\udfff", "x\udbff\udc00y"])
+    def test_labels_holding_a_surrogate_pair_are_refused(self, label):
+        # JSON writes the pair as two escapes that read back as one
+        # character, so the label could not be written and read back
+        refusals = [
+            LabelSet,
+            lambda f: as_focal(frozenset(f)),
+            lambda f: MassAssignment([(frozenset(f), 1)]),
+            lambda f: mass_from_discrete(DiscreteFuzzySet(dict.fromkeys(f, 1))),
+        ]
+        for make in refusals:
+            with pytest.raises(SurrogatePairError, match="label .* holds a surrogate pair"):
+                make({"a", label})
+
+    def test_lone_surrogates_and_other_text_make_labels(self):
+        # a lone surrogate, or a low one before a high one, is written as
+        # escapes that read back as itself
+        labels = {"\ud800", "\udfff\ud800", "\U0001f600", "\xe9", "plain"}
+        assert LabelSet(labels) == frozenset(labels)
 
 
 class TestMassFromDiscrete:

@@ -1,6 +1,7 @@
 """Input-document parsing: exact numbers, field-path errors, round-trips."""
 
 import json
+import re
 import sys
 from fractions import Fraction as F
 
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdist.intervals import IntervalUnion
+from fdist.distance import Strategy, distance
+from fdist.intervals import IntervalUnion, SurrogatePairError, format_fraction
 from fdist.mass import (
     DiscreteFuzzySet,
     MassAssignment,
+    NumericFuzzySet,
     PiecewiseShape,
+    Step,
     fuzzy_from_mass,
 )
 from fdist.specfile import (
@@ -33,12 +37,18 @@ from fdist.unification import TruthAssignment, TruthLabel
 
 from helpers import (
     WIDE_PRIME_DENS,
+    coprime_shapes,
+    frac,
     kernel_masses,
+    nested_masses,
     numeric_masses,
     oracle_focal_doc,
     oracle_fuzzy_doc,
+    oracle_fuzzy_rows,
     oracle_mass_doc,
+    oracle_mass_frame,
     oracle_render,
+    piecewise_shapes,
 )
 
 H = F(1, 2)
@@ -484,6 +494,11 @@ class TestRowWriter:
     @settings(max_examples=50, deadline=None)
     def test_mass_rows_equal_the_old_document(self, kind, data, name):
         m = data.draw(ALL_RESULTS[kind])
+        if re.search("[\ud800-\udbff][\udc00-\udfff]", name):
+            # JSON would read the pair back as one character
+            with pytest.raises(SurrogatePairError):
+                mass_frame(m, name, formatter())
+            return
         doc = oracle_mass_doc(m, name)
         assert render(mass_frame(m, name, formatter())) == oracle_render(doc)
         assert mass_to_doc(m, name) == doc
@@ -523,3 +538,129 @@ class TestRowWriter:
         assert fuzzy_to_doc(fuzzy_from_mass(m)) == []
         assert render(fuzzy_rows(fuzzy_from_mass(m), formatter())) == "[]\n"
         assert mass_to_doc(m) == oracle_mass_doc(m)
+
+
+# Scales on both sides of the keyed writer's choice: 1 (whole numbers),
+# scales that divide a power of ten, up to 2**64 and 5**27, and scales
+# that do not.
+DECIMAL_SCALES = (1, 2, 5, 8, 10, 16, 20, 25, 40, 125, 1000, 2**63, 2**64, 5**27, 2**30 * 5**10)
+OTHER_SCALES = (3, 6, 7, 12, 30, 2**62 * 3, 1048583 * 1048589)
+# Denominators for drawn values: whole, dividing a power of ten, not;
+# kernel_masses draws its masses over them too, which needs 3 or more.
+KERNEL_DENS = (8, 10, 25, 40, 3, 6, 7, 12)
+WRITER_DENS = (1, 2) + KERNEL_DENS
+
+
+@st.composite
+def distance_results(draw):
+    """Distance results by every strategy, plain or directional (negative
+    keys): products of kernel masses over one drawn denominator or over
+    WIDE_PRIME_DENS (past MAX_SCALE_BITS at times), and pairings of nested
+    masses and of sliced shapes, coprime ones included."""
+    directional = draw(st.booleans())
+    kind = draw(st.sampled_from(["product", "nested", "shapes"]))
+    if kind == "product":
+        den = draw(st.sampled_from(KERNEL_DENS + (WIDE_PRIME_DENS,)))
+        a, b = draw(kernel_masses(den=den)), draw(kernel_masses(den=den))
+        return distance(a, b, directional=directional, strategy=Strategy.PRODUCT)
+    strategy = draw(st.sampled_from([Strategy.DIAGONAL, Strategy.ANTIDIAGONAL]))
+    if kind == "nested":
+        a, b = draw(nested_masses()), draw(nested_masses())
+        return distance(a, b, directional=directional, strategy=strategy)
+    a, b = draw(coprime_shapes()), draw(piecewise_shapes())
+    n = draw(st.integers(1, 7))
+    return distance(a, b, directional=directional, strategy=strategy, n_slices=n)
+
+
+@st.composite
+def hand_built_steps(draw):
+    """NumericFuzzySet(steps) over ordered endpoints of a drawn
+    denominator, integer fields at times, closures and single points
+    drawn; the writer does not need the steps to be maximal."""
+    den = draw(st.sampled_from(WRITER_DENS + (WIDE_PRIME_DENS,)))
+    ends = sorted(draw(st.lists(frac(-6, 6, den), min_size=0, max_size=8)))
+    if draw(st.booleans()):
+        ends = [int(e) for e in ends]  # integer fields, stored as given
+    steps = []
+    for lo, hi in zip(ends[::2], ends[1::2]):
+        mu = draw(frac(0, 1, den).filter(bool))
+        steps.append(Step(lo, hi, mu, draw(st.booleans()), draw(st.booleans())))
+    return NumericFuzzySet(steps)
+
+
+@st.composite
+def written_values(draw):
+    """(mass assignment or None, fuzzy set or None), as an op writes them:
+    a distance result, a hand-built mass assignment with its membership,
+    a fuzzy set built from steps, or a label mass assignment."""
+    kind = draw(st.sampled_from(["distance", "mass", "steps", "labels"]))
+    if kind == "distance":
+        result = draw(distance_results())
+        return result.mass, result.fuzzy
+    if kind == "mass":
+        den = draw(st.sampled_from(KERNEL_DENS + (WIDE_PRIME_DENS,)))
+        m = draw(kernel_masses(den=den) | numeric_masses(den=draw(st.sampled_from(WRITER_DENS))))
+        return m, fuzzy_from_mass(m)
+    if kind == "steps":
+        f = draw(hand_built_steps() | st.builds(lambda m: NumericFuzzySet(fuzzy_from_mass(m).steps),
+                                                kernel_masses(den=WIDE_PRIME_DENS, max_focals=6)))
+        return None, f
+    return draw(escaped_label_masses()), None
+
+
+class TestKeyedWriter:
+    """The writer formats stored keys under their scales; its text is the
+    eager writer's, which built every entry and step as Fractions and
+    wrote each number with format_fraction."""
+
+    @given(data=st.data(), scale=st.sampled_from(DECIMAL_SCALES + OTHER_SCALES))
+    @settings(max_examples=300)
+    def test_a_key_is_written_as_format_fraction_writes_its_number(self, data, scale):
+        # any key, and multiples of the scale (whole numbers) and of odd
+        # factors (decimals under a scale that does not divide a power of
+        # ten), 0 and negatives among them
+        factor = data.draw(st.sampled_from([scale, 3, 7, 1048583]))
+        multiples = st.integers(-50, 50).map(lambda j: j * factor)
+        k = data.draw(st.integers(-(10**25), 10**25) | multiples)
+        assert formatter()(scale)(k) == format_fraction(F(k, scale))
+
+    def test_keys_past_the_scale_limit_are_the_numbers(self):
+        text = formatter()(None)
+        # a folded cell bound may be the int 0
+        assert (text(F(-7, 3)), text(F(5, 8)), text(0), text(F(2**70 + 1, 2**70))) == (
+            "-7/3", "0.625", "0", format_fraction(F(2**70 + 1, 2**70))
+        )
+
+    def test_keys_past_the_digit_limit_go_through_format_fraction(self):
+        limit = sys.get_int_max_str_digits() or 4300
+        # a whole number within the limit whose key, times 10**10 // 1024,
+        # has ten more digits than str() converts
+        whole = 10 ** (limit - 4) + 1
+        assert formatter()(1024)(whole * 1024) == str(whole)
+        # a whole number past it: format_fraction's named error
+        with pytest.raises(ValueError, match="exact number too long to print"):
+            formatter()(2)(2 * 10 ** (limit + 1))
+
+    @given(value=written_values(), name=st.sampled_from(["result", "D(A,B)", "\xe9"]))
+    @settings(max_examples=300, deadline=None)
+    def test_keyed_writer_equals_the_eager_oracle(self, value, name):
+        # both documents through one formatter, as an op writes them
+        m, f = value
+        text = formatter()
+        written, eager = {}, {}
+        if m is not None:
+            written["mass"], eager["mass"] = mass_frame(m, name, text), oracle_mass_frame(m, name)
+        if f is not None:
+            written["fuzzy"], eager["fuzzy"] = fuzzy_rows(f, text), oracle_fuzzy_rows(f)
+        assert render(written) == render(eager)
+
+    def test_a_set_name_holding_a_surrogate_pair_is_refused(self):
+        m = MassAssignment([(iu((1, 2)), 1)])
+        with pytest.raises(SurrogatePairError, match="set name"):
+            mass_frame(m, "D(\ud800\udfff,B)", formatter())
+        with pytest.raises(SurrogatePairError):
+            mass_to_doc(m, "\udbff\udc00")
+        # a lone surrogate, or a low one before a high one, reads back as itself
+        for name in ("\ud800", "\udfff\ud800", "\U0001f600"):
+            doc = mass_to_doc(m, name)
+            assert json.loads(render(doc))["name"] == name

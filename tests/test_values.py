@@ -147,6 +147,35 @@ def test_lazy_stacks_copy_and_compare_as_values(clone, read_first):
     assert twin.reversed_levels() == rebuilt.reversed_levels()
 
 
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_lazy_results_copy_and_compare_as_values(clone, read_first):
+    # a distance result keeps its mass assignment and fuzzy set as keys and
+    # builds entries and steps on first read; the copies are equal values
+    # either way, and so are the values rebuilt from entries and steps
+    result = distance(TRIANGLE, PiecewiseShape([(0, 0), (Fraction(7, 3), 1), (4, 0)]), n_slices=3)
+    m, f = result.mass, result.fuzzy
+    if read_first:
+        m.entries, f.steps
+    twins = clone(m), clone(f), clone(result)
+    assert (twins[0]._entries is None, twins[1]._steps is None) == (not read_first,) * 2
+    for twin, value in zip(twins, (m, f, result)):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    rebuilt_m, rebuilt_f = MassAssignment(m.entries), NumericFuzzySet(f.steps)
+    assert rebuilt_m == twins[0] and hash(rebuilt_m) == hash(m)
+    assert rebuilt_f == twins[1] and hash(rebuilt_f) == hash(f)
+    assert (len(twins[0]), twins[0].total, twins[0].empty_mass) == (len(m), m.total, m.empty_mass)
+    assert fdist.fuzzy_from_mass(twins[0]) == f
+    # given steps are kept as given: integer fields stay integers
+    assert NumericFuzzySet([Step(0, 1, 1)]).steps == ((0, 1, 1, False, False),)
+    assert type(NumericFuzzySet([Step(0, 1, 1)]).steps[0].lo) is int
+
+
 def test_label_set_repr_does_not_depend_on_insertion_order():
     # 40 labels inserted in two orders make frozensets that iterate
     # differently under any hash seed; the repr lists the labels sorted
