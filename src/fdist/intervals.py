@@ -3,6 +3,8 @@
 All arithmetic is exact: endpoints and masses are `fractions.Fraction`.
 Floats convert by their binary value (which is exact for the dyadic data
 these operations are normally fed), strings by decimal or `p/q` syntax.
+Exact numbers are written back by one writer, key_writer, of keys under a
+scale; format_fraction is that writer at a Fraction's own denominator.
 """
 
 import math
@@ -11,9 +13,10 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 Rational = Union[int, float, str, Fraction, Decimal]
+Key = Union[int, Fraction]  # a number's key under a scale (see scaled)
 
 # Comparison slack for validating sums that may arrive as rounded decimals.
 # Exact-fraction pipelines never need it.
@@ -47,12 +50,17 @@ class SurrogatePairError(ValueError):
     character, so a document holding the text would not read back equal."""
 
 
+def digit_limit() -> int:
+    """The most digits str() and int() convert, sys.get_int_max_str_digits(), 0 (no limit)
+    read as the default 4300: it bounds the exponents read and the places written."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def as_fraction(value: Rational) -> Fraction:
     """Convert to an exact Fraction. Accepts "1/16", "0.0625", floats, ints.
     Infinities and NaNs, whether floats, Decimals or strings, raise
-    ValueError, and so do decimal exponents past the interpreter's integer
-    digit limit (sys.get_int_max_str_digits()), which would expand to
-    unbounded integers."""
+    ValueError, and so do decimal exponents past digit_limit(), which
+    would expand to unbounded integers."""
     if isinstance(value, bool):
         raise TypeError("boolean is not a number")
     if isinstance(value, Fraction):
@@ -67,8 +75,8 @@ def as_fraction(value: Rational) -> Fraction:
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"not a number: {echo(value)}") from None
     if isinstance(number, Decimal) and number.is_finite():
-        limit = sys.get_int_max_str_digits()
-        if limit and abs(number.as_tuple().exponent) > limit:
+        limit = digit_limit()
+        if abs(number.as_tuple().exponent) > limit:
             raise ValueError(f"exponent out of range (over {limit} digits): {echo(str(value))}")
     if isinstance(number, (int, float, Decimal)):
         try:
@@ -156,40 +164,69 @@ def merge_spans(spans: Iterable[tuple]) -> tuple:
     return tuple(merged)
 
 
-def format_fraction(q: Fraction) -> str:
-    """Canonical text form: exact decimal when it terminates, else p/q.
+def key_writer(scale: Optional[int]) -> Callable[[Key], str]:
+    """The writer of exact numbers: writes key k under scale (see scaled)
+    as k/scale's exact decimal when it terminates, else p/q. Under a scale
+    dividing 10**P that is k * (10**P // scale), the point P places in and
+    trailing zeros dropped; under another, a multiple of the scale's factor
+    prime to 10 is a decimal at the scale that factor leaves. A decimal past
+    digit_limit() places or str()'s digits is retried at the scale k/scale
+    reduces to, else p/q; ValueError names the limit when p/q does not fit
+    either. Under a None scale (past MAX_SCALE_BITS) keys are the numbers."""
+    if scale is None:
+        return format_fraction
+    twos = (scale & -scale).bit_length() - 1
+    odd, fives = scale >> twos, 0
+    while odd % 5 == 0:
+        odd //= 5
+        fives += 1
+    if odd != 1:
+        decimal_part = key_writer(scale // odd)
 
-    A terminating decimal is written as p/q instead when it would need
-    more digits, or more places after the point, than the interpreter's
-    integer digit limit (sys.get_int_max_str_digits()), which str() and
-    as_fraction enforce. When p/q does not fit either, ValueError names
-    the limit."""
-    num, den = q.numerator, q.denominator
+        def ratio(k: int) -> str:
+            if k % odd == 0:
+                return decimal_part(k // odd)
+            return _p_over_q(k, scale)
+
+        return ratio
+    places = max(twos, fives)
+    if places > digit_limit():
+        return lambda k: _past_decimal(k, scale)
+    factor = 10**places // scale
+
+    def decimal(k: int) -> str:
+        try:
+            digits = str(abs(k) * factor)
+        except ValueError:  # more digits than str() converts
+            return _past_decimal(k, scale)
+        if places:
+            digits = digits.rjust(places + 1, "0")
+            point = digits[-places:].rstrip("0")
+            digits = f"{digits[:-places]}.{point}" if point else digits[:-places]
+        return "-" + digits if k < 0 else digits
+
+    return decimal
+
+
+def _past_decimal(k: int, scale: int) -> str:
+    """k/scale when its decimal under scale is too long (see key_writer)."""
+    g = math.gcd(k, scale)
+    return key_writer(scale // g)(k // g) if g > 1 else _p_over_q(k, scale)
+
+
+def _p_over_q(k: int, scale: int) -> str:
+    g = math.gcd(k, scale)
     try:
-        if den == 1:
-            return str(num)
-        twos = (den & -den).bit_length() - 1
-        odd, fives = den >> twos, 0
-        while odd % 5 == 0:
-            odd //= 5
-            fives += 1
-        if odd == 1:
-            places = max(twos, fives)
-            limit = sys.get_int_max_str_digits()
-            if places <= limit or not limit:
-                try:
-                    text = str(abs(num) * 10**places // den).rjust(places + 1, "0")
-                except ValueError:  # more digits than str() converts: p/q below
-                    pass
-                else:
-                    sign = "-" if num < 0 else ""
-                    return f"{sign}{text[:-places]}.{text[-places:]}"
-        return f"{num}/{den}"
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
+        return f"{k // g}/{scale // g}"
+    except ValueError:  # more digits than str() converts
         raise ValueError(
-            f"exact number too long to print: over the integer digit limit of {limit} digits"
+            f"exact number too long to print: over the integer digit limit of {digit_limit()} digits"
         ) from None
+
+
+def format_fraction(q: Fraction) -> str:
+    """Canonical text of q: key_writer at q's denominator, on its numerator."""
+    return key_writer(q.denominator)(q.numerator)
 
 
 def brief(q: Fraction) -> str:

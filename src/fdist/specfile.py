@@ -14,7 +14,8 @@ The document is JSON: {"sets": [...]}, one object per set with a unique
 Numbers may be JSON numbers or strings; decimal literals parse exactly
 (0.1 means one tenth) and strings also accept fraction syntax ("1/16").
 Non-finite numbers (JSON Infinity and NaN, strings such as "inf") are
-rejected with a SpecError.
+rejected with a SpecError, and so is a key given twice in one object,
+of which JSON would keep only the last.
 A focal element is a list of [lo, hi] interval pairs, a list of string
 labels, or [] for the empty set. The optional "slices" field on a
 points set names its preferred slicing resolution.
@@ -27,16 +28,15 @@ a fuzzy set, are written as text, one template per row (``mass_frame``,
 ``fuzzy_rows``), and handed to render as ``Rows``, which it indents to
 where they sit. Both read the keys a result is held as (see mass), never
 its entries or steps: one ``formatter`` per op writes each key under its
-scale as format_fraction would write the number it stands for, each
-distinct key once for all of the op's documents. ``mass_to_doc``,
+scale through intervals.key_writer, the one writer of exact numbers,
+each distinct key once for all of the op's documents. ``mass_to_doc``,
 ``fuzzy_to_doc`` and ``focal_to_doc`` return that text decoded. A set
 name or label holding a surrogate pair, which JSON would read back as one
 character, is refused (intervals.SurrogatePairError).
 """
 
 import json
-import math
-import sys
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -46,11 +46,14 @@ from typing import Callable, Optional, Union
 from .intervals import (
     DEFAULT_TOLERANCE,
     IntervalUnion,
+    Key,
     as_fraction,
     brief,
     cut,
+    digit_limit,
     echo,
     format_fraction,
+    key_writer,
     merge_spans,
     refuse_surrogate_pairs,
 )
@@ -66,7 +69,6 @@ from .unification import TruthAssignment, TruthLabel
 
 KINDS = ("points", "discrete", "mass")
 
-Key = Union[int, Fraction]  # a number's key under a scale (see intervals.scaled)
 Formatter = Callable[[Optional[int]], Callable[[Key], str]]  # see formatter
 
 SpecValue = Union[PiecewiseShape, DiscreteFuzzySet, MassAssignment]
@@ -99,12 +101,8 @@ def _number(value, path: str) -> Fraction:
         raise SpecError(path, "expected a number, got a boolean")
     try:
         q = as_fraction(value)
-        limit = sys.get_int_max_str_digits()
-        # Text of at most limit characters and no exponent has at most that
-        # many digits; 2**(3 * limit) < 10**limit, so no fewer bits pass it.
-        plain = isinstance(value, str) and len(value) <= limit and not ("e" in value or "E" in value)
-        bits = max(q.numerator.bit_length(), q.denominator.bit_length()) if not plain else 0
-        if limit and bits > 3 * limit:
+        # 2**(3 * limit) < 10**limit: a number of no more bits prints
+        if max(q.numerator.bit_length(), q.denominator.bit_length()) > 3 * digit_limit():
             format_fraction(q)  # raises when the number does not print
         return q
     except (TypeError, ValueError) as exc:
@@ -224,16 +222,27 @@ def parse_document(doc, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
     return out
 
 
+def _object(pairs: list) -> dict:
+    """A decoded JSON object; a key given twice, which JSON would drop, raises SpecError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise SpecError("$", f"key {echo(key)} given twice in one object")
+    return obj
+
+
 def parse_text(text: str, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
     try:
-        doc = json.loads(text, parse_float=Decimal)  # exact; _number converts at its field
+        # exact; _number converts at its field
+        doc = json.loads(text, parse_float=Decimal, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise SpecError(f"$ (line {exc.lineno})", exc.msg) from None
     except RecursionError:
         raise SpecError("$", "document nested too deeply") from None
+    except SpecError:
+        raise
     except ValueError:  # int() refuses literals past the interpreter's digit limit
-        limit = sys.get_int_max_str_digits()
-        raise SpecError("$", f"integer literal longer than {limit} digits") from None
+        raise SpecError("$", f"integer literal longer than {digit_limit()} digits") from None
     return parse_document(doc, tolerance=tolerance)
 
 
@@ -246,52 +255,6 @@ def load(path, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
 # ---------------------------------------------------------------------------
 # result serialization (documents that re-parse to equal values)
 
-def _key_text(scale: Optional[int]) -> Callable[[Key], str]:
-    """The writer of keys under scale (see intervals.scaled): each key as
-    format_fraction writes the number it stands for. When scale divides
-    10**P, key k is written as the digits of k * (10**P // scale) with the
-    point P places in and trailing zeros dropped, which is format_fraction's
-    decimal. Under any other scale, k/scale terminates exactly when k is a
-    multiple of the scale's factor prime to 10, and is p/q otherwise. A
-    None scale (past MAX_SCALE_BITS) and a key with more digits than str()
-    converts go through format_fraction."""
-    if scale is None:
-        return format_fraction  # the keys are the numbers
-    twos = (scale & -scale).bit_length() - 1
-    odd, fives = scale >> twos, 0
-    while odd % 5 == 0:
-        odd //= 5
-        fives += 1
-    if odd != 1:
-        decimal_part = _key_text(scale // odd)
-
-        def ratio(k: int) -> str:
-            if k % odd == 0:
-                return decimal_part(k // odd)
-            g = math.gcd(k, scale)
-            try:
-                return f"{k // g}/{scale // g}"
-            except ValueError:  # past the integer digit limit: the named error
-                return format_fraction(Fraction(k, scale))
-
-        return ratio
-    places = max(twos, fives)
-    factor = 10**places // scale
-
-    def decimal(k: int) -> str:
-        try:
-            digits = str(abs(k) * factor)
-        except ValueError:  # past the integer digit limit: p/q, or the named error
-            return format_fraction(Fraction(k, scale))
-        if places:
-            digits = digits.rjust(places + 1, "0")
-            point = digits[-places:].rstrip("0")
-            digits = f"{digits[:-places]}.{point}" if point else digits[:-places]
-        return "-" + digits if k < 0 else digits
-
-    return decimal
-
-
 class _Texts(dict):
     """The text of each key under one scale, written on first lookup."""
 
@@ -299,7 +262,7 @@ class _Texts(dict):
 
     def __init__(self, scale: Optional[int]):
         super().__init__()
-        self.write = _key_text(scale)
+        self.write = key_writer(scale)
 
     def __missing__(self, k: Key) -> str:
         text = self[k] = self.write(k)
@@ -308,10 +271,9 @@ class _Texts(dict):
 
 def formatter() -> Formatter:
     """The number writer of one op's documents: formatter()(scale) writes
-    a key under scale as format_fraction writes the number it stands for
-    (see _key_text), each distinct key of a scale once. The memos live as
-    long as the function returned, so every document written through it
-    shares them."""
+    a key under scale through intervals.key_writer(scale), each distinct
+    key of a scale once. The memos live as long as the function returned,
+    so every document written through it shares them."""
     memos: dict = {}
 
     def at(scale: Optional[int]) -> Callable[[Key], str]:
@@ -333,8 +295,8 @@ class Rows:
 
 
 # One template per row of a result document, each written as render would
-# write it at the top level. Numbers go in unescaped: the key writer, like
-# format_fraction, writes only digits, "-", "." and "/".
+# write it at the top level. Numbers go in unescaped: the key writer
+# writes only digits, "-", "." and "/".
 _PART = '\n      [\n        "%s",\n        "%s"\n      ]'
 _LABEL = "\n      %s"
 _ENTRY = '\n  {\n    "focal": [%s\n    ],\n    "mass": "%s"\n  }'

@@ -3,8 +3,10 @@
 import json
 import math
 import random
+import sys
 import types
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from fractions import Fraction
 from collections import deque
 from itertools import accumulate
@@ -377,6 +379,18 @@ def oracle_format_focal(f) -> str:
     if isinstance(f, frozenset):
         return "{" + ",".join(sorted(f)) + "}"
     return str(f)
+
+
+@contextmanager
+def int_digit_limit(limit: int):
+    """Run a block with the interpreter's integer digit limit set to limit
+    (0 for none), whatever limit the suite runs under."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 # The result-document text and number form that fdist.cli and

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import fdist
 from fdist.cli import _plot, main
+from fdist.intervals import digit_limit
 from fdist.mass import NumericFuzzySet, Step
 from helpers import WIDE_PRIME_DENS, kernel_masses, oracle_mu, oracle_render
 
@@ -507,6 +508,20 @@ class TestErrorsAndEnvironment:
         assert (code, out) == (2, "")
         assert err.startswith("fdist: $.sets[0].grades.a: exponent out of range")
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1, "b": 0.5, "a": 0.2}}]}', "a"),
+        ('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1}, "grades": {"a": 0.5}}]}',
+         "grades"),
+        ('{"sets": [{"name": "g", "kind": "mass",'
+         ' "entries": [{"focal": [[0, 1]], "mass": 0.5, "mass": 1}]}]}', "mass"),
+    ], ids=["grade-label", "set-field", "entry-field"])
+    def test_repeated_key_exits_two(self, capsys, tmp_path, text, key):
+        p = tmp_path / "twice.json"
+        p.write_text(text)
+        code, out, err = run(capsys, "mass", str(p), "g")
+        assert (code, out) == (2, "")
+        assert err == f"fdist: $: key {key!r} given twice in one object\n"
+
     def test_slice_count_limited(self, capsys, tmp_path):
         doc = {"sets": [{"name": "S", "kind": "points", "vertices": [[0, 0], [1, 1], [2, 0]],
                          "slices": 100_000_000}]}
@@ -588,7 +603,7 @@ class TestErrorsAndEnvironment:
 
 class TestDigitLimit:
     """Exact numbers whose decimal form would pass the interpreter's
-    integer digit limit (sys.get_int_max_str_digits())."""
+    integer digit limit (intervals.digit_limit())."""
 
     @staticmethod
     def spec(tmp_path, entries):
@@ -624,7 +639,7 @@ class TestDigitLimit:
         spec = self.spec(tmp_path, [{"focal": [[0, 1]], "mass": self.fraction_text(q)},
                                     {"focal": [[0, 2]], "mass": self.fraction_text(1 - q)}])
         code, out, err = run(capsys, "distance", spec, "m", "m", "--strategy", "product")
-        limit = sys.get_int_max_str_digits()
+        limit = digit_limit()
         assert (code, out) == (2, "")
         assert err == f"fdist: exact number too long to print: over the integer digit limit of {limit} digits\n"
 
@@ -634,7 +649,7 @@ class TestNumbersPastTheDigitLimit:
     or denominator passes the integer digit limit is refused where it is
     read, with the field named, and no message prints such a number."""
 
-    LIMIT = sys.get_int_max_str_digits()
+    LIMIT = digit_limit()
 
     @staticmethod
     def spec(tmp_path, focal):

@@ -15,13 +15,14 @@ from fdist.intervals import (
     as_fraction,
     brief,
     common_scale,
+    digit_limit,
     format_fraction,
     iu,
     merge_spans,
     scaled,
     unscaled,
 )
-from helpers import frac, interval_unions, oracle_format_fraction, oracle_merge
+from helpers import frac, int_digit_limit, interval_unions, oracle_format_fraction, oracle_merge
 
 F = Fraction
 
@@ -118,7 +119,7 @@ def test_as_fraction_rejects_non_finite(value):
         as_fraction(value)
 
 
-LIMIT = sys.get_int_max_str_digits()
+LIMIT = digit_limit()
 
 
 @pytest.mark.parametrize(
@@ -243,37 +244,47 @@ def test_format_fraction_equals_division_loop(q):
     assert format_fraction(q) == oracle_format_fraction(q)
 
 
+def test_digit_limit_reads_no_limit_as_the_default():
+    assert digit_limit() == (sys.get_int_max_str_digits() or 4300)
+    with int_digit_limit(0):
+        assert digit_limit() == sys.int_info.default_max_str_digits == 4300
+    with int_digit_limit(640):
+        assert digit_limit() == 640
+
+
 def test_format_fraction_falls_back_to_p_over_q_at_the_digit_limit():
-    limit = sys.get_int_max_str_digits()
-    # 1/2**k needs k places and 5**k, about 0.7k digits, as a decimal.
-    for k in (limit + 1, 2 * limit, 3 * limit):
-        q = F(1, 2**k)
-        text = format_fraction(q)
-        assert text.startswith("1/") and "." not in text
-        assert as_fraction(text) == q
-    # Few enough places, but too many digits: 3**(3L/2) * 5**(L-1).
-    q = F(3 ** (3 * limit // 2), 2 ** (limit - 1))
-    assert format_fraction(q) == f"{q.numerator}/{q.denominator}"
-    # Within the limit the decimal stays.
-    assert format_fraction(F(1, 2**limit)).startswith("0.")
+    limit = digit_limit()
+    with int_digit_limit(limit):
+        # 1/2**k needs k places and 5**k, about 0.7k digits, as a decimal.
+        for k in (limit + 1, 2 * limit, 3 * limit):
+            q = F(1, 2**k)
+            text = format_fraction(q)
+            assert text.startswith("1/") and "." not in text
+            assert as_fraction(text) == q
+        # Few enough places, but too many digits: 3**(3L/2) * 5**(L-1).
+        q = F(3 ** (3 * limit // 2), 2 ** (limit - 1))
+        assert format_fraction(q) == f"{q.numerator}/{q.denominator}"
+        # Within the limit the decimal stays.
+        assert format_fraction(F(1, 2**limit)).startswith("0.")
 
 
 def test_format_fraction_without_a_digit_limit_keeps_the_decimal():
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        q = F(1, 2 ** (3 * limit))
+    # with no limit on str(), a decimal keeps up to the default 4300
+    # places; past them it is p/q, as it is under that limit
+    with int_digit_limit(0):
+        q = F(-3, 2**4300)
         assert format_fraction(q) == oracle_format_fraction(q)
-    finally:
-        sys.set_int_max_str_digits(limit)
+        for q in (F(1, 2**4301), F(1, 2 ** (3 * 4300)), F(7, 10**4301)):
+            assert format_fraction(q) == f"{q.numerator}/{q.denominator}"
 
 
 def test_format_fraction_names_the_limit_when_p_over_q_is_too_long():
-    limit = sys.get_int_max_str_digits()
-    for q in (F(1, 2 ** (5 * limit)), F(3 ** (3 * limit)), F(3 ** (3 * limit), 7)):
-        with pytest.raises(ValueError, match=f"limit of {limit} digits") as info:
-            format_fraction(q)
-        assert "set_int_max_str_digits" not in str(info.value)
+    limit = digit_limit()
+    with int_digit_limit(limit):
+        for q in (F(1, 2 ** (5 * limit)), F(3 ** (3 * limit)), F(3 ** (3 * limit), 7)):
+            with pytest.raises(ValueError, match=f"limit of {limit} digits") as info:
+                format_fraction(q)
+            assert "set_int_max_str_digits" not in str(info.value)
 
 
 @given(interval_unions(allow_empty=True))

@@ -2,7 +2,6 @@
 
 import json
 import re
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdist.distance import Strategy, distance
-from fdist.intervals import IntervalUnion, SurrogatePairError, format_fraction
+from fdist.intervals import IntervalUnion, SurrogatePairError, digit_limit, echo
 from fdist.mass import (
     DiscreteFuzzySet,
     MassAssignment,
@@ -39,10 +38,12 @@ from helpers import (
     WIDE_PRIME_DENS,
     coprime_shapes,
     frac,
+    int_digit_limit,
     kernel_masses,
     nested_masses,
     numeric_masses,
     oracle_focal_doc,
+    oracle_format_fraction,
     oracle_fuzzy_doc,
     oracle_fuzzy_rows,
     oracle_mass_doc,
@@ -152,6 +153,21 @@ def expect_error(doc, path, fragment=""):
 class TestErrors:
     def test_document_must_be_object(self):
         expect_error([], "$", "must be an object")
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1, "b": 0.5, "a": 0.2}}]}', "a"),
+        ('{"sets": [{"name": "g", "kind": "discrete", "name": "h", "grades": {"a": 1}}]}', "name"),
+        ('{"sets": [{"name": "m", "kind": "mass",'
+         ' "entries": [{"focal": [[0, 1]], "mass": 1, "focal": []}]}]}', "focal"),
+        ('{"sets": [], "sets": []}', "sets"),
+        ('{"sets": [], "%s": 1, "%s": 2}' % ("x" * 50, "x" * 50), "x" * 50),
+    ])
+    def test_a_key_given_twice_is_refused(self, text, key):
+        # JSON would keep the last value and drop the first without a word
+        with pytest.raises(SpecError) as info:
+            parse_text(text)
+        assert info.value.path == "$"
+        assert str(info.value) == f"$: key {echo(key)} given twice in one object"
 
     def test_unknown_top_level_field(self):
         expect_error({"sets": [], "extra": 1}, "$", "unknown field 'extra'")
@@ -274,7 +290,7 @@ class TestErrors:
 
     def test_overlong_integer_literal(self):
         text = '{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1%s}}]}'
-        with pytest.raises(SpecError) as info:
+        with int_digit_limit(digit_limit()), pytest.raises(SpecError) as info:
             parse_text(text % ("0" * 5000))
         assert info.value.path == "$"
         assert "integer literal longer than" in str(info.value)
@@ -297,16 +313,16 @@ class TestErrors:
             parse_text(text)
         assert str(info.value) == (
             "$.sets[0].vertices[1]: exponent out of range (over "
-            f"{sys.get_int_max_str_digits()} digits): '2E+99999'"
+            f"{digit_limit()} digits): '2E+99999'"
         )
         sets = parse_text(text.replace("2e99999", "0.1"))
         assert sets["g"].value.vertices[1] == (F(1, 10), 1)
 
     def test_numbers_that_would_not_print_back_are_refused(self):
-        limit = sys.get_int_max_str_digits()
+        limit = digit_limit()
         text = '{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": %s}}]}'
         for past in (f"1e{limit}", f'"1.5e{limit}"', f'"-1{"0" * limit}"'):
-            with pytest.raises(SpecError) as info:
+            with int_digit_limit(limit), pytest.raises(SpecError) as info:
                 parse_text(text % past)
             assert info.value.path == "$.sets[0].grades.a"
             assert "too long to print" in str(info.value)
@@ -455,7 +471,7 @@ def long_decimal_masses(draw):
     integer digit limit: format_fraction writes a terminating decimal
     with more places than the limit as p/q. Their common denominator is
     far past MAX_SCALE_BITS, so their keys are Fractions."""
-    k = draw(st.integers(-1, 1)) + (sys.get_int_max_str_digits() or 4300)
+    k = draw(st.integers(-1, 1)) + digit_limit()
     tiny = F(1, 2**k)
     a = F(draw(st.integers(-3, 3)))
     rest = draw(st.sampled_from([0, Q]))
@@ -611,35 +627,48 @@ def written_values(draw):
 class TestKeyedWriter:
     """The writer formats stored keys under their scales; its text is the
     eager writer's, which built every entry and step as Fractions and
-    wrote each number with format_fraction."""
+    wrote each number with format_fraction, and each key is written as
+    the division loop (oracle_format_fraction) writes its number."""
 
-    @given(data=st.data(), scale=st.sampled_from(DECIMAL_SCALES + OTHER_SCALES))
+    @given(data=st.data(), scale=st.sampled_from(DECIMAL_SCALES + OTHER_SCALES + (None,)))
     @settings(max_examples=300)
     def test_a_key_is_written_as_format_fraction_writes_its_number(self, data, scale):
+        if scale is None:
+            # past the scale limit the keys are the numbers, a folded cell
+            # bound among them the int 0
+            k = data.draw(st.fractions() | frac(-5, 5, (3, 2**70, 5**40, 2**70 * 3)) | st.just(0))
+            assert formatter()(scale)(k) == oracle_format_fraction(F(k))
+            return
         # any key, and multiples of the scale (whole numbers) and of odd
         # factors (decimals under a scale that does not divide a power of
         # ten), 0 and negatives among them
         factor = data.draw(st.sampled_from([scale, 3, 7, 1048583]))
         multiples = st.integers(-50, 50).map(lambda j: j * factor)
         k = data.draw(st.integers(-(10**25), 10**25) | multiples)
-        assert formatter()(scale)(k) == format_fraction(F(k, scale))
+        assert formatter()(scale)(k) == oracle_format_fraction(F(k, scale))
 
     def test_keys_past_the_scale_limit_are_the_numbers(self):
         text = formatter()(None)
         # a folded cell bound may be the int 0
         assert (text(F(-7, 3)), text(F(5, 8)), text(0), text(F(2**70 + 1, 2**70))) == (
-            "-7/3", "0.625", "0", format_fraction(F(2**70 + 1, 2**70))
+            "-7/3", "0.625", "0", oracle_format_fraction(F(2**70 + 1, 2**70))
         )
 
-    def test_keys_past_the_digit_limit_go_through_format_fraction(self):
-        limit = sys.get_int_max_str_digits() or 4300
-        # a whole number within the limit whose key, times 10**10 // 1024,
-        # has ten more digits than str() converts
-        whole = 10 ** (limit - 4) + 1
-        assert formatter()(1024)(whole * 1024) == str(whole)
-        # a whole number past it: format_fraction's named error
-        with pytest.raises(ValueError, match="exact number too long to print"):
-            formatter()(2)(2 * 10 ** (limit + 1))
+    def test_keys_past_the_digit_limit_are_reduced_then_refused(self):
+        limit = digit_limit()
+        whole = 10 ** (limit - 4) + 1  # odd, and within the limit
+        with int_digit_limit(limit):
+            # keys whose digits times 10**10 // 1024 pass what str() converts:
+            # a whole number is written at scale 1, not as n/1, a half at
+            # scale 2, and a key that shares no factor with 1024 as p/q
+            assert formatter()(1024)(whole * 1024) == str(whole)
+            assert formatter()(1024)(-whole * 1024) == str(-whole)
+            assert formatter()(3 * 1024)(3 * whole * 1024) == str(whole)
+            assert formatter()(1024)(whole * 512) == oracle_format_fraction(F(whole, 2))
+            assert formatter()(1024)(whole) == f"{whole}/1024"
+            # a whole number past it: the named error
+            with pytest.raises(ValueError, match="exact number too long to print"):
+                formatter()(2)(2 * 10 ** (limit + 1))
 
     @given(value=written_values(), name=st.sampled_from(["result", "D(A,B)", "\xe9"]))
     @settings(max_examples=300, deadline=None)
