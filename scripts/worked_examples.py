@@ -18,7 +18,6 @@ from fdist import (  # noqa: E402
     Strategy,
     centre_of_gravity,
     distance,
-    fuzzy_from_mass,
     linear_combination,
     load,
     mass_from_discrete,
@@ -94,7 +93,7 @@ def main() -> int:
     print("\n== Defuzzification ==")
     for name, m in (("narrowA", na), ("narrowB", nb), ("D(narrowA,narrowB)", fwd.mass)):
         ml = max_likelihood_interval(m)
-        cog = centre_of_gravity(fuzzy_from_mass(m))
+        cog = centre_of_gravity(m)
         print(f"  {name}: max-likelihood {ml}, centre of gravity {cog}")
 
     print("\n== Slicing the wide triangle ==")

@@ -186,7 +186,7 @@ def cmd_defuzz(args, sets: dict) -> str:
         "command": "defuzz",
         "set": s.name,
         "max_likelihood": specfile.focal_to_doc(max_likelihood_interval(m)),
-        "centre_of_gravity": format_fraction(centre_of_gravity(fuzzy_from_mass(m))),
+        "centre_of_gravity": format_fraction(centre_of_gravity(m)),
         "unassigned": format_fraction(m.empty_mass),
     }
     return specfile.render(doc)

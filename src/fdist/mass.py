@@ -58,7 +58,7 @@ Conventions that matter and are easy to get wrong:
   scale (the masses', or the densities'), so the deltas and the running
   sum are integer additions, and its runs are keys too. Past
   MAX_SCALE_BITS a key or a weight is the Fraction itself, through the
-  same code.
+  same code. centre_of_gravity reads these keys too, with no sweep.
 * A result lives as keys until it is read or written. A MassAssignment
   from _from_keys builds its entries, and a NumericFuzzySet from
   fuzzy_from_mass its steps, only on first read, each distinct key
@@ -794,10 +794,6 @@ class NumericFuzzySet:
     def height(self) -> Fraction:
         return max((s.mu for s in self.steps), default=ZERO)
 
-    @property
-    def area(self) -> Fraction:
-        return sum((s.mu * (s.hi - s.lo) for s in self.steps), ZERO)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -930,10 +926,13 @@ def max_likelihood_interval(m: MassAssignment) -> IntervalUnion:
     return IntervalUnion(tuple(iv for iv, d in density.pieces if d == peak))
 
 
-def centre_of_gravity(f: NumericFuzzySet) -> Fraction:
-    area = f.area
+def centre_of_gravity(m: MassAssignment) -> Fraction:
+    """Moment over area of m's membership, sum m_i * sum(hi^2 - lo^2) over
+    2 * sum m_i * |f_i|, on the keys: the mass scale cancels out."""
+    area = moment = 0
+    for keys, mass in _numeric_keys(m, "centre of gravity"):
+        area += mass * sum(hi - lo for lo, hi in keys)
+        moment += mass * sum(hi * hi - lo * lo for lo, hi in keys)
     if area == 0:
         raise ZeroAreaError("fuzzy set has zero area")
-    # halved once, after the sum, so integer-valued steps stay exact
-    moment = sum((s.mu * (s.hi**2 - s.lo**2) for s in f.steps), ZERO) / 2
-    return moment / area
+    return Fraction(moment, 2 * area * (m._scale or 1))

@@ -129,6 +129,8 @@ def _focal(value, path: str) -> Focal:
 
 
 def _expect_keys(obj: dict, path: str, required: set, optional: set = frozenset()):
+    if isinstance(obj, _Twice):
+        raise SpecError(path, f"key {echo(obj.key)} given twice in one object")
     missing = required - obj.keys()
     if missing:
         raise SpecError(path, f"missing field {sorted(missing)[0]!r}")
@@ -179,6 +181,7 @@ def _parse_set(obj, path: str, tolerance: Fraction) -> SpecSet:
     elif kind == "discrete":
         if not isinstance(body, dict) or not body:
             raise SpecError(here, "grades must be a non-empty object")
+        _expect_keys(body, here, set(), body.keys())  # any labels, each once
         grades = {
             label: _number(g, f"{here}.{cut(label)}") for label, g in body.items()
         }
@@ -222,12 +225,16 @@ def parse_document(doc, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
     return out
 
 
+class _Twice(dict):
+    """A decoded JSON object that gives .key twice (JSON keeps the last)."""
+
+
 def _object(pairs: list) -> dict:
-    """A decoded JSON object; a key given twice, which JSON would drop, raises SpecError."""
+    """A decoded JSON object, a _Twice if it gives a key twice (see _expect_keys)."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        key = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
-        raise SpecError("$", f"key {echo(key)} given twice in one object")
+        obj = _Twice(obj)
+        obj.key = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
     return obj
 
 
@@ -239,8 +246,6 @@ def parse_text(text: str, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
         raise SpecError(f"$ (line {exc.lineno})", exc.msg) from None
     except RecursionError:
         raise SpecError("$", "document nested too deeply") from None
-    except SpecError:
-        raise
     except ValueError:  # int() refuses literals past the interpreter's digit limit
         raise SpecError("$", f"integer literal longer than {digit_limit()} digits") from None
     return parse_document(doc, tolerance=tolerance)

@@ -37,6 +37,7 @@ from fdist.mass import (
     PiecewiseShape,
     SlicedAssignment,
     Step,
+    ZeroAreaError,
     align_levels,
 )
 from fdist.specfile import _BOOL, _EMPTY_ENTRY, _ENTRY, _LABEL, _PART, _STEP, Rows, _rows
@@ -778,6 +779,17 @@ def oracle_fuzzy_from_mass(m: MassAssignment) -> NumericFuzzySet:
     if run:
         steps.append(emit(run))
     return NumericFuzzySet(tuple(steps))
+
+
+def oracle_centre_of_gravity(f: NumericFuzzySet) -> Fraction:
+    """The step form that mass.centre_of_gravity replaced with two sums
+    over the mass keys: area and moment integrated over f's steps."""
+    area = sum((s.mu * (s.hi - s.lo) for s in f.steps), ZERO)
+    if area == 0:
+        raise ZeroAreaError("fuzzy set has zero area")
+    # halved once, after the sum, so integer-valued steps stay exact
+    moment = sum((s.mu * (s.hi**2 - s.lo**2) for s in f.steps), ZERO) / 2
+    return moment / area
 
 
 def oracle_least_prejudiced(m: MassAssignment) -> Density:

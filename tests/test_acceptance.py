@@ -25,7 +25,6 @@ from fdist.mass import (
     PiecewiseShape,
     Step,
     centre_of_gravity,
-    fuzzy_from_mass,
     mass_from_discrete,
     max_likelihood_interval,
     slice_shape,
@@ -253,9 +252,9 @@ def test_c09_defuzzification_summaries():
     d = distance(NARROW_A, NARROW_B, directional=True, strategy=Strategy.DIAGONAL)
     assert max_likelihood_interval(d.mass) == iu((4, 6))
 
-    cog_a = centre_of_gravity(fuzzy_from_mass(NARROW_A))
-    cog_b = centre_of_gravity(fuzzy_from_mass(NARROW_B))
-    cog_d = centre_of_gravity(d.fuzzy)
+    cog_a = centre_of_gravity(NARROW_A)
+    cog_b = centre_of_gravity(NARROW_B)
+    cog_d = centre_of_gravity(d.mass)
     assert abs(cog_a - F(5, 2)) <= TOLERANCE and cog_a == F(5, 2)
     assert abs(cog_b - F(15, 2)) <= TOLERANCE and cog_b == F(15, 2)
     assert abs(cog_d - 5) <= TOLERANCE and cog_d == 5

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import fdist
 from fdist.cli import _plot, main
 from fdist.intervals import digit_limit
 from fdist.mass import NumericFuzzySet, Step
-from helpers import WIDE_PRIME_DENS, kernel_masses, oracle_mu, oracle_render
+from helpers import WIDE_PRIME_DENS, int_digit_limit, kernel_masses, oracle_mu, oracle_render
 
 DATA = str(Path(__file__).resolve().parent.parent / "data" / "worked_sets.json")
 
@@ -47,6 +48,14 @@ def module_env():
     child interpreter."""
     src = str(Path(fdist.__file__).resolve().parent.parent)
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.fixture
+def at_the_digit_limit():
+    """Run a test with str() refusing integers past digit_limit() digits,
+    whatever limit the suite runs under: 0, no limit, reads as 4300."""
+    with int_digit_limit(digit_limit()):
+        yield
 
 
 def entries(mass_doc):
@@ -322,6 +331,30 @@ class TestDefuzzCommand:
         assert code == 2
         assert "zero-length" in err
 
+    @pytest.mark.parametrize("name", ["A", "subA", "forkSkewA", "prod4"])
+    def test_defuzz_builds_no_fuzzy_set_and_no_step(self, monkeypatch, capsys, name):
+        # the centre of gravity reads the mass keys, so a defuzz op, from a
+        # points set or a mass set, reconstructs no membership
+        built = {"fuzzy sets": 0, "steps": 0}
+        original = NumericFuzzySet._from_runs.__func__
+
+        def counted_fuzzy(cls, *args):
+            built["fuzzy sets"] += 1
+            return original(cls, *args)
+
+        def counted_step(cls, *args):
+            built["steps"] += 1
+            return tuple.__new__(cls, args)
+
+        monkeypatch.setattr(NumericFuzzySet, "_from_runs", classmethod(counted_fuzzy))
+        monkeypatch.setattr(Step, "__new__", counted_step)
+        monkeypatch.setattr(Step, "_make", classmethod(lambda cls, it: counted_step(cls, *it)))
+        assert run_json(capsys, "defuzz", DATA, name)["centre_of_gravity"]
+        assert built == {"fuzzy sets": 0, "steps": 0}
+
+        steps = fdist.fuzzy_from_mass(fdist.MassAssignment([(fdist.iu((1, 5)), 1)])).steps
+        assert len(steps) == built["steps"] == built["fuzzy sets"] == 1
+
 
 class TestRestrictCheckCommand:
     def test_two_slice_mixture_found(self, capsys):
@@ -494,6 +527,7 @@ class TestErrorsAndEnvironment:
         assert (code, out) == (2, "")
         assert err == "fdist: $: document nested too deeply\n"
 
+    @pytest.mark.usefixtures("at_the_digit_limit")
     def test_overlong_integer_literal_exits_two(self, capsys, tmp_path):
         p = tmp_path / "long.json"
         p.write_text('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1%s}}]}' % ("0" * 5000))
@@ -508,19 +542,20 @@ class TestErrorsAndEnvironment:
         assert (code, out) == (2, "")
         assert err.startswith("fdist: $.sets[0].grades.a: exponent out of range")
 
-    @pytest.mark.parametrize("text, key", [
-        ('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1, "b": 0.5, "a": 0.2}}]}', "a"),
+    @pytest.mark.parametrize("text, path, key", [
+        ('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1, "b": 0.5, "a": 0.2}}]}',
+         "$.sets[0].grades", "a"),
         ('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1}, "grades": {"a": 0.5}}]}',
-         "grades"),
+         "$.sets[0]", "grades"),
         ('{"sets": [{"name": "g", "kind": "mass",'
-         ' "entries": [{"focal": [[0, 1]], "mass": 0.5, "mass": 1}]}]}', "mass"),
+         ' "entries": [{"focal": [[0, 1]], "mass": 0.5, "mass": 1}]}]}', "$.sets[0].entries[0]", "mass"),
     ], ids=["grade-label", "set-field", "entry-field"])
-    def test_repeated_key_exits_two(self, capsys, tmp_path, text, key):
+    def test_repeated_key_exits_two(self, capsys, tmp_path, text, path, key):
         p = tmp_path / "twice.json"
         p.write_text(text)
         code, out, err = run(capsys, "mass", str(p), "g")
         assert (code, out) == (2, "")
-        assert err == f"fdist: $: key {key!r} given twice in one object\n"
+        assert err == f"fdist: {path}: key {key!r} given twice in one object\n"
 
     def test_slice_count_limited(self, capsys, tmp_path):
         doc = {"sets": [{"name": "S", "kind": "points", "vertices": [[0, 0], [1, 1], [2, 0]],
@@ -601,6 +636,7 @@ class TestErrorsAndEnvironment:
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == first
 
 
+@pytest.mark.usefixtures("at_the_digit_limit")
 class TestDigitLimit:
     """Exact numbers whose decimal form would pass the interpreter's
     integer digit limit (intervals.digit_limit())."""
@@ -614,8 +650,9 @@ class TestDigitLimit:
         return f"{q.numerator}/{q.denominator}"
 
     def test_mass_within_the_limit_prints_and_reparses(self, capsys, tmp_path):
-        # 1/2**14000 has a 4215-digit denominator but a 9786-digit decimal.
-        q = Fraction(1, 2**14000)
+        # 1/2**(3 * limit) has a denominator of 0.9 * limit digits, but
+        # its decimal has 2.1 * limit digits
+        q = Fraction(1, 2 ** (3 * digit_limit()))
         spec = self.spec(tmp_path, [{"focal": [[0, 1]], "mass": self.fraction_text(q)},
                                     {"focal": [[0, 2]], "mass": self.fraction_text(1 - q)}])
         doc = run_json(capsys, "mass", spec, "m")
@@ -626,16 +663,17 @@ class TestDigitLimit:
             assert run(capsys, *argv)[0] == 0
 
     def test_endpoint_with_too_many_places_reparses(self, capsys, tmp_path):
-        # 1/2**5000 as a decimal has 3495 digits but 5000 places, which
-        # as_fraction refuses to read back.
-        q = Fraction(1, 2**5000)
+        # 1/2**(1.25 * limit) as a decimal has 0.87 * limit digits but
+        # 1.25 * limit places, which as_fraction refuses to read back
+        q = Fraction(1, 2 ** (5 * digit_limit() // 4))
         spec = self.spec(tmp_path, [{"focal": [[0, self.fraction_text(q)]], "mass": 1}])
         doc = run_json(capsys, "mass", spec, "m")
         assert doc["mass"]["entries"][0]["focal"] == [["0", self.fraction_text(q)]]
         assert fdist.parse_document({"sets": [doc["mass"]]})["m"].value == fdist.load(spec)["m"].value
 
     def test_product_past_the_limit_names_it(self, capsys, tmp_path):
-        q = Fraction(1, 2**14000)
+        # q prints, but q * q has a denominator of 1.8 * limit digits
+        q = Fraction(1, 2 ** (3 * digit_limit()))
         spec = self.spec(tmp_path, [{"focal": [[0, 1]], "mass": self.fraction_text(q)},
                                     {"focal": [[0, 2]], "mass": self.fraction_text(1 - q)}])
         code, out, err = run(capsys, "distance", spec, "m", "m", "--strategy", "product")
@@ -644,6 +682,7 @@ class TestDigitLimit:
         assert err == f"fdist: exact number too long to print: over the integer digit limit of {limit} digits\n"
 
 
+@pytest.mark.usefixtures("at_the_digit_limit")
 class TestNumbersPastTheDigitLimit:
     """Every number a document may hold prints back: one whose numerator
     or denominator passes the integer digit limit is refused where it is
@@ -657,7 +696,7 @@ class TestNumbersPastTheDigitLimit:
                                               "entries": [{"focal": [focal], "mass": 1}]}]})
 
     def test_out_of_order_endpoint_past_the_limit_names_the_field(self, capsys, tmp_path):
-        code, out, err = run(capsys, "mass", self.spec(tmp_path, ["1.5e4300", 0]), "m")
+        code, out, err = run(capsys, "mass", self.spec(tmp_path, [f"1.5e{self.LIMIT}", 0]), "m")
         assert (code, out) == (2, "")
         assert err == ("fdist: $.sets[0].entries[0].focal[0]: exact number too long to print:"
                        f" over the integer digit limit of {self.LIMIT} digits\n")
@@ -685,14 +724,20 @@ class TestNumbersPastTheDigitLimit:
         assert err.startswith("fdist: $.sets[0].entries[0].focal[0]: exact number too long to print")
 
     def test_sum_past_the_limit_stays_short(self, capsys, tmp_path):
-        # each mass prints, but their sum has a 7620-digit denominator
+        # each mass prints, but their sum's denominator has about 1.8 times
+        # LIMIT digits (at the default 4300, 1/3**8000 + 1/7**4500 has 7620);
+        # the message writes the sum, about 1/7**b, to three digits in
+        # e-notation (~1.15e-3803 at the default)
+        a, b = 8000 * self.LIMIT // 4300, 4500 * self.LIMIT // 4300
         doc = {"sets": [{"name": "m", "kind": "mass", "entries": [
-            {"focal": [[0, 1]], "mass": f"1/{3 ** 8000}"},
-            {"focal": [[0, 2]], "mass": f"1/{7 ** 4500}"},
+            {"focal": [[0, 1]], "mass": f"1/{3 ** a}"},
+            {"focal": [[0, 2]], "mass": f"1/{7 ** b}"},
         ]}]}
         code, out, err = run(capsys, "mass", write_doc(tmp_path, doc), "m")
         assert (code, out) == (2, "")
-        assert err == "fdist: $.sets[0].entries: masses sum to ~1.15e-3803, expected 1\n"
+        pattern = r"fdist: \$\.sets\[0\]\.entries: masses sum to ~\d(\.\d\d?)?e-(\d+), expected 1\n"
+        match = re.fullmatch(pattern, err)
+        assert match and int(match[2]) == len(str(7 ** b))
 
     def test_unreadable_number_is_echoed_short(self, capsys, tmp_path):
         doc = {"sets": [{"name": "m", "kind": "mass", "entries": [

@@ -23,7 +23,6 @@ from fdist.mass import (
     DiscreteFuzzySet,
     LabelSet,
     MassAssignment,
-    NumericFuzzySet,
     PiecewiseShape,
     SlicedAssignment,
     Step,
@@ -51,6 +50,7 @@ from helpers import (
     nested_masses,
     numeric_masses,
     oracle_align_levels,
+    oracle_centre_of_gravity,
     oracle_focal_intersection,
     oracle_focal_intersects,
     oracle_focal_is_empty,
@@ -90,6 +90,19 @@ FOCALS = st.one_of(
     interval_unions(max_parts=2, lo=-3, hi=3, den=2, allow_empty=True),
 )
 COPRIME_MASSES = numeric_masses(den=COPRIME_DENS) | numeric_masses(den=WIDE_PRIME_DENS)
+
+
+@st.composite
+def cog_masses(draw):
+    """Kernel masses over quarters or over WIDE_PRIME_DENS, so on both sides
+    of MAX_SCALE_BITS, with the empty set at times and each focal element
+    drawn collapsed to the points at its parts' low ends or not, so that
+    zero-length parts and zero area both turn up."""
+    m = draw(kernel_masses(den=4) | kernel_masses(den=WIDE_PRIME_DENS, max_focals=6))
+    return MassAssignment(
+        (iu(*((p.lo, p.lo) for p in f.parts)) if draw(st.booleans()) else f, mass)
+        for f, mass in m.entries
+    )
 
 
 def endpoints(focals) -> list:
@@ -887,22 +900,51 @@ class TestDefuzz:
         assert max_likelihood_interval(MassAssignment([(iu((2, 8)), 1)])) == iu((2, 8))
 
     def test_centre_of_gravity_values(self):
-        assert centre_of_gravity(fuzzy_from_mass(MASS_DIR_A)) == F(5, 2)
-        assert centre_of_gravity(fuzzy_from_mass(MASS_DIR_B)) == F(15, 2)
+        assert centre_of_gravity(MASS_DIR_A) == F(5, 2)
+        assert centre_of_gravity(MASS_DIR_B) == F(15, 2)
 
     def test_zero_area_rejected(self):
         with pytest.raises(ZeroAreaError):
-            centre_of_gravity(NumericFuzzySet(()))
+            centre_of_gravity(MassAssignment([(EMPTY, 1)]))
         with pytest.raises(ZeroAreaError):
-            centre_of_gravity(NumericFuzzySet((Step(2, 2, 1),)))
+            centre_of_gravity(MassAssignment([(iu((2, 2)), 1)]))
+        with pytest.raises(TypeError, match="centre of gravity needs numeric"):
+            centre_of_gravity(MassAssignment([(fs("a"), 1)]))
 
-    def test_centre_of_gravity_of_integer_steps_is_exact(self):
-        # hand-built steps keep their ints; the moment is halved after the sum
-        cog = centre_of_gravity(NumericFuzzySet((Step(0, 1, 1), Step(1, 3, 2))))
-        assert type(cog) is Fraction and cog == F(17, 10)
+    def test_centre_of_gravity_of_integer_keys_is_exact(self):
+        # endpoints and masses key as integers; the moment is halved in the
+        # one division, so the centre is an exact Fraction, not an integer
+        m = MassAssignment([(iu((0, 1)), H), (iu((0, 3)), H)])
+        assert m._scale == 1 and m._mass_scale == 2
+        cog = centre_of_gravity(m)
+        assert type(cog) is Fraction and cog == F(5, 4)
 
     @given(nested_masses(allow_empty=False))
     def test_cog_of_symmetric_mass_is_centre(self, m):
         # mirror the assignment around 0 and average: centre must be 0
         sym = combine([(H, m), (H, m.negated())])
-        assert centre_of_gravity(fuzzy_from_mass(sym)) == 0
+        assert centre_of_gravity(sym) == 0
+
+    @given(cog_masses())
+    @settings(max_examples=300)
+    def test_keyed_centre_of_gravity_equals_the_step_form(self, m):
+        try:
+            expected = oracle_centre_of_gravity(fuzzy_from_mass(m))
+        except ZeroAreaError:
+            with pytest.raises(ZeroAreaError):
+                centre_of_gravity(m)
+        else:
+            cog = centre_of_gravity(m)
+            assert type(cog) is Fraction and cog == expected
+
+    @pytest.mark.parametrize("dens", [COPRIME_DENS[:4], WIDE_PRIME_DENS[:4]], ids=["int", "wide"])
+    def test_centre_of_gravity_on_both_sides_of_the_scale_limit(self, dens):
+        # four wide primes have no integer common scale: the keys, endpoints
+        # and masses both, are the Fractions themselves, through the same sums
+        masses = [F(1, q) for q in dens]
+        m = MassAssignment(
+            [(iu((F(-k, q), F(k + 1, q)), (k, k + F(1, q))), F(1, q)) for k, q in enumerate(dens)]
+            + [(iu((F(1, dens[0]), F(1, dens[0]))), F(1, 8)), (EMPTY, 1 - sum(masses) - F(1, 8))]
+        )
+        assert (m._scale is None) == (m._mass_scale is None) == (dens == WIDE_PRIME_DENS[:4])
+        assert centre_of_gravity(m) == oracle_centre_of_gravity(fuzzy_from_mass(m))

@@ -150,24 +150,35 @@ def expect_error(doc, path, fragment=""):
     return info.value
 
 
+# (document text, path of the object giving the key twice, the key)
+TWICE = [
+    ('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1, "b": 0.5, "a": 0.2}}]}',
+     "$.sets[0].grades", "a"),
+    ('{"sets": [{"name": "g", "kind": "discrete", "name": "h", "grades": {"a": 1}}]}',
+     "$.sets[0]", "name"),
+    ('{"sets": [{"name": "m", "kind": "mass",'
+     ' "entries": [{"focal": [[0, 1]], "mass": 1, "focal": []}]}]}', "$.sets[0].entries[0]", "focal"),
+    ('{"sets": [{"name": "m", "kind": "mass", "entries": [{"focal": [], "mass": 0.5},'
+     ' {"focal": [[0, 1]], "mass": 0.5, "mass": 0.5}]}]}', "$.sets[0].entries[1]", "mass"),
+    ('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1}},'
+     ' {"name": "h", "kind": "points", "vertices": [[0, 1]], "kind": "points"}]}', "$.sets[1]", "kind"),
+    ('{"sets": [], "sets": []}', "$", "sets"),
+    ('{"sets": [], "%s": 1, "%s": 2}' % ("x" * 50, "x" * 50), "$", "x" * 50),
+]
+
+
 class TestErrors:
     def test_document_must_be_object(self):
         expect_error([], "$", "must be an object")
 
-    @pytest.mark.parametrize("text, key", [
-        ('{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": 1, "b": 0.5, "a": 0.2}}]}', "a"),
-        ('{"sets": [{"name": "g", "kind": "discrete", "name": "h", "grades": {"a": 1}}]}', "name"),
-        ('{"sets": [{"name": "m", "kind": "mass",'
-         ' "entries": [{"focal": [[0, 1]], "mass": 1, "focal": []}]}]}', "focal"),
-        ('{"sets": [], "sets": []}', "sets"),
-        ('{"sets": [], "%s": 1, "%s": 2}' % ("x" * 50, "x" * 50), "x" * 50),
-    ])
-    def test_a_key_given_twice_is_refused(self, text, key):
-        # JSON would keep the last value and drop the first without a word
+    @pytest.mark.parametrize("text, path, key", TWICE, ids=[f"{t}-{k}" for t, _, k in TWICE])
+    def test_a_key_given_twice_is_refused(self, text, path, key):
+        # JSON would keep the last value and drop the first without a word;
+        # the message names the object that gives the key twice
         with pytest.raises(SpecError) as info:
             parse_text(text)
-        assert info.value.path == "$"
-        assert str(info.value) == f"$: key {echo(key)} given twice in one object"
+        assert info.value.path == path
+        assert str(info.value) == f"{path}: key {echo(key)} given twice in one object"
 
     def test_unknown_top_level_field(self):
         expect_error({"sets": [], "extra": 1}, "$", "unknown field 'extra'")
