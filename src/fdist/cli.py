@@ -21,6 +21,7 @@ repeatedly in one process.
 import argparse
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -204,6 +205,9 @@ def cmd_restrict_check(args, sets: dict) -> str:
     names = [n.strip() for n in args.basis.split(",") if n.strip()]
     if not names:
         raise ValueError("--basis needs at least one set name")
+    twice = [n for n, count in Counter(names).items() if count > 1]
+    if twice:
+        raise ValueError(f"basis set {echo(twice[0])} given twice")
     target = mass_kind(target_set)
     basis = [mass_kind(_resolve(sets, n)) for n in names]
     coefficients = linear_combination(target, basis)

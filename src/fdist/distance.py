@@ -22,18 +22,18 @@ index the two inputs' focal elements, with each input's part keys and
 their scale: a MassAssignment's stored keys, or a SlicedAssignment's,
 which slice_shape emits as keys, so no slice's focal element is built.
 The kernel puts both inputs' keys on one scale by an integer factor
-(intervals.meet_scales, key_factor). A cell's bounds are differences of those keys,
-folded onto the nonnegative axis unless directional and merged by
-intervals.merge_spans, and its mass, an integer under the masses' own
-common scale, is summed into one dict keyed by the cell's keys. The
-paired strategies take their rows, heights as keys, straight from
-align_levels. MassAssignment._from_keys turns that dict into the result,
-which keeps its keys and scales, so its membership and density sweep them
-without scaling any endpoint again, and builds its entries only when they
-are read (see mass). DistanceResult.fuzzy holds the sweep's runs as keys
-in the same way, so writing a result builds no focal element and no step.
-Past MAX_SCALE_BITS a scale is None and the keys are the Fractions
-themselves, through the same code.
+(mass.keys_under at intervals.meet_scales). A cell's bounds are
+differences of those keys, folded onto the nonnegative axis unless
+directional and merged by intervals.merge_spans, and its mass, an integer
+under the masses' own common scale, is summed into one dict keyed by the
+cell's keys. The paired strategies take their rows, heights as keys,
+straight from align_levels. MassAssignment._from_keys turns that dict into
+the result, which keeps its keys and scales, so its membership and density
+sweep them without scaling any endpoint again, and builds its entries only
+when they are read (see mass). DistanceResult.fuzzy holds the sweep's
+runs as keys in the same way, so writing a result builds no focal element
+and no step. Past MAX_SCALE_BITS a scale is None and the keys are the
+Fractions themselves, through the same code.
 """
 
 from dataclasses import dataclass
@@ -50,6 +50,7 @@ from .mass import (
     align_levels,
     focals_from_keys,
     fuzzy_from_mass,
+    keys_under,
     slice_shape,
     sum_by_key,
 )
@@ -95,14 +96,6 @@ def cell_nondirectional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
     return _cell_of(a, b, False)
 
 
-def _part_keys(x: Normalised, d: Optional[int]) -> list:
-    """The part keys of x's focal elements, in entry or slice order, as
-    keys under d, a multiple of their scale or None (see key_factor)."""
-    f = key_factor(x._scale, d)
-    keys = [key for key, _ in x._keys]
-    return keys if f == 1 else [tuple((lo * f, hi * f) for lo, hi in key) for key in keys]
-
-
 def _cell_mass(
     rows: Iterable[tuple], a: Normalised, b: Normalised, w: Optional[int], directional: bool
 ) -> MassAssignment:
@@ -111,7 +104,7 @@ def _cell_mass(
     from their stored part keys where the two scales meet, summed per
     distinct cell."""
     d = meet_scales(a._scale, b._scale)
-    keys_a, keys_b = _part_keys(a, d), _part_keys(b, d)
+    keys_a, keys_b = keys_under(a, d), keys_under(b, d)
     acc = sum_by_key((_cell(keys_a[i], keys_b[j], directional), mass) for i, j, mass in rows)
     return MassAssignment._from_keys(acc, d, w)
 

@@ -5,6 +5,7 @@ Floats convert by their binary value (which is exact for the dyadic data
 these operations are normally fed), strings by decimal or `p/q` syntax.
 Exact numbers are written back by one writer, key_writer, of keys under a
 scale; format_fraction is that writer at a Fraction's own denominator.
+Containment is one walk over merged spans (covers), on parts or their keys.
 """
 
 import math
@@ -164,6 +165,19 @@ def merge_spans(spans: Iterable[tuple]) -> tuple:
     return tuple(merged)
 
 
+def covers(outer: Sequence[tuple], inner: Sequence[tuple]) -> bool:
+    """Whether each span of inner lies in one span of outer, both as merge_spans
+    returns them, in one walk: only the first outer span ending at or past a
+    span's lo can hold it. Endpoints are Fractions or keys of one scale."""
+    i, n = 0, len(outer)
+    for lo, hi in inner:
+        while i < n and outer[i][1] < lo:
+            i += 1
+        if i == n or outer[i][0] > lo or outer[i][1] < hi:
+            return False
+    return True
+
+
 def key_writer(scale: Optional[int]) -> Callable[[Key], str]:
     """The writer of exact numbers: writes key k under scale (see scaled)
     as k/scale's exact decimal when it terminates, else p/q. Under a scale
@@ -269,14 +283,6 @@ class Interval(NamedTuple("_Bounds", [("lo", Fraction), ("hi", Fraction)])):
         return f"[{format_fraction(self.lo)},{format_fraction(self.hi)}]"
 
 
-def _canonical(parts: Iterable[Interval]) -> tuple:
-    """Sort and merge overlapping or touching intervals."""
-    parts = tuple(parts)
-    if len(parts) < 2:
-        return parts
-    return tuple(map(Interval._make, merge_spans(parts)))
-
-
 @dataclass(frozen=True, init=False)
 class IntervalUnion:
     """Finite union of disjoint closed intervals, kept in canonical form.
@@ -288,7 +294,7 @@ class IntervalUnion:
     parts: tuple
 
     def __init__(self, parts: Iterable[Interval] = ()):
-        object.__setattr__(self, "parts", _canonical(parts))
+        object.__setattr__(self, "parts", tuple(map(Interval._make, merge_spans(parts))))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[Rational]]) -> "IntervalUnion":
@@ -324,12 +330,7 @@ class IntervalUnion:
         return self.contains_point(x)
 
     def issubset(self, other) -> bool:
-        # A closed part cannot straddle a gap of the other union, so each
-        # part must sit inside a single part of the other.
-        return all(
-            any(q.lo <= p.lo and p.hi <= q.hi for q in _parts(other))
-            for p in self.parts
-        )
+        return not self.parts or covers(_parts(other), self.parts)
 
     def issuperset(self, other) -> bool:
         return other.issubset(self)

@@ -12,7 +12,8 @@ MassAssignment or SlicedAssignment refuses labels beside intervals
 (ValueError(MIXED_KINDS)) and answers is_numeric, which the other modules
 read, and slice_shape resolves the slice count and bounds it. A focal
 element's one key is its part_keys (a label set's sorted labels, a
-union's (lo, hi) part keys, () when empty); key_order sorts entries by it.
+union's (lo, hi) part keys, () when empty); key_order sorts entries by it,
+and keys_contain tests containment on it, keys_under meeting two scales.
 
 Conventions that matter and are easy to get wrong:
 
@@ -87,6 +88,7 @@ from .intervals import (
     as_fraction,
     brief,
     common_scale,
+    covers,
     cut,
     echo,
     format_fraction,
@@ -230,6 +232,21 @@ def focals_from_keys(keys: Sequence[tuple], scale: Optional[int]) -> list:
     at = _unscaler((k for key in keys for span in key for k in span), scale)
     return [IntervalUnion._from_merged((at(lo), at(hi)) for lo, hi in key) if key else EMPTY
             for key in keys]
+
+
+def keys_under(x, d: Optional[int]) -> list:
+    """An assignment's stored part keys, in entry or slice order, as keys under
+    d, a multiple of their scale or None (see key_factor); labels keep scale 1."""
+    f = key_factor(x._scale, d)
+    keys = [key for key, _ in x._keys]
+    return keys if f == 1 else [tuple((lo * f, hi * f) for lo, hi in key) for key in keys]
+
+
+def keys_contain(outer: tuple, inner: tuple) -> bool:
+    """Whether part keys outer hold part keys inner, of one kind and scale: a
+    union's spans through covers, a label set's sorted labels as a subset."""
+    numeric = inner and isinstance(inner[0], tuple)
+    return covers(outer, inner) if numeric else set(outer).issuperset(inner)
 
 
 def _entries_from_keys(

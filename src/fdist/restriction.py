@@ -5,7 +5,8 @@ subsets; a type-2 restriction moves mass from two incomparable focal
 elements onto their union and intersection. Reachability under type-1
 moves alone is a maximum flow over the superset edges, because containment
 is transitive: any chain of moves flattens into a direct routing from
-the original donors to the final receivers.
+the original donors to the final receivers. The edges are read from the
+stored part keys on one scale (mass.keys_under, keys_contain).
 """
 
 from dataclasses import dataclass
@@ -14,8 +15,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import exactlp
-from .intervals import ONE, ZERO, IntervalUnion, as_fraction, brief, cut
+from .intervals import MIXED_KINDS, ONE, ZERO, IntervalUnion, as_fraction, brief, cut, meet_scales
 from .mass import Focal, MassAssignment, SlicedAssignment, as_focal, key_order
+from .mass import keys_contain, keys_under
 
 
 class InvalidRestrictionError(ValueError):
@@ -120,15 +122,17 @@ def linear_combination(
 def reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
     """Whether some sequence of type-1 moves turns src into dst: mass may
     flow from a focal element only to its subsets (staying put is the
-    trivial flow), so a maximum flow must move all of it onto dst."""
+    trivial flow), so a maximum flow must move all of it onto dst, over
+    superset edges read from the stored part keys. Label sets and nonempty
+    unions do not mix (TypeError); the empty set alone meets either kind."""
+    if len({m.is_numeric for m in (src, dst) if m._keys[:1] and m._keys[0][0]}) > 1:
+        raise TypeError(MIXED_KINDS)  # key_order puts the empty set's () last
     if src.total != dst.total:
         return False
-    edges = [
-        (i, j)
-        for i, (fs, _) in enumerate(src.entries)
-        for j, (fd, _) in enumerate(dst.entries)
-        if fs.issuperset(fd)
-    ]
+    d = meet_scales(src._scale, dst._scale)
+    outer, inner = keys_under(src, d), keys_under(dst, d)
+    edges = [(i, j) for i, ks in enumerate(outer) for j, kd in enumerate(inner)
+             if keys_contain(ks, kd)]
     flow = exactlp.min_cost_flow(
         [m for _, m in src.entries], [m for _, m in dst.entries], edges, [()] * len(edges)
     )

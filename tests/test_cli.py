@@ -412,6 +412,12 @@ class TestRestrictCheckCommand:
         assert code == 2
         assert "at least one" in err
 
+    def test_basis_name_given_twice_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "restrict-check", DATA, "prod2", "--basis", "diag2, diag2,anti2"
+        )
+        assert (code, out, err) == (2, "", "fdist: basis set 'diag2' given twice\n")
+
 
 class TestLabelAndNumericMassSets:
     @pytest.fixture

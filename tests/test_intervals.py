@@ -3,7 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdist.intervals import (
@@ -15,6 +15,7 @@ from fdist.intervals import (
     as_fraction,
     brief,
     common_scale,
+    covers,
     digit_limit,
     format_fraction,
     iu,
@@ -22,9 +23,17 @@ from fdist.intervals import (
     scaled,
     unscaled,
 )
-from helpers import frac, int_digit_limit, interval_unions, oracle_format_fraction, oracle_merge
+from helpers import (
+    frac,
+    int_digit_limit,
+    interval_unions,
+    oracle_covers,
+    oracle_format_fraction,
+    oracle_merge,
+)
 
 F = Fraction
+Q = F(1, 4)
 
 
 def test_interval_rejects_reversed_endpoints():
@@ -178,6 +187,53 @@ def test_merge_spans_merges_as_intervals_did_on_values_and_keys(pairs):
     d = common_scale(e for pair in pairs for e in pair)
     keyed = merge_spans((scaled(lo, d), scaled(hi, d)) for lo, hi in pairs)
     assert tuple((unscaled(lo, d), unscaled(hi, d)) for lo, hi in keyed) == expected
+
+
+def test_covers_walks_points_and_shared_ends():
+    outer = ((0, 2), (3, 3), (5, 8))
+    assert covers(outer, ((0, 0), (2, 2), (3, 3), (5, 6), (8, 8)))
+    assert covers(outer, outer)
+    assert not covers(outer, ((2, 3),))  # straddles a gap
+    assert not covers(outer, ((4, 4),))
+    assert not covers(outer, ((5, 9),))
+    assert not covers(outer, ((8, 8), (9, 9)))  # walks past the last span
+    assert covers(outer, ()) and covers((), ())
+    assert not covers((), ((1, 1),))
+
+
+def _quarters(lo, hi):
+    return st.integers(int(lo * 4), int(hi * 4)).map(lambda k: F(k, 4))
+
+
+@st.composite
+def covering_pairs(draw):
+    """(outer, inner) unions on a coarse grid, so points and shared or
+    touching ends are common, either empty; inner is half the time cut from
+    outer's parts, each cut a quarter past them at most, so that it is
+    often covered and often only just not."""
+    grid = interval_unions(max_parts=4, lo=-3, hi=3, den=2, allow_empty=True)
+    outer = draw(grid)
+    if not draw(st.booleans()):
+        return outer, draw(grid)
+    cuts = []
+    for p in outer.parts:
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(_quarters(p.lo - Q, p.hi + Q)), draw(_quarters(p.lo - Q, p.hi + Q))
+            cuts.append((min(a, b), max(a, b)))
+    return outer, iu(*cuts)
+
+
+@given(covering_pairs())
+@settings(max_examples=300)
+def test_covers_equals_nested_any_all_on_parts_and_keys(pair):
+    outer, inner = pair
+    expected = oracle_covers(outer.parts, inner.parts)
+    assert covers(outer.parts, inner.parts) is expected
+    assert inner.issubset(outer) is expected
+    assert outer.issuperset(inner) is expected
+    d = common_scale(e for u in pair for p in u.parts for e in p)
+    assert isinstance(d, int)
+    assert covers(outer.part_keys(d), inner.part_keys(d)) is expected
 
 
 def test_unscaled_gives_fractions():

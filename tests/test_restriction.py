@@ -14,7 +14,7 @@ from fdist.distance import (
     assign_product,
     cell_nondirectional,
 )
-from fdist.intervals import EMPTY, iu
+from fdist.intervals import EMPTY, MAX_SCALE_BITS, MIXED_KINDS, iu, meet_scales
 from fdist.mass import MassAssignment, combine, fuzzy_from_mass, slice_shape
 from fdist.restriction import (
     CellMatrix,
@@ -352,6 +352,33 @@ def prime_chain_pairs(draw):
     return pair
 
 
+@st.composite
+def split_scale_pairs(draw):
+    """Two numeric masses on intervals of a small integer grid, each end
+    moved by a step of 1/p on one side and of 1/q on the other, p and q
+    distinct primes past 2**40: each side's endpoint scale fits
+    MAX_SCALE_BITS, their lcm does not, so the keys meet as Fractions.
+    Half the time both sides share one grid, so that they often nest."""
+    p, q, *_ = draw(st.permutations(PRIMES_2_40))
+
+    def grid():
+        return [(*sorted(draw(st.integers(0, 6)) for _ in range(2)), draw(st.integers(1, 3)))
+                for _ in range(draw(st.integers(1, 4)))]
+
+    def moved(cells, prime):
+        total = sum(w for *_, w in cells)
+        focals = []
+        for lo, hi, w in cells:
+            a, b = (x + F(draw(st.integers(-1, 1)), prime) for x in (lo, hi))
+            focals.append((iu((a, b)) if a <= b else iu((lo, hi)), F(w, total)))
+        return MassAssignment(focals)
+
+    cells = grid()
+    src, dst = moved(cells, p), moved(cells if draw(st.booleans()) else grid(), q)
+    assume((src._scale, dst._scale) == (p, q))
+    return src, dst
+
+
 class TestReachability:
     def test_neither_assignment_reaches_the_other(self):
         assert not reachable_type1(NESTED, PRODUCT_2)
@@ -417,6 +444,33 @@ class TestReachability:
     def test_large_prime_denominators_match_lp_feasibility(self, pair):
         src, dst = pair
         assert reachable_type1(src, dst) == oracle_reachable_type1(src, dst)
+
+    @given(split_scale_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_endpoint_scales_past_their_meet_match_lp_feasibility(self, pair):
+        src, dst = pair
+        assert max(src._scale, dst._scale).bit_length() <= MAX_SCALE_BITS
+        assert meet_scales(src._scale, dst._scale) is None
+        assert reachable_type1(src, dst) == oracle_reachable_type1(src, dst)
+        assert reachable_type1(dst, src) == oracle_reachable_type1(dst, src)
+
+    def test_label_sets_and_numbers_do_not_mix(self):
+        labels = MassAssignment([(frozenset("ab"), H), (frozenset("a"), H)])
+        for src, dst in ((labels, NESTED), (NESTED, labels)):
+            with pytest.raises(TypeError, match=MIXED_KINDS):
+                reachable_type1(src, dst)
+
+    def test_empty_set_alone_meets_either_kind(self):
+        empty = MassAssignment([(EMPTY, F(1))])
+        labels = MassAssignment([(frozenset("ab"), F(1))])
+        for m in (labels, NESTED):
+            assert reachable_type1(m, empty)
+            assert not reachable_type1(empty, m)
+        assert reachable_type1(empty, empty)
+        # no entries at all: a zero mass read under a tolerance of 1
+        none = MassAssignment([(iu((0, 1)), 0)], tolerance=F(1))
+        for m in (labels, NESTED, empty):
+            assert not reachable_type1(m, none) and not reachable_type1(none, m)
 
     @given(chain_pairs())
     @settings(max_examples=150, deadline=None)
