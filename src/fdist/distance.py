@@ -18,16 +18,16 @@ ordering, so they stack a mass assignment's focal elements by size;
 distances between cells of the empty set stay on the empty set.
 
 Every strategy hands one kernel, _cell_mass, rows (i, j, mass key) that
-index the two inputs' focal elements, with each input's part keys and
-their scale: a MassAssignment's stored keys, or a SlicedAssignment's,
-which slice_shape emits as keys, so no slice's focal element is built.
-The kernel puts both inputs' keys on one scale by an integer factor
-(mass.keys_under at intervals.meet_scales). A cell's bounds are
-differences of those keys, folded onto the nonnegative axis unless
-directional and merged by intervals.merge_spans, and its mass, an integer
-under the masses' own common scale, is summed into one dict keyed by the
-cell's keys. The paired strategies take their rows, heights as keys,
-straight from align_levels. MassAssignment._from_keys turns that dict into
+index the two inputs' focal elements, and their mass scale: product_rows
+for PRODUCT and align_levels, heights as keys, for the paired strategies,
+both in mass. The kernel reads each input's part keys and their scale: a
+MassAssignment's stored keys, or a SlicedAssignment's, which slice_shape
+emits as keys, so no slice's focal element is built. It puts both inputs'
+keys on one scale by an integer factor (mass.keys_under at
+intervals.meet_scales). A cell's bounds are differences of those keys,
+folded onto the nonnegative axis unless directional and merged by
+intervals.merge_spans, and its mass key is summed into one dict keyed by
+the cell's keys. MassAssignment._from_keys turns that dict into
 the result, which keeps its keys and scales, so its membership and density
 sweep them without scaling any endpoint again, and builds its entries only
 when they are read (see mass). DistanceResult.fuzzy holds the sweep's
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Union
 
-from .intervals import IntervalUnion, key_factor, meet_scales, merge_spans
+from .intervals import IntervalUnion, meet_scales, merge_spans
 from .mass import (
     MAX_SLICES,
     MassAssignment,
@@ -51,6 +51,7 @@ from .mass import (
     focals_from_keys,
     fuzzy_from_mass,
     keys_under,
+    product_rows,
     slice_shape,
     sum_by_key,
 )
@@ -97,7 +98,7 @@ def cell_nondirectional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
 
 
 def _cell_mass(
-    rows: Iterable[tuple], a: Normalised, b: Normalised, w: Optional[int], directional: bool
+    rows: Iterable[tuple], w: Optional[int], a: Normalised, b: Normalised, directional: bool
 ) -> MassAssignment:
     """The mass assignment of rows (i, j, mass key under w): each row's
     mass lands on the cell between focal element i of a and j of b, read
@@ -129,21 +130,14 @@ def assign_product(
     cells = len(m_a) * len(m_b)
     if cells > MAX_PRODUCT_CELLS:
         raise ValueError(f"product of {cells} cells exceeds the limit {MAX_PRODUCT_CELLS}")
-    w = meet_scales(m_a._mass_scale, m_b._mass_scale)
-    fa, fb = key_factor(m_a._mass_scale, w), key_factor(m_b._mass_scale, w)
-    a = [m * fa for _, m in m_a._keys]
-    b = [m * fb for _, m in m_b._keys]
-    rows = ((i, j, ma * mb) for i, ma in enumerate(a) for j, mb in enumerate(b))
-    w_pair = None if w is None else w * w  # the scale of a product of two masses
-    m = _cell_mass(rows, m_a, m_b, w_pair, directional)
+    m = _cell_mass(*product_rows(m_a, m_b), m_a, m_b, directional)
     return DistanceResult.from_mass(m, Strategy.PRODUCT)
 
 
 def _paired(
     a: SlicedAssignment, b: SlicedAssignment, directional: bool = False
 ) -> MassAssignment:
-    rows, w = align_levels(a, b)
-    return _cell_mass(rows, a, b, w, directional)
+    return _cell_mass(*align_levels(a, b), a, b, directional)
 
 
 def assign_diagonal(

@@ -25,7 +25,7 @@ Conventions that matter and are easy to get wrong:
   as integers. A stack of slices is (focal, mass) pairs, bottom first,
   so its levels are prefix sums; align_levels pairs two stacks in one
   merge walk over those sums as keys, and returns rows of slice indices
-  with the heights as keys.
+  with the heights as keys; product_rows returns a product's (rows, scale).
 * A SlicedAssignment is held as keys: each slice's part keys and mass
   key, each under one scale. slice_shape keys every vertex and crossing of a
   shape over one shape-wide scale and emits the keys directly; the
@@ -707,6 +707,18 @@ def align_levels(a: SlicedAssignment, b: SlicedAssignment) -> tuple:
             shared.append((i, j, hi - lo))
             lo = hi
     return shared, w
+
+
+def product_rows(a: MassAssignment, b: MassAssignment) -> tuple:
+    """(rows, scale): a row (i, j, mass key) per entry i of a and j of b,
+    the product of their mass keys where the two mass scales meet, so a key
+    under scale, that scale squared. rows is a generator: it lists no cell."""
+    w = meet_scales(a._mass_scale, b._mass_scale)
+    fa, fb = key_factor(a._mass_scale, w), key_factor(b._mass_scale, w)
+    masses_a = [mass * fa for _, mass in a._keys]
+    masses_b = [mass * fb for _, mass in b._keys]
+    rows = ((i, j, ma * mb) for i, ma in enumerate(masses_a) for j, mb in enumerate(masses_b))
+    return rows, None if w is None else w * w
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ G) supports a truth label. Routing the two assignments' masses through
 the label table gives a truth assignment. Product routing treats the
 assignments as independent; maximal routing finds, by one min-cost flow,
 the lexicographically most informative joint distribution over the table.
+Both routings read one label table (_labels) and total it with
+mass.sum_by_key; product routing's cell masses are keys from
+mass.product_rows, as in the product distance, divided by their sum.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,7 @@ from typing import Mapping, Sequence
 
 from . import exactlp
 from .intervals import DEFAULT_TOLERANCE, ZERO, as_fraction, brief, format_fraction
-from .mass import Focal, MassAssignment, as_focal
+from .mass import Focal, MassAssignment, as_focal, product_rows, sum_by_key
 
 
 class TruthLabel(Enum):
@@ -78,8 +81,7 @@ class TruthAssignment:
         return self.masses[TruthLabel(label)]
 
     def as_tuple(self, order: Sequence[TruthLabel] = DEFAULT_ORDER) -> tuple:
-        masses = self.masses
-        return tuple(masses[l] for l in order)
+        return tuple(self[l] for l in order)
 
     def __repr__(self):
         body = ", ".join(
@@ -90,13 +92,18 @@ class TruthAssignment:
         return f"TruthAssignment({body or '0'})"
 
 
+def _labels(m_a: MassAssignment, m_g: MassAssignment) -> list:
+    """The label table: every cell's truth_cell, claim-major."""
+    return [truth_cell(fa, fg) for fa, _ in m_a.entries for fg, _ in m_g.entries]
+
+
 def unify_product(m_a: MassAssignment, m_g: MassAssignment) -> TruthAssignment:
-    """Independent routing: each cell gets the product of its marginals."""
-    acc = {label: ZERO for label in TruthLabel}
-    for fa, ma in m_a.entries:
-        for fg, mg in m_g.entries:
-            acc[truth_cell(fa, fg)] += ma * mg
-    return TruthAssignment(acc)
+    """Independent routing: each cell gets the product of its normalised
+    marginals, summed per label as mass keys (see product_rows)."""
+    rows, _ = product_rows(m_a, m_g)
+    totals = sum_by_key(zip(_labels(m_a, m_g), (mass for _, _, mass in rows)))
+    whole = sum(totals.values())
+    return TruthAssignment({label: Fraction(t, whole) for label, t in totals.items()})
 
 
 def unify_maximal(
@@ -109,7 +116,7 @@ def unify_maximal(
     in the given preference order (BOTH, then TRUE, then FALSE, then
     UNKNOWN by default). Solved exactly; only label totals are returned,
     since optimal tables need not be unique."""
-    order = tuple(order)
+    order = tuple(map(TruthLabel, order))
     if sorted(order, key=lambda l: l.value) != sorted(TruthLabel, key=lambda l: l.value):
         raise ValueError("order must list each truth label exactly once")
 
@@ -117,10 +124,7 @@ def unify_maximal(
     supply = [m / m_a.total for _, m in m_a.entries]
     demand = [m / m_g.total for _, m in m_g.entries]
     cells = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
-    labels = [truth_cell(fa, fg) for fa, _ in m_a.entries for fg, _ in m_g.entries]
+    labels = _labels(m_a, m_g)
     costs = [tuple(-(label == o) for o in order) for label in labels]
-    totals = dict.fromkeys(TruthLabel, ZERO)
-    for label, x in zip(labels, exactlp.min_cost_flow(supply, demand, cells, costs)):
-        if x:
-            totals[label] += x
-    return TruthAssignment(totals)
+    flow = exactlp.min_cost_flow(supply, demand, cells, costs)
+    return TruthAssignment(sum_by_key(cell for cell in zip(labels, flow) if cell[1]))

@@ -41,7 +41,7 @@ from fdist.mass import (
     align_levels,
 )
 from fdist.specfile import _BOOL, _EMPTY_ENTRY, _ENTRY, _LABEL, _PART, _STEP, Rows, _rows
-from fdist.unification import DEFAULT_ORDER, TruthAssignment, truth_cell
+from fdist.unification import DEFAULT_ORDER, TruthAssignment, TruthLabel
 
 F = Fraction
 
@@ -87,14 +87,30 @@ def numeric_masses(draw, max_focals=4, allow_empty=True, lo=-8, hi=8, den=4):
     return MassAssignment((f, F(w, total)) for f, w in zip(focals, weights))
 
 
+def _den_masses(draw, k, den) -> list:
+    """k positive masses summing to 1, all but the last over den (a
+    denominator or a tuple of them)."""
+    dens = den if isinstance(den, tuple) else (den,)
+    masses = []
+    for _ in range(k - 1):  # each under 1/(2k) or 1/4, so the last stays positive
+        q = draw(st.sampled_from(dens))
+        masses.append(F(draw(st.integers(1, max(1, q // (2 * k)))), q))
+    return masses + [1 - sum(masses)]
+
+
 @st.composite
-def label_masses(draw, allow_empty=True):
-    """Masses over one to three label sets drawn from {a, b, c}."""
-    k = draw(st.integers(1, 3))
+def label_masses(draw, allow_empty=True, den=None, max_focals=3):
+    """Masses over one to max_focals label sets drawn from {a, b, c}:
+    weights over their sum, or, given den, masses over den as kernel_masses
+    draws them. Over WIDE_PRIME_DENS their common mass scale passes
+    intervals.MAX_SCALE_BITS as the focal count grows."""
+    k = draw(st.integers(1, max_focals))
     focals = [
         draw(st.frozensets(st.sampled_from("abc"), min_size=0 if allow_empty else 1))
         for _ in range(k)
     ]
+    if den is not None:
+        return MassAssignment(zip(focals, _den_masses(draw, k, den)))
     weights = [draw(st.integers(1, 8)) for _ in range(k)]
     total = sum(weights)
     return MassAssignment((f, F(w, total)) for f, w in zip(focals, weights))
@@ -107,18 +123,12 @@ def kernel_masses(draw, den=4, max_focals=4):
     and masses both over den (a denominator or a tuple of them). Over
     WIDE_PRIME_DENS the common denominators of the endpoints and of the
     masses each pass intervals.MAX_SCALE_BITS as the focal count grows."""
-    dens = den if isinstance(den, tuple) else (den,)
     k = draw(st.integers(1, max_focals))
     focals = [
         draw(interval_unions(max_parts=2, lo=-8, hi=8, den=den, allow_empty=True))
         for _ in range(k)
     ]
-    masses = []
-    for _ in range(k - 1):  # each under 1/(2k) or 1/4, so the last stays positive
-        q = draw(st.sampled_from(dens))
-        masses.append(F(draw(st.integers(1, max(1, q // (2 * k)))), q))
-    masses.append(1 - sum(masses))
-    return MassAssignment(zip(focals, masses))
+    return MassAssignment(zip(focals, _den_masses(draw, k, den)))
 
 
 def stacks(m: MassAssignment):
@@ -664,13 +674,38 @@ def oracle_lex_maximize(objectives, A, b):
     return values, x
 
 
+def oracle_truth_cell(a, g) -> TruthLabel:
+    """truth_cell on oracle_focal_issuperset and oracle_focal_intersects,
+    so no focal method of the package labels a cell."""
+    if oracle_focal_is_empty(g):
+        return TruthLabel.TRUE if oracle_focal_is_empty(a) else TruthLabel.UNKNOWN
+    if oracle_focal_is_empty(a):
+        return TruthLabel.BOTH
+    if oracle_focal_issuperset(a, g):
+        return TruthLabel.TRUE
+    if not oracle_focal_intersects(a, g):
+        return TruthLabel.FALSE
+    return TruthLabel.BOTH
+
+
+def oracle_unify_product(m_a, m_g) -> TruthAssignment:
+    """Product routing as one Fraction product per cell, over the entries,
+    divided by the product of the totals."""
+    acc = {label: ZERO for label in TruthLabel}
+    for fa, ma in m_a.entries:
+        for fg, mg in m_g.entries:
+            acc[oracle_truth_cell(fa, fg)] += ma * mg
+    whole = m_a.total * m_g.total
+    return TruthAssignment({label: mass / whole for label, mass in acc.items()})
+
+
 def oracle_unify_maximal(m_a, m_g, order=DEFAULT_ORDER) -> TruthAssignment:
     """Maximal routing as a dense LP: the transportation rows of the full
     label table and one 0/1 objective per label, maximized in order."""
     supply = [m / m_a.total for _, m in m_a.entries]
     demand = [m / m_g.total for _, m in m_g.entries]
     cells = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
-    labels = [truth_cell(fa, fg) for fa, _ in m_a.entries for fg, _ in m_g.entries]
+    labels = [oracle_truth_cell(fa, fg) for fa, _ in m_a.entries for fg, _ in m_g.entries]
     objectives = [[F(l == label) for l in labels] for label in order]
     values, _ = oracle_lex_maximize(objectives, *transportation(cells, supply, demand))
     return TruthAssignment(dict(zip(order, values)))

@@ -1,5 +1,6 @@
 import itertools
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from fdist.mass import (
     least_prejudiced,
     mass_from_discrete,
     max_likelihood_interval,
+    product_rows,
     slice_shape,
 )
 from helpers import (
@@ -596,6 +598,34 @@ class TestAlignLevels:
         assert all(isinstance(h, Fraction if scale is None else int) for _, _, h in rows)
         assert aligned(a, b) == oracle_align_levels(a, b)
         assert len(rows) == 2 * len(dens) + 1
+
+
+class TestProductRows:
+    @given(
+        (kernel_masses(den=4) | kernel_masses(den=WIDE_PRIME_DENS, max_focals=6)
+         | label_masses(den=WIDE_PRIME_DENS, max_focals=6)),
+        kernel_masses(den=WIDE_PRIME_DENS, max_focals=6) | label_masses(),
+    )
+    def test_each_row_is_the_product_of_two_masses(self, a, b):
+        rows, scale = product_rows(a, b)
+        assert isinstance(rows, types.GeneratorType)
+        assert [(i, j, unscaled(m, scale)) for i, j, m in rows] == [
+            (i, j, ma * mb)
+            for i, (_, ma) in enumerate(a.entries)
+            for j, (_, mb) in enumerate(b.entries)
+        ]
+
+    @pytest.mark.parametrize("dens", [COPRIME_DENS[:4], WIDE_PRIME_DENS[:4]], ids=["int", "wide"])
+    def test_keys_are_under_the_square_of_the_met_scale(self, dens):
+        # four wide primes have no integer common scale: the keys are the
+        # Fractions themselves; only the masses are read, whatever the kind
+        p, q, r, s = dens
+        a = MassAssignment([(iu((0, 1)), Fraction(1, p)), (iu((0, 2)), 1 - Fraction(1, p))])
+        masses_b = [Fraction(1, q), Fraction(1, r), Fraction(1, s)]
+        b = MassAssignment(zip([fs("x"), fs("y"), fs("z"), EMPTY], masses_b + [1 - sum(masses_b)]))
+        rows, scale = product_rows(a, b)
+        assert scale == (None if dens == WIDE_PRIME_DENS[:4] else (p * q * r * s) ** 2)
+        assert all(isinstance(m, Fraction if scale is None else int) for _, _, m in rows)
 
 
 def assert_slices_equal_cuts(shape, n):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdist.intervals import EMPTY, iu
-from fdist.mass import DiscreteFuzzySet, MassAssignment, mass_from_discrete
+from fdist.mass import DiscreteFuzzySet, MassAssignment, mass_from_discrete, product_rows
 from fdist.unification import (
     DEFAULT_ORDER,
     TruthAssignment,
@@ -15,7 +15,14 @@ from fdist.unification import (
     unify_maximal,
     unify_product,
 )
-from helpers import label_masses, numeric_masses, oracle_min_cost_flow, oracle_unify_maximal
+from helpers import (
+    WIDE_PRIME_DENS,
+    label_masses,
+    numeric_masses,
+    oracle_min_cost_flow,
+    oracle_unify_maximal,
+    oracle_unify_product,
+)
 
 F = Fraction
 
@@ -83,6 +90,27 @@ class TestUnifyProduct:
         g = MassAssignment([(iu((2, 4)), F(1, 2)), (iu((0, 6)), F(1, 2))])
         assert unify_product(a, g) == ta(true=F(1, 2), both=F(1, 2))
 
+    def test_masses_short_of_one_are_normalised(self):
+        # a total of 19/20, within a tolerance of 1/10: both routings divide
+        # by the totals, where the raw products summed to (19/20)**2
+        a = MassAssignment([(fs("x"), F(1, 2)), (fs("x", "y"), F(9, 20))], tolerance=F(1, 10))
+        assert a.total == F(19, 20)
+        assert unify_product(a, a) == ta(true=F(271, 361), both=F(90, 361))
+        assert unify_product(a, a) == oracle_unify_product(a, a)
+        assert unify_maximal(a, a) == ta(true=F(10, 19), both=F(9, 19))
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["int", "wide"])
+    def test_both_sides_of_the_scale_limit(self, wide):
+        # masses over four distinct primes past 2**20 have no integer
+        # common scale: the cells' mass keys are the Fractions themselves
+        p, q, r, s = WIDE_PRIME_DENS[:4] if wide else (7, 11, 13, 17)
+        masses_a, masses_g = [F(1, p), F(1, q)], [F(1, r), F(1, s)]
+        a = MassAssignment(zip([fs("a"), fs("a", "b"), EMPTY], masses_a + [1 - sum(masses_a)]))
+        g = MassAssignment(zip([fs("b"), fs("c"), fs("a")], masses_g + [1 - sum(masses_g)]))
+        _, scale = product_rows(a, g)
+        assert (scale is None) is wide
+        assert unify_product(a, g) == oracle_unify_product(a, g)
+
 
 class TestUnifyMaximal:
     def test_worked_example(self):
@@ -111,6 +139,27 @@ class TestUnifyMaximal:
         with pytest.raises(ValueError):
             unify_maximal(CLAIM, EVIDENCE, order=(TruthLabel.TRUE,) * 4)
 
+    def test_order_given_by_label_values(self):
+        by_value = unify_maximal(CLAIM, EVIDENCE, ["ft", "t", "f", "empty"])
+        assert by_value == unify_maximal(CLAIM, EVIDENCE)
+        with pytest.raises(ValueError, match="not a valid TruthLabel"):
+            unify_maximal(CLAIM, EVIDENCE, ["ft", "t", "f", "unknown"])
+
+
+class TestTruthAssignment:
+    def test_labels_given_by_value(self):
+        r = TruthAssignment({"t": "0.5", "f": "0.5"})
+        assert r["t"] == F(1, 2)
+        assert r.as_tuple(["t", "f", "ft", "empty"]) == (F(1, 2), F(1, 2), 0, 0)
+        assert r.as_tuple(["t", TruthLabel.FALSE]) == (F(1, 2), F(1, 2))
+
+    def test_bad_label_names_rejected(self):
+        r = TruthAssignment({"t": 1})
+        with pytest.raises(ValueError, match="not a valid TruthLabel"):
+            r["true"]
+        with pytest.raises(ValueError, match="not a valid TruthLabel"):
+            r.as_tuple(["t", "f", "ft", "both"])
+
 
 def test_bad_truth_sum_prints_briefly():
     with pytest.raises(ValueError, match=r"^truth masses sum to ~1\.07e-3817, expected 1$"):
@@ -124,6 +173,19 @@ def test_bad_truth_sum_prints_briefly():
 def test_outputs_sum_to_one(ma, mg):
     assert sum(unify_product(ma, mg).masses.values()) == 1
     assert sum(unify_maximal(ma, mg).masses.values()) == 1
+
+
+@given(
+    st.one_of(
+        st.tuples(label_masses(), label_masses()),
+        st.tuples(*[label_masses(den=WIDE_PRIME_DENS, max_focals=6)] * 2),
+        st.tuples(numeric_masses(), numeric_masses()),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_product_matches_fraction_oracle(pair):
+    ma, mg = pair
+    assert unify_product(ma, mg) == oracle_unify_product(ma, mg)
 
 
 @given(label_masses(), label_masses())
