@@ -5,7 +5,7 @@ here are either label sets (LabelSet, a frozenset with IntervalUnion's
 focal methods) or numeric IntervalUnions; the empty focal element of
 either kind is EMPTY, and as_focal brings a plain frozenset to this form.
 A fuzzy set with maximum membership below 1 puts the deficit on the empty
-set, so masses always total 1.
+set, so masses total 1: exactly in a result, within a tolerance in input.
 
 Each input's kind and slice count are decided here, once: a
 MassAssignment or SlicedAssignment refuses labels beside intervals
@@ -285,8 +285,8 @@ def sum_by_key(items: Iterable[tuple]) -> dict:
 
 def _checked_total(total: Fraction, tolerance: Fraction) -> Fraction:
     """total, the exact sum of the masses, which must lie within tolerance
-    of 1."""
-    if abs(total - 1) > tolerance:
+    of 1 and be positive: no normalisation reaches 1 from 0."""
+    if not total or abs(total - 1) > tolerance:
         raise ValueError(f"masses sum to {brief(total)}, expected 1")
     return total
 
@@ -299,7 +299,8 @@ class MassAssignment:
     """Canonical mass assignment: entries merged per focal element, zero
     masses dropped, every empty focal normalized to the one empty set,
     entries in key_order, masses summing to 1 (within the tolerance, for
-    inputs that arrive as rounded decimals). total is that exact sum.
+    inputs that arrive as rounded decimals; never 0). total is that exact
+    sum; results built from checked assignments are not checked again.
 
     An assignment is held as keys, as a SlicedAssignment is: per entry,
     the part keys of its focal element under _scale and the key of its
@@ -351,10 +352,10 @@ class MassAssignment:
         of each distinct focal element under scale (see focals_from_keys)
         mapped to its positive mass key under mass_scale. Stored keys and
         total come from that one dict, in key_order, and so do entries,
-        when read. Only the total is checked, as __init__ checks it at the
-        default tolerance."""
+        when read. Nothing is checked: the distance kernel has normalised
+        the masses, and to_mass's stack was checked when it was built."""
         keys = tuple((key, masses[key]) for key in sorted(masses, key=key_order))
-        total = _checked_total(unscaled(sum(masses.values()), mass_scale), DEFAULT_TOLERANCE)
+        total = unscaled(sum(masses.values()), mass_scale)
         self = object.__new__(cls)
         _set_fields(self, total, scale, mass_scale, keys, None)
         return self
@@ -379,7 +380,7 @@ class MassAssignment:
     @property
     def empty_mass(self) -> Fraction:
         # key_order puts the empty set, keyed (), last
-        if self._keys and not self._keys[-1][0]:
+        if not self._keys[-1][0]:
             return unscaled(self._keys[-1][1], self._mass_scale)
         return ZERO
 
@@ -533,9 +534,7 @@ class SlicedAssignment:
         for f, mass in slices:
             if mass <= 0:
                 raise ValueError(f"slice mass {brief(mass)} on {cut(str(f))} is not positive")
-        top = sum((mass for _, mass in slices), ZERO)
-        if top > 1:
-            raise ValueError(f"slice masses sum to {brief(top)}, over 1")
+        top = _checked_total(sum(mass for _, mass in slices), DEFAULT_TOLERANCE)
         d = endpoint_scale(f for f, _ in slices)
         w = common_scale(mass for _, mass in slices)
         keys = tuple((f.part_keys(d), scaled(mass, w)) for f, mass in slices)
@@ -685,16 +684,17 @@ def slice_shape(shape: PiecewiseShape, n: Optional[int] = None) -> SlicedAssignm
 
 def align_levels(a: SlicedAssignment, b: SlicedAssignment) -> tuple:
     """(rows, scale): a row (i, j, height) for each level range shared by
-    slice i of a and slice j of b, two stacks ending at the same level,
-    from one merge walk over the levels at which their slices end, summed
-    as mass keys under scale, where the stacks' mass scales meet (see
-    meet_scales). Each height is such a key."""
-    if a.top != b.top:
-        raise ValueError(
-            f"slice stacks end at different levels: {brief(a.top)} and {brief(b.top)}"
-        )
+    slice i of a and slice j of b, from one merge walk over the levels at
+    which their slices end, summed as mass keys under scale, where the
+    stacks' mass scales meet (see meet_scales). Each height is such a key.
+    Stacks ending at different levels meet at one top: each stack's keys
+    are multiplied by the other's top key, and an integer scale becomes
+    the product of the two, under which both stacks end at 1."""
     w = meet_scales(a._mass_scale, b._mass_scale)
     fa, fb = key_factor(a._mass_scale, w), key_factor(b._mass_scale, w)
+    if a.top != b.top:
+        ta, tb = scaled(a.top, w), scaled(b.top, w)
+        fa, fb, w = fa * tb, fb * ta, None if w is None else ta * tb
     masses_b = [mass * fb for _, mass in b._keys]
     shared, lo, hi_a, hi_b, j = [], 0, 0, 0, -1
     for i, (_, mass) in enumerate(a._keys):

@@ -125,7 +125,7 @@ def reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
     trivial flow), so a maximum flow must move all of it onto dst, over
     superset edges read from the stored part keys. Label sets and nonempty
     unions do not mix (TypeError); the empty set alone meets either kind."""
-    if len({m.is_numeric for m in (src, dst) if m._keys[:1] and m._keys[0][0]}) > 1:
+    if len({m.is_numeric for m in (src, dst) if m._keys[0][0]}) > 1:
         raise TypeError(MIXED_KINDS)  # key_order puts the empty set's () last
     if src.total != dst.total:
         return False

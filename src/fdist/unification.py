@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import exactlp
-from .intervals import DEFAULT_TOLERANCE, ZERO, as_fraction, brief, format_fraction
+from .intervals import ZERO, as_fraction, brief, format_fraction
 from .mass import Focal, MassAssignment, as_focal, product_rows, sum_by_key
 
 
@@ -55,8 +55,8 @@ def truth_cell(a: Focal, g: Focal) -> TruthLabel:
 
 @dataclass(frozen=True, init=False, repr=False, slots=True)
 class TruthAssignment:
-    """Mass over the four truth labels, summing to 1, kept as a tuple in
-    TruthLabel order."""
+    """Mass over the four truth labels, summing to exactly 1 (both routings
+    normalise), kept as a tuple in TruthLabel order."""
 
     _masses: tuple
 
@@ -67,7 +67,7 @@ class TruthAssignment:
         if any(m < 0 for m in acc.values()):
             raise ValueError("negative truth mass")
         total = sum(acc.values(), ZERO)
-        if abs(total - 1) > DEFAULT_TOLERANCE:
+        if total != 1:
             raise ValueError(f"truth masses sum to {brief(total)}, expected 1")
         object.__setattr__(self, "_masses", tuple(acc.values()))
 

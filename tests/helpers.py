@@ -137,6 +137,26 @@ def stacks(m: MassAssignment):
 
 
 @st.composite
+def moved_off_one(draw, m: MassAssignment, tolerance: Fraction) -> MassAssignment:
+    """m with one mass moved up or down by a nonzero gap of at most
+    tolerance, so its total lies within tolerance of 1 but is not 1."""
+    i = draw(st.integers(0, len(m) - 1))
+    gap = tolerance * draw(st.integers(-10, 10).filter(bool)) / 10
+    return MassAssignment(
+        (f, mass + gap if k == i else mass) for k, (f, mass) in enumerate(m.entries)
+    )
+
+
+def exactly_normalised(x):
+    """A mass or sliced assignment with each mass divided by its total, so
+    the masses total exactly 1: the input the distance kernel normalises
+    to."""
+    if isinstance(x, SlicedAssignment):
+        return SlicedAssignment((f, mass / x.top) for f, mass in x.slices)
+    return MassAssignment((f, mass / x.total) for f, mass in x.entries)
+
+
+@st.composite
 def nested_masses(draw, allow_empty=True):
     """Masses whose nonempty focal elements form a chain under inclusion."""
     lo = draw(frac(-8, 0, 2))

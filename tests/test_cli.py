@@ -756,8 +756,9 @@ class TestNumbersPastTheDigitLimit:
 
 
 class TestStacksEndingNearOne:
-    """A mass set whose total lies within the tolerance above 1 stacks at
-    that total: it pairs with itself, and not with a set ending lower."""
+    """A mass set whose total lies within the tolerance of 1 stacks at that
+    total, and is divided by it when it pairs: with itself, and with a set
+    ending lower."""
 
     @staticmethod
     def spec(tmp_path):
@@ -768,19 +769,63 @@ class TestStacksEndingNearOne:
                                              mass_set("B", "0.4999999999")]})
 
     def test_total_above_one_pairs_with_itself(self, capsys, tmp_path):
+        # 0.5000000001 and 0.5 over their total 1.0000000001
         doc = run_json(capsys, "distance", self.spec(tmp_path), "A", "A")
         assert doc["strategy"] == "diagonal"
-        assert entries(doc["mass"]) == [((("0", "1"),), "0.5000000001"), ((("0", "2"),), "0.5")]
+        assert entries(doc["mass"]) == [((("0", "1"),), "5000000001/10000000001"),
+                                        ((("0", "2"),), "5000000000/10000000001")]
 
-    def test_stacks_ending_at_different_levels_exit_two(self, capsys, tmp_path):
-        code, out, err = run(capsys, "distance", self.spec(tmp_path), "A", "B")
-        assert (code, out) == (2, "")
-        assert err == "fdist: slice stacks end at different levels: 1.0000000001 and 0.9999999999\n"
+    def test_stacks_ending_at_different_levels_pair(self, capsys, tmp_path):
+        # each set over its total: B's bottom slice, [0, 2], ends above A's, so
+        # the result's [0, 2] holds B's bottom slice and [0, 1] B's top slice
+        doc = run_json(capsys, "distance", self.spec(tmp_path), "A", "B")
+        assert doc["strategy"] == "diagonal"
+        assert entries(doc["mass"]) == [((("0", "1"),), "4999999999/9999999999"),
+                                        ((("0", "2"),), "5000000000/9999999999")]
+
+
+class TestTotalsNearOne:
+    """A set that totals 1 only within the tolerance loads, and then every
+    strategy, in either argument order, prints what it prints for the set
+    divided by its total, which totals exactly 1: three masses 0.333333333
+    at the default tolerance, and 0.5 and 0.45 at FDIST_TOLERANCE=0.1."""
+
+    CASES = {
+        "thirds": (None, [[[0, 3]], [[1, 2]], [[1, 1.5]]], ["0.333333333"] * 3, ["1/3"] * 3),
+        "short": ("0.1", [[[0, 2]], [[0, 1]]], ["0.5", "0.45"], ["10/19", "9/19"]),
+    }
+
+    @staticmethod
+    def spec(tmp_path, name, focals, masses):
+        near = [{"focal": f, "mass": m} for f, m in zip(focals, masses)]
+        one = [{"focal": [[0, 2]], "mass": "0.5"}, {"focal": [[0, 1]], "mass": "0.5"}]
+        return write_doc(tmp_path, {"sets": [{"name": "a", "kind": "mass", "entries": near},
+                                             {"name": "b", "kind": "mass", "entries": one}]}, name)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("names", [("a", "b"), ("b", "a"), ("a", "a")], ids="-".join)
+    @pytest.mark.parametrize("strategy", ["product", "diagonal", "antidiagonal"])
+    def test_every_strategy_prints_the_normalised_distance(
+        self, capsys, tmp_path, monkeypatch, case, names, strategy
+    ):
+        tolerance, focals, near, exact = self.CASES[case]
+        if tolerance is not None:
+            monkeypatch.setenv("FDIST_TOLERANCE", tolerance)
+        argv = [*names, "--strategy", strategy]
+        doc = run_json(capsys, "distance", self.spec(tmp_path, "near.json", focals, near), *argv)
+        assert sum(Fraction(e["mass"]) for e in doc["mass"]["entries"]) == 1
+        assert doc == run_json(
+            capsys, "distance", self.spec(tmp_path, "exact.json", focals, exact), *argv
+        )
 
 
 class TestNoEntries:
-    """A mass set whose only mass is 0, read at FDIST_TOLERANCE=1, has no
-    entries at all; each command treats it as it always has."""
+    """A mass set whose only mass is 0 is refused where it is read, even at
+    FDIST_TOLERANCE=1, which puts its total within reach of 1: no division
+    takes a total of 0 to 1. Every command on its document exits 2 and
+    prints nothing: no entries, no steps, no combination."""
+
+    REFUSED = "fdist: $.sets[0].entries: masses sum to 0, expected 1\n"
 
     @pytest.fixture
     def spec(self, tmp_path, monkeypatch):
@@ -791,25 +836,17 @@ class TestNoEntries:
         ]})
 
     def test_mass_has_no_entries_and_no_steps(self, capsys, spec):
-        doc = run_json(capsys, "mass", spec, "Z")
-        assert doc["mass"]["entries"] == [] and doc["fuzzy"] == []
+        assert run(capsys, "mass", spec, "Z") == (2, "", self.REFUSED)
 
-    @pytest.mark.parametrize("argv, message", [
-        (["defuzz", "Z"], "no numeric support to take a maximum over"),
-        (["distance", "Z", "N"], "slice stacks end at different levels: 0 and 1"),
-        (["distance", "Z", "N", "--strategy", "product"], "masses sum to 0, expected 1"),
+    @pytest.mark.parametrize("argv", [
+        ["defuzz", "Z"], ["distance", "Z", "N"], ["distance", "Z", "N", "--strategy", "product"],
     ], ids=["defuzz", "distance", "distance-product"])
-    def test_commands_needing_mass_exit_two(self, capsys, spec, argv, message):
-        code, out, err = run(capsys, argv[0], spec, *argv[1:])
-        assert (code, out, err) == (2, "", f"fdist: {message}\n")
+    def test_commands_needing_mass_exit_two(self, capsys, spec, argv):
+        assert run(capsys, argv[0], spec, *argv[1:]) == (2, "", self.REFUSED)
 
     @pytest.mark.parametrize("target, basis", [("Z", "N"), ("N", "Z")])
     def test_restrict_check_finds_no_combination(self, capsys, spec, target, basis):
-        doc = run_json(capsys, "restrict-check", spec, target, "--basis", basis)
-        assert doc["coefficients"] is None
-        assert doc["reachability"] == {
-            basis: {"basis_to_target": False, "target_to_basis": False}
-        }
+        assert run(capsys, "restrict-check", spec, target, "--basis", basis) == (2, "", self.REFUSED)
 
 
 class TestLongInputEchoedShort:

@@ -40,10 +40,12 @@ from helpers import (
     WIDE_PRIME_DENS,
     check_cell_against_grid,
     coprime_shapes,
+    exactly_normalised,
     frac,
     interval_unions,
     kernel_masses,
     label_masses,
+    moved_off_one,
     nested_masses,
     numeric_masses,
     oracle_assign_product,
@@ -418,13 +420,17 @@ class TestDistanceApi:
             same_as_oracle(result, oracle_paired(stack, other, directional))
         assert distance(m, m).strategy is Strategy.DIAGONAL
 
-    def test_stacks_ending_at_different_levels_rejected(self):
+    def test_stacks_ending_at_different_levels_meet(self):
         from fdist.distance import _paired
 
         a = SlicedAssignment.from_mass(MASS_A2)
-        b = SlicedAssignment([(iu((6, 10)), F(3, 4))])
-        with pytest.raises(ValueError, match="different levels"):
-            _paired(a, b)
+        # a stack ending within the tolerance below 1 pairs as its slices
+        # divided by its top
+        low = SlicedAssignment([(iu((6, 10)), H), (iu((7, 9)), H - DEFAULT_TOLERANCE)])
+        exact = exactly_normalised(low)
+        for met, oracle in ((_paired(a, low), oracle_paired(a, exact, False)),
+                            (_paired(low, a), oracle_paired(exact, a, False))):
+            assert met == oracle and met.total == 1
         # stacks with different boundaries but the same top pair directly
         b = SlicedAssignment.from_mass(
             MassAssignment([(iu((6, 10)), F(3, 4)), (iu((7, 9)), Q)])
@@ -805,37 +811,65 @@ class TestLookupsMatchEntries:
 
 
 class TestSumTolerance:
-    """Result masses skip MassAssignment's merge and sort, but not its check
-    that the masses total 1 within the tolerance."""
+    """Inputs total 1 within the tolerance, and results skip
+    MassAssignment's check: every result is the oracle's on the inputs
+    divided by their totals, and totals exactly 1."""
 
     @staticmethod
     def short_of_one(gap):
         return MassAssignment([(iu((0, 2)), H), (iu((0, 1)), H - gap)])
 
-    def test_product_past_the_tolerance_raises_as_the_oracle(self):
+    def test_product_past_the_tolerance_is_normalised(self):
+        # the product of the totals is past the tolerance: the oracle on the
+        # inputs as they are refuses it, the kernel divides it out
         m = self.short_of_one(F(6, 10**10))
         assert 1 - m.total * m.total > DEFAULT_TOLERANCE
-        with pytest.raises(ValueError) as expected:
+        with pytest.raises(ValueError, match="masses sum to "):
             oracle_assign_product(m, m, False)
-        with pytest.raises(ValueError) as info:
-            assign_product(m, m)
-        assert str(info.value) == str(expected.value)
-        assert str(info.value).startswith("masses sum to ")
+        n = exactly_normalised(m)
+        for directional in (False, True):
+            same_as_oracle(assign_product(m, m, directional), oracle_assign_product(n, n, directional))
 
     def test_product_within_the_tolerance_passes(self):
         m = self.short_of_one(F(4, 10**10))
         assert 1 - m.total * m.total <= DEFAULT_TOLERANCE
+        n = exactly_normalised(m)
         for directional in (False, True):
-            same_as_oracle(assign_product(m, m, directional), oracle_assign_product(m, m, directional))
+            result = assign_product(m, m, directional)
+            same_as_oracle(result, oracle_assign_product(n, n, directional))
+            assert result.mass.total == 1
 
     def test_paired_stacks_keep_their_total(self):
+        # the stack keeps the total it was given as its top; the result totals 1
         m = self.short_of_one(F(6, 10**10))
         s = SlicedAssignment.from_mass(m)
-        same_as_oracle(assign_diagonal(s, s), oracle_paired(s, s, False))
-        # a stack may end further below 1 than a mass assignment may total
-        low = SlicedAssignment([(iu((0, 2)), H), (iu((0, 1)), H - F(2, 10**9))])
-        with pytest.raises(ValueError) as expected:
-            oracle_paired(low, low, False)
-        with pytest.raises(ValueError) as info:
-            assign_diagonal(low, low)
-        assert str(info.value) == str(expected.value)
+        assert s.top == m.total != 1
+        n = exactly_normalised(s)
+        same_as_oracle(assign_diagonal(s, s), oracle_paired(n, n, False))
+        # a stack is held to the tolerance a mass assignment is
+        low = [(iu((0, 2)), H), (iu((0, 1)), H - F(2, 10**9))]
+        for build in (SlicedAssignment, MassAssignment):
+            with pytest.raises(ValueError, match="masses sum to 0.999999998, expected 1"):
+                build(low)
+
+    @DENS
+    @given(data=st.data(), directional=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_inputs_moved_off_one_give_the_normalised_oracle(self, den, data, directional):
+        ma, mb = (
+            data.draw(kernel_masses(den).flatmap(lambda m: moved_off_one(m, DEFAULT_TOLERANCE)))
+            for _ in range(2)
+        )
+        sa, sb = data.draw(stacks(ma)), data.draw(stacks(mb))
+        na, nb = exactly_normalised(ma), exactly_normalised(mb)
+        sna, snb = exactly_normalised(sa), exactly_normalised(sb)
+        for result, oracle in (
+            (assign_product(ma, mb, directional), oracle_assign_product(na, nb, directional)),
+            (distance(sa, sb, directional=directional, strategy=Strategy.PRODUCT),
+             oracle_assign_product(sna.to_mass(), snb.to_mass(), directional)),
+            (assign_diagonal(sa, sb, directional), oracle_paired(sna, snb, directional)),
+            (assign_antidiagonal(sa, sb, directional),
+             oracle_paired(sna, snb.reversed_levels(), directional)),
+        ):
+            same_as_oracle(result, oracle)
+            assert result.mass.total == sum(mass for _, mass in result.mass.entries) == 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdist.intervals import (
+    DEFAULT_TOLERANCE,
     EMPTY,
     MIXED_KINDS,
     Interval,
@@ -488,9 +489,13 @@ class TestSlicedAssignment:
 
         with pytest.raises(ValueError, match="is not positive"):
             SlicedAssignment(with_mass(data.draw(st.sampled_from([0, -mass]))))
-        excess = data.draw(st.integers(1, 8).map(lambda j: F(j, 10**9)))
-        with pytest.raises(ValueError, match="over 1"):
-            SlicedAssignment(with_mass(mass + excess))
+        # the top is held within the tolerance of 1, as a mass assignment's total
+        assert SlicedAssignment(with_mass(mass + DEFAULT_TOLERANCE)).top == 1 + DEFAULT_TOLERANCE
+        excess = data.draw(st.integers(2, 8).map(lambda j: F(j, 10**9)))
+        for off in (mass + excess, mass - excess):
+            if off > 0:
+                with pytest.raises(ValueError, match="masses sum to .*, expected 1"):
+                    SlicedAssignment(with_mass(off))
 
 
 def scanned_numeric(focals) -> bool:

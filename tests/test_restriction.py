@@ -467,10 +467,10 @@ class TestReachability:
             assert reachable_type1(m, empty)
             assert not reachable_type1(empty, m)
         assert reachable_type1(empty, empty)
-        # no entries at all: a zero mass read under a tolerance of 1
-        none = MassAssignment([(iu((0, 1)), 0)], tolerance=F(1))
-        for m in (labels, NESTED, empty):
-            assert not reachable_type1(m, none) and not reachable_type1(none, m)
+        # no assignment is left with no entries: a zero mass is refused even
+        # under a tolerance of 1, so every assignment has a first entry
+        with pytest.raises(ValueError, match="masses sum to 0, expected 1"):
+            MassAssignment([(iu((0, 1)), 0)], tolerance=F(1))
 
     @given(chain_pairs())
     @settings(max_examples=150, deadline=None)

@@ -153,6 +153,11 @@ class TestTruthAssignment:
         assert r.as_tuple(["t", "f", "ft", "empty"]) == (F(1, 2), F(1, 2), 0, 0)
         assert r.as_tuple(["t", TruthLabel.FALSE]) == (F(1, 2), F(1, 2))
 
+    def test_total_is_exactly_one(self):
+        # both routings normalise, so no tolerance is read here
+        with pytest.raises(ValueError, match=r"^truth masses sum to 0\.9999999999, expected 1$"):
+            TruthAssignment({"t": "0.5", "f": "0.4999999999"})
+
     def test_bad_label_names_rejected(self):
         r = TruthAssignment({"t": 1})
         with pytest.raises(ValueError, match="not a valid TruthLabel"):
