@@ -8,7 +8,8 @@ documents, so results can be fed back in as inputs. ``distance
 instead of the JSON document.
 
 Set ``FDIST_TOLERANCE`` to override the mass-sum validation tolerance
-(default 1e-9); values accept decimal or fraction syntax.
+(default 1e-9), in decimal or fraction syntax. Every set is divided by its
+total where it is read, so printed mass documents load at the default.
 
 Exit status: 0 on success, 2 on any input or computation error, or
 when stdout cannot be written (message on stderr).

@@ -27,10 +27,8 @@ keys on one scale by an integer factor (mass.keys_under at
 intervals.meet_scales). A cell's bounds are differences of those keys,
 folded onto the nonnegative axis unless directional and merged by
 intervals.merge_spans, and its mass key is summed into one dict keyed by
-the cell's keys. The keys over their sum are the result's masses, so every
-result totals exactly 1: an integer sum becomes the mass scale, and past
-MAX_SCALE_BITS, where a scale is None and the keys are the Fractions
-themselves, they are divided by a sum that is not 1.
+the cell's keys. Every set is divided by its total where it is read, so
+the row keys total 1 under their scale, and so does every result.
 MassAssignment._from_keys turns that dict into the result, which keeps its
 keys and scales, so its membership and density sweep them without scaling
 any endpoint again, and builds its entries only when they are read (see
@@ -105,14 +103,11 @@ def _cell_mass(
     """The mass assignment of rows (i, j, mass key under w): each row's
     mass lands on the cell between focal element i of a and j of b, read
     from their stored part keys where the two scales meet, summed per
-    distinct cell and normalised (see the module docstring)."""
+    distinct cell (see the module docstring)."""
     d = meet_scales(a._scale, b._scale)
     keys_a, keys_b = keys_under(a, d), keys_under(b, d)
     acc = sum_by_key((_cell(keys_a[i], keys_b[j], directional), mass) for i, j, mass in rows)
-    total = sum(acc.values())
-    if w is None and total != 1:
-        acc = {key: mass / total for key, mass in acc.items()}
-    return MassAssignment._from_keys(acc, d, None if w is None else total)
+    return MassAssignment._from_keys(acc, d, w)
 
 
 @dataclass(frozen=True)

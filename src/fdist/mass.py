@@ -5,7 +5,7 @@ here are either label sets (LabelSet, a frozenset with IntervalUnion's
 focal methods) or numeric IntervalUnions; the empty focal element of
 either kind is EMPTY, and as_focal brings a plain frozenset to this form.
 A fuzzy set with maximum membership below 1 puts the deficit on the empty
-set, so masses total 1: exactly in a result, within a tolerance in input.
+set; masses total exactly 1, each set divided by its total where it is read.
 
 Each input's kind and slice count are decided here, once: a
 MassAssignment or SlicedAssignment refuses labels beside intervals
@@ -80,7 +80,6 @@ from .intervals import (
     DEFAULT_TOLERANCE,
     EMPTY,
     MIXED_KINDS,
-    ONE,
     ZERO,
     Interval,
     IntervalUnion,
@@ -283,12 +282,25 @@ def sum_by_key(items: Iterable[tuple]) -> dict:
     return acc
 
 
-def _checked_total(total: Fraction, tolerance: Fraction) -> Fraction:
-    """total, the exact sum of the masses, which must lie within tolerance
-    of 1 and be positive: no normalisation reaches 1 from 0."""
-    if not total or abs(total - 1) > tolerance:
-        raise ValueError(f"masses sum to {brief(total)}, expected 1")
-    return total
+def _divided(pairs: tuple, keys: tuple, w: Optional[int], tolerance: Fraction) -> tuple:
+    """(mass scale, keys, pairs) of (focal, mass) pairs and their (part
+    keys, mass key) pairs under mass scale w, every mass divided by their
+    total, which must lie within tolerance of 1 and be positive. A total of
+    exactly 1 costs one sum of the keys; else an integer key sum becomes
+    the mass scale, or past MAX_SCALE_BITS (w None) the Fraction keys are
+    divided, and pairs are rebuilt with the divided masses."""
+    total = sum(mass for _, mass in keys)
+    if total == (1 if w is None else w):
+        return w, keys, pairs
+    exact = unscaled(total, w)
+    if not exact or abs(exact - 1) > tolerance:
+        raise ValueError(f"masses sum to {brief(exact)}, expected 1")
+    if w is None:
+        keys = tuple((key, mass / total) for key, mass in keys)
+    else:
+        w = total
+    at = _unscaler((mass for _, mass in keys), w)
+    return w, keys, tuple((f, at(mass)) for (f, _), (_, mass) in zip(pairs, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +310,9 @@ def _checked_total(total: Fraction, tolerance: Fraction) -> Fraction:
 class MassAssignment:
     """Canonical mass assignment: entries merged per focal element, zero
     masses dropped, every empty focal normalized to the one empty set,
-    entries in key_order, masses summing to 1 (within the tolerance, for
-    inputs that arrive as rounded decimals; never 0). total is that exact
-    sum; results built from checked assignments are not checked again.
+    entries in key_order, masses summing to exactly 1: an input within the
+    tolerance of 1 (never 0) is divided by its total here (_divided);
+    results built from assignments are not checked again.
 
     An assignment is held as keys, as a SlicedAssignment is: per entry,
     the part keys of its focal element under _scale and the key of its
@@ -312,7 +324,6 @@ class MassAssignment:
     hand, keeps them at once. Equality and hashing are those of entries,
     whatever the scales."""
 
-    total: Fraction
     _scale: Optional[int]
     _mass_scale: Optional[int]
     _keys: tuple
@@ -341,8 +352,8 @@ class MassAssignment:
         order = sorted(merged, key=key_order)
         w = common_scale(mass for _, mass in merged.values())
         keys = tuple((k, scaled(merged[k][1], w)) for k in order)
-        total = _checked_total(unscaled(sum(mass for _, mass in keys), w), tolerance)
-        _set_fields(self, total, d, w, keys, tuple(tuple(merged[k]) for k in order))
+        entries = tuple(tuple(merged[k]) for k in order)
+        _set_fields(self, d, *_divided(entries, keys, w, tolerance))
 
     @classmethod
     def _from_keys(
@@ -350,14 +361,13 @@ class MassAssignment:
     ) -> "MassAssignment":
         """The numeric assignment that masses holds as keys: the part keys
         of each distinct focal element under scale (see focals_from_keys)
-        mapped to its positive mass key under mass_scale. Stored keys and
-        total come from that one dict, in key_order, and so do entries,
-        when read. Nothing is checked: the distance kernel has normalised
-        the masses, and to_mass's stack was checked when it was built."""
+        mapped to its positive mass key under mass_scale. Stored keys come
+        from that one dict, in key_order, and so do entries, when read.
+        Nothing is checked: the masses total exactly 1, as the masses of
+        the distance kernel's inputs and of to_mass's stack do."""
         keys = tuple((key, masses[key]) for key in sorted(masses, key=key_order))
-        total = unscaled(sum(masses.values()), mass_scale)
         self = object.__new__(cls)
-        _set_fields(self, total, scale, mass_scale, keys, None)
+        _set_fields(self, scale, mass_scale, keys, None)
         return self
 
     @property
@@ -506,7 +516,7 @@ class SlicedAssignment:
 
     slices holds (focal, mass) pairs stacked bottom first from level 0,
     so each slice's levels are the sums of the masses below it and up to
-    it, and top is the sum of all of them. Duplicate focal elements stay
+    it, and the top one ends at 1 (see _divided). Duplicate focal elements stay
     as separate slices; conversion to a MassAssignment merges them.
     Slicing a fuzzy set produces focal elements that shrink as levels
     rise, but the type does not enforce that, since reversed stacks are
@@ -517,10 +527,9 @@ class SlicedAssignment:
     mass. slice_shape emits those keys directly, and slices is built from
     them on first read (_entries_from_keys), then kept; align_levels, the
     distance kernel, to_mass, is_normal and is_numeric read the keys
-    alone. Equality and hashing are those of (slices, top), whatever the
+    alone. Equality and hashing are those of slices, whatever the
     scales."""
 
-    top: Fraction
     _scale: Optional[int]
     _mass_scale: Optional[int]
     _keys: tuple
@@ -534,24 +543,22 @@ class SlicedAssignment:
         for f, mass in slices:
             if mass <= 0:
                 raise ValueError(f"slice mass {brief(mass)} on {cut(str(f))} is not positive")
-        top = _checked_total(sum(mass for _, mass in slices), DEFAULT_TOLERANCE)
         d = endpoint_scale(f for f, _ in slices)
         w = common_scale(mass for _, mass in slices)
         keys = tuple((f.part_keys(d), scaled(mass, w)) for f, mass in slices)
-        _set_fields(self, top, d, w, keys, slices)
+        _set_fields(self, d, *_divided(slices, keys, w, DEFAULT_TOLERANCE))
 
     @classmethod
     def _trusted(
-        cls, top: Fraction, scale: Optional[int], mass_scale: Optional[int], keys: tuple,
+        cls, scale: Optional[int], mass_scale: Optional[int], keys: tuple,
         slices: Optional[tuple] = None,
     ) -> "SlicedAssignment":
         """The stack already valid: keys holds, per slice, the part keys of
         a focal element under scale and the key of a positive mass under
-        mass_scale, top is the exact sum of the masses, and slices, when
-        given, holds the (focal, mass) pairs they stand for. Nothing is
-        checked."""
+        mass_scale, the masses totalling exactly 1, and slices, when given,
+        holds the (focal, mass) pairs they stand for. Nothing is checked."""
         self = object.__new__(cls)
-        _set_fields(self, top, scale, mass_scale, keys, slices)
+        _set_fields(self, scale, mass_scale, keys, slices)
         return self
 
     @classmethod
@@ -575,7 +582,7 @@ class SlicedAssignment:
                     " the product strategy does not"
                 )
         slices, keys = tuple(e for e, _ in stack), tuple(key for _, key in stack)
-        return cls._trusted(m.total, m._scale, m._mass_scale, keys, slices)
+        return cls._trusted(m._scale, m._mass_scale, keys, slices)
 
     @property
     def slices(self) -> tuple:
@@ -599,9 +606,7 @@ class SlicedAssignment:
     def reversed_levels(self) -> "SlicedAssignment":
         """Same slices stacked in the opposite order."""
         slices = None if self._slices is None else self._slices[::-1]
-        return SlicedAssignment._trusted(
-            self.top, self._scale, self._mass_scale, self._keys[::-1], slices
-        )
+        return SlicedAssignment._trusted(self._scale, self._mass_scale, self._keys[::-1], slices)
 
     def to_mass(self) -> MassAssignment:
         """The slices merged per focal element; a numeric stack goes from
@@ -613,13 +618,13 @@ class SlicedAssignment:
     def __eq__(self, other):
         if not isinstance(other, SlicedAssignment):
             return NotImplemented
-        return (self.slices, self.top) == (other.slices, other.top)
+        return self.slices == other.slices
 
     def __hash__(self):
-        return hash((self.slices, self.top))
+        return hash(self.slices)
 
     def __repr__(self):
-        return f"SlicedAssignment(slices={self.slices!r}, top={self.top!r})"
+        return f"SlicedAssignment(slices={self.slices!r})"
 
 
 def slice_shape(shape: PiecewiseShape, n: Optional[int] = None) -> SlicedAssignment:
@@ -648,7 +653,7 @@ def slice_shape(shape: PiecewiseShape, n: Optional[int] = None) -> SlicedAssignm
         raise ValueError(f"slice count {brief(n)} exceeds the limit {MAX_SLICES}")
     h = shape.height
     if h == 0:
-        return SlicedAssignment._trusted(ONE, 1, 1, (((), 1),))
+        return SlicedAssignment._trusted(1, 1, (((), 1),))
     step = h / n
     vs = [(x, m, math.ceil(m * n / h)) for x, m in shape.vertices]
     lines = []
@@ -679,22 +684,17 @@ def slice_shape(shape: PiecewiseShape, n: Optional[int] = None) -> SlicedAssignm
         keys.append((tuple(parts), step_key))
     if h < 1:
         keys.append(((), scaled(1 - h, w)))
-    return SlicedAssignment._trusted(ONE, d, w, tuple(keys))
+    return SlicedAssignment._trusted(d, w, tuple(keys))
 
 
 def align_levels(a: SlicedAssignment, b: SlicedAssignment) -> tuple:
     """(rows, scale): a row (i, j, height) for each level range shared by
     slice i of a and slice j of b, from one merge walk over the levels at
     which their slices end, summed as mass keys under scale, where the
-    stacks' mass scales meet (see meet_scales). Each height is such a key.
-    Stacks ending at different levels meet at one top: each stack's keys
-    are multiplied by the other's top key, and an integer scale becomes
-    the product of the two, under which both stacks end at 1."""
+    stacks' mass scales meet (see meet_scales). Each height is such a key,
+    and the heights total 1, where both stacks end."""
     w = meet_scales(a._mass_scale, b._mass_scale)
     fa, fb = key_factor(a._mass_scale, w), key_factor(b._mass_scale, w)
-    if a.top != b.top:
-        ta, tb = scaled(a.top, w), scaled(b.top, w)
-        fa, fb, w = fa * tb, fb * ta, None if w is None else ta * tb
     masses_b = [mass * fb for _, mass in b._keys]
     shared, lo, hi_a, hi_b, j = [], 0, 0, 0, -1
     for i, (_, mass) in enumerate(a._keys):

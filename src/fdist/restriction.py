@@ -6,7 +6,9 @@ elements onto their union and intersection. Reachability under type-1
 moves alone is a maximum flow over the superset edges, because containment
 is transitive: any chain of moves flattens into a direct routing from
 the original donors to the final receivers. The edges are read from the
-stored part keys on one scale (mass.keys_under, keys_contain).
+stored part keys on one scale (mass.keys_under, keys_contain). Every set
+is divided by its total where it is read, so sets that total 1 within the
+tolerance compare as their divided forms.
 """
 
 from dataclasses import dataclass
@@ -127,8 +129,6 @@ def reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
     unions do not mix (TypeError); the empty set alone meets either kind."""
     if len({m.is_numeric for m in (src, dst) if m._keys[0][0]}) > 1:
         raise TypeError(MIXED_KINDS)  # key_order puts the empty set's () last
-    if src.total != dst.total:
-        return False
     d = meet_scales(src._scale, dst._scale)
     outer, inner = keys_under(src, d), keys_under(dst, d)
     edges = [(i, j) for i, ks in enumerate(outer) for j, kd in enumerate(inner)
@@ -136,7 +136,7 @@ def reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
     flow = exactlp.min_cost_flow(
         [m for _, m in src.entries], [m for _, m in dst.entries], edges, [()] * len(edges)
     )
-    return sum(x for x in flow if x) == src.total
+    return sum(x for x in flow if x) == 1
 
 
 # ---------------------------------------------------------------------------

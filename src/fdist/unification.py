@@ -7,7 +7,8 @@ assignments as independent; maximal routing finds, by one min-cost flow,
 the lexicographically most informative joint distribution over the table.
 Both routings read one label table (_labels) and total it with
 mass.sum_by_key; product routing's cell masses are keys from
-mass.product_rows, as in the product distance, divided by their sum.
+mass.product_rows, as in the product distance; every set is divided by its
+total where it is read, so the label totals are the truth masses.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import exactlp
-from .intervals import ZERO, as_fraction, brief, format_fraction
+from .intervals import ZERO, as_fraction, brief, format_fraction, unscaled
 from .mass import Focal, MassAssignment, as_focal, product_rows, sum_by_key
 
 
@@ -56,7 +57,7 @@ def truth_cell(a: Focal, g: Focal) -> TruthLabel:
 @dataclass(frozen=True, init=False, repr=False, slots=True)
 class TruthAssignment:
     """Mass over the four truth labels, summing to exactly 1 (both routings
-    normalise), kept as a tuple in TruthLabel order."""
+    route masses that do), kept as a tuple in TruthLabel order."""
 
     _masses: tuple
 
@@ -98,12 +99,11 @@ def _labels(m_a: MassAssignment, m_g: MassAssignment) -> list:
 
 
 def unify_product(m_a: MassAssignment, m_g: MassAssignment) -> TruthAssignment:
-    """Independent routing: each cell gets the product of its normalised
-    marginals, summed per label as mass keys (see product_rows)."""
-    rows, _ = product_rows(m_a, m_g)
+    """Independent routing: each cell gets the product of its marginals,
+    summed per label as mass keys (see product_rows)."""
+    rows, scale = product_rows(m_a, m_g)
     totals = sum_by_key(zip(_labels(m_a, m_g), (mass for _, _, mass in rows)))
-    whole = sum(totals.values())
-    return TruthAssignment({label: Fraction(t, whole) for label, t in totals.items()})
+    return TruthAssignment({label: unscaled(t, scale) for label, t in totals.items()})
 
 
 def unify_maximal(
@@ -120,9 +120,9 @@ def unify_maximal(
     if sorted(order, key=lambda l: l.value) != sorted(TruthLabel, key=lambda l: l.value):
         raise ValueError("order must list each truth label exactly once")
 
-    # scale to exact marginals so the transportation problem is balanced
-    supply = [m / m_a.total for _, m in m_a.entries]
-    demand = [m / m_g.total for _, m in m_g.entries]
+    # both marginals total exactly 1, so the transportation problem is balanced
+    supply = [m for _, m in m_a.entries]
+    demand = [m for _, m in m_g.entries]
     cells = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
     labels = _labels(m_a, m_g)
     costs = [tuple(-(label == o) for o in order) for label in labels]

@@ -137,23 +137,31 @@ def stacks(m: MassAssignment):
 
 
 @st.composite
-def moved_off_one(draw, m: MassAssignment, tolerance: Fraction) -> MassAssignment:
-    """m with one mass moved up or down by a nonzero gap of at most
-    tolerance, so its total lies within tolerance of 1 but is not 1."""
+def moved_off_one(draw, m: MassAssignment, tolerance: Fraction) -> list:
+    """The raw (focal, mass) entries of m with one mass moved up or down by
+    a nonzero gap of at most tolerance, so they total within tolerance of 1
+    but not 1. Each mass stays positive when tolerance is under every
+    mass."""
     i = draw(st.integers(0, len(m) - 1))
     gap = tolerance * draw(st.integers(-10, 10).filter(bool)) / 10
-    return MassAssignment(
-        (f, mass + gap if k == i else mass) for k, (f, mass) in enumerate(m.entries)
-    )
+    return [(f, mass + gap if k == i else mass) for k, (f, mass) in enumerate(m.entries)]
 
 
-def exactly_normalised(x):
-    """A mass or sliced assignment with each mass divided by its total, so
-    the masses total exactly 1: the input the distance kernel normalises
-    to."""
-    if isinstance(x, SlicedAssignment):
-        return SlicedAssignment((f, mass / x.top) for f, mass in x.slices)
-    return MassAssignment((f, mass / x.total) for f, mass in x.entries)
+def exactly_normalised(pairs) -> list:
+    """(focal, mass) pairs with each mass divided by their sum, computed
+    here from the pairs, so they total exactly 1: the input that the mass
+    and sliced assignment constructors divide raw pairs into."""
+    pairs = list(pairs)
+    total = sum(mass for _, mass in pairs)
+    return [(f, mass / total) for f, mass in pairs]
+
+
+def totals_one(x) -> bool:
+    """Whether a mass or sliced assignment totals exactly 1: the masses of
+    its entries or slices, and its stored mass keys under their scale."""
+    pairs = x.slices if isinstance(x, SlicedAssignment) else x.entries
+    keys = sum(mass for _, mass in x._keys)
+    return sum(mass for _, mass in pairs) == 1 == unscaled(keys, x._mass_scale)
 
 
 @st.composite
@@ -710,20 +718,20 @@ def oracle_truth_cell(a, g) -> TruthLabel:
 
 def oracle_unify_product(m_a, m_g) -> TruthAssignment:
     """Product routing as one Fraction product per cell, over the entries,
-    divided by the product of the totals."""
+    which total exactly 1: TruthAssignment refuses label masses that do
+    not."""
     acc = {label: ZERO for label in TruthLabel}
     for fa, ma in m_a.entries:
         for fg, mg in m_g.entries:
             acc[oracle_truth_cell(fa, fg)] += ma * mg
-    whole = m_a.total * m_g.total
-    return TruthAssignment({label: mass / whole for label, mass in acc.items()})
+    return TruthAssignment(acc)
 
 
 def oracle_unify_maximal(m_a, m_g, order=DEFAULT_ORDER) -> TruthAssignment:
     """Maximal routing as a dense LP: the transportation rows of the full
     label table and one 0/1 objective per label, maximized in order."""
-    supply = [m / m_a.total for _, m in m_a.entries]
-    demand = [m / m_g.total for _, m in m_g.entries]
+    supply = [m for _, m in m_a.entries]
+    demand = [m for _, m in m_g.entries]
     cells = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
     labels = [oracle_truth_cell(fa, fg) for fa, _ in m_a.entries for fg, _ in m_g.entries]
     objectives = [[F(l == label) for l in labels] for label in order]

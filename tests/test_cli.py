@@ -494,7 +494,8 @@ class TestErrorsAndEnvironment:
         monkeypatch.setenv("FDIST_TOLERANCE", "0.01")
         code, out, err = run(capsys, "mass", spec, "m")
         assert code == 0
-        assert json.loads(out)["mass"]["entries"][0]["mass"] == "0.999"
+        # loaded at the wider tolerance, and divided by its total
+        assert json.loads(out)["mass"]["entries"][0]["mass"] == "1"
 
     def test_tolerance_env_must_be_numeric(self, capsys, monkeypatch):
         monkeypatch.setenv("FDIST_TOLERANCE", "tiny")
@@ -756,9 +757,9 @@ class TestNumbersPastTheDigitLimit:
 
 
 class TestStacksEndingNearOne:
-    """A mass set whose total lies within the tolerance of 1 stacks at that
-    total, and is divided by it when it pairs: with itself, and with a set
-    ending lower."""
+    """A mass set whose total lies within the tolerance of 1 is divided by
+    that total where it is read, and pairs as the divided set: with itself,
+    and with a set that ended lower before division."""
 
     @staticmethod
     def spec(tmp_path):
@@ -785,10 +786,12 @@ class TestStacksEndingNearOne:
 
 
 class TestTotalsNearOne:
-    """A set that totals 1 only within the tolerance loads, and then every
-    strategy, in either argument order, prints what it prints for the set
-    divided by its total, which totals exactly 1: three masses 0.333333333
-    at the default tolerance, and 0.5 and 0.45 at FDIST_TOLERANCE=0.1."""
+    """A set that totals 1 only within the tolerance loads, divided by its
+    total where it is read, and then every strategy, in either argument
+    order, and restrict-check, mass and defuzz print what they print for the
+    set divided by its total, which totals exactly 1: three masses
+    0.333333333 at the default tolerance, and 0.5 and 0.45 at
+    FDIST_TOLERANCE=0.1."""
 
     CASES = {
         "thirds": (None, [[[0, 3]], [[1, 2]], [[1, 1.5]]], ["0.333333333"] * 3, ["1/3"] * 3),
@@ -796,11 +799,18 @@ class TestTotalsNearOne:
     }
 
     @staticmethod
-    def spec(tmp_path, name, focals, masses):
-        near = [{"focal": f, "mass": m} for f, m in zip(focals, masses)]
-        one = [{"focal": [[0, 2]], "mass": "0.5"}, {"focal": [[0, 1]], "mass": "0.5"}]
-        return write_doc(tmp_path, {"sets": [{"name": "a", "kind": "mass", "entries": near},
-                                             {"name": "b", "kind": "mass", "entries": one}]}, name)
+    def doc(tmp_path, name, sets):
+        """A document of mass sets, each given as (focal, mass) pairs."""
+        return write_doc(tmp_path, {"sets": [
+            {"name": set_name, "kind": "mass",
+             "entries": [{"focal": f, "mass": m} for f, m in entries]}
+            for set_name, entries in sets.items()
+        ]}, name)
+
+    @classmethod
+    def spec(cls, tmp_path, name, focals, masses):
+        one = [([[0, 2]], "0.5"), ([[0, 1]], "0.5")]
+        return cls.doc(tmp_path, name, {"a": zip(focals, masses), "b": one})
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("names", [("a", "b"), ("b", "a"), ("a", "a")], ids="-".join)
@@ -817,6 +827,44 @@ class TestTotalsNearOne:
         assert doc == run_json(
             capsys, "distance", self.spec(tmp_path, "exact.json", focals, exact), *argv
         )
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_restrict_check_finds_the_divided_set(self, capsys, tmp_path, monkeypatch, case):
+        # three masses 0.333333333 against the same set written as 1/3, and
+        # 0.5 and 0.45 at FDIST_TOLERANCE=0.1 against 10/19 and 9/19: each
+        # is the other's combination, and reaches it
+        tolerance, focals, near, exact = self.CASES[case]
+        if tolerance is not None:
+            monkeypatch.setenv("FDIST_TOLERANCE", tolerance)
+        spec = self.doc(tmp_path, "near.json",
+                        {"near": zip(focals, near), "exact": zip(focals, exact)})
+        divided = self.doc(tmp_path, "divided.json",
+                           {"near": zip(focals, exact), "exact": zip(focals, exact)})
+        for target, basis in (("near", "exact"), ("exact", "near")):
+            doc = run_json(capsys, "restrict-check", spec, target, "--basis", basis)
+            assert doc["coefficients"] == ["1"]
+            assert doc["reachability"][basis] == {"basis_to_target": True, "target_to_basis": True}
+            assert doc == run_json(capsys, "restrict-check", divided, target, "--basis", basis)
+
+    def test_mass_round_trips_at_the_default_tolerance(self, capsys, tmp_path, monkeypatch):
+        # printed at FDIST_TOLERANCE=0.01, the set reads back at the default
+        # tolerance, and prints unchanged
+        monkeypatch.setenv("FDIST_TOLERANCE", "0.01")
+        spec = self.doc(tmp_path, "near.json", {"m": [([[0, 1]], "0.5"), ([[0, 2]], "0.499")]})
+        first = run_json(capsys, "mass", spec, "m")
+        assert [e["mass"] for e in first["mass"]["entries"]] == ["500/999", "499/999"]
+        monkeypatch.delenv("FDIST_TOLERANCE")
+        printed = write_doc(tmp_path, {"sets": [first["mass"]]}, "printed.json")
+        assert run_json(capsys, "mass", printed, "m") == first
+
+    def test_defuzz_reads_the_divided_empty_mass(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FDIST_TOLERANCE", "0.01")
+        near = self.doc(tmp_path, "near.json", {"m": [([[0, 1]], "0.5"), ([], "0.499")]})
+        divided = self.doc(tmp_path, "divided.json",
+                           {"m": [([[0, 1]], "500/999"), ([], "499/999")]})
+        doc = run_json(capsys, "defuzz", near, "m")
+        assert doc["unassigned"] == "499/999"
+        assert doc == run_json(capsys, "defuzz", divided, "m")
 
 
 class TestNoEntries:

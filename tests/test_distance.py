@@ -55,6 +55,7 @@ from helpers import (
     oracle_paired,
     piecewise_shapes,
     stacks,
+    totals_one,
 )
 
 F = Fraction
@@ -424,14 +425,15 @@ class TestDistanceApi:
         from fdist.distance import _paired
 
         a = SlicedAssignment.from_mass(MASS_A2)
-        # a stack ending within the tolerance below 1 pairs as its slices
-        # divided by its top
-        low = SlicedAssignment([(iu((6, 10)), H), (iu((7, 9)), H - DEFAULT_TOLERANCE)])
-        exact = exactly_normalised(low)
+        # slices ending within the tolerance below 1 are divided by their
+        # total where they are read, and pair as the divided stack
+        raw = [(iu((6, 10)), H), (iu((7, 9)), H - DEFAULT_TOLERANCE)]
+        low, exact = SlicedAssignment(raw), SlicedAssignment(exactly_normalised(raw))
+        assert low == exact and totals_one(low)
         for met, oracle in ((_paired(a, low), oracle_paired(a, exact, False)),
                             (_paired(low, a), oracle_paired(exact, a, False))):
-            assert met == oracle and met.total == 1
-        # stacks with different boundaries but the same top pair directly
+            assert met == oracle and totals_one(met)
+        # stacks with different slice boundaries pair on their shared levels
         b = SlicedAssignment.from_mass(
             MassAssignment([(iu((6, 10)), F(3, 4)), (iu((7, 9)), Q)])
         )
@@ -644,14 +646,14 @@ class TestProperties:
     @given(numeric_masses(), numeric_masses())
     @settings(max_examples=40)
     def test_product_mass_conserved(self, ma, mb):
-        assert assign_product(ma, mb).mass.total == 1
+        assert totals_one(assign_product(ma, mb).mass)
 
     @given(nested_masses(), nested_masses())
     @settings(max_examples=40)
     def test_strategies_conserve_mass(self, ma, mb):
         sa, sb = SlicedAssignment.from_mass(ma), SlicedAssignment.from_mass(mb)
-        assert assign_diagonal(sa, sb).mass.total == 1
-        assert assign_antidiagonal(sa, sb).mass.total == 1
+        assert totals_one(assign_diagonal(sa, sb).mass)
+        assert totals_one(assign_antidiagonal(sa, sb).mass)
 
     @given(
         nested_masses(allow_empty=False),
@@ -674,11 +676,11 @@ class TestProperties:
 
 def same_as_oracle(result: DistanceResult, oracle: MassAssignment):
     """Exactly the oracle's mass assignment: entries in the same order with
-    the same masses, equal and hashing alike, the same total and lookups,
-    the same membership."""
+    the same masses, equal and hashing alike, both totalling exactly 1, the
+    same lookups, the same membership."""
     assert result.mass.entries == oracle.entries
     assert result.mass == oracle and hash(result.mass) == hash(oracle)
-    assert result.mass.total == oracle.total
+    assert totals_one(result.mass) and totals_one(oracle)
     assert all(result.mass.mass_of(f) == m for f, m in oracle.entries)
     assert result.mass.empty_mass == oracle.empty_mass
     assert result.fuzzy == fuzzy_from_mass(oracle)
@@ -811,40 +813,43 @@ class TestLookupsMatchEntries:
 
 
 class TestSumTolerance:
-    """Inputs total 1 within the tolerance, and results skip
-    MassAssignment's check: every result is the oracle's on the inputs
-    divided by their totals, and totals exactly 1."""
+    """Inputs total 1 within the tolerance, and are divided by their totals
+    where they are read: every result is the oracle's on the inputs built
+    from the divided masses, and totals exactly 1."""
 
     @staticmethod
     def short_of_one(gap):
-        return MassAssignment([(iu((0, 2)), H), (iu((0, 1)), H - gap)])
+        return [(iu((0, 2)), H), (iu((0, 1)), H - gap)]
 
     def test_product_past_the_tolerance_is_normalised(self):
-        # the product of the totals is past the tolerance: the oracle on the
-        # inputs as they are refuses it, the kernel divides it out
-        m = self.short_of_one(F(6, 10**10))
-        assert 1 - m.total * m.total > DEFAULT_TOLERANCE
+        # the products of the raw masses total past the tolerance: they are
+        # refused as they are, and reach 1 only as products of divided masses
+        raw = self.short_of_one(F(6, 10**10))
         with pytest.raises(ValueError, match="masses sum to "):
-            oracle_assign_product(m, m, False)
-        n = exactly_normalised(m)
+            MassAssignment((fa, ma * mb) for fa, ma in raw for _, mb in raw)
+        m, n = MassAssignment(raw), MassAssignment(exactly_normalised(raw))
+        assert m == n and totals_one(m)
         for directional in (False, True):
             same_as_oracle(assign_product(m, m, directional), oracle_assign_product(n, n, directional))
 
     def test_product_within_the_tolerance_passes(self):
-        m = self.short_of_one(F(4, 10**10))
-        assert 1 - m.total * m.total <= DEFAULT_TOLERANCE
-        n = exactly_normalised(m)
+        # the products of the raw masses total within the tolerance, and
+        # load as the products of the divided masses
+        raw = self.short_of_one(F(4, 10**10))
+        m, n = MassAssignment(raw), MassAssignment(exactly_normalised(raw))
+        assert m == n and totals_one(m)
+        products = MassAssignment((fa, ma * mb) for fa, ma in raw for _, mb in raw)
+        assert products == MassAssignment((fa, ma * mb) for fa, ma in n for _, mb in n)
         for directional in (False, True):
-            result = assign_product(m, m, directional)
-            same_as_oracle(result, oracle_assign_product(n, n, directional))
-            assert result.mass.total == 1
+            same_as_oracle(assign_product(m, m, directional), oracle_assign_product(n, n, directional))
 
-    def test_paired_stacks_keep_their_total(self):
-        # the stack keeps the total it was given as its top; the result totals 1
-        m = self.short_of_one(F(6, 10**10))
-        s = SlicedAssignment.from_mass(m)
-        assert s.top == m.total != 1
-        n = exactly_normalised(s)
+    def test_paired_stacks_are_divided_by_their_total(self):
+        # a stack from a set short of 1 holds its divided masses, as the set
+        # does; the result totals 1
+        raw = self.short_of_one(F(6, 10**10))
+        s = SlicedAssignment.from_mass(MassAssignment(raw))
+        n = SlicedAssignment(exactly_normalised(raw))
+        assert s == n == SlicedAssignment(raw) and totals_one(s)
         same_as_oracle(assign_diagonal(s, s), oracle_paired(n, n, False))
         # a stack is held to the tolerance a mass assignment is
         low = [(iu((0, 2)), H), (iu((0, 1)), H - F(2, 10**9))]
@@ -856,13 +861,16 @@ class TestSumTolerance:
     @given(data=st.data(), directional=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_inputs_moved_off_one_give_the_normalised_oracle(self, den, data, directional):
-        ma, mb = (
+        raw_a, raw_b = (
             data.draw(kernel_masses(den).flatmap(lambda m: moved_off_one(m, DEFAULT_TOLERANCE)))
             for _ in range(2)
         )
-        sa, sb = data.draw(stacks(ma)), data.draw(stacks(mb))
-        na, nb = exactly_normalised(ma), exactly_normalised(mb)
-        sna, snb = exactly_normalised(sa), exactly_normalised(sb)
+        raw_sa, raw_sb = (data.draw(st.permutations(raw)) for raw in (raw_a, raw_b))
+        ma, mb = MassAssignment(raw_a), MassAssignment(raw_b)
+        sa, sb = SlicedAssignment(raw_sa), SlicedAssignment(raw_sb)
+        na, nb = (MassAssignment(exactly_normalised(raw)) for raw in (raw_a, raw_b))
+        sna, snb = (SlicedAssignment(exactly_normalised(raw)) for raw in (raw_sa, raw_sb))
+        assert (ma, mb, sa, sb) == (na, nb, sna, snb)
         for result, oracle in (
             (assign_product(ma, mb, directional), oracle_assign_product(na, nb, directional)),
             (distance(sa, sb, directional=directional, strategy=Strategy.PRODUCT),
@@ -872,4 +880,3 @@ class TestSumTolerance:
              oracle_paired(sna, snb.reversed_levels(), directional)),
         ):
             same_as_oracle(result, oracle)
-            assert result.mass.total == sum(mass for _, mass in result.mass.entries) == 1

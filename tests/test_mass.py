@@ -1,7 +1,9 @@
 import itertools
+import pickle
 import time
 import types
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -46,10 +48,12 @@ from helpers import (
     WIDE_PRIME_DENS,
     aligned,
     coprime_shapes,
+    exactly_normalised,
     frac,
     interval_unions,
     kernel_masses,
     label_masses,
+    moved_off_one,
     nested_masses,
     numeric_masses,
     oracle_align_levels,
@@ -67,6 +71,7 @@ from helpers import (
     oracle_mu,
     piecewise_shapes,
     stacks,
+    totals_one,
 )
 
 F = Fraction
@@ -147,9 +152,11 @@ class TestMassAssignment:
             MassAssignment([(iu((1, 5)), tiny)])
 
     def test_tolerance_allows_rounded_sums(self):
+        # three rounded thirds load, each divided by their total into 1/3
         third = F(3333333333, 10**10)
         m = MassAssignment([(iu((i, i)), third) for i in range(3)], tolerance=F(1, 10**6))
-        assert m.total == 3 * third
+        assert m.entries == tuple((iu((i, i)), F(1, 3)) for i in range(3))
+        assert totals_one(m)
 
     def test_empty_focal_normalized(self):
         m = MassAssignment([(fs("a"), H), (fs(), F(1, 4)), (EMPTY, F(1, 4))])
@@ -202,6 +209,66 @@ FOCAL_METHODS = {
     "union": oracle_focal_union,
     "intersection": oracle_focal_intersection,
 }
+
+
+def assert_divided(built, pairs):
+    """built, a mass or sliced assignment read from raw pairs, is the one
+    built from pairs, the raw pairs divided by their total: equal, hashing
+    alike, with one repr, entries or slices, and pickle, and totalling 1."""
+    divided = type(built)(pairs)
+    view = attrgetter("slices" if isinstance(built, SlicedAssignment) else "entries")
+    twin = pickle.loads(pickle.dumps(built))
+    for value in (built, twin):
+        assert value == divided and hash(value) == hash(divided)
+        assert repr(value) == repr(divided) and view(value) == view(divided)
+        assert totals_one(value)
+    assert twin._keys == built._keys and twin._mass_scale == built._mass_scale
+
+
+class TestDividedWhereRead:
+    """Masses within the tolerance of 1 are divided by their total by the
+    constructors, where the tolerance is read, on label sets and unions, on
+    either side of MAX_SCALE_BITS."""
+
+    ASSIGNMENTS = (
+        label_masses()
+        | label_masses(den=WIDE_PRIME_DENS, max_focals=6)
+        | kernel_masses(den=4)
+        | kernel_masses(den=WIDE_PRIME_DENS, max_focals=6)
+    )
+
+    @given(ASSIGNMENTS, st.sampled_from([DEFAULT_TOLERANCE, F(1, 10**7)]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_raw_masses_build_the_divided_assignment(self, m, tolerance, data):
+        raw = data.draw(moved_off_one(m, tolerance))
+        assert_divided(MassAssignment(raw, tolerance=tolerance), exactly_normalised(raw))
+        raw = data.draw(moved_off_one(m, DEFAULT_TOLERANCE))
+        assert_divided(SlicedAssignment(raw), exactly_normalised(raw))
+
+    def test_label_sets_keep_their_focal_elements(self):
+        # a label set's entries are built from the given focal elements and
+        # the divided masses, not rebuilt from the keys
+        raw = [(fs("x"), H), (fs("x", "y"), F(9, 20))]
+        m = MassAssignment(raw, tolerance=F(1, 10))
+        assert repr(m) == "MassAssignment({x}:10/19, {x,y}:9/19)"
+        assert_divided(m, exactly_normalised(raw))
+        stack = [(fs("x", "y"), H), (fs("x"), H - F(1, 10**10))]
+        assert_divided(SlicedAssignment(stack), exactly_normalised(stack))
+
+    def test_the_key_sum_becomes_the_mass_scale(self):
+        # 1/2 and 9/20 are 10 and 9 over 20, so 10/19 and 9/19 over 19
+        m = MassAssignment([(iu((0, 1)), H), (iu((0, 2)), F(9, 20))], tolerance=F(1, 10))
+        assert (m._mass_scale, [mass for _, mass in m._keys]) == (19, [10, 9])
+
+    def test_fraction_keys_past_the_scale_limit_are_divided(self):
+        # masses over four wide primes and 10**10 have no integer common
+        # scale: the keys are the Fractions, each divided by the total
+        masses = [F(1, q) for q in WIDE_PRIME_DENS[:4]]
+        raw = [(iu((0, 8 - k)), mass) for k, mass in enumerate(masses + [1 - sum(masses)])]
+        raw[-1] = (raw[-1][0], raw[-1][1] - F(1, 10**10))
+        for built in (MassAssignment(raw), SlicedAssignment(raw)):
+            assert built._mass_scale is None
+            assert_divided(built, exactly_normalised(raw))
 
 
 class TestFocalInterface:
@@ -330,7 +397,7 @@ class TestMassFromDiscrete:
     )
     def test_sums_to_one_and_nested(self, grades):
         m = mass_from_discrete(DiscreteFuzzySet(grades))
-        assert m.total == 1
+        assert totals_one(m)
         nonempty = sorted(
             (f for f in m.focals() if f != EMPTY), key=len
         )
@@ -368,7 +435,7 @@ class TestSliceShape:
         s = slice_shape(shape, 1)
         assert s.to_mass() == MassAssignment([(iu((0, 2)), H), (EMPTY, H)])
         assert s.slices[-1] == (EMPTY, H)
-        assert s.top == 1
+        assert totals_one(s)
 
     def test_bimodal_shape_slices_to_union(self):
         # two crisp humps over a half-height plateau
@@ -399,7 +466,7 @@ class TestSliceShape:
     @given(st.integers(1, 12))
     def test_slices_nested_and_total_one(self, n):
         s = slice_shape(TRIANGLE_A, n)
-        assert s.to_mass().total == 1
+        assert totals_one(s) and totals_one(s.to_mass())
         focals = [f for f, _ in s.slices]
         for big, small in zip(focals, focals[1:]):
             assert small.issubset(big)
@@ -432,7 +499,7 @@ class TestSlicedAssignment:
             (iu((1, 2), (4, 5)), Q),
             (iu((1, 2)), Q),
         )
-        assert s.top == 1
+        assert totals_one(s)
 
     def test_from_mass_puts_empty_on_top(self):
         m = MassAssignment([(iu((1, 4)), H), (EMPTY, H)])
@@ -467,7 +534,7 @@ class TestSlicedAssignment:
         )
         r = s.reversed_levels()
         assert r.slices == ((iu((2, 4)), Q), (iu((1, 5)), F(3, 4)))
-        assert r.top == 1
+        assert totals_one(r)
 
     @given(
         st.one_of(
@@ -478,7 +545,7 @@ class TestSlicedAssignment:
     )
     def test_constructor_round_trips_and_rejects_invalid_stacks(self, s, data):
         rebuilt = SlicedAssignment(s.slices)
-        assert rebuilt == s and rebuilt.top == s.top == 1
+        assert rebuilt == s and totals_one(rebuilt) and totals_one(s)
         with pytest.raises(ValueError, match="at least one slice"):
             SlicedAssignment(())
         k = data.draw(st.integers(0, len(s.slices) - 1))
@@ -489,8 +556,11 @@ class TestSlicedAssignment:
 
         with pytest.raises(ValueError, match="is not positive"):
             SlicedAssignment(with_mass(data.draw(st.sampled_from([0, -mass]))))
-        # the top is held within the tolerance of 1, as a mass assignment's total
-        assert SlicedAssignment(with_mass(mass + DEFAULT_TOLERANCE)).top == 1 + DEFAULT_TOLERANCE
+        # a stack within the tolerance of 1 is divided by its total, as a
+        # mass assignment is
+        near = with_mass(mass + DEFAULT_TOLERANCE)
+        divided = SlicedAssignment(near)
+        assert divided == SlicedAssignment(exactly_normalised(near)) and totals_one(divided)
         excess = data.draw(st.integers(2, 8).map(lambda j: F(j, 10**9)))
         for off in (mass + excess, mass - excess):
             if off > 0:
@@ -639,7 +709,7 @@ def assert_slices_equal_cuts(shape, n):
     empty slice on top."""
     h = shape.height
     s = slice_shape(shape, n)
-    assert s.top == 1
+    assert totals_one(s)
     if h == 0:
         assert s.slices == ((EMPTY, 1),)
         return
@@ -875,7 +945,7 @@ class TestLeastPrejudiced:
                 least_prejudiced(m)
             return
         d = least_prejudiced(m)
-        assert d.integral + d.unassigned == m.total
+        assert d.integral + d.unassigned == 1
 
 
 class TestSweepMatchesOracle:

@@ -38,6 +38,7 @@ from helpers import (
     random_triangle,
     scaled_triangle,
     shifted_shape,
+    totals_one,
 )
 
 F = Fraction
@@ -135,7 +136,7 @@ class TestType1:
             return
         donor, held = donors[0]
         out = apply_type1(m, donor, EMPTY, held)
-        assert out.total == 1
+        assert totals_one(out)
 
 
 class TestMessagesStayShort:
@@ -421,12 +422,22 @@ class TestReachability:
         moved = apply_type1(m, donor, EMPTY, held * H)
         assert reachable_type1(m, moved)
 
-    def test_unequal_totals_never_reach(self):
-        # both sums pass the mass tolerance, but no routing meets both
+    def test_totals_within_the_tolerance_reach_as_divided(self):
+        # both sums pass the mass tolerance and are divided where they are
+        # read, so each set is its divided form, and reaches the other
         over = MassAssignment([(iu((0, 4)), 1 + F(1, 10**10))])
         one = MassAssignment([(iu((0, 4)), F(1))])
-        assert not reachable_type1(over, one)
-        assert not reachable_type1(one, over)
+        assert over == one and totals_one(over)
+        assert reachable_type1(over, one) and reachable_type1(one, over)
+        # three rounded thirds load as the thirds they round: each set
+        # reaches the other and is the other's combination
+        focals = [iu((0, 3)), iu((1, 2)), iu((1, F(3, 2)))]
+        rounded = MassAssignment(zip(focals, [F(333333333, 10**9)] * 3))
+        thirds = MassAssignment(zip(focals, [F(1, 3)] * 3))
+        assert rounded == thirds and totals_one(rounded)
+        for src, dst in ((rounded, thirds), (thirds, rounded)):
+            assert reachable_type1(src, dst)
+            assert linear_combination(src, [dst]) == (1,)
 
     @given(
         st.one_of(

@@ -22,6 +22,7 @@ from helpers import (
     oracle_min_cost_flow,
     oracle_unify_maximal,
     oracle_unify_product,
+    totals_one,
 )
 
 F = Fraction
@@ -91,10 +92,12 @@ class TestUnifyProduct:
         assert unify_product(a, g) == ta(true=F(1, 2), both=F(1, 2))
 
     def test_masses_short_of_one_are_normalised(self):
-        # a total of 19/20, within a tolerance of 1/10: both routings divide
-        # by the totals, where the raw products summed to (19/20)**2
+        # a total of 19/20, within a tolerance of 1/10: the set is divided
+        # by it where it is read, and both routings route the divided masses,
+        # where the raw products summed to (19/20)**2
         a = MassAssignment([(fs("x"), F(1, 2)), (fs("x", "y"), F(9, 20))], tolerance=F(1, 10))
-        assert a.total == F(19, 20)
+        assert a == MassAssignment([(fs("x"), F(10, 19)), (fs("x", "y"), F(9, 19))])
+        assert totals_one(a)
         assert unify_product(a, a) == ta(true=F(271, 361), both=F(90, 361))
         assert unify_product(a, a) == oracle_unify_product(a, a)
         assert unify_maximal(a, a) == ta(true=F(10, 19), both=F(9, 19))
@@ -205,7 +208,7 @@ def test_unknown_mass_is_evidence_empty_share(ma, mg):
     # UNKNOWN arises exactly from non-empty claim rows against the empty
     # evidence column
     r = unify_product(ma, mg)
-    assert r[TruthLabel.UNKNOWN] == mg.empty_mass * (ma.total - ma.empty_mass)
+    assert r[TruthLabel.UNKNOWN] == mg.empty_mass * (1 - ma.empty_mass)
 
 
 @given(
