@@ -1,9 +1,11 @@
 """Closed intervals and canonical finite unions of them.
 
 All arithmetic is exact: endpoints and masses are `fractions.Fraction`.
-Floats convert by their binary value (which is exact for the dyadic data
-these operations are normally fed), strings by decimal or `p/q` syntax.
-Exact numbers are written back by one writer, key_writer, of keys under a
+Numbers are read by one reader, read, into (numerator, denominator) pairs
+as written, with no gcd: floats by their binary value (which is exact for
+the dyadic data these operations are normally fed), strings by decimal or
+`p/q` syntax; as_fraction is that reader reduced to a Fraction. Exact
+numbers are written back by one writer, key_writer, of keys under a
 scale; format_fraction is that writer at a Fraction's own denominator.
 Containment is one walk over merged spans (covers), on parts or their keys.
 """
@@ -12,11 +14,11 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-Rational = Union[int, float, str, Fraction, Decimal]
+Rational = Union[int, float, str, Fraction, Decimal, "Literal"]
 Key = Union[int, Fraction]  # a number's key under a scale (see scaled)
 
 # Comparison slack for validating sums that may arrive as rounded decimals.
@@ -38,6 +40,11 @@ MAX_SCALE_BITS = 64
 # and under the line (see brief).
 BRIEF_BITS = 128
 
+# The least integer digit limit the interpreter takes (640): int() converts
+# text of no more digits, and a number of that many digits prints back,
+# whatever the limit is set to (see read).
+_LEAST_LIMIT = sys.int_info.str_digits_check_threshold
+
 # Input echoed in a message is cut to this many characters (see echo).
 ECHO_CHARS = 40
 
@@ -58,33 +65,128 @@ def digit_limit() -> int:
 
 
 def as_fraction(value: Rational) -> Fraction:
-    """Convert to an exact Fraction. Accepts "1/16", "0.0625", floats, ints.
-    Infinities and NaNs, whether floats, Decimals or strings, raise
-    ValueError, and so do decimal exponents past digit_limit(), which
-    would expand to unbounded integers."""
-    if isinstance(value, bool):
-        raise TypeError("boolean is not a number")
+    """Convert to an exact Fraction: a Fraction as itself, any other number
+    as Fraction(*read(value)), so "1/16", "0.0625", 0.0625 and Decimal("0.0625")
+    give one sixteenth."""
     if isinstance(value, Fraction):
         return value
-    number = value
+    return Fraction(*read(value))
+
+
+class Literal:
+    """The text of a JSON number literal with a point or an exponent, kept
+    unread: specfile decodes with parse_float=Literal, so that read
+    reports a literal's faults at its field. A message shows it as Decimal
+    writes it (2e99999 as 2E+99999)."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        try:
+            return repr(str(Decimal(self.text)))
+        except ArithmeticError:  # an exponent past what Decimal holds
+            return repr(self.text)
+
+
+# Decimal syntax, once whitespace is stripped and underscores dropped as
+# Decimal drops them: sign, whole digits, fraction digits, exponent sign
+# and digits; at least one digit before the exponent.
+_DECIMAL = re.compile(r"([-+]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([-+]?)(\d+))?")
+# Fraction's p/q syntax, underscores between digits (PEP 515).
+_RATIO = re.compile(r"([-+]?)(\d+(?:_\d+)*)/(\d+(?:_\d+)*)")
+_NON_FINITE = re.compile(r"[-+]?(?:inf(?:inity)?|s?nan\d*)", re.IGNORECASE)
+
+
+def read(value: Rational, *, printable: bool = False) -> tuple:
+    """The one number reader, the mirror of key_writer: value as (n, d),
+    integers with d > 0 and n/d the exact number, no gcd taken, so "0.125"
+    reads as (125, 1000) and "3/6" as (3, 6). Text is decimal syntax as
+    Decimal reads it (whitespace around, underscores anywhere, any Unicode
+    decimal digits, an exponent) or p/q as Fraction reads it, underscores
+    between digits; ints, floats (their binary value), Decimals, Literals
+    and Fractions are read too. Infinities and NaNs raise ValueError, and
+    so do decimal exponents past digit_limit(), which would expand to
+    unbounded integers; with printable, so does a number that would not
+    print back (format_fraction's error), its numerator or denominator past
+    the integer digit limit. A boolean or another type raises TypeError."""
     if isinstance(value, str):
-        try:
-            number = Decimal(value)
-        except InvalidOperation:
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"not a number: {echo(value)}") from None
-    if isinstance(number, Decimal) and number.is_finite():
+        if len(value) <= _LEAST_LIMIT:
+            # digits with an optional "-" and one "." or "/" inside, the form
+            # of most documents: no regular expression, and no limit to check
+            body = value[1:] if value[:1] == "-" else value
+            whole, point, part = body.partition(".")
+            if whole.isdecimal() and (part.isdecimal() or not point):
+                n = int(whole + part)
+                return (n if body is value else -n), 10 ** len(part)
+            p, _, q = body.partition("/")
+            if p.isdecimal() and q.isdecimal() and (d := int(q)):
+                n = int(p)
+                return (n if body is value else -n), d
+        n, d = _read_text(value, value)
+    elif isinstance(value, Literal):
+        n, d = _read_text(value.text, value)
+    elif isinstance(value, bool):
+        raise TypeError("boolean is not a number")
+    elif isinstance(value, int):
+        n, d = value, 1
+    elif isinstance(value, Fraction):
+        n, d = value.numerator, value.denominator
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {echo(value)}")
+        n, d = value.as_integer_ratio()
+    elif isinstance(value, Decimal):
+        if not value.is_finite():
+            raise ValueError(f"not a finite number: {echo(value)}")
+        text = str(value)
+        n, d = _read_text(text, text)
+    else:
+        raise TypeError(f"cannot interpret {type(value).__name__} as a number")
+    # 2**(3 * limit) < 10**limit: a number of no more bits prints
+    if printable and max(n.bit_length(), d.bit_length()) > 3 * digit_limit():
+        format_fraction(Fraction(n, d))  # raises when the number does not print
+    return n, d
+
+
+def _read_text(text: str, shown) -> tuple:
+    """read on text; a message echoes shown, the value as given."""
+    text = text.strip()
+    m = _DECIMAL.fullmatch(text.replace("_", ""))
+    if m is not None:
+        sign, whole, part, exp_sign, exp = m.groups()
+        part = part or ""
+        e = -len(part)
+        if exp:
+            e += -_digits(exp) if exp_sign == "-" else _digits(exp)
         limit = digit_limit()
-        if abs(number.as_tuple().exponent) > limit:
-            raise ValueError(f"exponent out of range (over {limit} digits): {echo(str(value))}")
-    if isinstance(number, (int, float, Decimal)):
-        try:
-            return Fraction(number)
-        except (OverflowError, ValueError):
-            raise ValueError(f"not a finite number: {echo(value)}") from None
-    raise TypeError(f"cannot interpret {type(value).__name__} as a number")
+        if abs(e) > limit:
+            raise ValueError(f"exponent out of range (over {limit} digits): {echo(shown)}")
+        n = _digits(whole + part)
+        if sign == "-":
+            n = -n
+        return (n * 10**e, 1) if e >= 0 else (n, 10**-e)
+    m = _RATIO.fullmatch(text)
+    if m is not None:
+        sign, p, q = m.groups()
+        n, d = _digits(p.replace("_", "")), _digits(q.replace("_", ""))
+        if d:
+            return (-n if sign == "-" else n), d
+    elif _NON_FINITE.fullmatch(text.replace("_", "")):
+        raise ValueError(f"not a finite number: {echo(shown)}")
+    raise ValueError(f"not a number: {echo(shown)}")
+
+
+def _digits(digits: str) -> int:
+    """int(digits) for a string of decimal digits of any length: past the
+    integer digit limit int() refuses, in halves."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        half = len(digits) // 2
+        return _digits(digits[:-half]) * 10**half + _digits(digits[-half:])
 
 
 def cut(text: str, chars: int = ECHO_CHARS) -> str:
@@ -110,8 +212,14 @@ def refuse_surrogate_pairs(text: str, what: str) -> None:
 def common_scale(values: Iterable[Fraction]) -> Optional[int]:
     """The least d that makes every value times d an integer, or None when
     d needs more than MAX_SCALE_BITS bits."""
+    return lcm_scale(v.denominator for v in values)
+
+
+def lcm_scale(denominators: Iterable[int]) -> Optional[int]:
+    """The lcm of denominators, or None when it needs more than
+    MAX_SCALE_BITS bits."""
     d = 1
-    for q in {v.denominator for v in values}:
+    for q in set(denominators):
         d = math.lcm(d, q)
         if d.bit_length() > MAX_SCALE_BITS:
             return None

@@ -66,7 +66,10 @@ Conventions that matter and are easy to get wrong:
   unscaled to one shared Fraction; the result writer (specfile.formatter)
   and the plot read the keys with their scales, so a distance written as
   a document builds neither. least_prejudiced unscales its pieces from
-  the same sweep.
+  the same sweep. A numeric mass set read from a document is keys too:
+  specfile builds its keys from the numbers as read, and _from_read
+  checks and divides the total as __init__ does, leaving entries to
+  their first read.
 """
 
 import math
@@ -282,13 +285,13 @@ def sum_by_key(items: Iterable[tuple]) -> dict:
     return acc
 
 
-def _divided(pairs: tuple, keys: tuple, w: Optional[int], tolerance: Fraction) -> tuple:
+def _divided(pairs: Optional[tuple], keys: tuple, w: Optional[int], tolerance: Fraction) -> tuple:
     """(mass scale, keys, pairs) of (focal, mass) pairs and their (part
     keys, mass key) pairs under mass scale w, every mass divided by their
     total, which must lie within tolerance of 1 and be positive. A total of
     exactly 1 costs one sum of the keys; else an integer key sum becomes
     the mass scale, or past MAX_SCALE_BITS (w None) the Fraction keys are
-    divided, and pairs are rebuilt with the divided masses."""
+    divided, and pairs, unless None, are rebuilt with the divided masses."""
     total = sum(mass for _, mass in keys)
     if total == (1 if w is None else w):
         return w, keys, pairs
@@ -299,8 +302,10 @@ def _divided(pairs: tuple, keys: tuple, w: Optional[int], tolerance: Fraction) -
         keys = tuple((key, mass / total) for key, mass in keys)
     else:
         w = total
-    at = _unscaler((mass for _, mass in keys), w)
-    return w, keys, tuple((f, at(mass)) for (f, _), (_, mass) in zip(pairs, keys))
+    if pairs is not None:
+        at = _unscaler((mass for _, mass in keys), w)
+        pairs = tuple((f, at(mass)) for (f, _), (_, mass) in zip(pairs, keys))
+    return w, keys, pairs
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +373,21 @@ class MassAssignment:
         keys = tuple((key, masses[key]) for key in sorted(masses, key=key_order))
         self = object.__new__(cls)
         _set_fields(self, scale, mass_scale, keys, None)
+        return self
+
+    @classmethod
+    def _from_read(
+        cls, masses: dict, scale: int, mass_scale: int, *, tolerance: Fraction = DEFAULT_TOLERANCE
+    ) -> "MassAssignment":
+        """The numeric assignment a document holds, as keys (see
+        specfile): masses maps the part keys of each distinct focal element
+        under scale to its positive mass key under mass_scale, both scales
+        integers and each cut to the least common scale of its keys. The
+        total is checked at the tolerance and divided out (_divided), so
+        this stores what __init__ stores on the same entries; entries are
+        built on first read, as _from_keys leaves them."""
+        self = cls._from_keys(masses, scale, mass_scale)
+        _set_fields(self, scale, *_divided(None, self._keys, mass_scale, tolerance))
         return self
 
     @property

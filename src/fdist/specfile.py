@@ -13,6 +13,15 @@ The document is JSON: {"sets": [...]}, one object per set with a unique
 
 Numbers may be JSON numbers or strings; decimal literals parse exactly
 (0.1 means one tenth) and strings also accept fraction syntax ("1/16").
+Each is read once, at its field, by intervals.read into the (n, d) pair
+it is written as (a JSON literal with a point or an exponent kept as its
+text until then, intervals.Literal). Points vertices and discrete grades
+become Fractions; a mass set with numeric focal elements is built as
+keys (_keyed): endpoints on the lcm of the denominators read, spans
+checked and merged as integers, masses summed per part key, both scales
+cut to the least by one gcd, and MassAssignment._from_read checks and
+divides the total; its entries are built only when read. Label-set mass
+sets, and sets whose scales pass MAX_SCALE_BITS, are built from entries.
 Non-finite numbers (JSON Infinity and NaN, strings such as "inf") are
 rejected with a SpecError, and so is a key given twice in one object,
 of which JSON would keep only the last.
@@ -38,23 +47,25 @@ character, is refused (intervals.SurrogatePairError).
 import json
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Callable, Optional, Union
 
 from .intervals import (
     DEFAULT_TOLERANCE,
     IntervalUnion,
     Key,
-    as_fraction,
+    Literal,
     brief,
     cut,
     digit_limit,
     echo,
     format_fraction,
     key_writer,
+    lcm_scale,
     merge_spans,
+    read,
     refuse_surrogate_pairs,
 )
 from .mass import (
@@ -92,40 +103,84 @@ class SpecSet:
     slices: Optional[int] = None
 
 
-def _number(value, path: str) -> Fraction:
-    """The exact number at path. A number that would not print back, its
-    numerator or denominator past the interpreter's integer digit limit
-    (as "1.5e4300" is), is refused here: it could be read but never
-    written in a result."""
+def _number(value, path: str) -> tuple:
+    """The exact number at path, read as (n, d) (intervals.read). A number
+    that would not print back, its numerator or denominator past the
+    interpreter's integer digit limit (as "1.5e4300" is), is refused here:
+    it could be read but never written in a result."""
     if isinstance(value, bool):
         raise SpecError(path, "expected a number, got a boolean")
     try:
-        q = as_fraction(value)
-        # 2**(3 * limit) < 10**limit: a number of no more bits prints
-        if max(q.numerator.bit_length(), q.denominator.bit_length()) > 3 * digit_limit():
-            format_fraction(q)  # raises when the number does not print
-        return q
+        return read(value, printable=True)
     except (TypeError, ValueError) as exc:
         raise SpecError(path, str(exc)) from None
 
 
-def _focal(value, path: str) -> Focal:
+def _focal(value, path: str):
+    """A label set, or the [lo, hi] spans of a union as read (n, d) pairs,
+    in order and not yet merged; [] for the empty set."""
     if not isinstance(value, list):
         raise SpecError(path, "focal element must be a list")
-    if all(isinstance(v, str) for v in value):  # [] too: the empty set
+    if value and all(isinstance(v, str) for v in value):
         return as_focal(frozenset(value))
-    parts = []
+    spans = []
     for i, pair in enumerate(value):
         here = f"{path}[{i}]"
         if isinstance(pair, str):
             raise SpecError(here, "cannot mix labels and intervals")
         if not isinstance(pair, list) or len(pair) != 2:
             raise SpecError(here, "expected an [lo, hi] pair")
-        lo, hi = (_number(v, here) for v in pair)
-        if lo > hi:
+        lo, hi = _number(pair[0], here), _number(pair[1], here)
+        if lo[0] * hi[1] > hi[0] * lo[1]:
+            lo, hi = Fraction(*lo), Fraction(*hi)
             raise SpecError(here, f"interval endpoints out of order: {brief(lo)} > {brief(hi)}")
-        parts.append((lo, hi))
-    return IntervalUnion._from_merged(merge_spans(parts))
+        spans.append((lo, hi))
+    return spans
+
+
+def _scale(numbers: list) -> Optional[int]:
+    """A common scale of numbers read as (n, d): the lcm of their
+    denominators, or past MAX_SCALE_BITS bits that of the denominators
+    reduced, as "0.50000000000000000000" reads as (5 * 10**19, 10**20);
+    None when that passes it too."""
+    return lcm_scale(d for _, d in numbers) or lcm_scale(d // gcd(n, d) for n, d in numbers)
+
+
+def _keyed(rows: list, tolerance: Fraction) -> Optional[MassAssignment]:
+    """The numeric mass set of rows, (spans, mass) pairs as _focal and
+    _number read them, built as keys: zero masses dropped, endpoints and
+    masses each on one integer scale, spans merged and masses summed per
+    part key, both scales cut to the least common scale of their keys by
+    one gcd. None for rows that MassAssignment takes as entries instead:
+    label sets, a negative mass (which it refuses, naming the focal
+    element) and scales past MAX_SCALE_BITS, where keys are Fractions."""
+    if any(isinstance(spans, frozenset) or mass[0] < 0 for spans, mass in rows):
+        return None
+    rows = [row for row in rows if row[1][0]]
+    d = _scale([e for spans, _ in rows for span in spans for e in span])
+    w = _scale([mass for _, mass in rows])
+    if d is None or w is None:
+        return None
+    masses: dict = {}
+    for spans, (n, q) in rows:
+        key = merge_spans([(a * d // b, c * d // e) for (a, b), (c, e) in spans])
+        masses[key] = masses.get(key, 0) + n * w // q
+    g = gcd(d, *(k for key in masses for span in key for k in span))
+    if g > 1:
+        masses = {tuple((lo // g, hi // g) for lo, hi in key): k for key, k in masses.items()}
+    h = gcd(w, *masses.values())
+    if h > 1:
+        masses = {key: k // h for key, k in masses.items()}
+    return MassAssignment._from_read(masses, d // g, w // h, tolerance=tolerance)
+
+
+def _entries(rows: list) -> list:
+    """rows, as _keyed takes them, as (focal, mass) pairs of values."""
+    return [
+        (spans if isinstance(spans, frozenset) else IntervalUnion._from_merged(
+            merge_spans((Fraction(*lo), Fraction(*hi)) for lo, hi in spans)), Fraction(*mass))
+        for spans, mass in rows
+    ]
 
 
 def _expect_keys(obj: dict, path: str, required: set, optional: set = frozenset()):
@@ -173,7 +228,7 @@ def _parse_set(obj, path: str, tolerance: Fraction) -> SpecSet:
         for i, pair in enumerate(body):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SpecError(f"{here}[{i}]", "expected an [x, membership] pair")
-            vertices.append(tuple(_number(v, f"{here}[{i}]") for v in pair))
+            vertices.append(tuple(Fraction(*_number(v, f"{here}[{i}]")) for v in pair))
         try:
             value: SpecValue = PiecewiseShape(vertices)
         except ValueError as exc:
@@ -183,7 +238,7 @@ def _parse_set(obj, path: str, tolerance: Fraction) -> SpecSet:
             raise SpecError(here, "grades must be a non-empty object")
         _expect_keys(body, here, set(), body.keys())  # any labels, each once
         grades = {
-            label: _number(g, f"{here}.{cut(label)}") for label, g in body.items()
+            label: Fraction(*_number(g, f"{here}.{cut(label)}")) for label, g in body.items()
         }
         try:
             value = DiscreteFuzzySet(grades)
@@ -192,17 +247,19 @@ def _parse_set(obj, path: str, tolerance: Fraction) -> SpecSet:
     else:
         if not isinstance(body, list) or not body:
             raise SpecError(here, "entries must be a non-empty list")
-        entries = []
+        rows = []
         for i, entry in enumerate(body):
             row = f"{here}[{i}]"
             if not isinstance(entry, dict):
                 raise SpecError(row, "each entry must be an object")
             _expect_keys(entry, row, {"focal", "mass"})
-            entries.append(
+            rows.append(
                 (_focal(entry["focal"], f"{row}.focal"), _number(entry["mass"], f"{row}.mass"))
             )
         try:
-            value = MassAssignment(entries, tolerance=tolerance)
+            value = _keyed(rows, tolerance)
+            if value is None:
+                value = MassAssignment(_entries(rows), tolerance=tolerance)
         except ValueError as exc:
             raise SpecError(here, str(exc)) from None
 
@@ -240,8 +297,8 @@ def _object(pairs: list) -> dict:
 
 def parse_text(text: str, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
     try:
-        # exact; _number converts at its field
-        doc = json.loads(text, parse_float=Decimal, object_pairs_hook=_object)
+        # exact; _number reads a literal at its field
+        doc = json.loads(text, parse_float=Literal, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise SpecError(f"$ (line {exc.lineno})", exc.msg) from None
     except RecursionError:

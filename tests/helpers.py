@@ -7,6 +7,7 @@ import sys
 import types
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from collections import deque
 from itertools import accumulate
@@ -19,19 +20,26 @@ from hypothesis import strategies as st
 
 from fdist.exactlp import Infeasible, Unbounded
 from fdist.intervals import (
+    DEFAULT_TOLERANCE,
     EMPTY,
     MIXED_KINDS,
     ONE,
     ZERO,
     Interval,
     IntervalUnion,
+    brief,
+    cut,
+    digit_limit,
+    echo,
     format_fraction,
     iu,
+    merge_spans,
     unscaled,
 )
 from fdist.mass import (
     DegenerateSupportError,
     Density,
+    DiscreteFuzzySet,
     MassAssignment,
     NumericFuzzySet,
     PiecewiseShape,
@@ -39,8 +47,23 @@ from fdist.mass import (
     Step,
     ZeroAreaError,
     align_levels,
+    as_focal,
 )
-from fdist.specfile import _BOOL, _EMPTY_ENTRY, _ENTRY, _LABEL, _PART, _STEP, Rows, _rows
+from fdist.specfile import (
+    _BOOL,
+    _EMPTY_ENTRY,
+    _ENTRY,
+    _LABEL,
+    _PART,
+    _STEP,
+    KINDS,
+    Rows,
+    SpecError,
+    SpecSet,
+    _expect_keys,
+    _object,
+    _rows,
+)
 from fdist.unification import DEFAULT_ORDER, TruthAssignment, TruthLabel
 
 F = Fraction
@@ -442,6 +465,158 @@ def int_digit_limit(limit: int):
         yield
     finally:
         sys.set_int_max_str_digits(before)
+
+
+# The document loader as it was before intervals.read: every number a
+# Fraction (a string tried as a Decimal, then as a Fraction), every focal
+# element an IntervalUnion, every mass set built by MassAssignment(entries).
+
+def oracle_as_fraction(value) -> Fraction:
+    if isinstance(value, bool):
+        raise TypeError("boolean is not a number")
+    if isinstance(value, Fraction):
+        return value
+    number = value
+    if isinstance(value, str):
+        try:
+            number = Decimal(value)
+        except InvalidOperation:
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"not a number: {echo(value)}") from None
+    if isinstance(number, Decimal) and number.is_finite():
+        limit = digit_limit()
+        if abs(number.as_tuple().exponent) > limit:
+            raise ValueError(f"exponent out of range (over {limit} digits): {echo(str(value))}")
+    if isinstance(number, (int, float, Decimal)):
+        try:
+            return Fraction(number)
+        except (OverflowError, ValueError):
+            raise ValueError(f"not a finite number: {echo(value)}") from None
+    raise TypeError(f"cannot interpret {type(value).__name__} as a number")
+
+
+def _oracle_number(value, path: str) -> Fraction:
+    if isinstance(value, bool):
+        raise SpecError(path, "expected a number, got a boolean")
+    try:
+        q = oracle_as_fraction(value)
+        if max(q.numerator.bit_length(), q.denominator.bit_length()) > 3 * digit_limit():
+            format_fraction(q)
+        return q
+    except (TypeError, ValueError) as exc:
+        raise SpecError(path, str(exc)) from None
+
+
+def _oracle_focal(value, path: str):
+    if not isinstance(value, list):
+        raise SpecError(path, "focal element must be a list")
+    if all(isinstance(v, str) for v in value):
+        return as_focal(frozenset(value))
+    parts = []
+    for i, pair in enumerate(value):
+        here = f"{path}[{i}]"
+        if isinstance(pair, str):
+            raise SpecError(here, "cannot mix labels and intervals")
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SpecError(here, "expected an [lo, hi] pair")
+        lo, hi = (_oracle_number(v, here) for v in pair)
+        if lo > hi:
+            raise SpecError(here, f"interval endpoints out of order: {brief(lo)} > {brief(hi)}")
+        parts.append((lo, hi))
+    return IntervalUnion._from_merged(merge_spans(parts))
+
+
+def _oracle_parse_set(obj, path: str, tolerance: Fraction) -> SpecSet:
+    if not isinstance(obj, dict):
+        raise SpecError(path, "each set must be an object")
+    _expect_keys(obj, path, {"name", "kind"}, {"vertices", "grades", "entries", "slices"})
+    name = obj["name"]
+    if not isinstance(name, str) or not name:
+        raise SpecError(f"{path}.name", "name must be a non-empty string")
+    kind = obj["kind"]
+    if kind not in KINDS:
+        raise SpecError(f"{path}.kind", f"kind must be one of {', '.join(KINDS)}")
+    slices = obj.get("slices")
+    if slices is not None:
+        if kind != "points":
+            raise SpecError(f"{path}.slices", "slices applies only to points sets")
+        if isinstance(slices, bool) or not isinstance(slices, int) or slices < 1:
+            raise SpecError(f"{path}.slices", "slices must be a positive integer")
+    field = {"points": "vertices", "discrete": "grades", "mass": "entries"}[kind]
+    if field not in obj:
+        raise SpecError(path, f"a {kind} set needs {field!r}")
+    for other in {"vertices", "grades", "entries"} - {field}:
+        if other in obj:
+            raise SpecError(f"{path}.{other}", f"not allowed on a {kind} set")
+    body = obj[field]
+    here = f"{path}.{field}"
+    if kind == "points":
+        if not isinstance(body, list) or not body:
+            raise SpecError(here, "vertices must be a non-empty list")
+        vertices = []
+        for i, pair in enumerate(body):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise SpecError(f"{here}[{i}]", "expected an [x, membership] pair")
+            vertices.append(tuple(_oracle_number(v, f"{here}[{i}]") for v in pair))
+        try:
+            value = PiecewiseShape(vertices)
+        except ValueError as exc:
+            raise SpecError(here, str(exc)) from None
+    elif kind == "discrete":
+        if not isinstance(body, dict) or not body:
+            raise SpecError(here, "grades must be a non-empty object")
+        _expect_keys(body, here, set(), body.keys())
+        grades = {label: _oracle_number(g, f"{here}.{cut(label)}") for label, g in body.items()}
+        try:
+            value = DiscreteFuzzySet(grades)
+        except ValueError as exc:
+            raise SpecError(here, str(exc)) from None
+    else:
+        if not isinstance(body, list) or not body:
+            raise SpecError(here, "entries must be a non-empty list")
+        entries = []
+        for i, entry in enumerate(body):
+            row = f"{here}[{i}]"
+            if not isinstance(entry, dict):
+                raise SpecError(row, "each entry must be an object")
+            _expect_keys(entry, row, {"focal", "mass"})
+            entries.append((_oracle_focal(entry["focal"], f"{row}.focal"),
+                            _oracle_number(entry["mass"], f"{row}.mass")))
+        try:
+            value = MassAssignment(entries, tolerance=tolerance)
+        except ValueError as exc:
+            raise SpecError(here, str(exc)) from None
+    return SpecSet(name, kind, value, slices)
+
+
+def oracle_parse_document(doc, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
+    if not isinstance(doc, dict):
+        raise SpecError("$", "document must be an object")
+    _expect_keys(doc, "$", {"sets"})
+    if not isinstance(doc["sets"], list):
+        raise SpecError("$.sets", "sets must be a list")
+    out: dict = {}
+    for i, obj in enumerate(doc["sets"]):
+        parsed = _oracle_parse_set(obj, f"$.sets[{i}]", tolerance)
+        if parsed.name in out:
+            raise SpecError(f"$.sets[{i}].name", f"duplicate set name {echo(parsed.name)}")
+        out[parsed.name] = parsed
+    return out
+
+
+def oracle_parse_text(text: str, *, tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
+    """parse_text before intervals.read: JSON floats decoded as Decimals."""
+    try:
+        doc = json.loads(text, parse_float=Decimal, object_pairs_hook=_object)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"$ (line {exc.lineno})", exc.msg) from None
+    except RecursionError:
+        raise SpecError("$", "document nested too deeply") from None
+    except ValueError:
+        raise SpecError("$", f"integer literal longer than {digit_limit()} digits") from None
+    return oracle_parse_document(doc, tolerance=tolerance)
 
 
 # The result-document text and number form that fdist.cli and

@@ -715,7 +715,8 @@ class TestNumbersPastTheDigitLimit:
         assert err == (f"fdist: $.sets[0].entries[0].focal[0]: interval endpoints out of order:"
                        f" ~1e-{self.LIMIT} > 0\n")
 
-    @pytest.mark.parametrize("text", ["1e{L1}", "-1e{L1}", "9{nines}", "1/1{zeros}", "{nines}.5"])
+    @pytest.mark.parametrize("text", ["1e{L1}", "-1e{L1}", "9{nines}", "1/1{zeros}", "{nines}.5",
+                                      "1/1{zeros}0"])
     def test_numbers_at_the_limit_print_back(self, capsys, tmp_path, text):
         text = text.format(L1=self.LIMIT - 1, nines="9" * (self.LIMIT - 1),
                            zeros="0" * (self.LIMIT - 1))
@@ -748,7 +749,7 @@ class TestNumbersPastTheDigitLimit:
 
     def test_unreadable_number_is_echoed_short(self, capsys, tmp_path):
         doc = {"sets": [{"name": "m", "kind": "mass", "entries": [
-            {"focal": [[0, 1]], "mass": "1/1" + "0" * self.LIMIT},
+            {"focal": [[0, 1]], "mass": "1/1" + "0" * self.LIMIT + "/1"},
         ]}]}
         code, out, err = run(capsys, "mass", write_doc(tmp_path, doc), "m")
         assert (code, out) == (2, "")

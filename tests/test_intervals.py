@@ -12,6 +12,7 @@ from fdist.intervals import (
     MAX_SCALE_BITS,
     Interval,
     IntervalUnion,
+    Literal,
     as_fraction,
     brief,
     common_scale,
@@ -20,6 +21,7 @@ from fdist.intervals import (
     format_fraction,
     iu,
     merge_spans,
+    read,
     scaled,
     unscaled,
 )
@@ -144,6 +146,43 @@ def test_as_fraction_bounds_decimal_exponents(value):
 def test_as_fraction_accepts_exponents_at_the_limit():
     assert as_fraction(f"1e{LIMIT}") == 10**LIMIT
     assert as_fraction(Decimal(f"1e-{LIMIT}")) == Fraction(1, 10**LIMIT)
+
+
+def test_read_keeps_the_denominator_it_reads():
+    assert read("0.125") == (125, 1000)
+    assert read("3/6") == (3, 6)
+    assert read("-0.50") == (-50, 100)
+    assert read(" +1.5e2 ") == (150, 1)
+    assert read("1.5e-2") == (15, 1000)
+    assert read("٣/٦") == (3, 6)
+    assert read(Literal("2.50")) == (250, 100)
+    assert read(7) == (7, 1)
+    assert read(0.375) == (3, 8)
+    assert read(Decimal("-1.50")) == (-150, 100)
+    assert read(F(6, 4)) == (3, 2)
+    assert as_fraction("3/6") == F(1, 2)
+
+
+def test_p_over_q_reads_underscores_between_digits():
+    # as Fraction reads them from Python 3.11 on, on every version
+    assert read("1_0/3_0") == (10, 30)
+    assert as_fraction(" -1_000/3 ") == F(-1000, 3)
+    for text in ("1__0/30", "_10/30", "10_/30", "10/_30", "1 0/30"):
+        with pytest.raises(ValueError, match="not a number"):
+            read(text)
+
+
+def test_exponents_of_any_length_are_bounded():
+    # a string Decimal could not hold, which Fraction read as 10**(10**30)
+    for text in ("1e" + "9" * 30, "1e-" + "9" * 30, "0e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent out of range"):
+            read(text)
+    assert read("1e" + "0" * 5000 + "5") == (10**5, 1)
+    # a JSON literal is shown as Decimal writes it, or as given past Decimal
+    with pytest.raises(ValueError, match=r": '2\.5E\+99999'$"):
+        read(Literal("25e99998"))
+    with pytest.raises(ValueError, match=r": '1e999999999999999999999'$"):
+        read(Literal("1e999999999999999999999"))
 
 
 def test_common_scale_is_the_lcm_of_the_denominators():

@@ -48,6 +48,8 @@ from helpers import (
     oracle_fuzzy_rows,
     oracle_mass_doc,
     oracle_mass_frame,
+    oracle_parse_document,
+    oracle_parse_text,
     oracle_render,
     piecewise_shapes,
 )
@@ -140,6 +142,49 @@ class TestParsing:
         p = tmp_path / "sets.json"
         p.write_text('{"sets": [{"name": "A", "kind": "points", "vertices": [[1, 0], [3, 1], [5, 0]]}]}')
         assert load(p)["A"].value == PiecewiseShape([(1, 0), (3, 1), (5, 0)])
+
+
+class TestKeyedMassSets:
+    """A numeric mass set is read as keys, on the lcm of the denominators
+    read, and stores the scales and keys MassAssignment(entries) stores;
+    its entries are built only when read."""
+
+    @staticmethod
+    def same_as_entries(entries, tolerance=None, **written):
+        doc = {"name": "m", "kind": "mass", "entries": [
+            {"focal": focal, "mass": mass} for focal, mass in written["rows"]]}
+        kwargs = {} if tolerance is None else {"tolerance": tolerance}
+        m = parse_document({"sets": [doc]}, **kwargs)["m"].value
+        expected = MassAssignment(entries, **kwargs)
+        assert m._entries is None
+        assert (m._scale, m._mass_scale, m._keys) == (
+            expected._scale, expected._mass_scale, expected._keys)
+        assert m.entries == expected.entries and m._entries is not None
+
+    def test_trailing_zeros_past_64_bits_cut_to_the_least_scale(self):
+        # read denominators of 10**20, past MAX_SCALE_BITS; least scale 2
+        half = "0.50000000000000000000"
+        self.same_as_entries(
+            [(iu((H, F(3, 2))), H), (iu((0, 1)), H)],
+            rows=[([[half, "1.50000000000000000000"]], half), ([[0, 1]], "0.5")])
+
+    def test_unreduced_ratios_cut_to_the_least_scale(self):
+        self.same_as_entries(
+            [(iu((F(1, 144), 1)), F(1, 144)), (iu((0, 2)), F(143, 144))],
+            rows=[([["2/288", 1]], "2/288"), ([[0, "576/288"]], "286/288")])
+
+    def test_a_total_within_a_wide_tolerance_is_divided(self):
+        tolerance = F(1, 10)
+        self.same_as_entries(
+            [(iu((0, 1)), F(1, 2)), (iu((0, 2)), F(45, 100))], tolerance,
+            rows=[([[0, 1]], "0.5"), ([[0, 2]], "0.45")])
+
+    def test_duplicates_merge_and_zero_masses_drop(self):
+        self.same_as_entries(
+            [(iu((0, 1), (2, 3)), F(1, 4)), (iu((0, 1), (2, 3)), F(1, 4)), (iu((5, 6)), 0),
+             (IntervalUnion(), F(1, 2))],
+            rows=[([[2, 3], [0, 1]], "0.25"), ([[0, "1.0"], ["2", 3]], "1/4"),
+                  ([[5, 6]], "0"), ([], "0.5")])
 
 
 def expect_error(doc, path, fragment=""):
@@ -318,7 +363,7 @@ class TestErrors:
         assert "exponent out of range" in str(info.value)
 
     def test_float_literal_errors_name_their_field(self):
-        # JSON floats arrive as Decimals and convert once, at their field
+        # JSON floats arrive as their text and are read once, at their field
         text = '{"sets": [{"name": "g", "kind": "points", "vertices": [[0, 0], [2e99999, 1]]}]}'
         with pytest.raises(SpecError) as info:
             parse_text(text)
@@ -332,7 +377,8 @@ class TestErrors:
     def test_numbers_that_would_not_print_back_are_refused(self):
         limit = digit_limit()
         text = '{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": %s}}]}'
-        for past in (f"1e{limit}", f'"1.5e{limit}"', f'"-1{"0" * limit}"'):
+        for past in (f"1e{limit}", f'"1.5e{limit}"', f'"-1{"0" * limit}"',
+                     f'"1{"0" * limit}/3"', f'"1/3{"0" * limit}"'):
             with int_digit_limit(limit), pytest.raises(SpecError) as info:
                 parse_text(text % past)
             assert info.value.path == "$.sets[0].grades.a"
@@ -345,6 +391,13 @@ class TestErrors:
                "entries": [{"focal": [[f"-1e{limit - 1}", f"1e{limit - 1}"]], "mass": 1}]}
         parsed = parse_document({"sets": [doc]})["m"].value
         assert parsed.entries[0][0] == IntervalUnion.from_pairs([(-(10 ** (limit - 1)), 10 ** (limit - 1))])
+
+    def test_literal_exponents_past_decimal_are_refused_at_their_field(self):
+        text = '{"sets": [{"name": "g", "kind": "discrete", "grades": {"a": %s}}]}'
+        with pytest.raises(SpecError) as info:
+            parse_text(text % ("1e" + "9" * 30))
+        assert str(info.value) == (f"$.sets[0].grades.a: exponent out of range (over {digit_limit()}"
+                                   f" digits): '1e{'9' * 30}'")
 
     def test_tolerance_is_wired_through(self):
         text = (
@@ -705,3 +758,184 @@ class TestKeyedWriter:
         for name in ("\ud800", "\udfff\ud800", "\U0001f600"):
             doc = mass_to_doc(m, name)
             assert json.loads(render(doc))["name"] == name
+
+
+# ---------------------------------------------------------------------------
+# the key-built loader against the Fraction loader it replaced
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+PAD = ("", "", " ", "\t", " ", "\xa0 ")
+
+
+class Raw(str):
+    """Text placed into a drawn document unquoted, as a JSON literal."""
+
+
+class Pairs(list):
+    """A drawn JSON object as (key, value) pairs, so a key may come twice."""
+
+
+def dump(x) -> str:
+    """JSON text of a drawn document: Raw literals as they are, Pairs as
+    objects that may give a key twice."""
+    if isinstance(x, Raw):
+        return str(x)
+    if isinstance(x, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {dump(v)}" for k, v in x) + "}"
+    if isinstance(x, list):
+        return "[" + ", ".join(map(dump, x)) + "]"
+    return json.dumps(x)
+
+
+def chance(n: int):
+    """True about once in n draws."""
+    return st.integers(1, n).map(lambda k: k == 2)
+
+
+@st.composite
+def number_texts(draw, q: F):
+    """q as a document may write it: a terminating decimal with trailing
+    zeros, a sign, an exponent, padding or non-ASCII digits, as a string or
+    a JSON literal; or p/q unreduced."""
+    den = q.denominator
+    twos, fives = (den & -den).bit_length() - 1, 0
+    while den % 5 ** (fives + 1) == 0:
+        fives += 1
+    sign = "-" if q < 0 else draw(st.sampled_from(["", "", "+"]))
+    if den != 2**twos * 5**fives or draw(chance(4)):
+        k = draw(st.integers(1, 12))
+        text = f"{sign}{abs(q.numerator) * k}/{den * k}"
+    else:
+        places = max(twos, fives) + draw(st.sampled_from([0, 0, 1, 2, 5, 19, 25]))
+        digits = str(abs(q.numerator) * 10**places // den)
+        if draw(chance(3)):  # an exponent, the point anywhere in the digits
+            j = draw(st.integers(1, len(digits)))
+            point = digits[:j] + ("." + digits[j:] if j < len(digits) else "")
+            text = f"{sign}{point}e{len(digits) - j - places}"
+        elif places:
+            digits = digits.rjust(places + 1, "0")
+            text = f"{sign}{digits[:-places]}.{digits[-places:]}"
+        else:
+            text = sign + digits
+        if sign != "+" and draw(st.booleans()):
+            return Raw(text)  # a JSON literal
+    if draw(chance(6)):
+        text = text.translate(draw(st.sampled_from([ARABIC_INDIC, FULLWIDTH])))
+    if draw(chance(4)):
+        text = draw(st.sampled_from(PAD)) + text + draw(st.sampled_from(PAD))
+    return text
+
+
+# primes past 2**20 and small ones: a few wide ones pass MAX_SCALE_BITS
+READ_DENS = (1, 2, 3, 4, 5, 8, 10, 16, 25, 125, 1000) + WIDE_PRIME_DENS
+LIMIT = digit_limit()
+ODD_NUMBERS = (
+    f"1e{LIMIT - 1}", f"1e{LIMIT}", f"1e{LIMIT + 1}", f"-1.5e-{LIMIT - 1}", f"1e-{LIMIT + 1}",
+    f"0e{LIMIT + 5}", "1/0", "0/7", "-0", "inf", "-Infinity", "nan", "1..2", "", "x", "1/-3",
+    True, None, [], 3, -2, 0,
+)
+
+
+@st.composite
+def drawn_numbers(draw, q: F):
+    """q written by number_texts, or now and then an odd value in its place."""
+    if draw(chance(150)):
+        value = draw(st.sampled_from(ODD_NUMBERS))
+        return Raw(value) if isinstance(value, str) and value.startswith("1e") and draw(st.booleans()) else value
+    return draw(number_texts(q))
+
+
+@st.composite
+def drawn_mass_sets(draw):
+    """Entries with unions of drawn endpoints (some out of order), empty and
+    label focal elements, repeated focal elements, zero and negative masses,
+    and totals at 1, within the default tolerance of it and past it."""
+    n = draw(st.integers(1, 6))
+    dens = draw(st.lists(st.sampled_from(READ_DENS), min_size=1, max_size=6))
+    weights = [draw(st.integers(0, 6)) for _ in range(n)]
+    if draw(chance(8)):
+        weights[draw(st.integers(0, n - 1))] *= -1
+    total = sum(weights) or 1
+    masses = [F(w, total) for w in weights]
+    if n > 1 and draw(chance(4)):  # masses over distinct wide primes, the last one the rest
+        masses = [F(draw(st.integers(1, 9)), p * 20) for p in WIDE_PRIME_DENS[: n - 1]]
+        masses.append(1 - sum(masses))
+    off = draw(st.sampled_from([F(0)] * 4 + [F(1, 10**10), F(-1, 10**10), F(1, 10**8), F(-3, 10**9)]))
+    masses = [mass * (1 + off) for mass in masses]
+    labels = draw(chance(6))
+    focals = []
+    for _ in range(n):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            focals.append([])
+        elif labels and kind < 4:
+            focals.append(draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)))
+        elif focals and kind == 4:
+            focals.append(draw(st.sampled_from(focals)))  # given again
+        else:
+            spans = []
+            for _ in range(draw(st.integers(1, 3))):
+                lo = F(draw(st.integers(-40, 40)), draw(st.sampled_from(dens)))
+                hi = lo + F(draw(st.integers(0, 30)), draw(st.sampled_from(dens)))
+                if draw(chance(30)):
+                    lo, hi = hi, lo - 1  # out of order
+                spans.append([draw(drawn_numbers(lo)), draw(drawn_numbers(hi))])
+            focals.append(spans)
+    entries = []
+    for focal, mass in zip(focals, masses):
+        pairs = [("focal", focal), ("mass", draw(drawn_numbers(mass)))]
+        if draw(chance(100)):
+            pairs.append(("mass", Raw("1")))  # a key given twice
+        entries.append(Pairs(pairs))
+    return Pairs([("name", "M"), ("kind", "mass"), ("entries", entries)])
+
+
+@st.composite
+def drawn_documents(draw):
+    sets = [draw(drawn_mass_sets())]
+    if draw(st.booleans()):
+        grades = [F(draw(st.integers(-1, 21)), 20) for _ in range(draw(st.integers(1, 3)))]
+        sets.append(Pairs([("name", "G"), ("kind", "discrete"), ("grades", Pairs(
+            (label, draw(drawn_numbers(g))) for label, g in zip("abc", grades)))]))
+    if draw(st.booleans()):
+        xs = sorted(F(draw(st.integers(-20, 20)), draw(st.sampled_from(READ_DENS))) for _ in range(3))
+        mus = [F(draw(st.integers(0, 4)), 4) for _ in range(3)]
+        sets.append(Pairs([("name", "P"), ("kind", "points"), ("vertices", [
+            [draw(drawn_numbers(x)), draw(drawn_numbers(mu))] for x, mu in zip(xs, mus)])]))
+    return dump(Pairs([("sets", sets)]))
+
+
+def loaded(parse, *args, **kwargs):
+    """What a loader gives: each set with a mass set's stored keys, or the
+    error it raises, as text."""
+    try:
+        sets = parse(*args, **kwargs)
+    except Exception as exc:  # the same type and text from both loaders
+        return type(exc).__name__, str(exc)
+    return {name: (s, getattr(s.value, "_scale", None), getattr(s.value, "_mass_scale", None),
+                   getattr(s.value, "_keys", None)) for name, s in sets.items()}
+
+
+class TestLoaderEqualsTheOracle:
+    """parse_text reads numbers with intervals.read and builds numeric mass
+    sets as keys; it gives the sets, stored keys and scales, or the error
+    text, that the Fraction loader (oracle_parse_text) gives."""
+
+    @given(text=drawn_documents(), tolerance=st.sampled_from([None, F(1, 10)]))
+    @settings(max_examples=400, deadline=None)
+    def test_loaders_agree(self, text, tolerance):
+        kwargs = {} if tolerance is None else {"tolerance": tolerance}
+        with int_digit_limit(LIMIT):
+            assert loaded(parse_text, text, **kwargs) == loaded(oracle_parse_text, text, **kwargs)
+
+    @given(text=drawn_documents())
+    @settings(max_examples=100, deadline=None)
+    def test_decoded_documents_agree(self, text):
+        # JSON floats decoded as floats, read by their binary value
+        try:
+            doc = json.loads(text)
+        except ValueError:
+            return
+        with int_digit_limit(LIMIT):
+            assert loaded(parse_document, doc) == loaded(oracle_parse_document, doc)
