@@ -135,7 +135,7 @@ def cmd_mass(args, sets: dict) -> str:
         "set": s.name,
         "mass": specfile.mass_frame(m, s.name, text),
     }
-    if m.is_numeric:
+    if s.kind != "discrete" and m.is_numeric:
         doc["fuzzy"] = specfile.fuzzy_rows(fuzzy_from_mass(m), text)
     return specfile.render(doc)
 

@@ -53,23 +53,24 @@ Conventions that matter and are easy to get wrong:
   on the open gap after c is that minus the ends at c. Stacking at a
   shared closed endpoint and single-point parts follow from this rule.
 * The sweep runs on the keys a MassAssignment was built on, which it
-  carries from construction: from __init__'s part keys, or from the
-  distance kernel's one dict of part keys to mass keys (_from_keys).
+  carries from construction: from keyed, or from the distance kernel's
+  one dict of part keys to mass keys (_from_keys).
   Endpoints are their integer keys and weights integers under one common
   scale (the masses', or the densities'), so the deltas and the running
   sum are integer additions, and its runs are keys too. Past
   MAX_SCALE_BITS a key or a weight is the Fraction itself, through the
   same code. centre_of_gravity reads these keys too, with no sweep.
-* A result lives as keys until it is read or written. A MassAssignment
-  from _from_keys builds its entries, and a NumericFuzzySet from
-  fuzzy_from_mass its steps, only on first read, each distinct key
-  unscaled to one shared Fraction; the result writer (specfile.formatter)
+* One builder, keyed, keys every assignment from its numbers as read
+  (intervals.read): the constructors read their entries into its rows,
+  and specfile hands over a document's rows (MassAssignment._from_rows).
+* A value lives as keys until it is read or written. A MassAssignment
+  builds its entries, a SlicedAssignment its slices, and a
+  NumericFuzzySet from fuzzy_from_mass its steps, only on first read,
+  each distinct key unscaled to one shared Fraction and each label set
+  rebuilt from its sorted labels; the result writer (specfile.formatter)
   and the plot read the keys with their scales, so a distance written as
   a document builds neither. least_prejudiced unscales its pieces from
-  the same sweep. A numeric mass set read from a document is keys too:
-  specfile builds its keys from the numbers as read, and _from_read
-  checks and divides the total as __init__ does, leaving entries to
-  their first read.
+  the same sweep.
 """
 
 import math
@@ -95,7 +96,10 @@ from .intervals import (
     echo,
     format_fraction,
     key_factor,
+    lcm_scale,
     meet_scales,
+    merge_spans,
+    read,
     refuse_surrogate_pairs,
     scaled,
     unscaled,
@@ -197,23 +201,9 @@ def focal_issuperset(a: Focal, g: Focal) -> bool:
     return a.issuperset(g)
 
 
-def _one_kind(focals: Iterable[Focal]) -> None:
-    """Refuse label sets beside nonempty unions; the empty set joins either."""
-    if len({type(f) for f in focals if not f.is_empty}) > 1:
-        raise ValueError(MIXED_KINDS)
-
-
 def key_order(key: tuple) -> tuple:
     """The one entry order, on part keys: by key, the empty set's () last."""
     return (not key, key)
-
-
-def endpoint_scale(focals: Iterable[Focal]) -> Optional[int]:
-    """The common_scale of every part endpoint of the numeric focal
-    elements."""
-    return common_scale(
-        e for f in focals if isinstance(f, IntervalUnion) for p in f.parts for e in (p.lo, p.hi)
-    )
 
 
 def _unscaler(keys: Iterable, scale: Optional[int]) -> Callable:
@@ -227,10 +217,13 @@ def _unscaler(keys: Iterable, scale: Optional[int]) -> Callable:
 
 
 def focals_from_keys(keys: Sequence[tuple], scale: Optional[int]) -> list:
-    """The numeric focal elements whose part keys under scale are keys,
-    each merged as merge_spans returns them, () for the empty set (see
-    IntervalUnion.part_keys). One Fraction is built per distinct endpoint
-    key, shared by every part that holds it."""
+    """The focal elements whose part keys under scale are keys, () for the
+    empty set: label sets from their sorted labels, not checked again, or
+    unions merged as merge_spans returns them (see IntervalUnion.part_keys),
+    one Fraction built per distinct endpoint key, shared by every part that
+    holds it."""
+    if not _keys_numeric(keys):
+        return [frozenset.__new__(LabelSet, key) if key else EMPTY for key in keys]
     at = _unscaler((k for key in keys for span in key for k in span), scale)
     return [IntervalUnion._from_merged((at(lo), at(hi)) for lo, hi in key) if key else EMPTY
             for key in keys]
@@ -268,11 +261,10 @@ def _set_fields(value, *fields) -> None:
         object.__setattr__(value, name, field_value)
 
 
-def _keys_numeric(keys: tuple) -> bool:
-    """is_numeric of stored (part keys, mass key) pairs: the first nonempty
-    focal element decides, a union's part keys being (lo, hi) pairs and a
-    label set's its labels."""
-    return next((isinstance(key[0], tuple) for key, _ in keys if key), True)
+def _keys_numeric(keys: Iterable[tuple]) -> bool:
+    """is_numeric of part keys: the first nonempty focal element decides, a
+    union's part keys being (lo, hi) pairs and a label set's its labels."""
+    return next((isinstance(key[0], tuple) for key in keys if key), True)
 
 
 def sum_by_key(items: Iterable[tuple]) -> dict:
@@ -285,27 +277,110 @@ def sum_by_key(items: Iterable[tuple]) -> dict:
     return acc
 
 
-def _divided(pairs: Optional[tuple], keys: tuple, w: Optional[int], tolerance: Fraction) -> tuple:
-    """(mass scale, keys, pairs) of (focal, mass) pairs and their (part
-    keys, mass key) pairs under mass scale w, every mass divided by their
-    total, which must lie within tolerance of 1 and be positive. A total of
-    exactly 1 costs one sum of the keys; else an integer key sum becomes
-    the mass scale, or past MAX_SCALE_BITS (w None) the Fraction keys are
-    divided, and pairs, unless None, are rebuilt with the divided masses."""
+def _divided(keys: tuple, w: Optional[int], tolerance: Fraction) -> tuple:
+    """(mass scale, keys) of (part keys, mass key) pairs under mass scale
+    w, every mass divided by their total, which must lie within tolerance
+    of 1 and be positive. A total of exactly 1 costs one sum of the keys;
+    else an integer key sum becomes the mass scale, or past MAX_SCALE_BITS
+    (w None) the Fraction keys are divided. An integer scale is then cut to
+    the least its keys allow, by one gcd."""
     total = sum(mass for _, mass in keys)
-    if total == (1 if w is None else w):
-        return w, keys, pairs
-    exact = unscaled(total, w)
-    if not exact or abs(exact - 1) > tolerance:
-        raise ValueError(f"masses sum to {brief(exact)}, expected 1")
+    if total != (1 if w is None else w):
+        exact = unscaled(total, w)
+        if not exact or abs(exact - 1) > tolerance:
+            raise ValueError(f"masses sum to {brief(exact)}, expected 1")
     if w is None:
-        keys = tuple((key, mass / total) for key, mass in keys)
-    else:
-        w = total
-    if pairs is not None:
-        at = _unscaler((mass for _, mass in keys), w)
-        pairs = tuple((f, at(mass)) for (f, _), (_, mass) in zip(pairs, keys))
-    return w, keys, pairs
+        return w, keys if total == 1 else tuple((key, mass / total) for key, mass in keys)
+    h = math.gcd(w, *(mass for _, mass in keys))
+    if h > 1:
+        keys = tuple((key, mass // h) for key, mass in keys)
+    return total // h, keys
+
+
+def _row(focal, mass) -> tuple:
+    """An entry as keyed reads it: a label set as itself, a union as its
+    spans with each end as (n, d), and the mass read (intervals.read)."""
+    focal = as_focal(focal)
+    if isinstance(focal, IntervalUnion):
+        focal = [((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+                 for lo, hi in focal.parts]
+    return focal, read(mass)
+
+
+def _row_text(focal, mass) -> tuple:
+    """A row's mass and merged focal element as a message writes them."""
+    if not isinstance(focal, frozenset):
+        focal = IntervalUnion._from_merged(
+            merge_spans((Fraction(*lo), Fraction(*hi)) for lo, hi in focal))
+    return brief(Fraction(*mass)), cut(str(as_focal(focal)))
+
+
+def keyed(rows: Iterable[tuple], tolerance: Fraction = DEFAULT_TOLERANCE, merge: bool = True) -> tuple:
+    """(scale, mass scale, keys) of rows (focal, mass): a nonempty label set
+    or the ordered [lo, hi] spans of a union, ends and mass read as (n, d).
+    Zero masses drop; a negative one is refused when met, labels beside
+    numbers (MIXED_KINDS) once all are read. Endpoints and masses are keyed
+    on the lcm of the denominators read (intervals.lcm_scale), spans
+    merged, masses summed per part key in key_order, the endpoint scale cut
+    to the least by one gcd and the mass scale in _divided. Past
+    MAX_SCALE_BITS keys are Fractions, rekeyed on the common_scale of the
+    merged values if it fits (as for "0.50000000000000000000", read over
+    10**20).
+    Without merge (a stack) rows keep their order, one per slice, and the
+    first mass not positive is refused after the kinds."""
+    kept, ends, masses = [], [], []
+    labels = numbers = False
+    bad = None
+    for row in rows:
+        focal, mass = row
+        if mass[0] <= 0:
+            if not merge:
+                bad = bad or row
+            elif mass[0]:
+                raise ValueError("negative mass %s on %s" % _row_text(focal, mass))
+            else:
+                continue
+        if isinstance(focal, frozenset):
+            labels = True
+        elif focal:
+            numbers = True
+            for lo, hi in focal:
+                ends.append(lo)
+                ends.append(hi)
+        kept.append(row)
+        masses.append(mass)
+    if labels and numbers:
+        raise ValueError(MIXED_KINDS)
+    if bad is not None:
+        raise ValueError("slice mass %s on %s is not positive" % _row_text(*bad))
+    d, w = lcm_scale(q for _, q in ends), lcm_scale(q for _, q in masses)
+
+    def part_keys(focal) -> tuple:
+        if isinstance(focal, frozenset):
+            return tuple(sorted(focal))
+        if d is None:
+            return merge_spans([(Fraction(*lo), Fraction(*hi)) for lo, hi in focal])
+        return merge_spans([(a * d // b, c * d // e) for (a, b), (c, e) in focal])
+
+    pairs = [(part_keys(f), Fraction(n, q) if w is None else n * w // q) for f, (n, q) in kept]
+    if merge:
+        acc = sum_by_key(pairs)
+        pairs = [(key, acc[key]) for key in sorted(acc, key=key_order)]
+    if d is None:
+        d = common_scale(e for key, _ in pairs for span in key for e in span)
+        if d is not None:
+            pairs = [(tuple((scaled(lo, d), scaled(hi, d)) for lo, hi in key), mass)
+                     for key, mass in pairs]
+    elif d > 1:
+        g = math.gcd(d, *(e for key, _ in pairs for span in key for e in span))
+        if g > 1:
+            d //= g
+            pairs = [(tuple((lo // g, hi // g) for lo, hi in key), mass) for key, mass in pairs]
+    if w is None:
+        w = common_scale(mass for _, mass in pairs)
+        if w is not None:
+            pairs = [(key, scaled(mass, w)) for key, mass in pairs]
+    return (d, *_divided(tuple(pairs), w, tolerance))
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +399,10 @@ class MassAssignment:
     mass under _mass_scale; a None scale keys numbers as themselves (see
     intervals.scaled). The membership and density sweeps, the distance
     kernel, the result writer, is_numeric, empty_mass and len read the
-    keys alone. entries is built from them on first read
-    (_entries_from_keys), then kept; __init__, which has the entries at
-    hand, keeps them at once. Equality and hashing are those of entries,
-    whatever the scales."""
+    keys alone. __init__ reads its entries into rows for keyed, and
+    entries is built from the keys on first read (_entries_from_keys),
+    then kept. Equality and hashing are those of entries, whatever the
+    scales."""
 
     _scale: Optional[int]
     _mass_scale: Optional[int]
@@ -335,59 +410,30 @@ class MassAssignment:
     _entries: Optional[tuple]
 
     def __init__(self, entries: Iterable[tuple], *, tolerance: Fraction = DEFAULT_TOLERANCE):
-        positive = []
-        for focal, mass in entries:
-            focal, mass = as_focal(focal), as_fraction(mass)
-            if mass < 0:
-                raise ValueError(f"negative mass {brief(mass)} on {cut(str(focal))}")
-            if mass != 0:
-                positive.append((focal, mass))
-        _one_kind(f for f, _ in positive)
-        d = endpoint_scale(f for f, _ in positive)
-        # merged on part keys, which are distinct for distinct focal elements
-        # of one kind; a union's hash as integers, where it hashes Fractions
-        merged: dict = {}
-        for focal, mass in positive:
-            k = focal.part_keys(d)
-            e = merged.get(k)
-            if e is None:
-                merged[k] = [focal, mass]
-            else:
-                e[1] += mass
-        order = sorted(merged, key=key_order)
-        w = common_scale(mass for _, mass in merged.values())
-        keys = tuple((k, scaled(merged[k][1], w)) for k in order)
-        entries = tuple(tuple(merged[k]) for k in order)
-        _set_fields(self, d, *_divided(entries, keys, w, tolerance))
+        _set_fields(self, *keyed((_row(f, mass) for f, mass in entries), tolerance), None)
 
     @classmethod
     def _from_keys(
         cls, masses: dict, scale: Optional[int], mass_scale: Optional[int]
     ) -> "MassAssignment":
-        """The numeric assignment that masses holds as keys: the part keys
-        of each distinct focal element under scale (see focals_from_keys)
-        mapped to its positive mass key under mass_scale. Stored keys come
-        from that one dict, in key_order, and so do entries, when read.
-        Nothing is checked: the masses total exactly 1, as the masses of
-        the distance kernel's inputs and of to_mass's stack do."""
+        """The assignment, of either kind, that masses holds as keys: the
+        part keys of each distinct focal element under scale (see
+        focals_from_keys) mapped to its positive mass key under mass_scale.
+        Stored keys come from that one dict, in key_order, and so do
+        entries, when read. Nothing is checked: the masses total exactly 1,
+        as the masses of the distance kernel's inputs and of to_mass's stack
+        do."""
         keys = tuple((key, masses[key]) for key in sorted(masses, key=key_order))
         self = object.__new__(cls)
         _set_fields(self, scale, mass_scale, keys, None)
         return self
 
     @classmethod
-    def _from_read(
-        cls, masses: dict, scale: int, mass_scale: int, *, tolerance: Fraction = DEFAULT_TOLERANCE
-    ) -> "MassAssignment":
-        """The numeric assignment a document holds, as keys (see
-        specfile): masses maps the part keys of each distinct focal element
-        under scale to its positive mass key under mass_scale, both scales
-        integers and each cut to the least common scale of its keys. The
-        total is checked at the tolerance and divided out (_divided), so
-        this stores what __init__ stores on the same entries; entries are
-        built on first read, as _from_keys leaves them."""
-        self = cls._from_keys(masses, scale, mass_scale)
-        _set_fields(self, scale, *_divided(None, self._keys, mass_scale, tolerance))
+    def _from_rows(cls, rows: Iterable[tuple], tolerance: Fraction = DEFAULT_TOLERANCE):
+        """The assignment of rows as keyed reads them, as __init__ builds
+        it from entries: specfile hands over the numbers as read."""
+        self = object.__new__(cls)
+        _set_fields(self, *keyed(rows, tolerance), None)
         return self
 
     @property
@@ -422,7 +468,7 @@ class MassAssignment:
     def is_numeric(self) -> bool:
         """Not label sets: one kind per assignment, empty set last, so the
         first entry decides."""
-        return _keys_numeric(self._keys)
+        return _keys_numeric(key for key, _ in self._keys)
 
     def negated(self) -> "MassAssignment":
         """Map every numeric focal element through pointwise negation."""
@@ -488,11 +534,15 @@ def mass_from_discrete(f: DiscreteFuzzySet) -> MassAssignment:
     """Level-set masses: sort labels by descending grade; each distinct
     grade drop contributes its level set with the drop as mass. A peak
     grade below 1 leaves the deficit on the empty set."""
-    levels = sorted({g for _, g in f.grades if g > 0}, reverse=True)
-    entries = [
-        (LabelSet(l for l, g in f.grades if g >= level), level - below)
-        for level, below in zip(levels, levels[1:] + [ZERO])
-    ]
+    at: dict = {}  # the labels at each positive grade
+    for label, g in f.grades:
+        if g > 0:
+            at.setdefault(g, []).append(label)
+    levels = sorted(at, reverse=True)
+    labels, entries = [], []
+    for level, below in zip(levels, levels[1:] + [ZERO]):
+        labels += at[level]
+        entries.append((LabelSet(labels), level - below))
     peak = levels[0] if levels else ZERO
     if peak < 1:
         entries.append((EMPTY, 1 - peak))
@@ -544,7 +594,8 @@ class SlicedAssignment:
 
     A stack is held as keys, as a MassAssignment keeps them in _keys:
     per slice, the part keys of its focal element and the key of its
-    mass. slice_shape emits those keys directly, and slices is built from
+    mass. slice_shape emits those keys directly, the constructor builds
+    them with keyed, without merging or sorting, and slices is built from
     them on first read (_entries_from_keys), then kept; align_levels, the
     distance kernel, to_mass, is_normal and is_numeric read the keys
     alone. Equality and hashing are those of slices, whatever the
@@ -556,17 +607,10 @@ class SlicedAssignment:
     _slices: Optional[tuple]
 
     def __init__(self, entries: Iterable[tuple]):
-        slices = tuple((as_focal(f), as_fraction(mass)) for f, mass in entries)
-        if not slices:
+        rows = [_row(f, mass) for f, mass in entries]
+        if not rows:
             raise ValueError("need at least one slice")
-        _one_kind(f for f, _ in slices)
-        for f, mass in slices:
-            if mass <= 0:
-                raise ValueError(f"slice mass {brief(mass)} on {cut(str(f))} is not positive")
-        d = endpoint_scale(f for f, _ in slices)
-        w = common_scale(mass for _, mass in slices)
-        keys = tuple((f.part_keys(d), scaled(mass, w)) for f, mass in slices)
-        _set_fields(self, d, *_divided(slices, keys, w, DEFAULT_TOLERANCE))
+        _set_fields(self, *keyed(rows, merge=False), None)
 
     @classmethod
     def _trusted(
@@ -621,7 +665,7 @@ class SlicedAssignment:
     @property
     def is_numeric(self) -> bool:
         """As for to_mass().is_numeric: the first nonempty slice decides."""
-        return _keys_numeric(self._keys)
+        return _keys_numeric(key for key, _ in self._keys)
 
     def reversed_levels(self) -> "SlicedAssignment":
         """Same slices stacked in the opposite order."""
@@ -629,10 +673,8 @@ class SlicedAssignment:
         return SlicedAssignment._trusted(self._scale, self._mass_scale, self._keys[::-1], slices)
 
     def to_mass(self) -> MassAssignment:
-        """The slices merged per focal element; a numeric stack goes from
-        its keys to MassAssignment._from_keys."""
-        if not self.is_numeric:
-            return MassAssignment(self.slices)
+        """The slices merged per focal element, from the keys
+        (MassAssignment._from_keys)."""
         return MassAssignment._from_keys(sum_by_key(self._keys), self._scale, self._mass_scale)
 
     def __eq__(self, other):

@@ -16,12 +16,10 @@ Numbers may be JSON numbers or strings; decimal literals parse exactly
 Each is read once, at its field, by intervals.read into the (n, d) pair
 it is written as (a JSON literal with a point or an exponent kept as its
 text until then, intervals.Literal). Points vertices and discrete grades
-become Fractions; a mass set with numeric focal elements is built as
-keys (_keyed): endpoints on the lcm of the denominators read, spans
-checked and merged as integers, masses summed per part key, both scales
-cut to the least by one gcd, and MassAssignment._from_read checks and
-divides the total; its entries are built only when read. Label-set mass
-sets, and sets whose scales pass MAX_SCALE_BITS, are built from entries.
+become Fractions; a mass set's rows, each a label set or spans checked
+in order (_focal) with its mass, go as read to mass.keyed, the one
+builder of assignments (MassAssignment._from_rows), so its entries are
+built only when read.
 Non-finite numbers (JSON Infinity and NaN, strings such as "inf") are
 rejected with a SpecError, and so is a key given twice in one object,
 of which JSON would keep only the last.
@@ -49,12 +47,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd
 from typing import Callable, Optional, Union
 
 from .intervals import (
     DEFAULT_TOLERANCE,
-    IntervalUnion,
     Key,
     Literal,
     brief,
@@ -63,8 +59,6 @@ from .intervals import (
     echo,
     format_fraction,
     key_writer,
-    lcm_scale,
-    merge_spans,
     read,
     refuse_surrogate_pairs,
 )
@@ -136,51 +130,6 @@ def _focal(value, path: str):
             raise SpecError(here, f"interval endpoints out of order: {brief(lo)} > {brief(hi)}")
         spans.append((lo, hi))
     return spans
-
-
-def _scale(numbers: list) -> Optional[int]:
-    """A common scale of numbers read as (n, d): the lcm of their
-    denominators, or past MAX_SCALE_BITS bits that of the denominators
-    reduced, as "0.50000000000000000000" reads as (5 * 10**19, 10**20);
-    None when that passes it too."""
-    return lcm_scale(d for _, d in numbers) or lcm_scale(d // gcd(n, d) for n, d in numbers)
-
-
-def _keyed(rows: list, tolerance: Fraction) -> Optional[MassAssignment]:
-    """The numeric mass set of rows, (spans, mass) pairs as _focal and
-    _number read them, built as keys: zero masses dropped, endpoints and
-    masses each on one integer scale, spans merged and masses summed per
-    part key, both scales cut to the least common scale of their keys by
-    one gcd. None for rows that MassAssignment takes as entries instead:
-    label sets, a negative mass (which it refuses, naming the focal
-    element) and scales past MAX_SCALE_BITS, where keys are Fractions."""
-    if any(isinstance(spans, frozenset) or mass[0] < 0 for spans, mass in rows):
-        return None
-    rows = [row for row in rows if row[1][0]]
-    d = _scale([e for spans, _ in rows for span in spans for e in span])
-    w = _scale([mass for _, mass in rows])
-    if d is None or w is None:
-        return None
-    masses: dict = {}
-    for spans, (n, q) in rows:
-        key = merge_spans([(a * d // b, c * d // e) for (a, b), (c, e) in spans])
-        masses[key] = masses.get(key, 0) + n * w // q
-    g = gcd(d, *(k for key in masses for span in key for k in span))
-    if g > 1:
-        masses = {tuple((lo // g, hi // g) for lo, hi in key): k for key, k in masses.items()}
-    h = gcd(w, *masses.values())
-    if h > 1:
-        masses = {key: k // h for key, k in masses.items()}
-    return MassAssignment._from_read(masses, d // g, w // h, tolerance=tolerance)
-
-
-def _entries(rows: list) -> list:
-    """rows, as _keyed takes them, as (focal, mass) pairs of values."""
-    return [
-        (spans if isinstance(spans, frozenset) else IntervalUnion._from_merged(
-            merge_spans((Fraction(*lo), Fraction(*hi)) for lo, hi in spans)), Fraction(*mass))
-        for spans, mass in rows
-    ]
 
 
 def _expect_keys(obj: dict, path: str, required: set, optional: set = frozenset()):
@@ -257,9 +206,7 @@ def _parse_set(obj, path: str, tolerance: Fraction) -> SpecSet:
                 (_focal(entry["focal"], f"{row}.focal"), _number(entry["mass"], f"{row}.mass"))
             )
         try:
-            value = _keyed(rows, tolerance)
-            if value is None:
-                value = MassAssignment(_entries(rows), tolerance=tolerance)
+            value = MassAssignment._from_rows(rows, tolerance)
         except ValueError as exc:
             raise SpecError(here, str(exc)) from None
 

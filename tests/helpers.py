@@ -27,13 +27,16 @@ from fdist.intervals import (
     ZERO,
     Interval,
     IntervalUnion,
+    as_fraction,
     brief,
+    common_scale,
     cut,
     digit_limit,
     echo,
     format_fraction,
     iu,
     merge_spans,
+    scaled,
     unscaled,
 )
 from fdist.mass import (
@@ -48,6 +51,7 @@ from fdist.mass import (
     ZeroAreaError,
     align_levels,
     as_focal,
+    key_order,
 )
 from fdist.specfile import (
     _BOOL,
@@ -467,9 +471,92 @@ def int_digit_limit(limit: int):
         sys.set_int_max_str_digits(before)
 
 
+# The mass and sliced assignment constructors as they were before one
+# builder keyed every assignment from its numbers as read: every mass and
+# endpoint a Fraction, masses merged per part key as Fractions, both scales
+# the common_scale of the merged values, and the total divided out after.
+
+def _oracle_one_kind(focals) -> None:
+    if len({type(f) for f in focals if not f.is_empty}) > 1:
+        raise ValueError(MIXED_KINDS)
+
+
+def _oracle_endpoint_scale(focals):
+    return common_scale(
+        e for f in focals if isinstance(f, IntervalUnion) for p in f.parts for e in (p.lo, p.hi)
+    )
+
+
+def _oracle_divided(pairs: tuple, keys: tuple, w, tolerance: Fraction) -> tuple:
+    total = sum(mass for _, mass in keys)
+    if total == (1 if w is None else w):
+        return w, keys, pairs
+    exact = unscaled(total, w)
+    if not exact or abs(exact - 1) > tolerance:
+        raise ValueError(f"masses sum to {brief(exact)}, expected 1")
+    if w is None:
+        keys = tuple((key, mass / total) for key, mass in keys)
+    else:
+        w = total
+    pairs = tuple((f, unscaled(mass, w)) for (f, _), (_, mass) in zip(pairs, keys))
+    return w, keys, pairs
+
+
+def oracle_mass_keys(entries, tolerance: Fraction = DEFAULT_TOLERANCE) -> tuple:
+    """(scale, mass scale, keys, entries) that MassAssignment(entries,
+    tolerance=tolerance) stores, or the error it raises."""
+    positive = []
+    for focal, mass in entries:
+        focal, mass = as_focal(focal), as_fraction(mass)
+        if mass < 0:
+            raise ValueError(f"negative mass {brief(mass)} on {cut(str(focal))}")
+        if mass != 0:
+            positive.append((focal, mass))
+    _oracle_one_kind(f for f, _ in positive)
+    d = _oracle_endpoint_scale(f for f, _ in positive)
+    merged: dict = {}
+    for focal, mass in positive:
+        k = focal.part_keys(d)
+        e = merged.get(k)
+        if e is None:
+            merged[k] = [focal, mass]
+        else:
+            e[1] += mass
+    order = sorted(merged, key=key_order)
+    w = common_scale(mass for _, mass in merged.values())
+    keys = tuple((k, scaled(merged[k][1], w)) for k in order)
+    pairs = tuple(tuple(merged[k]) for k in order)
+    return (d, *_oracle_divided(pairs, keys, w, tolerance))
+
+
+def oracle_stack_keys(entries) -> tuple:
+    """(scale, mass scale, keys, slices) that SlicedAssignment(entries)
+    stores, or the error it raises."""
+    slices = tuple((as_focal(f), as_fraction(mass)) for f, mass in entries)
+    if not slices:
+        raise ValueError("need at least one slice")
+    _oracle_one_kind(f for f, _ in slices)
+    for f, mass in slices:
+        if mass <= 0:
+            raise ValueError(f"slice mass {brief(mass)} on {cut(str(f))} is not positive")
+    d = _oracle_endpoint_scale(f for f, _ in slices)
+    w = common_scale(mass for _, mass in slices)
+    keys = tuple((f.part_keys(d), scaled(mass, w)) for f, mass in slices)
+    return (d, *_oracle_divided(slices, keys, w, DEFAULT_TOLERANCE))
+
+
+def oracle_mass(entries, tolerance: Fraction = DEFAULT_TOLERANCE) -> MassAssignment:
+    """A MassAssignment holding what oracle_mass_keys returns."""
+    m = object.__new__(MassAssignment)
+    for name, value in zip(MassAssignment.__slots__, oracle_mass_keys(entries, tolerance)):
+        object.__setattr__(m, name, value)
+    return m
+
+
 # The document loader as it was before intervals.read: every number a
 # Fraction (a string tried as a Decimal, then as a Fraction), every focal
-# element an IntervalUnion, every mass set built by MassAssignment(entries).
+# element an IntervalUnion, every mass set built by the constructor oracle
+# (oracle_mass).
 
 def oracle_as_fraction(value) -> Fraction:
     if isinstance(value, bool):
@@ -585,7 +672,7 @@ def _oracle_parse_set(obj, path: str, tolerance: Fraction) -> SpecSet:
             entries.append((_oracle_focal(entry["focal"], f"{row}.focal"),
                             _oracle_number(entry["mass"], f"{row}.mass")))
         try:
-            value = MassAssignment(entries, tolerance=tolerance)
+            value = oracle_mass(entries, tolerance)
         except ValueError as exc:
             raise SpecError(here, str(exc)) from None
     return SpecSet(name, kind, value, slices)

@@ -82,13 +82,18 @@ class TestMassCommand:
             ((("2.5", "3.5"),), "0.25"),
         ]
 
-    def test_discrete_set_has_label_mass_and_no_fuzzy(self, capsys):
+    def test_discrete_set_has_label_mass_and_no_fuzzy(self, capsys, tmp_path):
         doc = run_json(capsys, "mass", DATA, "claim")
         assert entries(doc["mass"]) == [
             (("a",), "0.3"),
             (("a", "b"), "0.5"),
             (("a", "b", "c"), "0.2"),
         ]
+        assert "fuzzy" not in doc
+        # grades all 0 leave only the empty set, which is not a number line
+        zeros = {"sets": [{"name": "z", "kind": "discrete", "grades": {"a": 0, "b": 0}}]}
+        doc = run_json(capsys, "mass", write_doc(tmp_path, zeros), "z")
+        assert entries(doc["mass"]) == [((), "1")]
         assert "fuzzy" not in doc
 
     def test_mass_kind_passes_through(self, capsys):

@@ -2,6 +2,7 @@ import itertools
 import pickle
 import time
 import types
+from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
 
@@ -17,6 +18,7 @@ from fdist.intervals import (
     IntervalUnion,
     SurrogatePairError,
     common_scale,
+    format_fraction,
     iu,
     unscaled,
 )
@@ -68,7 +70,9 @@ from helpers import (
     oracle_fuzzy_from_mass,
     oracle_least_prejudiced,
     oracle_level_cut,
+    oracle_mass_keys,
     oracle_mu,
+    oracle_stack_keys,
     piecewise_shapes,
     stacks,
     totals_one,
@@ -246,8 +250,8 @@ class TestDividedWhereRead:
         assert_divided(SlicedAssignment(raw), exactly_normalised(raw))
 
     def test_label_sets_keep_their_focal_elements(self):
-        # a label set's entries are built from the given focal elements and
-        # the divided masses, not rebuilt from the keys
+        # a label set's entries are rebuilt from its keys, with the divided
+        # masses, equal to and written like the given focal elements
         raw = [(fs("x"), H), (fs("x", "y"), F(9, 20))]
         m = MassAssignment(raw, tolerance=F(1, 10))
         assert repr(m) == "MassAssignment({x}:10/19, {x,y}:9/19)"
@@ -269,6 +273,95 @@ class TestDividedWhereRead:
         for built in (MassAssignment(raw), SlicedAssignment(raw)):
             assert built._mass_scale is None
             assert_divided(built, exactly_normalised(raw))
+
+
+MASS_FORMS = (
+    lambda q: q,
+    lambda q: format_fraction(q),
+    lambda q: f"{q.numerator * 3}/{q.denominator * 3}",
+    float,
+    lambda q: Decimal(q.numerator) / Decimal(q.denominator),
+)
+
+
+@st.composite
+def raw_entries(draw):
+    """Entries as a caller gives them: label sets and unions (now and then
+    the empty set of either kind, a focal element given again, labels beside
+    unions), endpoints over small denominators or WIDE_PRIME_DENS, masses
+    zero or negative at times, over their total or over wide primes (whose
+    repeats can sum away their denominators), off 1 inside and outside the
+    tolerance, given as Fractions, text, floats or Decimals."""
+    n = draw(st.integers(0, 6))
+    dens = draw(st.sampled_from([(1, 2, 4, 10), WIDE_PRIME_DENS, (4,) + WIDE_PRIME_DENS]))
+    labels, unions = draw(st.booleans()), draw(st.booleans()) or draw(st.booleans())
+    focals = []
+    for _ in range(n):
+        kind = draw(st.integers(0, 9))
+        if kind == 0 or not (labels or unions):
+            focals.append(draw(st.sampled_from([EMPTY, frozenset()])))
+        elif focals and kind == 1:
+            focals.append(draw(st.sampled_from(focals)))
+        elif labels and (kind < 5 or not unions):
+            focals.append(draw(st.frozensets(st.sampled_from("abc"), min_size=1)))
+        else:
+            focals.append(draw(interval_unions(max_parts=3, lo=-4, hi=4, den=dens)))
+    if n and draw(st.integers(0, 3)) == 0:
+        p = draw(st.sampled_from(WIDE_PRIME_DENS))
+        masses = ([F(1, p), F(p - 2, 2 * p)] + [F(1, 2 * (n - 2))] * (n - 2))[:n] if n > 2 \
+            else [F(1, p), F(p - 2, 2 * p)][:n]
+    else:
+        weights = [draw(st.integers(-1 if draw(st.integers(0, 9)) == 0 else 0, 6)) for _ in range(n)]
+        total = sum(weights) or 1
+        masses = [F(w, total) for w in weights]
+    off = draw(st.sampled_from([F(0)] * 3 + [F(1, 10**10), F(-3, 10**9), F(1, 10**6)]))
+    return [(f, draw(st.sampled_from(MASS_FORMS))(mass * (1 + off))) for f, mass in zip(focals, masses)]
+
+
+def stored(build, view: str):
+    """(scale, mass scale, keys, entries or slices) of what build builds, or
+    the message of the ValueError it raises."""
+    try:
+        x = build()
+    except ValueError as exc:
+        return str(exc)
+    return x._scale, x._mass_scale, x._keys, getattr(x, view)
+
+
+def expected(oracle, *args):
+    try:
+        return oracle(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestBuilderEqualsTheOracle:
+    """MassAssignment and SlicedAssignment store the scales and keys, and
+    give the entries or slices, that the Fraction constructors
+    (oracle_mass_keys, oracle_stack_keys) give, or raise their message."""
+
+    @given(raw_entries(), st.sampled_from([DEFAULT_TOLERANCE, F(1, 10**7)]))
+    @settings(max_examples=400, deadline=None)
+    def test_constructors_agree(self, entries, tolerance):
+        assert stored(lambda: MassAssignment(entries, tolerance=tolerance), "entries") == \
+            expected(oracle_mass_keys, entries, tolerance)
+        assert stored(lambda: SlicedAssignment(entries), "slices") == \
+            expected(oracle_stack_keys, entries)
+
+    def test_messages_come_in_the_order_checked(self):
+        # a negative mass is named before a later entry is read; a stack
+        # reads every slice, then checks kinds, then masses
+        bad = [(iu((0, 1), (1, 2)), F(-1, 3)), (fs("a"), "x")]
+        with pytest.raises(ValueError, match=r"^negative mass -1/3 on \[0,2\]$"):
+            MassAssignment(bad)
+        with pytest.raises(ValueError, match="^not a number: 'x'$"):
+            SlicedAssignment(bad)
+        mixed = [(iu((0, 1)), 0), (fs("a"), 1)]
+        assert MassAssignment(mixed) == MassAssignment([(fs("a"), 1)])
+        with pytest.raises(ValueError, match=f"^{MIXED_KINDS}$"):
+            SlicedAssignment(mixed)
+        with pytest.raises(ValueError, match=r"^slice mass 0 on \{a\} is not positive$"):
+            SlicedAssignment([(fs("a"), 1), (fs("a"), 0), (EMPTY, -1)])
 
 
 class TestFocalInterface:
@@ -374,6 +467,23 @@ class TestMassFromDiscrete:
     def test_zero_grades_excluded(self):
         m = mass_from_discrete(DiscreteFuzzySet({"a": 1, "b": 0}))
         assert m.entries == ((fs("a"), 1),)
+
+    def test_label_sets_are_built_when_read(self):
+        # held as keys, as a numeric set is: its label sets are rebuilt from
+        # their sorted labels on first read, equal to, hashing and written
+        # like the ones given
+        labels = [f"label{k}" for k in range(40)]
+        grades = DiscreteFuzzySet({label: F(k % 7, 6) for k, label in enumerate(labels)})
+        m = mass_from_discrete(grades)
+        assert m._entries is None and len(m) == 6
+        levels = {g for _, g in grades.grades if g}
+        given = sorted((LabelSet(l for l, g in grades.grades if g >= level) for level in levels),
+                       key=lambda f: key_order(f.part_keys()))
+        built = m.focals()
+        assert m._entries is not None
+        assert built == tuple(given)
+        for b, g in zip(built, given):
+            assert type(b) is LabelSet and hash(b) == hash(g) and repr(b) == repr(g)
 
     def test_grade_outside_unit_rejected(self):
         with pytest.raises(ValueError):

@@ -48,6 +48,7 @@ from helpers import (
     oracle_fuzzy_rows,
     oracle_mass_doc,
     oracle_mass_frame,
+    oracle_mass_keys,
     oracle_parse_document,
     oracle_parse_text,
     oracle_render,
@@ -145,9 +146,10 @@ class TestParsing:
 
 
 class TestKeyedMassSets:
-    """A numeric mass set is read as keys, on the lcm of the denominators
-    read, and stores the scales and keys MassAssignment(entries) stores;
-    its entries are built only when read."""
+    """A mass set is read as keys, on the lcm of the denominators read, and
+    stores the scales and keys that the Fraction constructor
+    (oracle_mass_keys) stores for its entries; its entries are built only
+    when read."""
 
     @staticmethod
     def same_as_entries(entries, tolerance=None, **written):
@@ -155,11 +157,37 @@ class TestKeyedMassSets:
             {"focal": focal, "mass": mass} for focal, mass in written["rows"]]}
         kwargs = {} if tolerance is None else {"tolerance": tolerance}
         m = parse_document({"sets": [doc]}, **kwargs)["m"].value
-        expected = MassAssignment(entries, **kwargs)
+        scale, mass_scale, keys, expected = oracle_mass_keys(entries, **kwargs)
         assert m._entries is None
-        assert (m._scale, m._mass_scale, m._keys) == (
-            expected._scale, expected._mass_scale, expected._keys)
-        assert m.entries == expected.entries and m._entries is not None
+        assert (m._scale, m._mass_scale, m._keys) == (scale, mass_scale, keys)
+        assert m.entries == expected and m._entries is not None
+        return m
+
+    def test_endpoints_merged_away_leave_the_scale_they_passed(self):
+        # 0.001 as a JSON float is over 2**60 and "1/1000" over 1000: the
+        # read scale, 2**60 * 125, passes 64 bits, and merging [0, 1/1000]
+        # into [0, 1] drops the 1000, so the keys go back onto 2**60
+        m = self.same_as_entries(
+            [(iu((0, F(0.001))), H), (iu((0, F(1, 1000)), (0, 1)), H)],
+            rows=[([[0, 0.001]], "0.5"), ([[0, "1/1000"], [0, 1]], "0.5")])
+        assert m._scale == 2**60
+
+    def test_masses_summed_past_the_limit_go_back_onto_their_scale(self):
+        # each focal element given twice, with 1/p and (p-2)/(2p): the masses
+        # read over p and q, primes near 2**40, pass 64 bits; each sum is 1/2
+        p, q = 1099511627689, 1099511627791
+        m = self.same_as_entries(
+            [(iu((0, 1)), F(1, p)), (iu((0, 2)), F(1, q)),
+             (iu((0, 1)), F(p - 2, 2 * p)), (iu((0, 2)), F(q - 2, 2 * q))],
+            rows=[([[0, 1]], f"1/{p}"), ([[0, 2]], f"1/{q}"),
+                  ([[0, 1]], f"{p - 2}/{2 * p}"), ([[0, 2]], f"{q - 2}/{2 * q}")])
+        assert (m._mass_scale, [k for _, k in m._keys]) == (2, [1, 1])
+
+    def test_label_sets_are_keys_too(self):
+        m = self.same_as_entries(
+            [(frozenset("ba"), F(1, 4)), (frozenset(), H), (frozenset("ab"), F(1, 4))],
+            rows=[(["b", "a"], "0.25"), ([], "1/2"), (["a", "b", "a"], "2/8")])
+        assert repr(m) == "MassAssignment({a,b}:0.5, []:0.5)"
 
     def test_trailing_zeros_past_64_bits_cut_to_the_least_scale(self):
         # read denominators of 10**20, past MAX_SCALE_BITS; least scale 2

@@ -155,20 +155,26 @@ def test_lazy_stacks_copy_and_compare_as_values(clone, read_first):
 @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
 def test_lazy_results_copy_and_compare_as_values(clone, read_first):
     # a distance result keeps its mass assignment and fuzzy set as keys and
-    # builds entries and steps on first read; the copies are equal values
-    # either way, and so are the values rebuilt from entries and steps
+    # builds entries and steps on first read, as a label assignment builds
+    # its entries; the copies are equal values either way, and so are the
+    # values rebuilt from entries and steps
     result = distance(TRIANGLE, PiecewiseShape([(0, 0), (Fraction(7, 3), 1), (4, 0)]), n_slices=3)
     m, f = result.mass, result.fuzzy
+    labels = fdist.mass_from_discrete(DiscreteFuzzySet({"a": 1, "b": H, "c": Fraction(1, 3)}))
     if read_first:
-        m.entries, f.steps
-    twins = clone(m), clone(f), clone(result)
-    assert (twins[0]._entries is None, twins[1]._steps is None) == (not read_first,) * 2
-    for twin, value in zip(twins, (m, f, result)):
+        m.entries, f.steps, labels.entries
+    twins = clone(m), clone(f), clone(result), clone(labels)
+    assert (twins[0]._entries is None, twins[1]._steps is None, twins[3]._entries is None) == (
+        (not read_first,) * 3)
+    for twin, value in zip(twins, (m, f, result, labels)):
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
     rebuilt_m, rebuilt_f = MassAssignment(m.entries), NumericFuzzySet(f.steps)
     assert rebuilt_m == twins[0] and hash(rebuilt_m) == hash(m)
     assert rebuilt_f == twins[1] and hash(rebuilt_f) == hash(f)
+    rebuilt_labels = MassAssignment(labels.entries)
+    assert rebuilt_labels == twins[3] and hash(rebuilt_labels) == hash(labels)
+    assert [type(g) for g, _ in twins[3].entries] == [LabelSet] * 3
     assert (len(twins[0]), twins[0].empty_mass) == (len(m), m.empty_mass)
     assert sum(mass for _, mass in twins[0].entries) == 1
     assert fdist.fuzzy_from_mass(twins[0]) == f
