@@ -20,8 +20,10 @@ optimizes several objectives in order; each tuple is encoded as one
 integer in a base wider than any simple path's cost difference in one
 coordinate, which keeps that order. Empty costs give a plain maximum flow.
 
-Both solvers turn their integers back into Fractions only at the end, so
-results are exact and bit-stable.
+Supplies, demands and flows are integers: callers put masses on one
+scale first (mass.masses_under_lcm), with no bound on its size. The simplex
+turns its integers back into Fractions only at the end, so results are
+exact and bit-stable.
 """
 
 from fractions import Fraction
@@ -162,15 +164,16 @@ def feasible(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional
 
 
 def min_cost_flow(
-    supply: Sequence[Fraction],
-    demand: Sequence[Fraction],
+    supply: Sequence[int],
+    demand: Sequence[int],
     edges: Sequence[tuple],
     costs: Sequence[tuple],
 ) -> list:
-    """Flow on each (i, j) edge from supply i to demand j: a maximum flow
-    (no supply or demand exceeded) whose summed cost tuple is
-    lexicographically least. The flow falls short of the total supply
-    exactly when no routing meets every supply and demand."""
+    """Integer flow on each (i, j) edge from supply i to demand j, all
+    capacities integers on one scale: a maximum flow (no supply or demand
+    exceeded) whose summed cost tuple is lexicographically least. The flow
+    falls short of the total supply exactly when no routing meets every
+    supply and demand."""
     ns = len(supply)
     source = ns + len(demand)
     sink = source + 1
@@ -186,11 +189,9 @@ def min_cost_flow(
             code = code * base + v
         return code
 
-    # integer capacities over one common denominator keep every step exact
-    rooms, scale = _scaled([*supply, *demand])
-    total = sum(rooms[:ns])
-    arcs = [(source, i, room, 0) for i, room in enumerate(rooms[:ns])]
-    arcs += [(ns + j, sink, room, 0) for j, room in enumerate(rooms[ns:])]
+    total = sum(supply)
+    arcs = [(source, i, room, 0) for i, room in enumerate(supply)]
+    arcs += [(ns + j, sink, room, 0) for j, room in enumerate(demand)]
     first = 2 * len(arcs)
     arcs += [(i, ns + j, total, encode(c)) for (i, j), c in zip(edges, costs)]
     # residual arcs in pairs: arc k runs to head[k], arc k ^ 1 is its reverse
@@ -212,7 +213,7 @@ def min_cost_flow(
     pot[sink] = min(low.values(), default=0)
 
     # a flow that fills every supply or every demand is a maximum flow
-    left = min(total, sum(rooms[ns:]))
+    left = min(total, sum(demand))
     while True:
         left -= _admissible_max_flow(source, sink, head, cap, cost, out, pot)
         if not left:
@@ -243,8 +244,7 @@ def min_cost_flow(
         top = dist[sink]
         for v in range(nodes):
             pot[v] += dist[v] if settled[v] else top
-    flows = (cap[k + 1] for k in range(first, len(head), 2))
-    return [Fraction(f, scale) if f else ZERO for f in flows]
+    return [cap[k + 1] for k in range(first, len(head), 2)]
 
 
 def _admissible_max_flow(source, sink, head, cap, cost, out, pot):

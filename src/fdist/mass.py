@@ -25,7 +25,9 @@ Conventions that matter and are easy to get wrong:
   as integers. A stack of slices is (focal, mass) pairs, bottom first,
   so its levels are prefix sums; align_levels pairs two stacks in one
   merge walk over those sums as keys, and returns rows of slice indices
-  with the heights as keys; product_rows returns a product's (rows, scale).
+  with the heights as keys; product_rows returns a product's (rows, scale),
+  and masses_under_lcm two assignments' mass keys as integers on one
+  scale with no MAX_SCALE_BITS bound, the flows' capacities.
 * A SlicedAssignment is held as keys: each slice's part keys and mass
   key, each under one scale. slice_shape keys every vertex and crossing of a
   shape over one shape-wide scale and emits the keys directly; the
@@ -781,6 +783,22 @@ def product_rows(a: MassAssignment, b: MassAssignment) -> tuple:
     masses_b = [mass * fb for _, mass in b._keys]
     rows = ((i, j, ma * mb) for i, ma in enumerate(masses_a) for j, mb in enumerate(masses_b))
     return rows, None if w is None else w * w
+
+
+def masses_under_lcm(a: MassAssignment, b: MassAssignment) -> tuple:
+    """(scale, masses of a, masses of b): both assignments' mass keys as
+    integers on one scale, in entry order, for a flow's capacities. The
+    scale is the lcm of the two mass scales, with no MAX_SCALE_BITS bound;
+    where either is None, the lcm of the denominators of every mass."""
+    wa, wb = a._mass_scale, b._mass_scale
+    if wa is None or wb is None:
+        ma = [unscaled(mass, wa) for _, mass in a._keys]
+        mb = [unscaled(mass, wb) for _, mass in b._keys]
+        w = math.lcm(*(mass.denominator for mass in (*ma, *mb)))
+        return w, [scaled(mass, w) for mass in ma], [scaled(mass, w) for mass in mb]
+    w = math.lcm(wa, wb)
+    fa, fb = w // wa, w // wb
+    return w, [mass * fa for _, mass in a._keys], [mass * fb for _, mass in b._keys]
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,24 @@ elements onto their union and intersection. Reachability under type-1
 moves alone is a maximum flow over the superset edges, because containment
 is transitive: any chain of moves flattens into a direct routing from
 the original donors to the final receivers. The edges are read from the
-stored part keys on one scale (mass.keys_under, keys_contain). Every set
-is divided by its total where it is read, so sets that total 1 within the
-tolerance compare as their divided forms.
+stored part keys on one scale (mass.keys_under, keys_contain), and the
+flow runs on the mass keys on one integer scale (mass.masses_under_lcm).
+linear_combination keys its LP's lookup tables by stored part keys too,
+so neither check builds a focal element. Every set is divided by its
+total where it is read, so sets that total 1 within the tolerance
+compare as their divided forms.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from . import exactlp
 from .intervals import MIXED_KINDS, ONE, ZERO, IntervalUnion, as_fraction, brief, cut, meet_scales
-from .mass import Focal, MassAssignment, SlicedAssignment, as_focal, key_order
-from .mass import keys_contain, keys_under
+from .mass import Focal, MassAssignment, SlicedAssignment, _unscaler, as_focal, key_order
+from .mass import keys_contain, keys_under, masses_under_lcm
 
 
 class InvalidRestrictionError(ValueError):
@@ -105,13 +109,25 @@ def linear_combination(
 ) -> Optional[tuple]:
     """Nonnegative coefficients summing to 1 with sum(c_r * basis_r) ==
     target, if any exist. Solved exactly as a linear feasibility problem
-    with one equation per focal element (key_order, label sets first)."""
+    with one equation per focal element (key_order, label sets first,
+    the empty set last). The lookup tables are keyed by stored part keys,
+    a numeric set's on the meet scale of the numeric inputs, a label set's
+    as they are (labels have no scale); each distinct mass key is unscaled
+    to one Fraction."""
     if not basis:
         return None
-    held, *columns = (dict(m.entries) for m in (target, *basis))  # one lookup table each
+    sets = (target, *basis)
+    d = reduce(meet_scales, (m._scale for m in sets if m.is_numeric), 1)
+
+    def table(m: MassAssignment) -> dict:
+        keys = keys_under(m, d) if m.is_numeric else [key for key, _ in m._keys]
+        at = _unscaler((mass for _, mass in m._keys), m._mass_scale)
+        return {key: at(mass) for key, (_, mass) in zip(keys, m._keys)}
+
+    held, *columns = map(table, sets)
     focals = sorted(
         set(held).union(*columns),
-        key=lambda f: (isinstance(f, IntervalUnion), key_order(f.part_keys())),
+        key=lambda key: (not key or isinstance(key[0], tuple), key_order(key)),
     )
     rows = [[column.get(f, ZERO) for column in columns] for f in focals]
     rhs = [held.get(f, ZERO) for f in focals]
@@ -125,7 +141,8 @@ def reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
     """Whether some sequence of type-1 moves turns src into dst: mass may
     flow from a focal element only to its subsets (staying put is the
     trivial flow), so a maximum flow must move all of it onto dst, over
-    superset edges read from the stored part keys. Label sets and nonempty
+    superset edges read from the stored part keys, its capacities the mass
+    keys on one integer scale (masses_under_lcm). Label sets and nonempty
     unions do not mix (TypeError); the empty set alone meets either kind."""
     if len({m.is_numeric for m in (src, dst) if m._keys[0][0]}) > 1:
         raise TypeError(MIXED_KINDS)  # key_order puts the empty set's () last
@@ -133,10 +150,9 @@ def reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
     outer, inner = keys_under(src, d), keys_under(dst, d)
     edges = [(i, j) for i, ks in enumerate(outer) for j, kd in enumerate(inner)
              if keys_contain(ks, kd)]
-    flow = exactlp.min_cost_flow(
-        [m for _, m in src.entries], [m for _, m in dst.entries], edges, [()] * len(edges)
-    )
-    return sum(x for x in flow if x) == 1
+    _, supply, demand = masses_under_lcm(src, dst)
+    flow = exactlp.min_cost_flow(supply, demand, edges, [()] * len(edges))
+    return sum(flow) == sum(supply)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ the label table gives a truth assignment. Product routing treats the
 assignments as independent; maximal routing finds, by one min-cost flow,
 the lexicographically most informative joint distribution over the table.
 Both routings read one label table (_labels) and total it with
-mass.sum_by_key; product routing's cell masses are keys from
-mass.product_rows, as in the product distance; every set is divided by its
-total where it is read, so the label totals are the truth masses.
+mass.sum_by_key, on integer mass keys divided by their scale once per
+label: product routing's cell masses are keys from mass.product_rows, as
+in the product distance, and maximal routing's flow runs on the mass keys
+of mass.masses_under_lcm. Every set is divided by its total where it is
+read, so the label totals are the truth masses.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from typing import Mapping, Sequence
 
 from . import exactlp
 from .intervals import ZERO, as_fraction, brief, format_fraction, unscaled
-from .mass import Focal, MassAssignment, as_focal, product_rows, sum_by_key
+from .mass import Focal, MassAssignment, as_focal, masses_under_lcm, product_rows, sum_by_key
 
 
 class TruthLabel(Enum):
@@ -121,10 +123,10 @@ def unify_maximal(
         raise ValueError("order must list each truth label exactly once")
 
     # both marginals total exactly 1, so the transportation problem is balanced
-    supply = [m for _, m in m_a.entries]
-    demand = [m for _, m in m_g.entries]
+    scale, supply, demand = masses_under_lcm(m_a, m_g)
     cells = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
     labels = _labels(m_a, m_g)
     costs = [tuple(-(label == o) for o in order) for label in labels]
     flow = exactlp.min_cost_flow(supply, demand, cells, costs)
-    return TruthAssignment(sum_by_key(cell for cell in zip(labels, flow) if cell[1]))
+    totals = sum_by_key(cell for cell in zip(labels, flow) if cell[1])
+    return TruthAssignment({label: Fraction(t, scale) for label, t in totals.items()})

@@ -16,9 +16,10 @@ from math import lcm
 from operator import add
 from pathlib import Path
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from fdist.exactlp import Infeasible, Unbounded
+from fdist.exactlp import Infeasible, Unbounded, feasible, min_cost_flow
 from fdist.intervals import (
     DEFAULT_TOLERANCE,
     EMPTY,
@@ -51,6 +52,7 @@ from fdist.mass import (
     ZeroAreaError,
     align_levels,
     as_focal,
+    combine,
     key_order,
 )
 from fdist.specfile import (
@@ -144,6 +146,23 @@ def label_masses(draw, allow_empty=True, den=None, max_focals=3):
 
 
 @st.composite
+def wide_masses(draw, labels: bool):
+    """Masses on five or six distinct label sets or numeric focal elements,
+    the empty set among them at times, all but the last over distinct
+    WIDE_PRIME_DENS: at least four such denominators, so no integer mass
+    scale fits intervals.MAX_SCALE_BITS."""
+    k = draw(st.integers(5, 6))
+    if labels:
+        focal = st.frozensets(st.sampled_from("abc"))
+    else:
+        focal = interval_unions(max_parts=2, lo=-8, hi=8, allow_empty=True)
+    focals = draw(st.lists(focal, min_size=k, max_size=k, unique=True))
+    primes = draw(st.permutations(WIDE_PRIME_DENS))[:k - 1]
+    masses = [F(draw(st.integers(1, p // (2 * k))), p) for p in primes]
+    return MassAssignment(zip(focals, masses + [1 - sum(masses)]))
+
+
+@st.composite
 def kernel_masses(draw, den=4, max_focals=4):
     """Masses for the distance kernel: one to max_focals focal elements of
     up to two parts, the empty set among them at times, with endpoints
@@ -156,6 +175,42 @@ def kernel_masses(draw, den=4, max_focals=4):
         for _ in range(k)
     ]
     return MassAssignment(zip(focals, _den_masses(draw, k, den)))
+
+
+@st.composite
+def combination_cases(draw):
+    """(target, basis) for linear_combination, all label sets or all
+    numeric, the empty set among the focal elements at times. Each set
+    draws its own denominators for masses and endpoints: quarters,
+    COPRIME_DENS or WIDE_PRIME_DENS, so endpoint and mass scales mix on
+    both sides of MAX_SCALE_BITS. The basis sets either draw their focal
+    elements from one shared pool or each on their own, and may hold a
+    convex combination of the others, so that the target, a convex
+    combination of them or drawn on its own, may have many."""
+    labels = draw(st.booleans())
+    dens = st.sampled_from((4, COPRIME_DENS, WIDE_PRIME_DENS))
+    if labels:
+        focal = st.frozensets(st.sampled_from("abc"))
+    else:
+        focal = dens.flatmap(
+            lambda den: interval_unions(max_parts=2, lo=-8, hi=8, den=den, allow_empty=True)
+        )
+
+    def drawn(pool=None):
+        k = draw(st.integers(1, 4))
+        focals = [draw(focal if pool is None else st.sampled_from(pool)) for _ in range(k)]
+        return MassAssignment(zip(focals, _den_masses(draw, k, draw(dens))))
+
+    pool = draw(st.lists(focal, min_size=1, max_size=4)) if draw(st.booleans()) else None
+    def mixed(basis):
+        weights = [draw(st.integers(0, 3)) for _ in basis]
+        assume(sum(weights))
+        return combine([(F(w, sum(weights)), m) for w, m in zip(weights, basis)])
+
+    basis = [drawn(pool) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):  # a basis set that mixes others: many solutions
+        basis.insert(draw(st.integers(0, len(basis))), mixed(basis))
+    return drawn() if draw(st.booleans()) else mixed(basis), basis
 
 
 def stacks(m: MassAssignment):
@@ -880,6 +935,17 @@ def oracle_maximize(c, A, b) -> tuple:
     return value, x
 
 
+def rational_min_cost_flow(supply, demand, edges, costs) -> list:
+    """min_cost_flow over Fraction supplies and demands: each times the lcm
+    of their denominators, as an integer, and each flow back over it as a
+    Fraction."""
+    values = (*supply, *demand)
+    scale = lcm(*(v.denominator for v in values))
+    rooms = [v.numerator * (scale // v.denominator) for v in values]
+    flows = min_cost_flow(rooms[:len(supply)], rooms[len(supply):], edges, costs)
+    return [Fraction(f, scale) if f else ZERO for f in flows]
+
+
 def oracle_min_cost_flow(supply, demand, edges, costs) -> list:
     """Flow per (i, j) edge: a maximum flow whose summed cost tuple is
     lexicographically least, by successive shortest paths, each found by
@@ -999,6 +1065,32 @@ def oracle_unify_maximal(m_a, m_g, order=DEFAULT_ORDER) -> TruthAssignment:
     objectives = [[F(l == label) for l in labels] for label in order]
     values, _ = oracle_lex_maximize(objectives, *transportation(cells, supply, demand))
     return TruthAssignment(dict(zip(order, values)))
+
+
+def oracle_combination_lp(target: MassAssignment, basis) -> tuple:
+    """(rows, rhs) of linear_combination's LP, built over the entries: one
+    lookup table of focal elements per set, one row per focal element,
+    label sets first, then key_order on the unscaled part keys, and the
+    row of coefficients summing to 1."""
+    held, *columns = (dict(m.entries) for m in (target, *basis))
+    focals = sorted(
+        set(held).union(*columns),
+        key=lambda f: (isinstance(f, IntervalUnion), key_order(f.part_keys())),
+    )
+    rows = [[column.get(f, ZERO) for column in columns] for f in focals]
+    rhs = [held.get(f, ZERO) for f in focals]
+    rows.append([ONE] * len(basis))
+    rhs.append(ONE)
+    return rows, rhs
+
+
+def oracle_linear_combination(target: MassAssignment, basis) -> tuple:
+    """linear_combination as it read the entries: the coefficients that
+    solve oracle_combination_lp, or None."""
+    if not basis:
+        return None
+    solution = feasible(*oracle_combination_lp(target, basis))
+    return None if solution is None else tuple(solution)
 
 
 def oracle_reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:

@@ -12,6 +12,7 @@ from helpers import (
     oracle_lex_maximize,
     oracle_maximize,
     oracle_min_cost_flow,
+    rational_min_cost_flow,
     transportation,
 )
 
@@ -136,32 +137,40 @@ class TestLexMaximize:
         # 2x2 square of halves: maximize x11, then x22 under that optimum
         cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
         costs = [(-1, 0), (0, 0), (0, 0), (0, -1)]
-        x = min_cost_flow([F(1, 2)] * 2, [F(1, 2)] * 2, cells, costs)
+        x = rational_min_cost_flow([F(1, 2)] * 2, [F(1, 2)] * 2, cells, costs)
         assert x == [F(1, 2), F(0), F(0), F(1, 2)]
 
     def test_earlier_objective_takes_priority(self):
         # one unit over two parallel edges; the first cost entry decides
         one = [F(1)]
-        assert min_cost_flow(one, one, [(0, 0)] * 2, [(-1, 0), (0, -1)]) == [1, 0]
-        assert min_cost_flow(one, one, [(0, 0)] * 2, [(0, -1), (-1, 0)]) == [0, 1]
+        assert rational_min_cost_flow(one, one, [(0, 0)] * 2, [(-1, 0), (0, -1)]) == [1, 0]
+        assert rational_min_cost_flow(one, one, [(0, 0)] * 2, [(0, -1), (-1, 0)]) == [0, 1]
 
     def test_solution_satisfies_all_pins(self):
         # x2 and x3 tie on the first objective; the second picks x3
         one = [F(1)]
-        x = min_cost_flow(one, one, [(0, 0)] * 3, [(0, 0), (-1, 0), (-1, -1)])
+        x = rational_min_cost_flow(one, one, [(0, 0)] * 3, [(0, 0), (-1, 0), (-1, -1)])
         assert x == [F(0), F(0), F(1)]
 
 
 class TestMinCostFlow:
     def test_empty_costs_give_a_maximum_flow(self):
         # the second demand can only be fed from the first supply
-        x = min_cost_flow([F(1, 2)] * 2, [F(1, 2)] * 2, [(0, 0), (0, 1), (1, 0)], [()] * 3)
+        halves = [F(1, 2)] * 2
+        x = rational_min_cost_flow(halves, halves, [(0, 0), (0, 1), (1, 0)], [()] * 3)
         assert x == [F(0), F(1, 2), F(1, 2)]
-        short = min_cost_flow([F(1, 2)] * 2, [F(1, 2)] * 2, [(0, 0), (1, 0)], [()] * 2)
+        short = rational_min_cost_flow(halves, halves, [(0, 0), (1, 0)], [()] * 2)
         assert sum(short) == F(1, 2)
 
     def test_no_edges(self):
-        assert min_cost_flow([F(1)], [F(1)], [], []) == []
+        assert rational_min_cost_flow([F(1)], [F(1)], [], []) == []
+
+    def test_integer_capacities_give_integer_flows(self):
+        # capacities are taken as given, on one scale of any size
+        big = 3**90
+        x = min_cost_flow([big, 2 * big], [2 * big, big], [(0, 0), (1, 0), (1, 1)], [()] * 3)
+        assert x == [big, big, big]
+        assert all(type(f) is int for f in x)
 
 
 @st.composite
@@ -223,7 +232,7 @@ def flow_problems(draw):
 def test_flow_value_and_cost_totals_equal_the_tuple_flow(problem):
     # optimal edge vectors may differ; the value and the totals may not
     supply, demand, edges, costs = problem
-    x = min_cost_flow(*problem)
+    x = rational_min_cost_flow(*problem)
     assert all(v >= 0 for v in x)
     for k, s in enumerate(supply):
         assert sum(v for (i, _), v in zip(edges, x) if i == k) <= s
@@ -246,7 +255,7 @@ def test_encoded_costs_keep_lexicographic_order_across_a_long_cycle():
     shifted = [(i, (i + 1) % 4) for i in range(4)]
     edges = shifted + straight
     costs = [(1, -3)] + [(0, -3)] * 3 + [(0, 3)] * 4
-    x = min_cost_flow(quarter, quarter, edges, costs)
+    x = rational_min_cost_flow(quarter, quarter, edges, costs)
     assert x == [F(0)] * 4 + quarter
     assert flow_totals(edges, costs, x) == (1, (0, 3))
     assert flow_totals(edges, costs, x) == flow_totals(
@@ -275,7 +284,7 @@ def labelled_tables(draw):
 def label_flow(table):
     supply, demand, cells, labels, order = table
     costs = [tuple(-(label == o) for o in order) for label in labels]
-    return min_cost_flow(supply, demand, cells, costs)
+    return rational_min_cost_flow(supply, demand, cells, costs)
 
 
 class TestLexMatchesOracle:

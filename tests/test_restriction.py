@@ -1,19 +1,24 @@
 import json
 import random
+from argparse import Namespace
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fdist.cli import main
+from fdist import exactlp
+from fdist.cli import cmd_restrict_check, main
 from fdist.distance import (
     assign_antidiagonal,
     assign_diagonal,
     assign_product,
     cell_nondirectional,
 )
+from fdist.exactlp import feasible
 from fdist.intervals import EMPTY, MAX_SCALE_BITS, MIXED_KINDS, iu, meet_scales
 from fdist.mass import MassAssignment, combine, fuzzy_from_mass, slice_shape
 from fdist.restriction import (
@@ -28,18 +33,26 @@ from fdist.restriction import (
     theorem1_check,
     theorem2_witness,
 )
+from fdist.specfile import load, parse_text
 from helpers import (
+    combination_cases,
+    kernel_masses,
     label_masses,
     nested_masses,
     numeric_masses,
+    oracle_combination_lp,
     oracle_focal_issuperset,
+    oracle_linear_combination,
     oracle_reachable_type1,
     perfbench_module,
     random_triangle,
     scaled_triangle,
     shifted_shape,
     totals_one,
+    wide_masses,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data" / "worked_sets.json"
 
 F = Fraction
 H = F(1, 2)
@@ -291,6 +304,44 @@ class TestLinearCombination:
         assert all(c >= 0 for c in coeffs)
         assert combine(list(zip(coeffs, (m1, m2, m3)))) == target
 
+    @given(combination_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_lp_over_entries(self, case):
+        # the keyed tables and row order make the same LP as the focal
+        # elements did, so the same coefficients, or None on both sides
+        target, basis = case
+        solved = []
+
+        def spy(rows, rhs):
+            solved.append((rows, rhs))
+            return feasible(rows, rhs)
+
+        with patch.object(exactlp, "feasible", spy):
+            got = linear_combination(target, basis)
+        assert solved == [oracle_combination_lp(target, basis)]
+        assert got == oracle_linear_combination(target, basis)
+
+    def test_numeric_target_against_label_basis(self, capsys, tmp_path):
+        # label keys are never scaled: a numeric target over halves meets
+        # two-character labels in one LP, which has no solution, and the
+        # command then refuses the reachability check across kinds
+        target = MassAssignment([(iu((0, H)), F(1))])
+        basis = [MassAssignment([(frozenset(["ab", "cd"]), H), (frozenset(["ab"]), H)]),
+                 MassAssignment([(frozenset(["cd"]), F(1))])]
+        assert linear_combination(target, basis) is None
+        assert oracle_linear_combination(target, basis) is None
+        doc = {"sets": [
+            {"name": "T", "kind": "mass", "entries": [{"focal": [["0", "1/2"]], "mass": "1"}]},
+            {"name": "L", "kind": "mass", "entries": [
+                {"focal": ["ab", "cd"], "mass": "1/2"}, {"focal": ["ab"], "mass": "1/2"}]},
+        ]}
+        spec = tmp_path / "mixed.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["restrict-check", str(spec), "T", "--basis", "L"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"fdist: {MIXED_KINDS}\n"
+
 
 @st.composite
 def chain_pairs(draw):
@@ -523,6 +574,86 @@ class TestReachability:
                 "target_to_basis": reaches(sets["T"], sets[name], chain),
             }
         assert out["reachability"]["B2"]["basis_to_target"]
+
+
+def chain_doc(sets: dict) -> str:
+    """A document of mass sets on one-part focal elements, by name."""
+    return json.dumps({"sets": [
+        {"name": name, "kind": "mass", "entries": [
+            {"focal": [[str(f.parts[0].lo), str(f.parts[0].hi)]] if f.parts else [],
+             "mass": str(m)}
+            for f, m in masses.items()
+        ]}
+        for name, masses in sets.items()
+    ]})
+
+
+class TestRestrictCheckOnKeys:
+    """restrict-check reads every input's stored keys and builds no focal
+    element: each input's entries are still unbuilt afterwards."""
+
+    @staticmethod
+    def check(sets: dict, target: str, basis: str) -> dict:
+        doc = json.loads(cmd_restrict_check(Namespace(target=target, basis=basis), sets))
+        for name in (target, *basis.split(",")):
+            assert sets[name].value._entries is None
+        return doc
+
+    @given(chain_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_chains(self, case):
+        chain, src, dst = case
+        sets = parse_text(chain_doc({"S": src, "D": dst, "W": {chain[0]: F(1)}}))
+        doc = self.check(sets, "S", "D,W")
+        assert doc["reachability"]["D"] == {
+            "basis_to_target": reaches(dst, src, chain),
+            "target_to_basis": reaches(src, dst, chain),
+        }
+        assert doc["reachability"]["W"]["basis_to_target"]
+
+    def test_worked_sets(self):
+        doc = self.check(load(DATA), "prod2", "diag2,anti2")
+        assert doc["coefficients"] == ["0.5", "0.5"]
+
+
+# Four primes past 2**40 and the chain they put masses on: masses over all
+# four have no integer mass scale (intervals.MAX_SCALE_BITS).
+WIDE_CHAIN = [iu((k, 20 - k)) for k in range(5)]
+WIDE_MASSES = [F(1, p) for p in PRIMES_2_40[:4]]
+
+
+@st.composite
+def wide_mass_pairs(draw):
+    """Two label or two numeric masses, the first with no integer mass
+    scale, the second either also or over quarters."""
+    labels = draw(st.booleans())
+    other = label_masses() if labels else kernel_masses()
+    return draw(wide_masses(labels)), draw(wide_masses(labels) | other)
+
+
+class TestReachabilityPastTheMassScale:
+    """A mass scale of None: the flow's capacities are the masses times the
+    lcm of their denominators."""
+
+    def test_moves_inward_reach(self):
+        src = MassAssignment(zip(WIDE_CHAIN, WIDE_MASSES + [1 - sum(WIDE_MASSES)]))
+        moved = WIDE_MASSES[0] / 3
+        dst = MassAssignment(zip(WIDE_CHAIN, [WIDE_MASSES[0] - moved, WIDE_MASSES[1] + moved,
+                                              *WIDE_MASSES[2:], 1 - sum(WIDE_MASSES)]))
+        assert src._mass_scale is None and dst._mass_scale is None
+        whole = MassAssignment([(WIDE_CHAIN[0], F(1))])
+        for a, b, expected in ((src, dst, True), (dst, src, False),
+                               (whole, src, True), (src, whole, False)):
+            assert reachable_type1(a, b) is expected
+            assert oracle_reachable_type1(a, b) is expected
+
+    @given(wide_mass_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lp_feasibility(self, pair):
+        src, dst = pair
+        assert src._mass_scale is None
+        assert reachable_type1(src, dst) == oracle_reachable_type1(src, dst)
+        assert reachable_type1(dst, src) == oracle_reachable_type1(dst, src)
 
 
 def focal_contains(a, b):

@@ -23,6 +23,7 @@ from helpers import (
     oracle_unify_maximal,
     oracle_unify_product,
     totals_one,
+    wide_masses,
 )
 
 F = Fraction
@@ -116,6 +117,18 @@ class TestUnifyProduct:
 
 
 class TestUnifyMaximal:
+    def test_mass_scale_past_the_limit(self):
+        # masses over four primes past 2**20 have no integer mass scale;
+        # the other side's has one
+        p, q, r, s = WIDE_PRIME_DENS[:4]
+        masses = [F(1, p), F(1, q), F(1, r), F(1, s)]
+        a = MassAssignment(zip([fs("a"), fs("a", "b"), fs("b"), fs("c"), EMPTY],
+                               masses + [1 - sum(masses)]))
+        g = MassAssignment([(fs("b"), F(1, 3)), (fs("a", "c"), F(2, 3))])
+        assert a._mass_scale is None and g._mass_scale == 3
+        for x, y in ((a, g), (g, a), (a, a)):
+            assert unify_maximal(x, y) == oracle_unify_maximal(x, y)
+
     def test_worked_example(self):
         r = unify_maximal(CLAIM, EVIDENCE)
         assert r == ta(true=F(1, 2), both=F(2, 5), unknown=F(1, 10))
@@ -194,6 +207,20 @@ def test_outputs_sum_to_one(ma, mg):
 def test_product_matches_fraction_oracle(pair):
     ma, mg = pair
     assert unify_product(ma, mg) == oracle_unify_product(ma, mg)
+
+
+@given(
+    wide_masses(labels=True),
+    wide_masses(labels=True) | label_masses(),
+    st.booleans(),
+    st.permutations(list(TruthLabel)),
+)
+@settings(max_examples=40, deadline=None)
+def test_maximal_past_the_mass_scale_matches_pinning_oracle(wide, other, claim, order):
+    # the flow's capacities are the masses times the lcm of their denominators
+    assert wide._mass_scale is None
+    ma, mg = (wide, other) if claim else (other, wide)
+    assert unify_maximal(ma, mg, order) == oracle_unify_maximal(ma, mg, order)
 
 
 @given(label_masses(), label_masses())
