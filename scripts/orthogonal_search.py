@@ -19,7 +19,6 @@ Usage: python scripts/orthogonal_search.py [--slices N] [--directional]
 
 import argparse
 import sys
-from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
@@ -27,9 +26,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fdist import (  # noqa: E402
     MassAssignment,
+    SlicedAssignment,
     Strategy,
-    cell_directional,
-    cell_nondirectional,
     distance,
     linear_combination,
     load,
@@ -39,13 +37,12 @@ from fdist import (  # noqa: E402
 DATA = Path(__file__).resolve().parent.parent / "data" / "worked_sets.json"
 
 
-def permutation_mass(focals_a, focals_b, perm, cell) -> MassAssignment:
-    """Pair slice k of a with slice perm[k] of b; equal slice masses."""
-    n = len(perm)
-    share = Fraction(1, n)
-    return MassAssignment(
-        (cell(focals_a[k], focals_b[perm[k]]), share) for k in range(n)
-    )
+def permutation_mass(sa, sb, perm, directional) -> MassAssignment:
+    """Pair slice k of a with slice perm[k] of b: the diagonal distance
+    against b's slices restacked in perm's order, which pairs them one to
+    one, as every slice has mass 1/n."""
+    restacked = SlicedAssignment(sb.slices[j] for j in perm)
+    return distance(sa, restacked, strategy=Strategy.DIAGONAL, directional=directional).mass
 
 
 def main() -> int:
@@ -61,8 +58,6 @@ def main() -> int:
 
     sets = load(DATA)
     a, b = sets["A"].value, sets["B"].value
-    cell = cell_directional if args.directional else cell_nondirectional
-
     product = distance(
         a, b, strategy=Strategy.PRODUCT, n_slices=n, directional=args.directional
     ).mass
@@ -81,10 +76,9 @@ def main() -> int:
             f"{coefficients[0]}*diagonal + {coefficients[1]}*anti-diagonal"
         )
 
-    sa = [f for f, _ in slice_shape(a, n).slices]
-    sb = [f for f, _ in slice_shape(b, n).slices]
+    sa, sb = slice_shape(a, n), slice_shape(b, n)
     perms = list(permutations(range(n)))
-    family = [permutation_mass(sa, sb, p, cell) for p in perms]
+    family = [permutation_mass(sa, sb, p, args.directional) for p in perms]
     coefficients = linear_combination(product, family)
     if coefficients is None:
         print(f"all {len(perms)} permutation pairings: no mixture found")

@@ -13,8 +13,6 @@ from .distance import (
     assign_antidiagonal,
     assign_diagonal,
     assign_product,
-    cell_directional,
-    cell_nondirectional,
     distance,
     resolve_strategy,
 )
@@ -51,7 +49,6 @@ from .mass import (
     slice_shape,
 )
 from .restriction import (
-    CellMatrix,
     InvalidRestrictionError,
     Restriction,
     RestrictionKind,
@@ -59,8 +56,6 @@ from .restriction import (
     apply_type2,
     linear_combination,
     reachable_type1,
-    theorem1_check,
-    theorem2_witness,
 )
 from .specfile import SpecError, SpecSet, load, parse_document, parse_text
 from .unification import (
@@ -74,7 +69,6 @@ from .unification import (
 __all__ = [
     "DEFAULT_SLICES",
     "DEFAULT_TOLERANCE",
-    "CellMatrix",
     "DegenerateSupportError",
     "Density",
     "DiscreteFuzzySet",
@@ -106,8 +100,6 @@ __all__ = [
     "assign_antidiagonal",
     "assign_diagonal",
     "assign_product",
-    "cell_directional",
-    "cell_nondirectional",
     "centre_of_gravity",
     "combine",
     "distance",
@@ -124,8 +116,6 @@ __all__ = [
     "reachable_type1",
     "resolve_strategy",
     "slice_shape",
-    "theorem1_check",
-    "theorem2_witness",
     "truth_cell",
     "unify_maximal",
     "unify_product",

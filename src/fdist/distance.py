@@ -3,7 +3,8 @@
 The distance between two focal elements is the set of differences
 between their points: directional keeps the sign of b - a, the plain
 distance takes absolute values. Pairing the two mass assignments' focal
-elements is a choice of joint distribution over cells:
+elements is a choice of joint distribution over cells, and _cell, on part
+keys, is the one place a cell is computed:
 
 * PRODUCT treats them as independent,
 * DIAGONAL pairs level slices bottom-up over their shared level ranges,
@@ -14,8 +15,9 @@ Each input is normalised once: mass.slice_shape slices a shape, resolving
 and bounding n_slices, and a mass or sliced assignment passes through when
 its is_numeric, decided in mass, holds. The strategy is resolved from
 those inputs and reported in the result. Diagonal pairings need a level
-ordering, so they stack a mass assignment's focal elements by size;
-distances between cells of the empty set stay on the empty set.
+ordering, so they stack a mass assignment's stored keys by containment
+(SlicedAssignment.from_mass, on mass.chain_order), building no focal
+element; distances between cells of the empty set stay on the empty set.
 
 Every strategy hands one kernel, _cell_mass, rows (i, j, mass key) that
 index the two inputs' focal elements, and their mass scale: product_rows
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Union
 
-from .intervals import IntervalUnion, meet_scales, merge_spans
+from .intervals import meet_scales, merge_spans
 from .mass import (
     MAX_SLICES,
     MassAssignment,
@@ -48,7 +50,6 @@ from .mass import (
     PiecewiseShape,
     SlicedAssignment,
     align_levels,
-    focals_from_keys,
     fuzzy_from_mass,
     keys_under,
     product_rows,
@@ -80,21 +81,6 @@ def _cell(ka: tuple, kb: tuple, directional: bool) -> tuple:
             for lo, hi in spans
         ]
     return merge_spans(spans)
-
-
-def _cell_of(a: IntervalUnion, b: IntervalUnion, directional: bool) -> IntervalUnion:
-    return focals_from_keys([_cell(a.part_keys(), b.part_keys(), directional)], None)[0]
-
-
-def cell_directional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
-    """{y - x : x in a, y in b}; empty if either side is empty."""
-    return _cell_of(a, b, True)
-
-
-def cell_nondirectional(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
-    """{|y - x| : x in a, y in b}, each directional difference folded onto
-    the nonnegative axis; empty if either side is empty."""
-    return _cell_of(a, b, False)
 
 
 def _cell_mass(

@@ -14,6 +14,9 @@ read, and slice_shape resolves the slice count and bounds it. A focal
 element's one key is its part_keys (a label set's sorted labels, a
 union's (lo, hi) part keys, () when empty); key_order sorts entries by it,
 and keys_contain tests containment on it, keys_under meeting two scales.
+Nesting is decided once, on those keys: chain_order orders an assignment's
+focal elements widest first and names the first adjacent pair that is not
+nested, and SlicedAssignment.from_mass stacks a chain by it.
 
 Conventions that matter and are easy to get wrong:
 
@@ -244,6 +247,27 @@ def keys_contain(outer: tuple, inner: tuple) -> bool:
     union's spans through covers, a label set's sorted labels as a subset."""
     numeric = inner and isinstance(inner[0], tuple)
     return covers(outer, inner) if numeric else set(outer).issuperset(inner)
+
+
+def chain_order(m: "MassAssignment") -> tuple:
+    """(order, gap) of an assignment's stored part keys, the one nesting
+    test: order holds its entry indices widest first, a stable sort,
+    reversed, by (summed part lengths, part count), a label set's by
+    (size, 0), so the empty set's () comes last; gap is the first adjacent
+    pair (i, j) in order whose keys i do not contain keys j (keys_contain),
+    or None when the focal elements form a chain. Of two nested unions of
+    one length the superset has more parts, as it adds single points;
+    label sets of one size are nested only when equal."""
+    keys = [key for key, _ in m._keys]
+
+    def extent(key: tuple) -> tuple:
+        if key and isinstance(key[0], tuple):
+            return sum(hi - lo for lo, hi in key), len(key)
+        return len(key), 0
+
+    order = sorted(range(len(keys)), key=lambda i: extent(keys[i]), reverse=True)
+    pairs = zip(order, order[1:])
+    return order, next(((i, j) for i, j in pairs if not keys_contain(keys[i], keys[j])), None)
 
 
 def _entries_from_keys(
@@ -629,26 +653,18 @@ class SlicedAssignment:
 
     @classmethod
     def from_mass(cls, m: MassAssignment) -> "SlicedAssignment":
-        """Order focal elements by containment, biggest at the bottom.
-        Fails when the nonempty focal elements are not nested."""
-        def size(f: Focal) -> tuple:
-            # Of two nested unions of one length, the superset has more parts:
-            # it adds single points. Label sets of one size are nested only
-            # when equal.
-            return (f.length, len(f.parts)) if isinstance(f, IntervalUnion) else (len(f), 0)
-
-        # sort is stable and entries come in key_order, which keeps the
-        # empty set, of size 0, no parts and contained in any set, last
-        stack = sorted(zip(m.entries, m._keys), key=lambda e: size(e[0][0]), reverse=True)
-        for ((f1, _), _), ((f2, _), _) in zip(stack, stack[1:]):
-            if not f1.issuperset(f2):
-                raise ValueError(
-                    f"focal elements not nested: {cut(str(f1))} vs {cut(str(f2))}"
-                    "; diagonal and antidiagonal pairings need nested focal elements,"
-                    " the product strategy does not"
-                )
-        slices, keys = tuple(e for e, _ in stack), tuple(key for _, key in stack)
-        return cls._trusted(m._scale, m._mass_scale, keys, slices)
+        """m's stored keys stacked by containment, widest at the bottom
+        (chain_order); its slices are built only when read. Fails when the
+        nonempty focal elements are not nested."""
+        order, gap = chain_order(m)
+        if gap is not None:
+            f1, f2 = focals_from_keys([m._keys[i][0] for i in gap], m._scale)
+            raise ValueError(
+                f"focal elements not nested: {cut(str(f1))} vs {cut(str(f2))}"
+                "; diagonal and antidiagonal pairings need nested focal elements,"
+                " the product strategy does not"
+            )
+        return cls._trusted(m._scale, m._mass_scale, tuple(m._keys[i] for i in order))
 
     @property
     def slices(self) -> tuple:

@@ -1,4 +1,4 @@
-"""Mass-movement operators and structure checks on assignment matrices.
+"""Mass-movement operators, type-1 reachability and mixtures of assignments.
 
 A type-1 restriction moves mass from a focal element to one of its
 subsets; a type-2 restriction moves mass from two incomparable focal
@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import exactlp
-from .intervals import MIXED_KINDS, ONE, ZERO, IntervalUnion, as_fraction, brief, cut, meet_scales
-from .mass import Focal, MassAssignment, SlicedAssignment, _unscaler, as_focal, key_order
+from .intervals import MIXED_KINDS, ONE, ZERO, as_fraction, brief, cut, meet_scales
+from .mass import Focal, MassAssignment, _unscaler, as_focal, key_order
 from .mass import keys_contain, keys_under, masses_under_lcm
 
 
@@ -153,62 +153,3 @@ def reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
     _, supply, demand = masses_under_lcm(src, dst)
     flow = exactlp.min_cost_flow(supply, demand, edges, [()] * len(edges))
     return sum(flow) == sum(supply)
-
-
-# ---------------------------------------------------------------------------
-# assignment-matrix structure checks
-
-@dataclass(frozen=True)
-class CellMatrix:
-    """Every pairwise cell of a distance operator over two focal lists."""
-
-    rows: tuple
-    cols: tuple
-    cells: tuple
-
-    @classmethod
-    def build(
-        cls,
-        rows: Sequence[Focal],
-        cols: Sequence[Focal],
-        cell: Callable[[IntervalUnion, IntervalUnion], IntervalUnion],
-    ) -> "CellMatrix":
-        rows = tuple(rows)
-        cols = tuple(cols)
-        cells = tuple(tuple(cell(r, c) for c in cols) for r in rows)
-        return cls(rows, cols, cells)
-
-    @classmethod
-    def from_sliced(
-        cls,
-        a: SlicedAssignment,
-        b: SlicedAssignment,
-        cell: Callable[[IntervalUnion, IntervalUnion], IntervalUnion],
-    ) -> "CellMatrix":
-        return cls.build([f for f, _ in a.slices], [f for f, _ in b.slices], cell)
-
-    def flat(self):
-        for i, row in enumerate(self.cells):
-            for j, value in enumerate(row):
-                yield (i, j), value
-
-
-def theorem1_check(matrix: CellMatrix) -> bool:
-    """True when every pair of cells is comparable under containment."""
-    flat = list(matrix.flat())
-    for idx, (_, x) in enumerate(flat):
-        for _, y in flat[idx + 1 :]:
-            if not (x.issuperset(y) or y.issuperset(x)):
-                return False
-    return True
-
-
-def theorem2_witness(matrix: CellMatrix) -> Optional[tuple]:
-    """Coordinates of two cells that overlap with neither containing the
-    other, if such a pair exists."""
-    flat = list(matrix.flat())
-    for idx, (pos_x, x) in enumerate(flat):
-        for pos_y, y in flat[idx + 1 :]:
-            if x.intersects(y) and not x.issuperset(y) and not y.issuperset(x):
-                return (pos_x, pos_y)
-    return None

@@ -19,6 +19,7 @@ from pathlib import Path
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from fdist.distance import Strategy, distance
 from fdist.exactlp import Infeasible, Unbounded, feasible, min_cost_flow
 from fdist.intervals import (
     DEFAULT_TOLERANCE,
@@ -387,6 +388,72 @@ def oracle_cell(a: IntervalUnion, b: IntervalUnion, directional: bool) -> Interv
                 lo, hi = (-hi, -lo) if hi <= 0 else (ZERO, max(-lo, hi))
             parts.append(Interval(lo, hi))
     return IntervalUnion(oracle_merge(parts))
+
+
+def kernel_cell(a, b, directional: bool):
+    """The cell between focal elements a and b as the package computes it,
+    on keys in the distance kernel: the one focal element of the product
+    distance between the one-focal mass sets on a and on b, EMPTY when
+    either is empty."""
+    one_a, one_b = MassAssignment([(a, 1)]), MassAssignment([(b, 1)])
+    d = distance(one_a, one_b, strategy=Strategy.PRODUCT, directional=directional)
+    return d.mass.focals()[0]
+
+
+def oracle_cells(a: SlicedAssignment, b: SlicedAssignment, directional: bool) -> list:
+    """Every cell of a slice of a against a slice of b, by oracle_cell: the
+    full matrix, row by row, duplicates kept."""
+    return [oracle_cell(fa, fb, directional) for fa, _ in a.slices for fb, _ in b.slices]
+
+
+# The all-pairs structure checks on cells that fdist.restriction made
+# (theorem1_check and theorem2_witness over its CellMatrix): O(n^2) pairs
+# of n cells. The package now decides nesting once, by mass.chain_order.
+
+def oracle_all_comparable(cells) -> bool:
+    """Whether every pair of cells is comparable under containment."""
+    return all(
+        oracle_focal_issuperset(x, y) or oracle_focal_issuperset(y, x)
+        for k, x in enumerate(cells) for y in cells[k + 1:]
+    )
+
+
+def oracle_overlap_witness(cells):
+    """Indices (k, l) of two cells that overlap with neither containing the
+    other, the first such pair in order, or None."""
+    for k, x in enumerate(cells):
+        for l in range(k + 1, len(cells)):
+            y = cells[l]
+            if (oracle_focal_intersects(x, y) and not oracle_focal_issuperset(x, y)
+                    and not oracle_focal_issuperset(y, x)):
+                return k, l
+    return None
+
+
+# The stacking that SlicedAssignment.from_mass did before mass.chain_order:
+# every entry built, sorted by length and part count, and neighbours tested
+# for containment on the focal elements themselves.
+
+def oracle_from_mass(m: MassAssignment) -> tuple:
+    """m's (focal, mass) entries stacked by containment, biggest at the
+    bottom; ValueError when the nonempty focal elements are not nested."""
+    def size(f) -> tuple:
+        # Of two nested unions of one length, the superset has more parts:
+        # it adds single points. Label sets of one size are nested only
+        # when equal.
+        return (f.length, len(f.parts)) if isinstance(f, IntervalUnion) else (len(f), 0)
+
+    # sort is stable and entries come in key_order, which keeps the
+    # empty set, of size 0, no parts and contained in any set, last
+    stack = sorted(m.entries, key=lambda e: size(e[0]), reverse=True)
+    for (f1, _), (f2, _) in zip(stack, stack[1:]):
+        if not oracle_focal_issuperset(f1, f2):
+            raise ValueError(
+                f"focal elements not nested: {cut(str(f1))} vs {cut(str(f2))}"
+                "; diagonal and antidiagonal pairings need nested focal elements,"
+                " the product strategy does not"
+            )
+    return tuple(stack)
 
 
 def oracle_merge(parts) -> tuple:

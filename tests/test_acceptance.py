@@ -12,12 +12,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from fdist.distance import (
-    Strategy,
-    cell_directional,
-    cell_nondirectional,
-    distance,
-)
+from fdist.distance import Strategy, distance
 from fdist.intervals import EMPTY, IntervalUnion, iu
 from fdist.mass import (
     DiscreteFuzzySet,
@@ -25,19 +20,21 @@ from fdist.mass import (
     PiecewiseShape,
     Step,
     centre_of_gravity,
+    chain_order,
     mass_from_discrete,
     max_likelihood_interval,
     slice_shape,
 )
-from fdist.restriction import (
-    CellMatrix,
-    linear_combination,
-    theorem1_check,
-    theorem2_witness,
-)
+from fdist.restriction import linear_combination
 from fdist.unification import TruthAssignment, TruthLabel, unify_maximal, unify_product
 
-from helpers import random_triangle, scaled_triangle, shifted_shape
+from helpers import (
+    kernel_cell,
+    oracle_overlap_witness,
+    random_triangle,
+    scaled_triangle,
+    shifted_shape,
+)
 
 H = F(1, 2)
 Q = F(1, 4)
@@ -261,10 +258,16 @@ def test_c09_defuzzification_summaries():
     ok(9, "max-likelihood intervals and centres of gravity")
 
 
+def _product_cells(a: PiecewiseShape, b: PiecewiseShape, n: int) -> MassAssignment:
+    """Every distinct cell of a and b sliced at n: their product distance."""
+    return distance(slice_shape(a, n), slice_shape(b, n), strategy=Strategy.PRODUCT).mass
+
+
 def test_c10_nested_and_witness_cell_structure():
-    """Cell-matrix structure: similar isosceles pairs give fully nested
-    cells (50 random pairs at 2, 4, and 8 slices); congruent skewed
-    pairs always contain a properly overlapping witness pair."""
+    """Cell structure: similar isosceles pairs give fully nested cells,
+    their product distance a chain (50 random pairs at 2, 4, and 8
+    slices); congruent skewed pairs always contain a properly overlapping
+    witness pair of cells."""
     rng = random.Random(20261010)
     for _ in range(50):
         base = random_triangle(rng, isosceles=True)
@@ -272,20 +275,14 @@ def test_c10_nested_and_witness_cell_structure():
         shift = F(rng.randint(-80, 80), 2)
         other = scaled_triangle(base, scale, shift)
         for n in (2, 4, 8):
-            matrix = CellMatrix.from_sliced(
-                slice_shape(base, n), slice_shape(other, n), cell_nondirectional
-            )
-            assert theorem1_check(matrix)
+            assert chain_order(_product_cells(base, other, n))[1] is None
 
     for _ in range(50):
         base = random_triangle(rng, isosceles=False)
         width = base.vertices[-1][0] - base.vertices[0][0]
         apart = shifted_shape(base, width + F(rng.randint(1, 40), 4))
         for n in (2, 4, 8):
-            matrix = CellMatrix.from_sliced(
-                slice_shape(base, n), slice_shape(apart, n), cell_nondirectional
-            )
-            assert theorem2_witness(matrix) is not None
+            assert oracle_overlap_witness(_product_cells(base, apart, n).focals()) is not None
     ok(10, "nested cells for similar isosceles pairs; witnesses for skewed pairs")
 
 
@@ -313,9 +310,10 @@ def _check_against_grid(result: IntervalUnion, diffs: np.ndarray):
 
 
 def test_c11_cell_operators_match_grid_oracle():
-    """Both cell operators agree with a brute-force 0.05-step grid
-    oracle on 500 random interval-union pairs: sampled differences land
-    inside the cell and every endpoint is tight to within one step."""
+    """Cells, directional or not, as the distance kernel computes them
+    (kernel_cell), agree with a brute-force 0.05-step grid oracle on 500
+    random interval-union pairs: sampled differences land inside the cell
+    and every endpoint is tight to within one step."""
     rng = random.Random(20261111)
     for _ in range(500):
         unions = []
@@ -328,6 +326,6 @@ def test_c11_cell_operators_match_grid_oracle():
         a, b = unions
         xs, ys = _grid_units(a), _grid_units(b)
         diffs = np.unique(np.subtract.outer(ys, xs))
-        _check_against_grid(cell_directional(a, b), diffs)
-        _check_against_grid(cell_nondirectional(a, b), np.unique(np.abs(diffs)))
+        _check_against_grid(kernel_cell(a, b, True), diffs)
+        _check_against_grid(kernel_cell(a, b, False), np.unique(np.abs(diffs)))
     ok(11, "cell operators match the 0.05-grid oracle on 500 random pairs")

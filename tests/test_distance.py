@@ -1,6 +1,7 @@
 import importlib
 import json
 import time
+from argparse import Namespace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,8 +19,6 @@ from fdist.distance import (
     assign_antidiagonal,
     assign_diagonal,
     assign_product,
-    cell_directional,
-    cell_nondirectional,
     distance,
 )
 from fdist.intervals import DEFAULT_TOLERANCE, EMPTY, Interval, IntervalUnion, common_scale, iu
@@ -43,6 +42,7 @@ from helpers import (
     exactly_normalised,
     frac,
     interval_unions,
+    kernel_cell,
     kernel_masses,
     label_masses,
     moved_off_one,
@@ -50,6 +50,7 @@ from helpers import (
     numeric_masses,
     oracle_assign_product,
     oracle_differences,
+    oracle_from_mass,
     oracle_fuzzy_from_mass,
     oracle_least_prejudiced,
     oracle_paired,
@@ -94,65 +95,65 @@ def entries(result: DistanceResult):
 
 class TestCells:
     def test_directional_disjoint(self):
-        assert cell_directional(iu((1, 4)), iu((6, 9))) == iu((2, 8))
+        assert kernel_cell(iu((1, 4)), iu((6, 9)), True) == iu((2, 8))
 
     def test_directional_multipart(self):
-        assert cell_directional(iu((1, 2), (4, 5)), iu((7, 8))) == iu((2, 4), (5, 7))
+        assert kernel_cell(iu((1, 2), (4, 5)), iu((7, 8)), True) == iu((2, 4), (5, 7))
 
     def test_directional_touching_parts_merge(self):
-        assert cell_directional(iu((1, 2), (3, 4)), iu((7, 8))) == iu((3, 7))
+        assert kernel_cell(iu((1, 2), (3, 4)), iu((7, 8)), True) == iu((3, 7))
 
     def test_directional_reversed_sides_negative(self):
-        assert cell_directional(iu((6, 9)), iu((1, 4))) == iu((-8, -2))
+        assert kernel_cell(iu((6, 9)), iu((1, 4)), True) == iu((-8, -2))
 
     def test_directional_empty(self):
-        assert cell_directional(iu((1, 4)), EMPTY) == EMPTY
-        assert cell_directional(EMPTY, iu((1, 4))) == EMPTY
-        assert cell_directional(EMPTY, EMPTY) == EMPTY
+        assert kernel_cell(iu((1, 4)), EMPTY, True) == EMPTY
+        assert kernel_cell(EMPTY, iu((1, 4)), True) == EMPTY
+        assert kernel_cell(EMPTY, EMPTY, True) == EMPTY
 
     def test_directional_point_self(self):
-        assert cell_directional(iu((3, 3)), iu((3, 3))) == iu((0, 0))
+        assert kernel_cell(iu((3, 3)), iu((3, 3)), True) == iu((0, 0))
 
     def test_nondirectional_disjoint(self):
-        assert cell_nondirectional(iu((1, 5)), iu((6, 10))) == iu((1, 9))
+        assert kernel_cell(iu((1, 5)), iu((6, 10)), False) == iu((1, 9))
 
     def test_nondirectional_self_overlap(self):
-        assert cell_nondirectional(iu((2, 4)), iu((2, 4))) == iu((0, 2))
+        assert kernel_cell(iu((2, 4)), iu((2, 4)), False) == iu((0, 2))
 
     def test_nondirectional_straddle(self):
-        assert cell_nondirectional(iu((0, 10)), iu((4, 5))) == iu((0, 6))
+        assert kernel_cell(iu((0, 10)), iu((4, 5)), False) == iu((0, 6))
 
     def test_nondirectional_symmetric_pair(self):
-        assert cell_nondirectional(iu((6, 9)), iu((1, 4))) == iu((2, 8))
+        assert kernel_cell(iu((6, 9)), iu((1, 4)), False) == iu((2, 8))
 
     def test_nondirectional_empty(self):
-        assert cell_nondirectional(EMPTY, iu((1, 2))) == EMPTY
+        assert kernel_cell(EMPTY, iu((1, 2)), False) == EMPTY
 
     @given(interval_unions(), interval_unions())
     @settings(max_examples=30, deadline=None)
     def test_directional_matches_grid_oracle(self, a, b):
         check_cell_against_grid(
-            cell_directional(a, b), oracle_differences(a, b, directional=True)
+            kernel_cell(a, b, True), oracle_differences(a, b, directional=True)
         )
 
     @given(interval_unions(), interval_unions())
     @settings(max_examples=30, deadline=None)
     def test_nondirectional_matches_grid_oracle(self, a, b):
         check_cell_against_grid(
-            cell_nondirectional(a, b), oracle_differences(a, b, directional=False)
+            kernel_cell(a, b, False), oracle_differences(a, b, directional=False)
         )
 
     @given(interval_unions(), interval_unions())
     def test_nondirectional_is_symmetric(self, a, b):
-        assert cell_nondirectional(a, b) == cell_nondirectional(b, a)
+        assert kernel_cell(a, b, False) == kernel_cell(b, a, False)
 
     @given(interval_unions(), interval_unions())
     def test_nondirectional_is_folded_directional(self, a, b):
-        forward = cell_directional(a, b)
-        backward = cell_directional(b, a)
+        forward = kernel_cell(a, b, True)
+        backward = kernel_cell(b, a, True)
         span = max(abs(a.hull.lo) + abs(b.hull.hi), abs(a.hull.hi) + abs(b.hull.lo))
         nonnegative = iu((0, span + 1))
-        assert cell_nondirectional(a, b) == forward.union(backward).intersection(
+        assert kernel_cell(a, b, False) == forward.union(backward).intersection(
             nonnegative
         )
 
@@ -684,6 +685,46 @@ def same_as_oracle(result: DistanceResult, oracle: MassAssignment):
     assert all(result.mass.mass_of(f) == m for f, m in oracle.entries)
     assert result.mass.empty_mass == oracle.empty_mass
     assert result.fuzzy == fuzzy_from_mass(oracle)
+
+
+def chains_doc(n: int = 40) -> dict:
+    """Two loaded mass chains of n focal elements each: focal element k of
+    A is [-k-1, (k+1)/3], B's is A's shifted by 5, each with mass 1/n."""
+    def chain(shift: int) -> list:
+        return [{"focal": [[str(shift - k - 1), f"{3 * shift + k + 1}/3"]], "mass": f"1/{n}"}
+                for k in range(n)]
+    return {"sets": [{"name": "A", "kind": "mass", "entries": chain(0)},
+                     {"name": "B", "kind": "mass", "entries": chain(5)}]}
+
+
+class TestMassChainsBuildNothing:
+    """A paired distance between loaded mass chains stacks their stored keys
+    (SlicedAssignment.from_mass on mass.chain_order): neither input's
+    entries are built, in the library or through the CLI, and the result is
+    the one the entries stacked by the oracle give."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.DIAGONAL, Strategy.ANTIDIAGONAL])
+    def test_library(self, strategy):
+        sets = fdist.parse_document(chains_doc())
+        a, b = sets["A"].value, sets["B"].value
+        result = distance(a, b, strategy=strategy)
+        assert a._entries is None and b._entries is None
+        sa, sb = (SlicedAssignment(oracle_from_mass(m)) for m in (a, b))
+        if strategy is Strategy.ANTIDIAGONAL:
+            sb = sb.reversed_levels()
+        same_as_oracle(result, oracle_paired(sa, sb, False))
+
+    @pytest.mark.parametrize("strategy", [Strategy.DIAGONAL, Strategy.ANTIDIAGONAL])
+    def test_cmd_distance(self, strategy):
+        sets = fdist.parse_document(chains_doc())
+        args = Namespace(a="A", b="B", slices=None, strategy=strategy.value,
+                         directional=False, plot_step=None)
+        out = cli.cmd_distance(args, sets)
+        assert sets["A"].value._entries is None and sets["B"].value._entries is None
+        read = fdist.parse_document(chains_doc())
+        assert read["A"].value.entries and read["B"].value.entries
+        assert out == cli.cmd_distance(args, read)
+        assert json.loads(out)["strategy"] == strategy.value
 
 
 DENS = pytest.mark.parametrize("den", [4, COPRIME_DENS, WIDE_PRIME_DENS], ids=["4", "coprime", "wide"])

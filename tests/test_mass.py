@@ -36,6 +36,7 @@ from fdist.mass import (
     align_levels,
     as_focal,
     centre_of_gravity,
+    chain_order,
     combine,
     fuzzy_from_mass,
     key_order,
@@ -67,6 +68,7 @@ from helpers import (
     oracle_focal_key,
     oracle_focal_union,
     oracle_format_focal,
+    oracle_from_mass,
     oracle_fuzzy_from_mass,
     oracle_least_prejudiced,
     oracle_level_cut,
@@ -76,6 +78,7 @@ from helpers import (
     piecewise_shapes,
     stacks,
     totals_one,
+    wide_masses,
 )
 
 F = Fraction
@@ -592,6 +595,82 @@ class TestSliceShape:
             with pytest.raises(ValueError, match=f"^slice count {n} exceeds the limit {MAX_SLICES}$"):
                 slice_shape(TRIANGLE_A, n)
         assert time.perf_counter() - start < 0.5
+
+
+@st.composite
+def point_unions(draw):
+    """Masses on one interval with single points added to it, the empty set
+    among them at times: every such union has the interval's length, and
+    two of them are nested only when one adds the other's points."""
+    lo = draw(frac(-4, 0, 2))
+    hi = lo + draw(frac(0, 4, 2))
+    points = draw(st.lists(frac(5, 8, 2) | frac(-8, -5, 2), min_size=1, max_size=3, unique=True))
+    k = draw(st.integers(1, 4))
+    focals = [
+        iu((lo, hi), *((p, p) for p in draw(st.lists(st.sampled_from(points), unique=True))))
+        for _ in range(k)
+    ]
+    focals += [EMPTY] * draw(st.integers(0, 1))
+    weights = [draw(st.integers(1, 4)) for _ in focals]
+    return MassAssignment((f, F(w, sum(weights))) for f, w in zip(focals, weights))
+
+
+@st.composite
+def wide_chains(draw):
+    """Chains of intervals, the empty set on top at times, with endpoints
+    over WIDE_PRIME_DENS, so that their keys mostly stay Fractions (a None
+    scale)."""
+    k = draw(st.integers(1, 5))
+    los = sorted(draw(st.lists(frac(-3, 0, WIDE_PRIME_DENS), min_size=k, max_size=k)))
+    his = sorted(draw(st.lists(frac(1, 4, WIDE_PRIME_DENS), min_size=k, max_size=k)))
+    focals = [iu((lo, hi)) for lo, hi in zip(los, reversed(his))]
+    focals += [EMPTY] * draw(st.integers(0, 1))
+    weights = [draw(st.integers(1, 4)) for _ in focals]
+    return MassAssignment((f, F(w, sum(weights))) for f, w in zip(focals, weights))
+
+
+STACKABLE = st.one_of(
+    nested_masses(),
+    numeric_masses(),
+    point_unions(),
+    label_masses(),
+    label_masses(max_focals=5),
+    wide_chains(),
+    kernel_masses(den=WIDE_PRIME_DENS),
+    wide_masses(labels=False),
+)
+
+
+class TestChainOrder:
+    def test_a_chain_widest_first_and_the_empty_set_last(self):
+        m = MassAssignment([(EMPTY, Q), (iu((2, 4)), Q), (iu((1, 5)), H)])
+        assert chain_order(m) == ([0, 1, 2], None)
+        labels = MassAssignment([(fs("a"), Q), (fs("a", "b"), H), (EMPTY, Q)])
+        assert [labels._keys[i][0] for i in chain_order(labels)[0]] == [("a", "b"), ("a",), ()]
+        assert chain_order(labels)[1] is None
+
+    def test_the_first_pair_not_nested_is_the_gap(self):
+        m = MassAssignment([(iu((1, 4)), H), (iu((6, 9)), Q), (iu((2, 3)), Q)])
+        # (1,4) and (6,9) tie on length, and the stable sort keeps key order
+        assert chain_order(m) == ([0, 2, 1], (0, 2))
+        assert chain_order(MassAssignment([(fs("a"), H), (fs("b"), H)]))[1] == (0, 1)
+
+    @given(STACKABLE)
+    @settings(max_examples=300, deadline=None)
+    def test_from_mass_matches_the_stacking_oracle(self, m):
+        """Equal slices, or the same refusal; from_mass builds neither
+        the set's entries nor the stack's slices."""
+        try:
+            s = SlicedAssignment.from_mass(m)
+        except ValueError as error:
+            assert m._entries is None
+            with pytest.raises(ValueError) as expected:
+                oracle_from_mass(m)
+            assert str(error) == str(expected.value)
+            return
+        assert m._entries is None and s._slices is None
+        assert s.slices == oracle_from_mass(m)
+        assert totals_one(s)
 
 
 class TestSlicedAssignment:

@@ -13,16 +13,16 @@ from hypothesis import strategies as st
 from fdist import exactlp
 from fdist.cli import cmd_restrict_check, main
 from fdist.distance import (
+    Strategy,
     assign_antidiagonal,
     assign_diagonal,
     assign_product,
-    cell_nondirectional,
+    distance,
 )
 from fdist.exactlp import feasible
 from fdist.intervals import EMPTY, MAX_SCALE_BITS, MIXED_KINDS, iu, meet_scales
-from fdist.mass import MassAssignment, combine, fuzzy_from_mass, slice_shape
+from fdist.mass import MassAssignment, PiecewiseShape, chain_order, combine, fuzzy_from_mass, slice_shape
 from fdist.restriction import (
-    CellMatrix,
     InvalidRestrictionError,
     Restriction,
     RestrictionKind,
@@ -30,19 +30,21 @@ from fdist.restriction import (
     apply_type2,
     linear_combination,
     reachable_type1,
-    theorem1_check,
-    theorem2_witness,
 )
 from fdist.specfile import load, parse_text
 from helpers import (
     combination_cases,
+    frac,
     kernel_masses,
     label_masses,
     nested_masses,
     numeric_masses,
+    oracle_all_comparable,
+    oracle_cells,
     oracle_combination_lp,
     oracle_focal_issuperset,
     oracle_linear_combination,
+    oracle_overlap_witness,
     oracle_reachable_type1,
     perfbench_module,
     random_triangle,
@@ -661,36 +663,64 @@ def focal_contains(a, b):
 
 
 def _triangle(xs):
-    from fdist.mass import PiecewiseShape
-
     lo, peak, hi = xs
     return PiecewiseShape([(lo, 0), (peak, 1), (hi, 0)])
 
 
+def product_mass(a, b, n: int, directional: bool = False) -> MassAssignment:
+    """The product distance mass between shapes a and b sliced at n: every
+    distinct cell of the n x n cell matrix, computed by the kernel."""
+    sa, sb = slice_shape(a, n), slice_shape(b, n)
+    return distance(sa, sb, strategy=Strategy.PRODUCT, directional=directional).mass
+
+
+def is_nested(m: MassAssignment) -> bool:
+    return chain_order(m)[1] is None
+
+
+@st.composite
+def triangle_pairs(draw):
+    """Two triangles on quarter-grid vertices, isosceles or skewed, either
+    side of the other: about half of their cell matrices are nested."""
+    def triangle():
+        lo = draw(frac(-10, 10, 4))
+        left, right = (F(draw(st.integers(1, 8)), 4) for _ in range(2))
+        return _triangle((lo, lo + left, lo + left + right))
+    return triangle(), triangle()
+
+
 class TestTheoremChecks:
+    """Theorem 1: the cells are totally ordered by containment exactly when
+    the product mass is a chain (mass.chain_order finds no gap); theorem 2:
+    skewed pairs have two properly overlapping cells (oracle_overlap_witness)."""
+
     def test_isosceles_pair_is_totally_ordered(self):
-        a = slice_shape(_triangle((1, 3, 5)), 4)
-        b = slice_shape(_triangle((6, 8, 10)), 4)
-        matrix = CellMatrix.from_sliced(a, b, cell_nondirectional)
-        assert theorem1_check(matrix)
-        assert theorem2_witness(matrix) is None
+        m = product_mass(_triangle((1, 3, 5)), _triangle((6, 8, 10)), 4)
+        assert is_nested(m)
+        assert oracle_overlap_witness(m.focals()) is None
 
     def test_one_by_one_matrix(self):
-        matrix = CellMatrix.build([iu((0, 1))], [iu((5, 6))], cell_nondirectional)
-        assert theorem1_check(matrix)
-        assert theorem2_witness(matrix) is None
+        m = distance(MassAssignment([(iu((0, 1)), 1)]), MassAssignment([(iu((5, 6)), 1)]),
+                     strategy=Strategy.PRODUCT).mass
+        assert is_nested(m)
+        assert oracle_overlap_witness(m.focals()) is None
 
     def test_skewed_pair_has_overlap_witness(self):
-        a = slice_shape(_triangle((0, 1, 4)), 4)
-        b = slice_shape(_triangle((6, 7, 10)), 4)
-        matrix = CellMatrix.from_sliced(a, b, cell_nondirectional)
-        assert not theorem1_check(matrix)
-        witness = theorem2_witness(matrix)
+        m = product_mass(_triangle((0, 1, 4)), _triangle((6, 7, 10)), 4)
+        assert not is_nested(m)
+        cells = m.focals()
+        witness = oracle_overlap_witness(cells)
         assert witness is not None
-        (i, j), (k, l) = witness
-        x, y = matrix.cells[i][j], matrix.cells[k][l]
+        x, y = (cells[k] for k in witness)
         assert x.intersects(y)
         assert not x.issuperset(y) and not y.issuperset(x)
+
+    @given(triangle_pairs(), st.sampled_from((2, 3, 4, 8)), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_chain_order_matches_all_pairs(self, pair, n, directional):
+        a, b = pair
+        cells = oracle_cells(slice_shape(a, n), slice_shape(b, n), directional)
+        assert is_nested(product_mass(a, b, n, directional)) == oracle_all_comparable(cells)
 
     def test_isosceles_sweep(self):
         rng = random.Random(20240817)
@@ -701,10 +731,7 @@ class TestTheoremChecks:
             width = a.vertices[-1][0] - a.vertices[0][0]
             b = scaled_triangle(a, scale, gap + width * (1 + scale))
             for n in (2, 4, 8):
-                matrix = CellMatrix.from_sliced(
-                    slice_shape(a, n), slice_shape(b, n), cell_nondirectional
-                )
-                assert theorem1_check(matrix)
+                assert is_nested(product_mass(a, b, n))
 
     def test_skewed_sweep(self):
         rng = random.Random(20240818)
@@ -714,7 +741,4 @@ class TestTheoremChecks:
             gap = F(rng.randint(1, 40), 2)
             b = shifted_shape(a, width + gap)
             for n in (2, 4, 8):
-                matrix = CellMatrix.from_sliced(
-                    slice_shape(a, n), slice_shape(b, n), cell_nondirectional
-                )
-                assert theorem2_witness(matrix) is not None
+                assert oracle_overlap_witness(product_mass(a, b, n).focals()) is not None

@@ -16,7 +16,6 @@ import pytest
 
 import fdist
 from fdist import (
-    CellMatrix,
     Density,
     DiscreteFuzzySet,
     DistanceResult,
@@ -33,7 +32,6 @@ from fdist import (
     Step,
     TruthAssignment,
     TruthLabel,
-    cell_nondirectional,
     distance,
     iu,
     least_prejudiced,
@@ -47,7 +45,6 @@ TRIANGLE = PiecewiseShape([(1, 0), (3, 1), (5, 0)])
 MASS = MassAssignment([(iu((1, 5)), H), (iu((2, 4)), Fraction(1, 3)), (iu(), Fraction(1, 6))])
 
 EXAMPLES = {
-    CellMatrix: CellMatrix.build([iu((1, 2))], [iu((3, 5))], cell_nondirectional),
     Density: least_prejudiced(MASS),
     DiscreteFuzzySet: DiscreteFuzzySet({"a": 1, "b": H}),
     DistanceResult: distance(TRIANGLE, TRIANGLE, n_slices=2),
@@ -84,7 +81,7 @@ def field_names(value) -> list:
 
 def test_every_exported_value_type_has_an_example():
     assert set(exported_value_types()) == set(EXAMPLES)
-    assert len(EXAMPLES) == 15
+    assert len(EXAMPLES) == 14
 
 
 @pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda c: c.__name__)
