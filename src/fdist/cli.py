@@ -103,7 +103,7 @@ def _plot(fuzzy: NumericFuzzySet, step: Fraction) -> str:
         d = meet_scales(fuzzy._scale, step.denominator)
         f = key_factor(fuzzy._scale, d)
         runs = [(lo * f, hi * f, mu, lo_open, hi_open)
-                for lo, hi, mu, lo_open, hi_open in fuzzy._runs]
+                for lo, hi, mu, lo_open, hi_open in fuzzy._keys]
         dx, x, end = scaled(step, d), runs[0][0], runs[-1][1]
         runs.append((end, end, 0, True, False))  # sentinel: holds no row, ends none early
         if (end - x) // dx >= MAX_PLOT_ROWS:
@@ -111,7 +111,7 @@ def _plot(fuzzy: NumericFuzzySet, step: Fraction) -> str:
                 f"--plot-step {format_fraction(step)} gives more than {MAX_PLOT_ROWS} rows"
             )
         text = specfile.formatter()
-        num, mu_text = text(d), text(fuzzy._mu_scale)
+        num, mu_text = text(d), text(fuzzy._mass_scale)
         i = 0
         while x <= end:
             while runs[i][1] < x or (runs[i][1] == x and runs[i][4]):  # ends before x

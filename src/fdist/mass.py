@@ -9,8 +9,9 @@ set; masses total exactly 1, each set divided by its total where it is read.
 
 Each input's kind and slice count are decided here, once: a
 MassAssignment or SlicedAssignment refuses labels beside intervals
-(ValueError(MIXED_KINDS)) and answers is_numeric, which the other modules
-read, and slice_shape resolves the slice count and bounds it. A focal
+(ValueError(MIXED_KINDS)) and answers is_numeric and is_normal, one test
+each on the stored keys for both, which the other modules read, and
+slice_shape resolves the slice count and bounds it. A focal
 element's one key is its part_keys (a label set's sorted labels, a
 union's (lo, hi) part keys, () when empty); key_order sorts entries by it,
 and keys_contain tests containment on it, keys_under meeting two scales.
@@ -33,11 +34,9 @@ Conventions that matter and are easy to get wrong:
   scale with no MAX_SCALE_BITS bound, the flows' capacities.
 * A SlicedAssignment is held as keys: each slice's part keys and mass
   key, each under one scale. slice_shape keys every vertex and crossing of a
-  shape over one shape-wide scale and emits the keys directly; the
-  distance kernel, to_mass, is_normal and is_numeric read them, and the
-  slices' focal elements are built, through focals_from_keys, only when
-  slices is read. Keys of two scales meet on the lcm of the two
-  (intervals.meet_scales), each key times an integer (key_factor).
+  shape over one shape-wide scale and emits the keys directly. Keys of two
+  scales meet on the lcm of the two (intervals.meet_scales), each key
+  times an integer (key_factor).
 * Focal elements (in MassAssignment) and sweep endpoints sort as
   integers: each endpoint times the least common denominator of the
   endpoints being sorted (intervals.common_scale). Scaling by a positive
@@ -68,14 +67,15 @@ Conventions that matter and are easy to get wrong:
 * One builder, keyed, keys every assignment from its numbers as read
   (intervals.read): the constructors read their entries into its rows,
   and specfile hands over a document's rows (MassAssignment._from_rows).
-* A value lives as keys until it is read or written. A MassAssignment
-  builds its entries, a SlicedAssignment its slices, and a
-  NumericFuzzySet from fuzzy_from_mass its steps, only on first read,
-  each distinct key unscaled to one shared Fraction and each label set
-  rebuilt from its sorted labels; the result writer (specfile.formatter)
-  and the plot read the keys with their scales, so a distance written as
-  a document builds neither. least_prejudiced unscales its pieces from
-  the same sweep.
+* MassAssignment, SlicedAssignment and NumericFuzzySet are one keyed
+  value (_Keyed): keys, their two scales, and a view (entries, slices,
+  steps) built from the keys on first read and kept, each distinct key
+  unscaled to one shared Fraction and each label set rebuilt from its
+  sorted labels. Equality and hashing are the view's, within one class.
+  Everything else reads the keys: the result writer (specfile.formatter)
+  and the plot read them with their scales, so a distance written as a
+  document builds no view. least_prejudiced unscales its pieces from the
+  same sweep.
 """
 
 import math
@@ -270,23 +270,6 @@ def chain_order(m: "MassAssignment") -> tuple:
     return order, next(((i, j) for i, j in pairs if not keys_contain(keys[i], keys[j])), None)
 
 
-def _entries_from_keys(
-    keys: Sequence[tuple], scale: Optional[int], mass_scale: Optional[int]
-) -> tuple:
-    """The (focal, mass) pairs that (part keys, mass key) pairs stand for,
-    part keys under scale (focals_from_keys) and mass keys under
-    mass_scale, one Fraction built per distinct mass key."""
-    at = _unscaler((m for _, m in keys), mass_scale)
-    focals = focals_from_keys([key for key, _ in keys], scale)
-    return tuple(zip(focals, (at(m) for _, m in keys)))
-
-
-def _set_fields(value, *fields) -> None:
-    """Set a frozen dataclass's fields, in their order."""
-    for name, field_value in zip(value.__slots__, fields):
-        object.__setattr__(value, name, field_value)
-
-
 def _keys_numeric(keys: Iterable[tuple]) -> bool:
     """is_numeric of part keys: the first nonempty focal element decides, a
     union's part keys being (lo, hi) pairs and a label set's its labels."""
@@ -413,30 +396,73 @@ def keyed(rows: Iterable[tuple], tolerance: Fraction = DEFAULT_TOLERANCE, merge:
 # core types
 
 @dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
-class MassAssignment:
+class _Keyed:
+    """A value held as keys: _keys under the scales _scale and _mass_scale
+    (a None scale keys numbers as themselves, see intervals.scaled), and
+    _view, the value's public form, built from the keys by _build on first
+    read (_viewed) and then kept. Equality and hashing are those of the
+    view, between values of one class, whatever the scales. The default
+    view is an assignment's (focal, mass) pairs, from (part keys, mass key)
+    pairs: each distinct key unscaled to one shared Fraction, each label set
+    rebuilt from its sorted labels (focals_from_keys)."""
+
+    _scale: Optional[int]
+    _mass_scale: Optional[int]
+    _keys: tuple
+    _view: Optional[tuple]
+
+    @classmethod
+    def _trusted(cls, scale: Optional[int], mass_scale: Optional[int], keys: tuple, view=None):
+        """The value of keys under the two scales, view, when given, the
+        view they stand for. Nothing is checked."""
+        self = object.__new__(cls)
+        _set_fields(self, scale, mass_scale, keys, view)
+        return self
+
+    def _viewed(self) -> tuple:
+        view = self._view
+        if view is None:
+            view = self._build()
+            object.__setattr__(self, "_view", view)
+        return view
+
+    def _build(self) -> tuple:
+        at = _unscaler((m for _, m in self._keys), self._mass_scale)
+        focals = focals_from_keys([key for key, _ in self._keys], self._scale)
+        return tuple(zip(focals, (at(m) for _, m in self._keys)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._viewed() == other._viewed()
+
+    def __hash__(self):
+        return hash(self._viewed())
+
+
+def _set_fields(value: _Keyed, scale, mass_scale, keys: tuple, view=None) -> None:
+    """Set a keyed value's fields; with no view given, _viewed builds it."""
+    for name, field_value in zip(_Keyed.__slots__, (scale, mass_scale, keys, view)):
+        object.__setattr__(value, name, field_value)
+
+
+class MassAssignment(_Keyed):
     """Canonical mass assignment: entries merged per focal element, zero
     masses dropped, every empty focal normalized to the one empty set,
     entries in key_order, masses summing to exactly 1: an input within the
     tolerance of 1 (never 0) is divided by its total here (_divided);
     results built from assignments are not checked again.
 
-    An assignment is held as keys, as a SlicedAssignment is: per entry,
-    the part keys of its focal element under _scale and the key of its
-    mass under _mass_scale; a None scale keys numbers as themselves (see
-    intervals.scaled). The membership and density sweeps, the distance
-    kernel, the result writer, is_numeric, empty_mass and len read the
-    keys alone. __init__ reads its entries into rows for keyed, and
-    entries is built from the keys on first read (_entries_from_keys),
-    then kept. Equality and hashing are those of entries, whatever the
-    scales."""
+    A keyed value (_Keyed): per entry, the part keys of its focal element
+    and the key of its mass; entries is its view. The membership and
+    density sweeps, the distance kernel, the result writer, is_numeric,
+    is_normal, empty_mass and len read the keys alone. __init__ reads its
+    entries into rows for keyed."""
 
-    _scale: Optional[int]
-    _mass_scale: Optional[int]
-    _keys: tuple
-    _entries: Optional[tuple]
+    __slots__ = ()
 
     def __init__(self, entries: Iterable[tuple], *, tolerance: Fraction = DEFAULT_TOLERANCE):
-        _set_fields(self, *keyed((_row(f, mass) for f, mass in entries), tolerance), None)
+        _set_fields(self, *keyed((_row(f, mass) for f, mass in entries), tolerance))
 
     @classmethod
     def _from_keys(
@@ -444,32 +470,20 @@ class MassAssignment:
     ) -> "MassAssignment":
         """The assignment, of either kind, that masses holds as keys: the
         part keys of each distinct focal element under scale (see
-        focals_from_keys) mapped to its positive mass key under mass_scale.
-        Stored keys come from that one dict, in key_order, and so do
-        entries, when read. Nothing is checked: the masses total exactly 1,
+        focals_from_keys) mapped to its positive mass key under mass_scale,
+        stored in key_order. Nothing is checked: the masses total exactly 1,
         as the masses of the distance kernel's inputs and of to_mass's stack
         do."""
-        keys = tuple((key, masses[key]) for key in sorted(masses, key=key_order))
-        self = object.__new__(cls)
-        _set_fields(self, scale, mass_scale, keys, None)
-        return self
+        return cls._trusted(scale, mass_scale, tuple(
+            (key, masses[key]) for key in sorted(masses, key=key_order)))
 
     @classmethod
     def _from_rows(cls, rows: Iterable[tuple], tolerance: Fraction = DEFAULT_TOLERANCE):
         """The assignment of rows as keyed reads them, as __init__ builds
         it from entries: specfile hands over the numbers as read."""
-        self = object.__new__(cls)
-        _set_fields(self, *keyed(rows, tolerance), None)
-        return self
+        return cls._trusted(*keyed(rows, tolerance))
 
-    @property
-    def entries(self) -> tuple:
-        """The (focal, mass) pairs, built from the keys on first read and
-        kept."""
-        if self._entries is None:
-            entries = _entries_from_keys(self._keys, self._scale, self._mass_scale)
-            object.__setattr__(self, "_entries", entries)
-        return self._entries
+    entries = property(_Keyed._viewed, doc="The (focal, mass) pairs: the view.")
 
     def mass_of(self, focal: Focal) -> Fraction:
         """The mass on focal, or 0: a scan of entries (see linear_combination)."""
@@ -488,12 +502,13 @@ class MassAssignment:
 
     @property
     def is_normal(self) -> bool:
-        return self.empty_mass == 0
+        """No mass rests on the empty set: no stored part keys are ()."""
+        return all(key for key, _ in self._keys)
 
     @property
     def is_numeric(self) -> bool:
-        """Not label sets: one kind per assignment, empty set last, so the
-        first entry decides."""
+        """Not label sets: one kind per assignment, so the first nonempty
+        focal element decides (see _keys_numeric)."""
         return _keys_numeric(key for key, _ in self._keys)
 
     def negated(self) -> "MassAssignment":
@@ -507,14 +522,6 @@ class MassAssignment:
 
     def __len__(self):
         return len(self._keys)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         body = ", ".join(f"{f}:{format_fraction(m)}" for f, m in self.entries)
@@ -606,8 +613,7 @@ class PiecewiseShape:
         return f"PiecewiseShape({body})"
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
-class SlicedAssignment:
+class SlicedAssignment(_Keyed):
     """Mass assignment with an explicit level ordering of its slices.
 
     slices holds (focal, mass) pairs stacked bottom first from level 0,
@@ -618,38 +624,19 @@ class SlicedAssignment:
     rise, but the type does not enforce that, since reversed stacks are
     legitimate intermediates.
 
-    A stack is held as keys, as a MassAssignment keeps them in _keys:
-    per slice, the part keys of its focal element and the key of its
-    mass. slice_shape emits those keys directly, the constructor builds
-    them with keyed, without merging or sorting, and slices is built from
-    them on first read (_entries_from_keys), then kept; align_levels, the
-    distance kernel, to_mass, is_normal and is_numeric read the keys
-    alone. Equality and hashing are those of slices, whatever the
-    scales."""
+    A keyed value (_Keyed), as a MassAssignment is: per slice, the part
+    keys of its focal element and the key of its mass; slices is its view.
+    slice_shape emits those keys directly, and the constructor builds them
+    with keyed, without merging or sorting; align_levels, the distance
+    kernel, to_mass, is_normal and is_numeric read the keys alone."""
 
-    _scale: Optional[int]
-    _mass_scale: Optional[int]
-    _keys: tuple
-    _slices: Optional[tuple]
+    __slots__ = ()
 
     def __init__(self, entries: Iterable[tuple]):
         rows = [_row(f, mass) for f, mass in entries]
         if not rows:
             raise ValueError("need at least one slice")
-        _set_fields(self, *keyed(rows, merge=False), None)
-
-    @classmethod
-    def _trusted(
-        cls, scale: Optional[int], mass_scale: Optional[int], keys: tuple,
-        slices: Optional[tuple] = None,
-    ) -> "SlicedAssignment":
-        """The stack already valid: keys holds, per slice, the part keys of
-        a focal element under scale and the key of a positive mass under
-        mass_scale, the masses totalling exactly 1, and slices, when given,
-        holds the (focal, mass) pairs they stand for. Nothing is checked."""
-        self = object.__new__(cls)
-        _set_fields(self, scale, mass_scale, keys, slices)
-        return self
+        _set_fields(self, *keyed(rows, merge=False))
 
     @classmethod
     def from_mass(cls, m: MassAssignment) -> "SlicedAssignment":
@@ -666,42 +653,20 @@ class SlicedAssignment:
             )
         return cls._trusted(m._scale, m._mass_scale, tuple(m._keys[i] for i in order))
 
-    @property
-    def slices(self) -> tuple:
-        """The (focal, mass) pairs, built from the keys on first read and
-        kept."""
-        if self._slices is None:
-            slices = _entries_from_keys(self._keys, self._scale, self._mass_scale)
-            object.__setattr__(self, "_slices", slices)
-        return self._slices
-
-    @property
-    def is_normal(self) -> bool:
-        """No slice rests on the empty set, as for to_mass().is_normal."""
-        return all(key for key, _ in self._keys)
-
-    @property
-    def is_numeric(self) -> bool:
-        """As for to_mass().is_numeric: the first nonempty slice decides."""
-        return _keys_numeric(key for key, _ in self._keys)
+    slices = property(_Keyed._viewed, doc="The (focal, mass) pairs, bottom first: the view.")
+    # as for to_mass(): the same tests on the stored keys, in any slice order
+    is_normal = MassAssignment.is_normal
+    is_numeric = MassAssignment.is_numeric
 
     def reversed_levels(self) -> "SlicedAssignment":
         """Same slices stacked in the opposite order."""
-        slices = None if self._slices is None else self._slices[::-1]
-        return SlicedAssignment._trusted(self._scale, self._mass_scale, self._keys[::-1], slices)
+        slices = None if self._view is None else self._view[::-1]
+        return self._trusted(self._scale, self._mass_scale, self._keys[::-1], slices)
 
     def to_mass(self) -> MassAssignment:
         """The slices merged per focal element, from the keys
         (MassAssignment._from_keys)."""
         return MassAssignment._from_keys(sum_by_key(self._keys), self._scale, self._mass_scale)
-
-    def __eq__(self, other):
-        if not isinstance(other, SlicedAssignment):
-            return NotImplemented
-        return self.slices == other.slices
-
-    def __hash__(self):
-        return hash(self.slices)
 
     def __repr__(self):
         return f"SlicedAssignment(slices={self.slices!r})"
@@ -845,8 +810,7 @@ class Step(NamedTuple):
         )
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
-class NumericFuzzySet:
+class NumericFuzzySet(_Keyed):
     """Piecewise-constant membership function as maximal constant steps.
 
     Steps are disjoint and ordered; adjacent steps differ in membership
@@ -854,19 +818,15 @@ class NumericFuzzySet:
     stored. An endpoint shared by several focal elements can carry a
     higher value than either side, so single-point steps occur.
 
-    A fuzzy set is held as keys: per step, the keys of its ends under
-    _scale and of its membership under _mu_scale, and its two closure
-    flags (_runs). fuzzy_from_mass hands over its sweep's runs on the
-    mass assignment's own scales, and steps is built from them on first
-    read, then kept; NumericFuzzySet(steps) keys the steps it is given,
-    each field over its common_scale, and keeps them as given. The result
-    writer and the plot read the runs. Equality and hashing are those of
-    steps, whatever the scales."""
+    A keyed value (_Keyed) whose keys are runs (lo, hi, mu, lo_open,
+    hi_open): per step, the keys of its ends under _scale, of its
+    membership, a sum of mass keys, under _mass_scale, and its two closure
+    flags; steps is its view. fuzzy_from_mass hands over its sweep's runs
+    on the mass assignment's own scales; NumericFuzzySet(steps) keys the
+    steps it is given, each field over its common_scale, and keeps them as
+    given. The result writer and the plot read the runs."""
 
-    _scale: Optional[int]
-    _mu_scale: Optional[int]
-    _runs: tuple
-    _steps: Optional[tuple]
+    __slots__ = ()
 
     def __init__(self, steps: Iterable[Step] = ()):
         steps = tuple(steps)
@@ -878,29 +838,15 @@ class NumericFuzzySet:
         )
         _set_fields(self, d, w, runs, steps)
 
-    @classmethod
-    def _from_runs(
-        cls, scale: Optional[int], mu_scale: Optional[int], runs: tuple
-    ) -> "NumericFuzzySet":
-        """The fuzzy set of runs (lo, hi, mu, lo_open, hi_open), ends keyed
-        under scale and memberships under mu_scale, already maximal steps.
-        Nothing is checked."""
-        self = object.__new__(cls)
-        _set_fields(self, scale, mu_scale, runs, None)
-        return self
+    def _build(self) -> tuple:
+        at = _unscaler((k for lo, hi, *_ in self._keys for k in (lo, hi)), self._scale)
+        mus = _unscaler((mu for _, _, mu, _, _ in self._keys), self._mass_scale)
+        return tuple(
+            Step(at(lo), at(hi), mus(mu), lo_open, hi_open)
+            for lo, hi, mu, lo_open, hi_open in self._keys
+        )
 
-    @property
-    def steps(self) -> tuple:
-        """The Steps, built from the runs on first read and kept."""
-        if self._steps is None:
-            at = _unscaler((k for lo, hi, *_ in self._runs for k in (lo, hi)), self._scale)
-            mus = _unscaler((mu for _, _, mu, _, _ in self._runs), self._mu_scale)
-            steps = tuple(
-                Step(at(lo), at(hi), mus(mu), lo_open, hi_open)
-                for lo, hi, mu, lo_open, hi_open in self._runs
-            )
-            object.__setattr__(self, "_steps", steps)
-        return self._steps
+    steps = property(_Keyed._viewed, doc="The Steps: the view.")
 
     def mu(self, x: Rational) -> Fraction:
         # x lies in the last step starting at or before it, or the one before
@@ -913,19 +859,11 @@ class NumericFuzzySet:
 
     @property
     def is_empty(self) -> bool:
-        return not self._runs
+        return not self._keys
 
     @property
     def height(self) -> Fraction:
         return max((s.mu for s in self.steps), default=ZERO)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.steps == other.steps
-
-    def __hash__(self):
-        return hash(self.steps)
 
     def __repr__(self):
         return f"NumericFuzzySet(steps={self.steps!r})"
@@ -992,7 +930,7 @@ def _sweep(keyed: list, points: bool) -> tuple:
 def fuzzy_from_mass(m: MassAssignment) -> NumericFuzzySet:
     """Membership of x is the total mass of focal elements containing x."""
     runs = _sweep(_numeric_keys(m, "membership reconstruction"), True)
-    return NumericFuzzySet._from_runs(m._scale, m._mass_scale, runs)
+    return NumericFuzzySet._trusted(m._scale, m._mass_scale, runs)
 
 
 # ---------------------------------------------------------------------------

@@ -332,10 +332,10 @@ def _focal_items(key: tuple, num: Callable[[Key], str]) -> str:
 
 def fuzzy_rows(f: NumericFuzzySet, text: Formatter) -> Rows:
     """f's steps, one row per step, from its runs (see NumericFuzzySet)."""
-    num, mu = text(f._scale), text(f._mu_scale)
+    num, mu = text(f._scale), text(f._mass_scale)
     return _rows([
         _STEP % (mu(value), num(lo), num(hi), _BOOL[lo_open], _BOOL[hi_open])
-        for lo, hi, value, lo_open, hi_open in f._runs
+        for lo, hi, value, lo_open, hi_open in f._keys
     ])
 
 

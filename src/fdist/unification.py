@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import exactlp
-from .intervals import ZERO, as_fraction, brief, format_fraction, unscaled
+from .intervals import ZERO, as_fraction, brief, echo, format_fraction, unscaled
 from .mass import Focal, MassAssignment, as_focal, masses_under_lcm, product_rows, sum_by_key
 
 
@@ -59,20 +59,25 @@ def truth_cell(a: Focal, g: Focal) -> TruthLabel:
 @dataclass(frozen=True, init=False, repr=False, slots=True)
 class TruthAssignment:
     """Mass over the four truth labels, summing to exactly 1 (both routings
-    route masses that do), kept as a tuple in TruthLabel order."""
+    route masses that do), kept as a tuple in TruthLabel order. A label
+    given twice, as a TruthLabel and as its value, say, is refused."""
 
     _masses: tuple
 
     def __init__(self, masses):
-        acc = {label: ZERO for label in TruthLabel}
+        given: dict = {}
         for label, mass in dict(masses).items():
-            acc[TruthLabel(label)] = as_fraction(mass)
-        if any(m < 0 for m in acc.values()):
+            label = TruthLabel(label)
+            if label in given:
+                raise ValueError(f"truth label {echo(label.value)} given twice")
+            given[label] = as_fraction(mass)
+        acc = tuple(given.get(label, ZERO) for label in TruthLabel)
+        if any(m < 0 for m in acc):
             raise ValueError("negative truth mass")
-        total = sum(acc.values(), ZERO)
+        total = sum(acc, ZERO)
         if total != 1:
             raise ValueError(f"truth masses sum to {brief(total)}, expected 1")
-        object.__setattr__(self, "_masses", tuple(acc.values()))
+        object.__setattr__(self, "_masses", acc)
 
     @property
     def masses(self) -> Mapping[TruthLabel, Fraction]:

@@ -669,10 +669,7 @@ def oracle_stack_keys(entries) -> tuple:
 
 def oracle_mass(entries, tolerance: Fraction = DEFAULT_TOLERANCE) -> MassAssignment:
     """A MassAssignment holding what oracle_mass_keys returns."""
-    m = object.__new__(MassAssignment)
-    for name, value in zip(MassAssignment.__slots__, oracle_mass_keys(entries, tolerance)):
-        object.__setattr__(m, name, value)
-    return m
+    return MassAssignment._trusted(*oracle_mass_keys(entries, tolerance))
 
 
 # The document loader as it was before intervals.read: every number a

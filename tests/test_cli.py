@@ -341,7 +341,7 @@ class TestDefuzzCommand:
         # the centre of gravity reads the mass keys, so a defuzz op, from a
         # points set or a mass set, reconstructs no membership
         built = {"fuzzy sets": 0, "steps": 0}
-        original = NumericFuzzySet._from_runs.__func__
+        original = NumericFuzzySet._trusted.__func__
 
         def counted_fuzzy(cls, *args):
             built["fuzzy sets"] += 1
@@ -351,7 +351,7 @@ class TestDefuzzCommand:
             built["steps"] += 1
             return tuple.__new__(cls, args)
 
-        monkeypatch.setattr(NumericFuzzySet, "_from_runs", classmethod(counted_fuzzy))
+        monkeypatch.setattr(NumericFuzzySet, "_trusted", classmethod(counted_fuzzy))
         monkeypatch.setattr(Step, "__new__", counted_step)
         monkeypatch.setattr(Step, "_make", classmethod(lambda cls, it: counted_step(cls, *it)))
         assert run_json(capsys, "defuzz", DATA, name)["centre_of_gravity"]

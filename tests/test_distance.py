@@ -57,6 +57,7 @@ from helpers import (
     piecewise_shapes,
     stacks,
     totals_one,
+    wide_masses,
 )
 
 F = Fraction
@@ -538,6 +539,21 @@ class TestSingleInputPass:
     def test_sliced_normality_matches_its_mass(self, m):
         assert SlicedAssignment.from_mass(m).is_normal == m.is_normal
 
+    @given(
+        st.one_of(numeric_masses(), label_masses(), nested_masses(),
+                  wide_masses(labels=True), wide_masses(labels=False)),
+        st.data(),
+    )
+    def test_normality_is_decided_on_keys(self, m, data):
+        # both assignments test their stored keys, label sets and integer or
+        # Fraction (None scale) mass keys alike, wherever a stack puts the
+        # empty set
+        normal = m.empty_mass == 0
+        stack = data.draw(stacks(m))
+        assert m.is_normal == normal
+        assert stack.is_normal == stack.reversed_levels().is_normal == normal
+        assert stack.to_mass().is_normal == normal
+
     @pytest.mark.parametrize("strategy", [Strategy.DIAGONAL, Strategy.ANTIDIAGONAL])
     def test_paired_shapes_build_no_slice_focal_elements(
         self, monkeypatch, capsys, tmp_path, strategy
@@ -708,7 +724,7 @@ class TestMassChainsBuildNothing:
         sets = fdist.parse_document(chains_doc())
         a, b = sets["A"].value, sets["B"].value
         result = distance(a, b, strategy=strategy)
-        assert a._entries is None and b._entries is None
+        assert a._view is None and b._view is None
         sa, sb = (SlicedAssignment(oracle_from_mass(m)) for m in (a, b))
         if strategy is Strategy.ANTIDIAGONAL:
             sb = sb.reversed_levels()
@@ -720,7 +736,7 @@ class TestMassChainsBuildNothing:
         args = Namespace(a="A", b="B", slices=None, strategy=strategy.value,
                          directional=False, plot_step=None)
         out = cli.cmd_distance(args, sets)
-        assert sets["A"].value._entries is None and sets["B"].value._entries is None
+        assert sets["A"].value._view is None and sets["B"].value._view is None
         read = fdist.parse_document(chains_doc())
         assert read["A"].value.entries and read["B"].value.entries
         assert out == cli.cmd_distance(args, read)

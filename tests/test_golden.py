@@ -15,11 +15,13 @@ import hashlib
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from fdist.cli import main
+from fdist.mass import NumericFuzzySet, _Keyed
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = "data/worked_sets.json"
@@ -87,6 +89,33 @@ def test_output_matches_golden(command):
     assert sorted(" ".join(a) for a in argvs) == sorted(golden)
     changed = [" ".join(a) for a in argvs if digest(a) != golden[" ".join(a)]]
     assert not changed, f"{len(changed)} outputs changed, e.g. {changed[:5]}"
+
+
+def test_commands_build_no_view(monkeypatch):
+    # every value lives as keys from the reader through the writer: across
+    # the whole matrix no stack, fuzzy set or numeric assignment builds its
+    # view, and only unify builds label views, for its label table
+    built, command = Counter(), None
+
+    def counted(original):
+        def build(self):
+            kind = type(self).__name__
+            if kind == "MassAssignment":
+                kind += " numeric" if self.is_numeric else " labels"
+            built[kind, command] += 1
+            return original(self)
+        return build
+
+    for cls in (_Keyed, NumericFuzzySet):
+        monkeypatch.setattr(cls, "_build", counted(cls._build))
+    golden = _golden()
+    changed = []
+    for argv in cases():
+        command = argv[0]
+        if digest(argv) != golden[" ".join(argv)]:
+            changed.append(" ".join(argv))
+    assert not changed, f"{len(changed)} outputs changed, e.g. {changed[:5]}"
+    assert built == {("MassAssignment labels", "unify"): 8}
 
 
 def test_matrix_covers_every_command():

@@ -478,12 +478,12 @@ class TestMassFromDiscrete:
         labels = [f"label{k}" for k in range(40)]
         grades = DiscreteFuzzySet({label: F(k % 7, 6) for k, label in enumerate(labels)})
         m = mass_from_discrete(grades)
-        assert m._entries is None and len(m) == 6
+        assert m._view is None and len(m) == 6
         levels = {g for _, g in grades.grades if g}
         given = sorted((LabelSet(l for l, g in grades.grades if g >= level) for level in levels),
                        key=lambda f: key_order(f.part_keys()))
         built = m.focals()
-        assert m._entries is not None
+        assert m._view is not None
         assert built == tuple(given)
         for b, g in zip(built, given):
             assert type(b) is LabelSet and hash(b) == hash(g) and repr(b) == repr(g)
@@ -663,12 +663,12 @@ class TestChainOrder:
         try:
             s = SlicedAssignment.from_mass(m)
         except ValueError as error:
-            assert m._entries is None
+            assert m._view is None
             with pytest.raises(ValueError) as expected:
                 oracle_from_mass(m)
             assert str(error) == str(expected.value)
             return
-        assert m._entries is None and s._slices is None
+        assert m._view is None and s._view is None
         assert s.slices == oracle_from_mass(m)
         assert totals_one(s)
 
@@ -956,7 +956,7 @@ def assert_keys_are_cuts(shape, n):
     slice's mass h/n, with () and 1 - h for the empty slice on top; no
     slice focal element is built on the way."""
     s = slice_shape(shape, n)
-    assert s._slices is None
+    assert s._view is None
     h = shape.height
     cuts = [oracle_level_cut(shape, h / n * k) for k in range(n)] if h else []
     expected = [(tuple((p.lo, p.hi) for p in cut.parts), h / n) for cut in cuts]

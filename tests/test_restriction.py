@@ -598,7 +598,7 @@ class TestRestrictCheckOnKeys:
     def check(sets: dict, target: str, basis: str) -> dict:
         doc = json.loads(cmd_restrict_check(Namespace(target=target, basis=basis), sets))
         for name in (target, *basis.split(",")):
-            assert sets[name].value._entries is None
+            assert sets[name].value._view is None
         return doc
 
     @given(chain_pairs())

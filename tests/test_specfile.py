@@ -158,9 +158,9 @@ class TestKeyedMassSets:
         kwargs = {} if tolerance is None else {"tolerance": tolerance}
         m = parse_document({"sets": [doc]}, **kwargs)["m"].value
         scale, mass_scale, keys, expected = oracle_mass_keys(entries, **kwargs)
-        assert m._entries is None
+        assert m._view is None
         assert (m._scale, m._mass_scale, m._keys) == (scale, mass_scale, keys)
-        assert m.entries == expected and m._entries is not None
+        assert m.entries == expected and m._view is not None
         return m
 
     def test_endpoints_merged_away_leave_the_scale_they_passed(self):

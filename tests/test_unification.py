@@ -174,6 +174,14 @@ class TestTruthAssignment:
         with pytest.raises(ValueError, match=r"^truth masses sum to 0\.9999999999, expected 1$"):
             TruthAssignment({"t": "0.5", "f": "0.4999999999"})
 
+    def test_label_given_twice_refused(self):
+        # "t" and TruthLabel.TRUE name one label: the second mass would
+        # silently replace the first
+        with pytest.raises(ValueError, match=r"^truth label 't' given twice$"):
+            TruthAssignment({"t": F(1, 2), TruthLabel.TRUE: F(1, 2), "f": F(1, 2)})
+        with pytest.raises(ValueError, match=r"^truth label 'empty' given twice$"):
+            TruthAssignment({TruthLabel.UNKNOWN: 1, "empty": 0})
+
     def test_bad_label_names_rejected(self):
         r = TruthAssignment({"t": 1})
         with pytest.raises(ValueError, match="not a valid TruthLabel"):

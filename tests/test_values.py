@@ -2,7 +2,8 @@
 delete an attribute, and a copy, a deep copy and a pickle round trip
 each give back an equal object with an equal hash. Value types are
 frozen dataclasses (or tuples and frozensets), never a class body that
-writes its own __setattr__ or __delattr__."""
+writes its own __setattr__ or __delattr__, and the one hand-written
+equality is mass._Keyed's, shared by every value held as keys."""
 
 import ast
 import copy
@@ -135,7 +136,7 @@ def test_lazy_stacks_copy_and_compare_as_values(clone, read_first):
         stack.slices
     twin = clone(stack)
     assert type(twin) is SlicedAssignment
-    assert (twin._slices is None) is not read_first
+    assert (twin._view is None) is not read_first
     assert twin == stack and hash(twin) == hash(stack) and repr(twin) == repr(stack)
     rebuilt = SlicedAssignment(stack.slices)
     assert rebuilt._scale != stack._scale
@@ -161,7 +162,7 @@ def test_lazy_results_copy_and_compare_as_values(clone, read_first):
     if read_first:
         m.entries, f.steps, labels.entries
     twins = clone(m), clone(f), clone(result), clone(labels)
-    assert (twins[0]._entries is None, twins[1]._steps is None, twins[3]._entries is None) == (
+    assert (twins[0]._view is None, twins[1]._view is None, twins[3]._view is None) == (
         (not read_first,) * 3)
     for twin, value in zip(twins, (m, f, result, labels)):
         assert type(twin) is type(value)
@@ -178,6 +179,15 @@ def test_lazy_results_copy_and_compare_as_values(clone, read_first):
     # given steps are kept as given: integer fields stay integers
     assert NumericFuzzySet([Step(0, 1, 1)]).steps == ((0, 1, 1, False, False),)
     assert type(NumericFuzzySet([Step(0, 1, 1)]).steps[0].lo) is int
+
+
+def test_a_stack_never_equals_a_mass_assignment():
+    # [0,4]:1/2 under [1,3]:1/2 is already in key order, so the stack's
+    # slices and its merged entries are one tuple; the values still differ
+    stack = SlicedAssignment([(iu((0, 4)), H), (iu((1, 3)), H)])
+    m = stack.to_mass()
+    assert stack.slices == m.entries
+    assert stack != m and m != stack
 
 
 def test_label_set_repr_does_not_depend_on_insertion_order():
@@ -200,18 +210,28 @@ def test_truth_masses_are_read_only():
 
 
 # ---------------------------------------------------------------------------
-# guard: no hand-rolled immutability
+# guard: no hand-rolled immutability or equality
 
-def hand_rolled(source: str) -> list:
-    """Class.method for each __setattr__ or __delattr__ a class body of
-    source defines."""
+def hand_rolled(source: str, methods=("__setattr__", "__delattr__")) -> list:
+    """Class.method for each of methods a class body of source defines."""
     return [
         f"{node.name}.{item.name}"
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ClassDef)
         for item in node.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and item.name in ("__setattr__", "__delattr__")
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name in methods
+    ]
+
+
+def written_in_package(methods) -> list:
+    """module.Class.method for each of methods a class body under src/fdist
+    defines."""
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    return [
+        f"{path.stem}.{name}"
+        for path in modules
+        for name in hand_rolled(path.read_text(encoding="utf-8"), methods)
     ]
 
 
@@ -220,16 +240,19 @@ def test_finds_a_hand_rolled_setter():
         "class A:\n    def __setattr__(self, n, v):\n        raise AttributeError\n"
         "class B:\n    def __delattr__(self, n):\n        pass\n"
         "def __setattr__(n, v):\n    pass\n"
+        "class C:\n    def __eq__(self, other):\n        return True\n"
     )
     assert hand_rolled(source) == ["A.__setattr__", "B.__delattr__"]
+    assert hand_rolled(source, ("__eq__", "__hash__")) == ["C.__eq__"]
 
 
 def test_no_class_writes_its_own_setattr_or_delattr():
-    modules = sorted(SRC.glob("*.py"))
-    assert modules
-    found = [
-        f"{path.stem}.{name}"
-        for path in modules
-        for name in hand_rolled(path.read_text(encoding="utf-8"))
+    assert written_in_package(("__setattr__", "__delattr__")) == []
+
+
+def test_keyed_is_the_one_class_that_writes_equality():
+    # MassAssignment, SlicedAssignment and NumericFuzzySet compare and hash
+    # their views through the one base they share
+    assert written_in_package(("__eq__", "__hash__")) == [
+        "mass._Keyed.__eq__", "mass._Keyed.__hash__"
     ]
-    assert found == []
