@@ -22,10 +22,11 @@ element; distances between cells of the empty set stay on the empty set.
 Every strategy hands one kernel, _cell_mass, rows (i, j, mass key) that
 index the two inputs' focal elements, and their mass scale: product_rows
 for PRODUCT and align_levels, heights as keys, for the paired strategies,
-both in mass. The kernel reads each input's part keys and their scale: a
-MassAssignment's stored keys, or a SlicedAssignment's, which slice_shape
-emits as keys, so no slice's focal element is built. It puts both inputs'
-keys on one scale by an integer factor (mass.keys_under at
+both in mass. The kernel reads each input's part keys: a MassAssignment's
+stored keys, or a SlicedAssignment's, which slice_shape emits as keys, so
+no slice's focal element is built. It takes both from mass.keys_met, the
+one place two assignments' keys are related, which puts them on the scale
+where they meet, each key times an integer factor (keys_under at
 intervals.meet_scales). A cell's bounds are differences of those keys,
 folded onto the nonnegative axis unless directional and merged by
 intervals.merge_spans, and its mass key is summed into one dict keyed by
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Union
 
-from .intervals import meet_scales, merge_spans
+from .intervals import merge_spans
 from .mass import (
     MAX_SLICES,
     MassAssignment,
@@ -51,7 +52,7 @@ from .mass import (
     SlicedAssignment,
     align_levels,
     fuzzy_from_mass,
-    keys_under,
+    keys_met,
     product_rows,
     slice_shape,
     sum_by_key,
@@ -88,10 +89,9 @@ def _cell_mass(
 ) -> MassAssignment:
     """The mass assignment of rows (i, j, mass key under w): each row's
     mass lands on the cell between focal element i of a and j of b, read
-    from their stored part keys where the two scales meet, summed per
-    distinct cell (see the module docstring)."""
-    d = meet_scales(a._scale, b._scale)
-    keys_a, keys_b = keys_under(a, d), keys_under(b, d)
+    from their stored part keys where the two scales meet (keys_met), summed
+    per distinct cell (see the module docstring)."""
+    d, keys_a, keys_b = keys_met(a, b)
     acc = sum_by_key((_cell(keys_a[i], keys_b[j], directional), mass) for i, j, mass in rows)
     return MassAssignment._from_keys(acc, d, w)
 

@@ -7,7 +7,8 @@ the dyadic data these operations are normally fed), strings by decimal or
 `p/q` syntax; as_fraction is that reader reduced to a Fraction. Exact
 numbers are written back by one writer, key_writer, of keys under a
 scale; format_fraction is that writer at a Fraction's own denominator.
-Containment is one walk over merged spans (covers), on parts or their keys.
+Containment is one walk over merged spans (covers), on parts or their keys,
+and so is overlap (meets).
 """
 
 import math
@@ -286,6 +287,14 @@ def covers(outer: Sequence[tuple], inner: Sequence[tuple]) -> bool:
     return True
 
 
+def meets(a: Sequence[tuple], b: Sequence[tuple]) -> bool:
+    """Whether a span of a and a span of b, both as merge_spans returns them,
+    share a point, spans that touch at an end included. Two spans of one set
+    never touch, so merging both sets joins spans exactly when one of a
+    meets one of b. Endpoints are Fractions or keys of one scale."""
+    return len(merge_spans((*a, *b))) < len(a) + len(b)
+
+
 def key_writer(scale: Optional[int]) -> Callable[[Key], str]:
     """The writer of exact numbers: writes key k under scale (see scaled)
     as k/scale's exact decimal when it terminates, else p/q. Under a scale
@@ -444,7 +453,7 @@ class IntervalUnion:
         return other.issubset(self)
 
     def intersects(self, other) -> bool:
-        return any(p.intersects(q) for p in self.parts for q in _parts(other))
+        return bool(self.parts) and meets(self.parts, _parts(other))
 
     def union(self, other):
         if self.is_empty:

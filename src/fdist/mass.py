@@ -15,6 +15,10 @@ slice_shape resolves the slice count and bounds it. A focal
 element's one key is its part_keys (a label set's sorted labels, a
 union's (lo, hi) part keys, () when empty); key_order sorts entries by it,
 and keys_contain tests containment on it, keys_under meeting two scales.
+Two assignments are related once, on those keys: keys_met puts both on the
+scale where they meet and refuses labels beside nonempty unions
+(TypeError(MIXED_KINDS)), for the distance kernel, reachability and
+unify's label table.
 Nesting is decided once, on those keys: chain_order orders an assignment's
 focal elements widest first and names the first adjacent pair that is not
 nested, and SlicedAssignment.from_mass stacks a chain by it.
@@ -236,8 +240,9 @@ def focals_from_keys(keys: Sequence[tuple], scale: Optional[int]) -> list:
 
 def keys_under(x, d: Optional[int]) -> list:
     """An assignment's stored part keys, in entry or slice order, as keys under
-    d, a multiple of their scale or None (see key_factor); labels keep scale 1."""
-    f = key_factor(x._scale, d)
+    d, a multiple of their scale or None (see key_factor); label sets keep
+    their sorted labels, which have no scale."""
+    f = key_factor(x._scale, d) if x.is_numeric else 1
     keys = [key for key, _ in x._keys]
     return keys if f == 1 else [tuple((lo * f, hi * f) for lo, hi in key) for key in keys]
 
@@ -247,6 +252,19 @@ def keys_contain(outer: tuple, inner: tuple) -> bool:
     union's spans through covers, a label set's sorted labels as a subset."""
     numeric = inner and isinstance(inner[0], tuple)
     return covers(outer, inner) if numeric else set(outer).issuperset(inner)
+
+
+def keys_met(a: "_Keyed", b: "_Keyed") -> tuple:
+    """(scale, keys of a, keys of b): two values' stored part keys, in entry
+    or slice order, on the scale where they meet (keys_under at
+    meet_scales); label sets keep their sorted labels. Label sets beside
+    nonempty unions raise TypeError(MIXED_KINDS), and the empty set meets
+    either kind."""
+    kinds = {_keys_numeric((key for key, _ in x._keys), None) for x in (a, b)}
+    if {True, False} <= kinds:
+        raise TypeError(MIXED_KINDS)
+    d = meet_scales(a._scale, b._scale)
+    return d, keys_under(a, d), keys_under(b, d)
 
 
 def chain_order(m: "MassAssignment") -> tuple:
@@ -270,10 +288,11 @@ def chain_order(m: "MassAssignment") -> tuple:
     return order, next(((i, j) for i, j in pairs if not keys_contain(keys[i], keys[j])), None)
 
 
-def _keys_numeric(keys: Iterable[tuple]) -> bool:
+def _keys_numeric(keys: Iterable[tuple], empty: Optional[bool] = True) -> Optional[bool]:
     """is_numeric of part keys: the first nonempty focal element decides, a
-    union's part keys being (lo, hi) pairs and a label set's its labels."""
-    return next((isinstance(key[0], tuple) for key in keys if key), True)
+    union's part keys being (lo, hi) pairs and a label set's its labels;
+    empty when every focal element is the empty set."""
+    return next((isinstance(key[0], tuple) for key in keys if key), empty)
 
 
 def sum_by_key(items: Iterable[tuple]) -> dict:
@@ -486,7 +505,8 @@ class MassAssignment(_Keyed):
     entries = property(_Keyed._viewed, doc="The (focal, mass) pairs: the view.")
 
     def mass_of(self, focal: Focal) -> Fraction:
-        """The mass on focal, or 0: a scan of entries (see linear_combination)."""
+        """The mass on focal, or 0: a scan of entries (see apply_type1 and
+        apply_type2)."""
         focal = as_focal(focal)
         return next((mass for f, mass in self.entries if f == focal), ZERO)
 

@@ -6,10 +6,12 @@ elements onto their union and intersection. Reachability under type-1
 moves alone is a maximum flow over the superset edges, because containment
 is transitive: any chain of moves flattens into a direct routing from
 the original donors to the final receivers. The edges are read from the
-stored part keys on one scale (mass.keys_under, keys_contain), and the
-flow runs on the mass keys on one integer scale (mass.masses_under_lcm).
-linear_combination keys its LP's lookup tables by stored part keys too,
-so neither check builds a focal element. Every set is divided by its
+stored part keys where the two assignments meet (mass.keys_met, which
+also refuses labels beside numbers) and tested by mass.keys_contain, and
+the flow runs on the mass keys on one integer scale
+(mass.masses_under_lcm). linear_combination meets the scales of all its
+inputs itself and keys its LP's lookup tables by stored part keys too, so
+neither check builds a focal element. Every set is divided by its
 total where it is read, so sets that total 1 within the tolerance
 compare as their divided forms.
 """
@@ -21,9 +23,9 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from . import exactlp
-from .intervals import MIXED_KINDS, ONE, ZERO, as_fraction, brief, cut, meet_scales
+from .intervals import ONE, ZERO, as_fraction, brief, cut, meet_scales
 from .mass import Focal, MassAssignment, _unscaler, as_focal, key_order
-from .mass import keys_contain, keys_under, masses_under_lcm
+from .mass import keys_contain, keys_met, keys_under, masses_under_lcm
 
 
 class InvalidRestrictionError(ValueError):
@@ -120,7 +122,7 @@ def linear_combination(
     d = reduce(meet_scales, (m._scale for m in sets if m.is_numeric), 1)
 
     def table(m: MassAssignment) -> dict:
-        keys = keys_under(m, d) if m.is_numeric else [key for key, _ in m._keys]
+        keys = keys_under(m, d)
         at = _unscaler((mass for _, mass in m._keys), m._mass_scale)
         return {key: at(mass) for key, (_, mass) in zip(keys, m._keys)}
 
@@ -143,11 +145,9 @@ def reachable_type1(src: MassAssignment, dst: MassAssignment) -> bool:
     trivial flow), so a maximum flow must move all of it onto dst, over
     superset edges read from the stored part keys, its capacities the mass
     keys on one integer scale (masses_under_lcm). Label sets and nonempty
-    unions do not mix (TypeError); the empty set alone meets either kind."""
-    if len({m.is_numeric for m in (src, dst) if m._keys[0][0]}) > 1:
-        raise TypeError(MIXED_KINDS)  # key_order puts the empty set's () last
-    d = meet_scales(src._scale, dst._scale)
-    outer, inner = keys_under(src, d), keys_under(dst, d)
+    unions do not mix (TypeError, from keys_met); the empty set alone meets
+    either kind."""
+    _, outer, inner = keys_met(src, dst)
     edges = [(i, j) for i, ks in enumerate(outer) for j, kd in enumerate(inner)
              if keys_contain(ks, kd)]
     _, supply, demand = masses_under_lcm(src, dst)

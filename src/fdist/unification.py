@@ -5,12 +5,19 @@ G) supports a truth label. Routing the two assignments' masses through
 the label table gives a truth assignment. Product routing treats the
 assignments as independent; maximal routing finds, by one min-cost flow,
 the lexicographically most informative joint distribution over the table.
-Both routings read one label table (_labels) and total it with
-mass.sum_by_key, on integer mass keys divided by their scale once per
-label: product routing's cell masses are keys from mass.product_rows, as
-in the product distance, and maximal routing's flow runs on the mass keys
-of mass.masses_under_lcm. Every set is divided by its total where it is
-read, so the label totals are the truth masses.
+
+The label table (_labels) is decided once, on the two assignments' stored
+part keys as mass.keys_met relates them, which also refuses label sets
+beside nonempty unions. A union's containment is intervals.covers and its
+overlap intervals.meets; a label set's are set comparisons, each focal
+element's labels made one set for the whole table. No focal element is
+built, and truth_cell is the table of two one-entry assignments. Both
+routings total the table with mass.sum_by_key, on integer mass keys
+divided by their scale once per label: product routing's cell masses are
+keys from mass.product_rows, as in the product distance, and maximal
+routing's flow runs on the mass keys of mass.masses_under_lcm. Every set
+is divided by its total where it is read, so the label totals are the
+truth masses.
 """
 
 from dataclasses import dataclass
@@ -20,8 +27,8 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import exactlp
-from .intervals import ZERO, as_fraction, brief, echo, format_fraction, unscaled
-from .mass import Focal, MassAssignment, as_focal, masses_under_lcm, product_rows, sum_by_key
+from .intervals import ZERO, as_fraction, brief, covers, echo, format_fraction, meets, unscaled
+from .mass import Focal, MassAssignment, keys_met, masses_under_lcm, product_rows, sum_by_key
 
 
 class TruthLabel(Enum):
@@ -43,30 +50,25 @@ def truth_cell(a: Focal, g: Focal) -> TruthLabel:
     Empty evidence tells us nothing about a non-empty claim (UNKNOWN)
     and trivially confirms an empty one (TRUE). Otherwise: containment
     of the evidence proves the claim, disjointness refutes it, partial
-    overlap leaves both possibilities open (BOTH)."""
-    a, g = as_focal(a), as_focal(g)
-    if g.is_empty:
-        return TruthLabel.TRUE if a.is_empty else TruthLabel.UNKNOWN
-    if a.is_empty:
-        return TruthLabel.BOTH
-    if a.issuperset(g):
-        return TruthLabel.TRUE
-    if not a.intersects(g):
-        return TruthLabel.FALSE
-    return TruthLabel.BOTH
+    overlap leaves both possibilities open (BOTH). The rule is read on
+    part keys: this is the label table (_labels) of two assignments of one
+    entry each, so a label set against a nonempty union raises
+    TypeError(MIXED_KINDS)."""
+    return _labels(MassAssignment([(a, 1)]), MassAssignment([(g, 1)]))[0]
 
 
 @dataclass(frozen=True, init=False, repr=False, slots=True)
 class TruthAssignment:
     """Mass over the four truth labels, summing to exactly 1 (both routings
-    route masses that do), kept as a tuple in TruthLabel order. A label
-    given twice, as a TruthLabel and as its value, say, is refused."""
+    route masses that do), kept as a tuple in TruthLabel order. masses is
+    a mapping or (label, mass) pairs, read as given; a label given twice,
+    as a TruthLabel and as its value, say, or in two pairs, is refused."""
 
     _masses: tuple
 
     def __init__(self, masses):
         given: dict = {}
-        for label, mass in dict(masses).items():
+        for label, mass in (masses.items() if isinstance(masses, Mapping) else masses):
             label = TruthLabel(label)
             if label in given:
                 raise ValueError(f"truth label {echo(label.value)} given twice")
@@ -100,9 +102,27 @@ class TruthAssignment:
         return f"TruthAssignment({body or '0'})"
 
 
+def _label(ka, kg) -> TruthLabel:
+    """truth_cell's rule on the part keys ka of a claim's focal element and
+    kg of the evidence's, of one kind and scale: a union's (lo, hi) spans,
+    or a label set's labels as a set."""
+    if not (ka and kg):
+        return TruthLabel.BOTH if kg else TruthLabel.UNKNOWN if ka else TruthLabel.TRUE
+    if covers(ka, kg) if isinstance(ka, tuple) else ka >= kg:
+        return TruthLabel.TRUE
+    if meets(ka, kg) if isinstance(ka, tuple) else not ka.isdisjoint(kg):
+        return TruthLabel.BOTH
+    return TruthLabel.FALSE
+
+
 def _labels(m_a: MassAssignment, m_g: MassAssignment) -> list:
-    """The label table: every cell's truth_cell, claim-major."""
-    return [truth_cell(fa, fg) for fa, _ in m_a.entries for fg, _ in m_g.entries]
+    """The label table, claim-major: each cell's _label, on the stored part
+    keys where the two assignments meet (keys_met). Label keys become one
+    set per focal element, so no cell builds one."""
+    _, keys_a, keys_g = keys_met(m_a, m_g)
+    if not (m_a.is_numeric and m_g.is_numeric):
+        keys_a, keys_g = [set(k) for k in keys_a], [set(k) for k in keys_g]
+    return [_label(ka, kg) for ka in keys_a for kg in keys_g]
 
 
 def unify_product(m_a: MassAssignment, m_g: MassAssignment) -> TruthAssignment:

@@ -494,8 +494,8 @@ def oracle_paired(a: SlicedAssignment, b: SlicedAssignment, directional: bool):
 
 
 # The nested any/all containment test that intervals.covers replaced with
-# one walk, and the all-pairs overlap test: O(p*q) comparisons of (lo, hi)
-# spans, parts or keys alike.
+# one walk, and the all-pairs overlap test that intervals.meets replaced:
+# O(p*q) comparisons of (lo, hi) spans, parts or keys alike.
 
 def oracle_covers(outer, inner) -> bool:
     return all(any(olo <= lo and hi <= ohi for olo, ohi in outer) for lo, hi in inner)

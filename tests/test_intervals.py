@@ -20,6 +20,7 @@ from fdist.intervals import (
     digit_limit,
     format_fraction,
     iu,
+    meets,
     merge_spans,
     read,
     scaled,
@@ -32,6 +33,7 @@ from helpers import (
     oracle_covers,
     oracle_format_fraction,
     oracle_merge,
+    oracle_overlaps,
 )
 
 F = Fraction
@@ -260,6 +262,25 @@ def covering_pairs(draw):
             a, b = draw(_quarters(p.lo - Q, p.hi + Q)), draw(_quarters(p.lo - Q, p.hi + Q))
             cuts.append((min(a, b), max(a, b)))
     return outer, iu(*cuts)
+
+
+def test_meets_counts_shared_ends_and_points():
+    spans = ((0, 2), (3, 3), (5, 8))
+    assert meets(spans, ((2, 2),)) and meets(((8, 9),), spans)  # touching ends
+    assert meets(spans, ((3, 3),)) and meets(spans, ((2, 5),))  # a point, a bridge
+    assert not meets(spans, ((F(5, 2), F(11, 4)), (4, 4), (9, 9)))  # each in a gap
+    assert not meets(spans, ()) and not meets((), spans) and not meets((), ())
+
+
+@given(covering_pairs())
+@settings(max_examples=300)
+def test_meets_equals_all_pairs_on_parts_and_keys(pair):
+    a, b = pair
+    expected = oracle_overlaps(a.parts, b.parts)
+    assert meets(a.parts, b.parts) is expected and meets(b.parts, a.parts) is expected
+    assert a.intersects(b) is expected and b.intersects(a) is expected
+    d = common_scale(e for u in pair for p in u.parts for e in p)
+    assert meets(a.part_keys(d), b.part_keys(d)) is expected
 
 
 @given(covering_pairs())

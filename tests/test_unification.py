@@ -5,21 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdist.intervals import EMPTY, iu
+from fdist.intervals import EMPTY, MIXED_KINDS, iu
 from fdist.mass import DiscreteFuzzySet, MassAssignment, mass_from_discrete, product_rows
 from fdist.unification import (
     DEFAULT_ORDER,
     TruthAssignment,
     TruthLabel,
+    _labels,
     truth_cell,
     unify_maximal,
     unify_product,
 )
 from helpers import (
     WIDE_PRIME_DENS,
+    kernel_masses,
     label_masses,
     numeric_masses,
     oracle_min_cost_flow,
+    oracle_truth_cell,
     oracle_unify_maximal,
     oracle_unify_product,
     totals_one,
@@ -57,6 +60,14 @@ class TestTruthCell:
         assert truth_cell(iu((1, 2)), iu((4, 5))) is TruthLabel.FALSE
         assert truth_cell(iu((1, 2)), EMPTY) is TruthLabel.UNKNOWN
         assert truth_cell(iu((1, 2), (4, 5)), iu((4, 5))) is TruthLabel.TRUE
+        assert truth_cell(iu((1, 2)), iu((2, 3))) is TruthLabel.BOTH  # touching ends
+        assert truth_cell(iu((1, 2), (4, 5)), iu((2, 4))) is TruthLabel.BOTH  # a bridge
+        assert truth_cell(iu((1, 2), (4, 5)), iu((3, 3))) is TruthLabel.FALSE  # in the gap
+
+    def test_labels_against_a_union_refused(self):
+        for a, g in ((fs("a"), iu((1, 2))), (iu((1, 2)), fs("a"))):
+            with pytest.raises(TypeError, match=MIXED_KINDS):
+                truth_cell(a, g)
 
     @given(
         st.frozensets(st.sampled_from("abcd"), min_size=1),
@@ -114,6 +125,28 @@ class TestUnifyProduct:
         _, scale = product_rows(a, g)
         assert (scale is None) is wide
         assert unify_product(a, g) == oracle_unify_product(a, g)
+
+
+class TestKinds:
+    LABELS = MassAssignment([(fs("a"), F(1, 2)), (fs("a", "b"), F(1, 2))])
+    NUMBERS = MassAssignment([(iu((1, 2)), F(1, 2)), (EMPTY, F(1, 2))])
+    NOTHING = MassAssignment([(EMPTY, 1)])
+
+    @pytest.mark.parametrize("unify", [unify_product, unify_maximal])
+    def test_labels_against_a_union_refused(self, unify):
+        for a, g in ((self.LABELS, self.NUMBERS), (self.NUMBERS, self.LABELS)):
+            with pytest.raises(TypeError, match=MIXED_KINDS):
+                unify(a, g)
+
+    @pytest.mark.parametrize("unify", [unify_product, unify_maximal])
+    def test_the_empty_set_alone_meets_either_kind(self, unify):
+        # a claim on the empty set alone leaves both open, or holds against
+        # the empty set; as evidence it says nothing of a nonempty claim
+        assert unify(self.NOTHING, self.LABELS) == ta(both=1)
+        assert unify(self.NOTHING, self.NUMBERS) == ta(both=F(1, 2), true=F(1, 2))
+        assert unify(self.LABELS, self.NOTHING) == ta(unknown=1)
+        assert unify(self.NUMBERS, self.NOTHING) == ta(unknown=F(1, 2), true=F(1, 2))
+        assert unify(self.NOTHING, self.NOTHING) == ta(true=1)
 
 
 class TestUnifyMaximal:
@@ -182,6 +215,14 @@ class TestTruthAssignment:
         with pytest.raises(ValueError, match=r"^truth label 'empty' given twice$"):
             TruthAssignment({TruthLabel.UNKNOWN: 1, "empty": 0})
 
+    def test_label_given_twice_as_pairs_refused(self):
+        # pairs are read as given: a dict of them would keep the last alone
+        with pytest.raises(ValueError, match=r"^truth label 't' given twice$"):
+            TruthAssignment([("t", 0), ("t", 1)])
+        with pytest.raises(ValueError, match=r"^truth label 't' given twice$"):
+            TruthAssignment([(TruthLabel.TRUE, F(1, 2)), ("t", F(1, 2))])
+        assert TruthAssignment([("t", F(1, 2)), ("f", F(1, 2))]) == ta(true=F(1, 2), false=F(1, 2))
+
     def test_bad_label_names_rejected(self):
         r = TruthAssignment({"t": 1})
         with pytest.raises(ValueError, match="not a valid TruthLabel"):
@@ -229,6 +270,26 @@ def test_maximal_past_the_mass_scale_matches_pinning_oracle(wide, other, claim, 
     assert wide._mass_scale is None
     ma, mg = (wide, other) if claim else (other, wide)
     assert unify_maximal(ma, mg, order) == oracle_unify_maximal(ma, mg, order)
+
+
+@given(
+    st.one_of(
+        st.tuples(label_masses(), label_masses()),
+        st.tuples(numeric_masses(), numeric_masses()),
+        st.tuples(wide_masses(labels=True), wide_masses(labels=True) | label_masses()),
+        st.tuples(wide_masses(labels=False), wide_masses(labels=False) | numeric_masses()),
+        st.tuples(kernel_masses(WIDE_PRIME_DENS, 6), kernel_masses() | numeric_masses()),
+    ),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_label_table_matches_oracle_cell_by_cell(pair, swap):
+    # the routing oracles compare label totals alone, which a wrong cell
+    # can leave unchanged; wide masses have no integer mass scale, and wide
+    # kernel masses often no integer endpoint scale either
+    ma, mg = pair[::-1] if swap else pair
+    expected = [oracle_truth_cell(fa, fg) for fa, _ in ma.entries for fg, _ in mg.entries]
+    assert _labels(ma, mg) == expected
 
 
 @given(label_masses(), label_masses())
